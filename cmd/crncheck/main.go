@@ -72,6 +72,7 @@ import (
 
 	"crncompose/internal/core"
 	"crncompose/internal/dist"
+	"crncompose/internal/metrics"
 	"crncompose/internal/parse"
 	"crncompose/internal/progress"
 	"crncompose/internal/reach"
@@ -197,6 +198,10 @@ func run(args []string, out io.Writer) error {
 			// than silently diverge from local mode.
 			return fmt.Errorf("-maxconfigs must be >= 1 in coordinator mode")
 		}
+		// The coordinator's /metrics renders reg; this process owns the
+		// tracer, so its span counters are hooked here, once.
+		reg := metrics.NewRegistry()
+		tr.CountSpans(reg)
 		co, cerr := dist.NewCoordinator(dist.CoordinatorConfig{
 			CRN:        c,
 			Func:       *fname,
@@ -206,6 +211,7 @@ func run(args []string, out io.Writer) error {
 			Shards:     *shards,
 			LeaseTTL:   *lease,
 			Checkpoint: *checkpoint,
+			Metrics:    reg,
 			Tracer:     tr,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "crncheck: "+format+"\n", args...)

@@ -35,13 +35,16 @@
 //     pipeline with a content-addressed result cache (SHA-256 of the
 //     canonical request; the engines' determinism makes replayed bytes
 //     indistinguishable from recomputation), in-flight deduplication of
-//     identical concurrent requests, and asynchronous grid jobs — executed
-//     concurrently under an admission budget on the local steal pool or
-//     handed to an internal/dist coordinator, cancellable via DELETE, and
-//     drained gracefully on SIGTERM; /v1/check bodies are byte-identical
-//     to crncheck -json; a dist handoff that cannot start or stalls past
-//     a grace window degrades to local execution — same bytes, marked
-//     "degraded" in the job status;
+//     identical concurrent requests, and asynchronous grid jobs — every
+//     one scheduled and merged by an internal/dist coordinator, which
+//     either never listens (the server checks the rectangles on its local
+//     steal pool, concurrently under an admission budget) or hands them to
+//     external workers, cancellable via DELETE, and drained gracefully on
+//     SIGTERM; /v1/check bodies are byte-identical to crncheck -json; a
+//     dist handoff that cannot start or stalls past a grace window
+//     degrades and finishes locally on the same coordinator, keeping the
+//     rectangles workers completed — same bytes, marked "degraded" in the
+//     job status;
 //   - internal/httpx: the one retrying HTTP client every cross-process
 //     call in dist and serve goes through — full-jitter exponential
 //     backoff, per-attempt timeouts, a wall-clock retry budget, and the

@@ -95,7 +95,8 @@ type rectState struct {
 
 // Coordinator shards one CheckGrid call across workers and merges their
 // rectangle results deterministically. Create with NewCoordinator, then
-// either Run (serve + wait) or Start/Wait/Shutdown separately.
+// either Run (serve + wait), Start/Wait/Shutdown separately, or RunLocal
+// to check the rectangles in this process.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	job    JobSpec
@@ -185,7 +186,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		met:       newDistMetrics(cfg.Metrics),
 		tr:        cfg.Tracer,
 	}
-	hookSpanCounters(co.met.reg, co.tr)
 	// The job root span opens before the checkpoint load: a checkpoint that
 	// already completes the run finishes inside checkFinishedLocked below,
 	// which ends this span.
@@ -306,17 +306,21 @@ func (co *Coordinator) leaseWait(ctx context.Context, worker string, wait time.D
 }
 
 // Progress reports how many rectangles have completed out of the total —
-// the unit async job progress is surfaced in (internal/serve reports it for
-// jobs handed to a coordinator).
+// the unit async job progress is surfaced in: internal/serve reads it for
+// every job's status. Completed rectangles stay completed, so done never
+// decreases, across a degradation to RunLocal included.
 func (co *Coordinator) Progress() (done, total int) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	return co.countLocked()[rectDone], len(co.states)
+}
+
+// countLocked tallies the lease table by status, indexed by rectStatus.
+func (co *Coordinator) countLocked() (n [3]int) {
 	for id := range co.states {
-		if co.states[id].status == rectDone {
-			done++
-		}
+		n[co.states[id].status]++
 	}
-	return done, len(co.states)
+	return n
 }
 
 // renew extends worker's lease on rectID. A false response means the lease
@@ -337,9 +341,9 @@ func (co *Coordinator) renew(worker string, rectID int) RenewResponse {
 	return RenewResponse{OK: true}
 }
 
-// result records one rectangle's result. Duplicate reports (a lease expired
-// and both the old and the new holder finished) are identical by the
-// engine's determinism; the first one recorded wins and the rest are
+// result decodes and records one rectangle's result. Duplicate reports (a
+// lease expired and both the old and the new holder finished) are identical
+// by the engine's determinism; the first one recorded wins and the rest are
 // acknowledged without effect. A decode failure is a protocol error.
 func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 	co.mu.Lock()
@@ -347,8 +351,7 @@ func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 	if req.RectID < 0 || req.RectID >= len(co.states) {
 		return ResultResponse{}, fmt.Errorf("dist: result for unknown rect %d", req.RectID)
 	}
-	st := &co.states[req.RectID]
-	if st.status == rectDone {
+	if co.states[req.RectID].status == rectDone {
 		return ResultResponse{OK: true}, nil
 	}
 	if len(req.Result) == 0 && req.Err == "" {
@@ -362,6 +365,18 @@ func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 			return ResultResponse{}, fmt.Errorf("dist: rect %d: %w", req.RectID, err)
 		}
 	}
+	co.recordLocked(req.RectID, req.Worker, res, req.Result, req.Err, req.Spans)
+	return ResultResponse{OK: true}, nil
+}
+
+// recordLocked marks rectangle id done — the one record path, shared by
+// worker reports (POST /result) and RunLocal — and finishes the run once
+// that settles it. raw is res in wire form, for the checkpoint file; spans
+// are the finished spans the reporting worker shipped, which join the
+// coordinator's ring so /debug/traces here shows the cross-process trace.
+// Caller holds co.mu and has checked the rectangle is not done yet.
+func (co *Coordinator) recordLocked(id int, worker string, res reach.GridResult, raw json.RawMessage, errMsg string, spans []trace.SpanData) {
+	st := &co.states[id]
 	if !st.leasedAt.IsZero() {
 		// Lease grant to accepted result, on the coordinator's clock seam.
 		co.met.rectSeconds.ObserveSince(st.leasedAt, co.now())
@@ -369,28 +384,95 @@ func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 	leaseSC := st.span.Context()
 	st.span.End(co.now(), trace.String("outcome", "ok"))
 	st.span = nil
-	// The worker's finished spans for this rectangle join the coordinator's
-	// ring, so /debug/traces here shows the cross-process trace.
-	for i, d := range req.Spans {
+	for i, d := range spans {
 		if i >= maxShippedSpans {
 			break
 		}
 		co.tr.Record(d)
 	}
 	st.status = rectDone
-	st.worker = req.Worker
+	st.worker = worker
 	st.result = res
-	st.raw = req.Result
-	st.errMsg = req.Err
+	st.raw = raw
+	st.errMsg = errMsg
 	co.syncRectsLocked()
-	trace.Logf(co.logf, leaseSC)("result: rect %d from %s: %v", req.RectID, req.Worker, res)
+	trace.Logf(co.logf, leaseSC)("result: rect %d from %s: %v", id, worker, res)
 	if co.cfg.Checkpoint != "" {
 		if err := co.saveCheckpointLocked(); err != nil {
 			co.logf("checkpoint: %v", err)
 		}
 	}
 	co.checkFinishedLocked()
-	return ResultResponse{OK: true}, nil
+}
+
+// localWorker is the lease-table name of this process under RunLocal.
+const localWorker = "local"
+
+// RunLocal checks the rectangles in this process until the run finishes and
+// returns the merged result — what Wait returns when workers do the work.
+// check is called once per rectangle with ctx; a serving process calls
+// RunLocal on a coordinator that never listens, or after Shutdown to finish
+// a handoff whose workers were lost.
+//
+// Rectangles go through the same lease table and the same record-and-merge
+// path as POST /lease and POST /result, so rectangles already completed —
+// by workers, or restored from a checkpoint — are kept, not checked again.
+// RunLocal assumes no worker can report any more: once every remaining
+// rectangle is leased out, it requeues those leases and checks the
+// rectangles itself. An error from check while ctx is live is a
+// deterministic enumeration error: it is recorded for the rectangle and cuts
+// the merge, as a worker-reported error does. Once ctx is canceled RunLocal
+// returns check's error, with no partial result.
+func (co *Coordinator) RunLocal(ctx context.Context, check func(context.Context, Rect) (reach.GridResult, error)) (reach.GridResult, error) {
+	for {
+		resp := co.lease(localWorker)
+		switch {
+		case resp.Done:
+			return co.Wait(ctx)
+		case resp.Wait: // every remaining rectangle is held by a lost worker
+			co.mu.Lock()
+			for id := range co.states {
+				if co.states[id].status == rectLeased {
+					co.requeueLocked(id, "lost")
+				}
+			}
+			co.mu.Unlock()
+			continue
+		}
+		r := *resp.Rect
+		res, err := check(ctx, r)
+		var errMsg string
+		if err != nil {
+			if ctx.Err() != nil {
+				return reach.GridResult{}, err
+			}
+			errMsg = err.Error()
+		}
+		var raw json.RawMessage
+		if co.cfg.Checkpoint != "" {
+			if raw, err = json.Marshal(res); err != nil {
+				return reach.GridResult{}, fmt.Errorf("dist: encoding rect %d result: %w", r.ID, err)
+			}
+		}
+		co.mu.Lock()
+		if co.states[r.ID].status != rectDone { // a report racing Shutdown may have landed
+			co.recordLocked(r.ID, localWorker, res, raw, errMsg, nil)
+		}
+		co.mu.Unlock()
+	}
+}
+
+// requeueLocked returns rectangle id's lease to the pending set, ending its
+// lease span with outcome: "expired" (the holder went silent past the TTL)
+// or "lost" (RunLocal took the rectangle back).
+func (co *Coordinator) requeueLocked(id int, outcome string) {
+	st := &co.states[id]
+	trace.Logf(co.logf, st.span.Context())("lease: rect %d %s (held by %s); requeued", id, outcome, st.worker)
+	st.status = rectPending
+	st.worker = ""
+	st.span.End(co.now(), trace.String("outcome", outcome))
+	st.span = nil
+	co.syncRectsLocked()
 }
 
 // sweepLocked reclaims expired leases so the rectangles can be reassigned.
@@ -399,13 +481,8 @@ func (co *Coordinator) sweepLocked() {
 	for id := range co.states {
 		st := &co.states[id]
 		if st.status == rectLeased && st.deadline.Before(now) {
-			trace.Logf(co.logf, st.span.Context())("lease: rect %d expired (held by %s); requeued", id, st.worker)
-			st.status = rectPending
-			st.worker = ""
-			st.span.End(now, trace.String("outcome", "expired"))
-			st.span = nil
+			co.requeueLocked(id, "expired")
 			co.met.leaseExpired.Inc()
-			co.syncRectsLocked()
 		}
 	}
 }
@@ -460,6 +537,12 @@ func (co *Coordinator) checkFinishedLocked() {
 // its failure, and everything after it is dropped — exactly where a
 // single-process CheckGrid stops. Enumeration errors cut the same way, with
 // the error returned alongside the partial counts.
+//
+// This is the only place rectangle results merge, whether workers or
+// RunLocal checked them. It is byte-identical to one CheckGrid over the
+// whole grid because SplitGrid's rectangles are contiguous segments of
+// canonical (lexicographic) grid order, and within a rectangle CheckGrid
+// already stops at the first failure in grid order.
 func (co *Coordinator) mergeLocked() (reach.GridResult, error) {
 	out := reach.GridResult{}
 	for id := range co.states {
@@ -527,22 +610,12 @@ func (co *Coordinator) Handler() http.Handler {
 func (co *Coordinator) status() map[string]any {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	var pending, leased, done int
-	for id := range co.states {
-		switch co.states[id].status {
-		case rectPending:
-			pending++
-		case rectLeased:
-			leased++
-		case rectDone:
-			done++
-		}
-	}
+	n := co.countLocked()
 	return map[string]any{
 		"rects":    len(co.states),
-		"pending":  pending,
-		"leased":   leased,
-		"done":     done,
+		"pending":  n[rectPending],
+		"leased":   n[rectLeased],
+		"done":     n[rectDone],
 		"finished": co.finished,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -259,6 +260,71 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if st := co3.status(); st["done"] != 0 {
 		t.Fatalf("mismatched checkpoint not ignored: %v", st)
+	}
+}
+
+// TestRunLocalKeepsCompletedRects: RunLocal on a coordinator that never
+// listens checks only what is left — a worker's completed rectangle is
+// kept, a lease whose holder can no longer report is taken back last — and
+// the merge is byte-identical to one CheckGrid, verified or refuted. The
+// refuted grid fails first in rectangle 2, so rectangle 3 is never checked.
+func TestRunLocalKeepsCompletedRects(t *testing.T) {
+	lo, hi := []int64{0, 0}, []int64{3, 3}
+	wrongFrom2 := func(x []int64) int64 { // min, off by one once x1 >= 2
+		if x[0] >= 2 {
+			return min(x[0], x[1]) + 1
+		}
+		return min(x[0], x[1])
+	}
+	for name, tc := range map[string]struct {
+		f           reach.Func
+		wantChecked []int
+	}{
+		"verified": {minFunc, []int{2, 3, 1}},
+		"refuted":  {wrongFrom2, []int{2, 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			co, err := NewCoordinator(CoordinatorConfig{CRN: minCRN(), Func: "min", Lo: lo, Hi: hi, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Worker A completes rect 0; worker B leases rect 1 and vanishes.
+			if l := co.lease("A"); l.Rect == nil || l.Rect.ID != 0 {
+				t.Fatalf("A's lease: %+v", l)
+			}
+			if _, err := co.result(localRectResult(t, minCRN(), tc.f, co.Rects()[0], "A")); err != nil {
+				t.Fatal(err)
+			}
+			if l := co.lease("B"); l.Rect == nil || l.Rect.ID != 1 {
+				t.Fatalf("B's lease: %+v", l)
+			}
+			var checked []int
+			merged, err := co.RunLocal(context.Background(), func(ctx context.Context, r Rect) (reach.GridResult, error) {
+				checked = append(checked, r.ID)
+				return reach.CheckGridCtx(ctx, minCRN(), tc.f, r.Lo, r.Hi)
+			})
+			assertSameAsLocal(t, merged, err, minCRN(), tc.f, lo, hi)
+			if !slices.Equal(checked, tc.wantChecked) {
+				t.Fatalf("RunLocal checked rects %v, want %v", checked, tc.wantChecked)
+			}
+		})
+	}
+}
+
+// TestRunLocalCanceled: a canceled context stops RunLocal with check's
+// error and no partial result.
+func TestRunLocalCanceled(t *testing.T) {
+	co := newTestCoordinator(t, nil, 4, "")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := co.RunLocal(ctx, func(ctx context.Context, r Rect) (reach.GridResult, error) {
+		return reach.CheckGridCtx(ctx, minCRN(), minFunc, r.Lo, r.Hi)
+	})
+	if !errors.Is(err, context.Canceled) || res != (reach.GridResult{}) {
+		t.Fatalf("canceled RunLocal = %+v, %v", res, err)
+	}
+	if done, total := co.Progress(); done != 0 || total != 4 {
+		t.Fatalf("progress after cancel: %d/%d", done, total)
 	}
 }
 

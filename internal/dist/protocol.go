@@ -15,8 +15,8 @@
 // String rendering) to a single-process reach.CheckGrid over the same grid,
 // at any worker count, join order, or crash schedule:
 //
-//   - rectangles partition the grid into contiguous grid-order segments, and
-//     within a rectangle reach.CheckRect already has CheckGrid's
+//   - rectangles partition the grid into contiguous grid-order segments
+//     (SplitGrid), and each is checked by reach.CheckGrid itself, with its
 //     deterministic first-failure-in-grid-order semantics;
 //   - the merge walks rectangles in grid order, summing counts, and stops at
 //     the first rectangle reporting a failure (including its partial counts)

@@ -40,7 +40,7 @@ func goldenLease() LeaseResponse {
 // min), witness schedule included — the hardest message to keep stable.
 func goldenResult(t *testing.T) ResultRequest {
 	t.Helper()
-	res, err := reach.CheckRect(sumCRN(), minFunc, []int64{0, 0}, []int64{2, 2})
+	res, err := reach.CheckGrid(sumCRN(), minFunc, []int64{0, 0}, []int64{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func (f *fakeClock) advance(d time.Duration) {
 // ResultRequest a well-behaved worker would post.
 func localRectResult(t *testing.T, c *crn.CRN, f reach.Func, r Rect, worker string, opts ...reach.Option) ResultRequest {
 	t.Helper()
-	res, err := reach.CheckRect(c, f, r.Lo, r.Hi, opts...)
+	res, err := reach.CheckGrid(c, f, r.Lo, r.Hi, opts...)
 	req := ResultRequest{Worker: worker, RectID: r.ID}
 	raw, merr := json.Marshal(res)
 	if merr != nil {

@@ -26,8 +26,8 @@ import (
 var ErrCoordinatorLost = errors.New("dist: coordinator lost")
 
 // Worker joins a coordinator, leases rectangles, checks each one on the
-// local steal-pool engine (reach.CheckRect — the exact engine a local
-// CheckGrid uses), and reports results. Any number of workers may join and
+// local steal-pool engine (reach.CheckGridCtx on the rectangle's bounds),
+// and reports results. Any number of workers may join and
 // leave at any time; a worker that dies mid-rectangle just lets its lease
 // expire.
 //
@@ -331,7 +331,7 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 		}()
 	}
 	logf("worker %s: checking rect %d %v..%v", name, rect.ID, rect.Lo, rect.Hi)
-	res, rerr := reach.CheckRectCtx(rctx, c, f, rect.Lo, rect.Hi, opts...)
+	res, rerr := reach.CheckGridCtx(rctx, c, f, rect.Lo, rect.Hi, opts...)
 	close(stop)
 	hb.Wait()
 

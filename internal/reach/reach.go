@@ -705,27 +705,6 @@ func gridTotal(lo, hi []int64) int64 {
 	return total
 }
 
-// CheckRect is CheckGrid on one axis-aligned rectangle of a larger grid —
-// the shard-shaped entry point used by the distributed checker
-// (internal/dist). Rectangles that partition a grid into segments contiguous
-// in canonical (lexicographic) grid order merge deterministically: counts
-// sum rectangle by rectangle in grid order, and merging stops at the first
-// rectangle reporting a failure (or enumeration error), whose partial counts
-// are included. The merged GridResult is then byte-identical to a single
-// CheckGrid over the whole grid, because within a rectangle CheckRect has
-// exactly CheckGrid's first-failure-in-grid-order semantics.
-func CheckRect(c *crn.CRN, f Func, lo, hi []int64, opts ...Option) (GridResult, error) {
-	return CheckGrid(c, f, lo, hi, opts...)
-}
-
-// CheckRectCtx is CheckRect under a cancellation context (see CheckGridCtx
-// for the semantics). It is the entry point distributed workers use so a
-// revoked lease or local shutdown stops the engine within one chunk/level
-// boundary instead of wasting the rectangle's remaining work.
-func CheckRectCtx(ctx context.Context, c *crn.CRN, f Func, lo, hi []int64, opts ...Option) (GridResult, error) {
-	return CheckGridCtx(ctx, c, f, lo, hi, opts...)
-}
-
 // GridResult summarizes a CheckGrid run. The JSON encoding is the wire form
 // used by the distributed checker and by crncheck -json; decode with
 // UnmarshalGridResult (the witness configurations need the CRN to rebind).

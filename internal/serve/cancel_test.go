@@ -69,7 +69,7 @@ func TestJobDelete(t *testing.T) {
 	awaitStart(t, started)
 
 	// Cancel while the runner is held before the engine: the runner's next
-	// CheckRectCtx observes the canceled context immediately.
+	// CheckGridCtx observes the canceled context immediately.
 	if status, body := del(t, ts.URL+"/v1/jobs/"+js.ID); status != http.StatusOK {
 		t.Fatalf("delete running: %d %s", status, body)
 	}

@@ -3,15 +3,20 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"crncompose/internal/core"
 	"crncompose/internal/dist"
 	"crncompose/internal/reach"
+	"crncompose/internal/trace"
 	"crncompose/internal/vec"
 )
 
@@ -134,6 +139,158 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatal("worker did not finish")
+		}
+	}
+}
+
+// resolveLibrary is a dist.Worker resolver over core.Library, as
+// crncheck -join wires it.
+func resolveLibrary(name string) (reach.Func, error) {
+	f, ok := core.Library()[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown function %q", name)
+	}
+	return func(x []int64) int64 { return f.Eval(vec.New(x...)) }, nil
+}
+
+// TestJobDegradeKeepsCompletedRects: the only worker completes k
+// rectangles, then dies holding its next lease. The watchdog degrades the
+// job, which finishes on the same coordinator: progress never drops (so
+// never below k), exactly total−k rectangles run locally (one serve.rect
+// span each), and the body is the exact crncheck -json bytes.
+func TestJobDegradeKeepsCompletedRects(t *testing.T) {
+	const shards, k = 4, 2
+	tr := trace.New(trace.Options{Proc: "serve-test"})
+	addr := freeAddr(t)
+	_, ts := newTestServer(t, Config{
+		Shards:           shards,
+		DistCoordinator:  addr,
+		LeaseTTL:         time.Minute, // the dead worker's lease outlives the watchdog
+		CoordinatorGrace: time.Second,
+		Tracer:           tr,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	killed := errors.New("worker killed after k rectangles")
+	var leases atomic.Int32
+	w := &dist.Worker{
+		Coordinator: addr,
+		Name:        "mortal",
+		Workers:     1,
+		Resolve:     resolveLibrary,
+		Poll:        10 * time.Millisecond,
+		LongPoll:    200 * time.Millisecond,
+		JoinTimeout: 30 * time.Second,
+		LeaseHook: func(dist.Rect) error {
+			if leases.Add(1) > k {
+				return killed
+			}
+			return nil
+		},
+	}
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- w.Run(ctx) }()
+
+	hi := int64(3)
+	js := submitJob(t, ts.URL, hi)
+	var st JobStatus
+	peak := 0
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		status, body := get(t, ts.URL+"/v1/jobs/"+js.ID)
+		if status != http.StatusOK {
+			t.Fatalf("job status: %d %s", status, body)
+		}
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.RectsDone < peak {
+			t.Fatalf("rects_done dropped from %d to %d: %+v", peak, st.RectsDone, st)
+		}
+		peak = st.RectsDone
+		if st.Degraded && st.RectsDone < k {
+			t.Fatalf("degraded job lost the worker's rectangles: %+v", st)
+		}
+		if terminalState(st.State) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.State != jobDone || !st.Degraded || st.Rects != shards || st.RectsDone != shards {
+		t.Fatalf("degraded job: %+v", st)
+	}
+	if err := <-workerErr; !errors.Is(err, killed) {
+		t.Fatalf("worker: %v", err)
+	}
+	if n := leases.Load(); n != k+1 {
+		t.Fatalf("worker took %d leases, want %d (k completed + the one it died on)", n, k+1)
+	}
+	local := 0
+	for _, d := range tr.Snapshot() {
+		if d.Name == "serve.rect" {
+			local++
+		}
+	}
+	if local != shards-k {
+		t.Fatalf("%d rectangles ran locally, want total-k = %d", local, shards-k)
+	}
+	_, result := get(t, ts.URL+"/v1/jobs/"+js.ID+"/result")
+	if want := wantCheckBody(t, minCRNText, minEval, hi); !bytes.Equal(result, want) {
+		t.Fatalf("degraded result differs from crncheck -json:\n%s\nwant:\n%s", result, want)
+	}
+}
+
+// TestJobDistConcurrentJobs: in dist mode every job's coordinator binds the
+// one configured address, so two distinct jobs submitted together run one
+// after the other — workers re-join for the second — instead of the second
+// failing to bind and degrading. Neither degrades, and both bodies are the
+// exact crncheck -json bytes.
+func TestJobDistConcurrentJobs(t *testing.T) {
+	addr := freeAddr(t)
+	_, ts := newTestServer(t, Config{
+		Shards:          2,
+		DistCoordinator: addr,
+		LeaseTTL:        5 * time.Second,
+		MaxJobs:         2,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil { // a clean Run return means the job finished: join the next
+				w := &dist.Worker{
+					Coordinator: addr,
+					Name:        fmt.Sprintf("worker-%d", i),
+					Workers:     1,
+					Resolve:     resolveLibrary,
+					Poll:        10 * time.Millisecond,
+					LongPoll:    200 * time.Millisecond,
+					JoinTimeout: 30 * time.Second,
+				}
+				_ = w.Run(ctx)
+			}
+		}()
+	}
+	his := []int64{3, 4}
+	ids := make([]string, len(his))
+	for i, hi := range his {
+		ids[i] = submitJob(t, ts.URL, hi).ID
+	}
+	for i, hi := range his {
+		final := awaitJob(t, ts.URL, ids[i])
+		if final.State != jobDone || final.Degraded {
+			t.Fatalf("job hi=%d: %+v", hi, final)
+		}
+		_, result := get(t, ts.URL+"/v1/jobs/"+ids[i]+"/result")
+		if want := wantCheckBody(t, minCRNText, minEval, hi); !bytes.Equal(result, want) {
+			t.Fatalf("job hi=%d result differs from crncheck -json:\n%s\nwant:\n%s", hi, result, want)
 		}
 	}
 }

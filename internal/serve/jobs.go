@@ -27,9 +27,13 @@ import (
 // Every job runs under its own context (derived from the server's):
 // DELETE /v1/jobs/{id} cancels it, and the engine unwinds at its next
 // rectangle/chunk boundary, leaving the job in the terminal "canceled"
-// state with no partial result. Progress is reported in completed
-// rectangles — the same unit the distributed checker leases — with the
-// grid split exactly as a coordinator would split it.
+// state with no partial result.
+//
+// Every job runs through a dist.Coordinator, the one rectangle scheduler and
+// grid-order merge: locally its rectangles are leased to this process
+// (RunLocal) and the coordinator never listens; in dist mode external
+// workers lease them. Progress is the coordinator's count of completed
+// rectangles, read when the status is.
 //
 // Terminal jobs (done, failed, canceled) are garbage-collected from the
 // table after Config.JobTTL. A done job's body survives in the response
@@ -89,6 +93,12 @@ type asyncJob struct {
 	submittedAt time.Time
 	span        *trace.Span
 
+	// co schedules and merges the job's rectangles while it runs; status
+	// reads progress from it. At the terminal transition its final count
+	// moves to rects/rectsDone and co is dropped, so a finished job does
+	// not hold its coordinator for JobTTL. The table lock is taken before
+	// the coordinator's, never after.
+	co             *dist.Coordinator
 	state          string
 	rects          int
 	rectsDone      int
@@ -206,11 +216,15 @@ func (jt *jobTable) gc(now time.Time, ttl time.Duration) int {
 func (jb *asyncJob) statusDoc() JobStatus {
 	// jb.id and check are immutable; the rest is read under the table lock
 	// by the accessors below.
+	done, total := jb.rectsDone, jb.rects
+	if jb.co != nil {
+		done, total = jb.co.Progress()
+	}
 	return JobStatus{
 		ID:             jb.id,
 		State:          jb.state,
-		Rects:          jb.rects,
-		RectsDone:      jb.rectsDone,
+		Rects:          total,
+		RectsDone:      done,
 		Error:          jb.errMsg,
 		Degraded:       jb.degraded,
 		DegradedReason: jb.degradedReason,
@@ -250,9 +264,15 @@ func (s *Server) gcJobs() {
 
 // runJobs is the server's job dispatcher goroutine: it admits queued jobs
 // into runner goroutines under the MaxJobs budget until the server shuts
-// down. Each runner is tracked on jobWG so Drain can await them.
+// down. Each runner is tracked on jobWG so Drain can await them. In dist
+// mode every job's coordinator binds the one DistCoordinator address, so
+// jobs run one at a time there and MaxJobs applies to local mode only.
 func (s *Server) runJobs() {
-	sem := make(chan struct{}, s.cfg.MaxJobs)
+	n := s.cfg.MaxJobs
+	if s.cfg.DistCoordinator != "" {
+		n = 1
+	}
+	sem := make(chan struct{}, n)
 	for {
 		select {
 		case jb := <-s.jobs.queue:
@@ -288,14 +308,14 @@ func (s *Server) runJob(jb *asyncJob) {
 	var err error
 	if err = jb.ctx.Err(); err == nil {
 		s.computed("job")
-		if s.cfg.DistCoordinator != "" {
-			body, err = s.runJobDist(jb)
-		} else {
-			body, err = s.runJobLocal(jb)
-		}
+		body, err = s.execute(jb)
 	}
 	s.jobs.mu.Lock()
 	from := jb.state
+	if jb.co != nil {
+		jb.rectsDone, jb.rects = jb.co.Progress()
+		jb.co = nil
+	}
 	switch {
 	case err != nil && jb.ctx.Err() != nil:
 		jb.state = jobCanceled
@@ -321,84 +341,14 @@ func (s *Server) runJob(jb *asyncJob) {
 	trace.Logf(s.logf, jb.span.Context())("job %.12s…: %s", jb.id, terminal)
 }
 
-// runJobLocal checks the grid rectangle by rectangle on the in-process
-// engine, splitting exactly as a distributed coordinator would
-// (dist.SplitGrid) and merging with the same deterministic rule — counts
-// sum in grid order, the first rectangle with a failure contributes its
-// partial counts and stops the run — so the finished body is byte-identical
-// to the synchronous CheckGrid body (the dist subsystem's pinned
-// invariant), while progress advances a rectangle at a time. Each rectangle
-// runs under the job's context, so a DELETE lands within one chunk of work.
-func (s *Server) runJobLocal(jb *asyncJob) ([]byte, error) {
+// execute runs the job's grid through a dist.Coordinator and returns the
+// finished body, byte-identical to the synchronous CheckGrid body (the dist
+// subsystem's pinned invariant). Without Config.DistCoordinator the
+// coordinator never listens and this process checks every rectangle
+// (RunLocal); with it, external workers do (runDist).
+func (s *Server) execute(jb *asyncJob) ([]byte, error) {
 	cc := jb.check.cc
-	shards := s.cfg.Shards
-	if shards < 1 {
-		shards = dist.DefaultShards
-	}
-	if n := jb.check.gridPoints(); int64(shards) > n {
-		shards = int(n)
-	}
-	rects := dist.SplitGrid(cc.Lo, cc.Hi, shards)
-	s.jobs.mu.Lock()
-	if jb.state != jobRunning { // a degraded job is already running
-		s.met.jobTransition(jb.state, jobRunning)
-		jb.state = jobRunning
-	}
-	jb.rects = len(rects)
-	s.jobs.mu.Unlock()
-
-	var out reach.GridResult
-	for _, r := range rects {
-		rectSpan := s.tr.StartSpan(time.Now(), "serve.rect", jb.span.Context(),
-			trace.Int("rect", int64(r.ID)))
-		rep, finish := s.reporterFor(rectSpan.Context())
-		res, err := reach.CheckRectCtx(jb.ctx, jb.check.c, jb.check.f, r.Lo, r.Hi,
-			reach.WithMaxConfigs(cc.MaxConfigs),
-			reach.WithMaxCount(cc.MaxCount),
-			reach.WithWorkers(s.cfg.Workers),
-			reach.WithProgress(rep))
-		finish()
-		if err != nil {
-			rectSpan.End(time.Now(), trace.String("outcome", "error"))
-			return nil, err
-		}
-		rectOutcome := "ok"
-		if res.Failure != nil {
-			rectOutcome = "failure"
-		}
-		rectSpan.End(time.Now(), trace.String("outcome", rectOutcome))
-		out.Checked += res.Checked
-		out.Inconclusive += res.Inconclusive
-		out.Explored += res.Explored
-		s.jobs.mu.Lock()
-		jb.rectsDone++
-		s.jobs.mu.Unlock()
-		if res.Failure != nil {
-			out.Failure = res.Failure
-			break
-		}
-	}
-	return reach.MarshalGridResultIndent(out)
-}
-
-// runJobDist hands the job to a dist coordinator listening on the
-// configured address; external workers (`crncheck -join addr`) do the
-// computation. The merged result is byte-identical to a local run by the
-// dist subsystem's determinism contract, so the finished body is the same
-// bytes either way. Waiting is bounded by the job's context: a DELETE
-// cancels the wait and shuts the coordinator down, letting workers see the
-// job disappear and exit.
-//
-// Two failure modes degrade to local execution instead of failing the job
-// (unless CoordinatorGrace is negative): the coordinator cannot start on
-// the configured address, or no rectangle completes for CoordinatorGrace —
-// the coordinator is up but its workers are dead, wedged, or never joined.
-// Either way the caller still gets the exact bytes a healthy handoff would
-// have produced, plus a degraded marker in the job status.
-func (s *Server) runJobDist(jb *asyncJob) ([]byte, error) {
-	cc := jb.check.cc
-	grace := s.cfg.CoordinatorGrace
-	co, err := dist.NewCoordinator(dist.CoordinatorConfig{
+	cfg := dist.CoordinatorConfig{
 		CRN:        jb.check.c,
 		Func:       cc.Func,
 		Lo:         cc.Lo,
@@ -407,103 +357,134 @@ func (s *Server) runJobDist(jb *asyncJob) ([]byte, error) {
 		MaxCount:   cc.MaxCount,
 		Shards:     s.cfg.Shards,
 		LeaseTTL:   s.cfg.LeaseTTL,
-		Logf:       s.cfg.Logf,
-		Metrics:    s.cfg.Metrics,
-		// The coordinator shares this server's tracer and parents its
-		// dist.job span under the serve.job span, so /debug/traces here
+	}
+	if s.cfg.DistCoordinator != "" {
+		// A listening coordinator logs, scrapes and traces with this server;
+		// its dist.job span parents under serve.job, so /debug/traces here
 		// shows one trace from the submitting request through the workers'
-		// rectangle spans (shipped back with their results).
-		Tracer:       s.tr,
-		TraceContext: jb.span.Context(),
-	})
+		// rectangle spans (shipped back with their results). A local one
+		// keeps a private registry: concurrent local jobs would overwrite
+		// each other's crn_dist_rects gauges.
+		cfg.Logf = s.cfg.Logf
+		cfg.Metrics = s.cfg.Metrics
+		cfg.Tracer = s.tr
+		cfg.TraceContext = jb.span.Context()
+	}
+	co, err := dist.NewCoordinator(cfg)
 	if err != nil {
-		// A coordinator the job spec itself cannot configure would fail the
-		// same way locally; nothing to degrade to.
 		return nil, err
 	}
-	if err := co.Start(s.cfg.DistCoordinator); err != nil {
-		if grace < 0 {
-			return nil, fmt.Errorf("starting coordinator on %s: %w", s.cfg.DistCoordinator, err)
-		}
-		return s.degradeJob(jb, fmt.Sprintf("coordinator could not start on %s: %v", s.cfg.DistCoordinator, err))
-	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = co.Shutdown(sctx)
-	}()
-	_, total := co.Progress()
 	s.jobs.mu.Lock()
 	s.met.jobTransition(jb.state, jobRunning)
 	jb.state = jobRunning
-	jb.rects = total
+	jb.co = co
 	s.jobs.mu.Unlock()
-
-	// The wait runs under its own cancel so the stall watchdog below can
-	// abandon the handoff without canceling the job itself.
-	wctx, wcancel := context.WithCancel(jb.ctx)
-	defer wcancel()
-	waitDone := make(chan struct{})
 	var res reach.GridResult
-	var werr error
-	go func() {
-		res, werr = co.Wait(wctx)
-		close(waitDone)
-	}()
-	t := time.NewTicker(200 * time.Millisecond)
-	defer t.Stop()
-	lastDone := 0
-	lastChange := time.Now()
+	if s.cfg.DistCoordinator != "" {
+		res, err = s.runDist(jb, co)
+	} else {
+		res, err = co.RunLocal(jb.ctx, s.rectChecker(jb))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return reach.MarshalGridResultIndent(res)
+}
+
+// rectChecker returns the job's in-process rectangle check: a serve.rect
+// span under serve.job, engine stage spans under it, on the server's
+// worker budget. The check runs under the job's context, so a DELETE lands
+// within one chunk of work.
+func (s *Server) rectChecker(jb *asyncJob) func(context.Context, dist.Rect) (reach.GridResult, error) {
+	cc := jb.check.cc
+	return func(ctx context.Context, r dist.Rect) (reach.GridResult, error) {
+		sp := s.tr.StartSpan(time.Now(), "serve.rect", jb.span.Context(),
+			trace.Int("rect", int64(r.ID)))
+		rep, finish := s.reporterFor(sp.Context())
+		res, err := reach.CheckGridCtx(ctx, jb.check.c, jb.check.f, r.Lo, r.Hi,
+			reach.WithMaxConfigs(cc.MaxConfigs),
+			reach.WithMaxCount(cc.MaxCount),
+			reach.WithWorkers(s.cfg.Workers),
+			reach.WithProgress(rep))
+		finish()
+		outcome := "ok"
+		switch {
+		case err != nil:
+			outcome = "error"
+		case res.Failure != nil:
+			outcome = "failure"
+		}
+		sp.End(time.Now(), trace.String("outcome", outcome))
+		return res, err
+	}
+}
+
+// runDist starts co on Config.DistCoordinator, where external workers
+// (`crncheck -join addr`) compute the rectangles, and waits for the merged
+// result under the job's context: a DELETE cancels the wait and shuts the
+// coordinator down, letting workers see the job disappear and exit.
+//
+// Two failures degrade instead of failing the job (unless CoordinatorGrace
+// is negative): the coordinator cannot start on the address, or no
+// rectangle completes for CoordinatorGrace — its workers are dead, wedged,
+// or never joined. Degrading shuts the listener and finishes the run in
+// this process on the same coordinator, keeping every rectangle workers
+// completed; the status carries a degraded marker and the body is the
+// bytes a healthy handoff would have produced.
+func (s *Server) runDist(jb *asyncJob, co *dist.Coordinator) (reach.GridResult, error) {
+	addr, grace := s.cfg.DistCoordinator, s.cfg.CoordinatorGrace
+	degrade := func(reason string) (reach.GridResult, error) {
+		trace.Logf(s.logf, jb.span.Context())("job %.12s…: degraded, finishing locally: %s", jb.id, reason)
+		s.met.degraded()
+		s.jobs.mu.Lock()
+		jb.degraded = true
+		jb.degradedReason = reason
+		s.jobs.mu.Unlock()
+		sp := s.tr.StartSpan(time.Now(), "serve.degrade", jb.span.Context(),
+			trace.String("reason", reason))
+		res, err := co.RunLocal(jb.ctx, s.rectChecker(jb))
+		sp.End(time.Now())
+		return res, err
+	}
+	if err := co.Start(addr); err != nil {
+		if grace < 0 {
+			return reach.GridResult{}, fmt.Errorf("starting coordinator on %s: %w", addr, err)
+		}
+		return degrade(fmt.Sprintf("coordinator could not start on %s: %v", addr, err))
+	}
+	defer shutdown(co)
+	// Each Wait is bounded by one tick of the stall watchdog.
+	const tick = 200 * time.Millisecond
+	lastDone, lastChange := 0, time.Now()
 	for {
-		select {
-		case <-waitDone:
-			if werr != nil {
-				return nil, werr
-			}
-			s.jobs.mu.Lock()
-			jb.rectsDone = total
-			s.jobs.mu.Unlock()
+		wctx, cancel := context.WithTimeout(jb.ctx, tick)
+		res, err := co.Wait(wctx)
+		ticked := wctx.Err() != nil
+		cancel()
+		switch {
+		case err == nil:
 			// Linger one poll cycle so workers observe Done (as dist.Run does).
-			time.Sleep(200 * time.Millisecond)
-			return reach.MarshalGridResultIndent(res)
-		case <-t.C:
-			done, _ := co.Progress()
-			if done != lastDone {
-				lastDone = done
-				lastChange = time.Now()
-			}
-			s.jobs.mu.Lock()
-			jb.rectsDone = done
-			s.jobs.mu.Unlock()
-			if grace > 0 && time.Since(lastChange) >= grace && jb.ctx.Err() == nil {
-				wcancel()
-				sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-				_ = co.Shutdown(sctx)
-				cancel()
-				return s.degradeJob(jb, fmt.Sprintf("no rectangle completed for %s (%d/%d done); workers presumed lost", grace, done, total))
-			}
+			time.Sleep(tick)
+			return res, nil
+		case !ticked || jb.ctx.Err() != nil:
+			return res, err
+		}
+		done, total := co.Progress()
+		if done != lastDone {
+			lastDone, lastChange = done, time.Now()
+		}
+		if grace > 0 && time.Since(lastChange) >= grace {
+			shutdown(co)
+			return degrade(fmt.Sprintf("no rectangle completed for %s (%d/%d done); workers presumed lost", grace, done, total))
 		}
 	}
 }
 
-// degradeJob falls back to local execution after a failed or stalled dist
-// handoff: progress restarts from zero (the split is recomputed, though it
-// is the same split), the job's status carries the degraded marker, and the
-// body comes out byte-identical by the determinism contract shared between
-// runJobLocal and the coordinator's merge.
-func (s *Server) degradeJob(jb *asyncJob, reason string) ([]byte, error) {
-	trace.Logf(s.logf, jb.span.Context())("job %.12s…: degrading to local execution: %s", jb.id, reason)
-	s.met.degraded()
-	s.jobs.mu.Lock()
-	jb.degraded = true
-	jb.degradedReason = reason
-	jb.rectsDone = 0
-	s.jobs.mu.Unlock()
-	sp := s.tr.StartSpan(time.Now(), "serve.degrade", jb.span.Context(),
-		trace.String("reason", reason))
-	body, err := s.runJobLocal(jb)
-	sp.End(time.Now())
-	return body, err
+// shutdown stops co's listener, giving in-flight requests a second.
+func shutdown(co *dist.Coordinator) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_ = co.Shutdown(ctx)
 }
 
 // handleJobSubmit serves POST /v1/jobs: the body is a CheckRequest; the

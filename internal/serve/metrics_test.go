@@ -8,8 +8,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"crncompose/internal/metrics"
+	"crncompose/internal/trace"
 )
 
 // expositionLine is the text-format shape every sample line must have:
@@ -163,5 +165,34 @@ func TestStatsJSONKeys(t *testing.T) {
 	}
 	if n, _ := cache["misses"].Int64(); n != 1 {
 		t.Errorf("misses after one check = %d, want 1", n)
+	}
+}
+
+// TestMetricsSpanCountsLocalJobs: the span counters are hooked once, by the
+// server that owns the tracer. Every job runs through a coordinator with a
+// private registry, and none of them may re-point the hook, so after two
+// local jobs /metrics' crn_trace_spans_total is what the tracer recorded.
+func TestMetricsSpanCountsLocalJobs(t *testing.T) {
+	tr := trace.New(trace.Options{Proc: "serve-test"})
+	_, ts := newTestServer(t, Config{Shards: 2, Tracer: tr})
+	for _, hi := range []int64{3, 4} {
+		if final := awaitJob(t, ts.URL, submitJob(t, ts.URL, hi).ID); final.State != jobDone {
+			t.Fatalf("job hi=%d: %+v", hi, final)
+		}
+	}
+	// A request span may still be recording after its response arrived;
+	// compare against a tracer count that held steady across the scrape.
+	for attempt := 0; ; attempt++ {
+		before, _ := tr.Stats()
+		series := scrape(t, ts.URL)
+		after, _ := tr.Stats()
+		if before != after && attempt < 50 {
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		if got, want := series["crn_trace_spans_total"], strconv.FormatUint(after, 10); got != want {
+			t.Fatalf("crn_trace_spans_total = %s, tracer recorded %s", got, want)
+		}
+		return
 	}
 }

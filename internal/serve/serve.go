@@ -42,17 +42,17 @@
 //
 // Grids of at most Config.SyncGridLimit points are checked on the request
 // path under the server-owned worker budget. Larger grids become jobs
-// (202 + job id): executed off the request path — up to Config.MaxJobs
-// concurrently, each under its own cancellable context — either
-// rectangle-by-rectangle on the local steal-pool engine or — when
-// Config.DistCoordinator is set — by starting an internal/dist coordinator
-// on that address and letting external `crncheck -join` workers compute the
-// rectangles, which makes the distributed subsystem reachable from a single
-// user-facing API. A dist handoff that cannot start, or stalls past
-// Config.CoordinatorGrace with workers dead or absent, degrades gracefully:
-// the job falls back to local execution (same split, same deterministic
-// merge, byte-identical body) with a "degraded" marker in its status
-// instead of failing. DELETE /v1/jobs/{id} cancels a job; on SIGTERM the
+// (202 + job id), each run off the request path under its own cancellable
+// context by an internal/dist coordinator. By default the coordinator
+// never listens and the server checks the rectangles on the local
+// steal-pool engine, up to Config.MaxJobs jobs at once. With
+// Config.DistCoordinator set it listens there and external
+// `crncheck -join` workers compute the rectangles, one job at a time. A
+// dist handoff that cannot start, or stalls past Config.CoordinatorGrace
+// with workers dead or absent, degrades instead of failing: the job
+// finishes locally on the same coordinator, keeping the rectangles workers
+// completed, with a byte-identical body and a "degraded" marker in its
+// status. DELETE /v1/jobs/{id} cancels a job; on SIGTERM the
 // server drains (Drain): admission closes, in-flight jobs finish (or are
 // canceled at the drain deadline), and the process exits cleanly.
 package serve
@@ -104,10 +104,10 @@ type Config struct {
 	// synchronously on the request path; larger /v1/check grids are answered
 	// 202 with an async job. 0 means DefaultSyncGridLimit.
 	SyncGridLimit int64
-	// MaxJobs is the admission budget for concurrently executing async jobs
-	// (0 = DefaultMaxJobs). Submissions beyond it queue; each running job
-	// still gets the full Workers budget, so MaxJobs > 1 trades per-job
-	// latency for throughput across distinct content addresses.
+	// MaxJobs is the admission budget for concurrently executing local
+	// async jobs (0 = DefaultMaxJobs). Submissions beyond it queue; each
+	// running job still gets the full Workers budget. With DistCoordinator
+	// set jobs run one at a time: each one's coordinator binds that address.
 	MaxJobs int
 	// JobTTL bounds how long a terminal (done/failed/canceled) job stays in
 	// the job table before the janitor removes it (0 = DefaultJobTTL,
@@ -115,22 +115,21 @@ type Config struct {
 	// through the response cache after the table entry expires: re-submitting
 	// the same request yields a fresh pre-completed job instantly.
 	JobTTL time.Duration
-	// DistCoordinator, when nonempty, runs async jobs through an
-	// internal/dist coordinator listening on this host:port; external
-	// workers (`crncheck -join`) compute the rectangles. Empty runs jobs on
-	// the local engine.
+	// DistCoordinator, when nonempty, is the host:port each async job's
+	// coordinator listens on for external workers (`crncheck -join`).
+	// Empty checks the rectangles on the local engine.
 	DistCoordinator string
-	// Shards is the rectangle count jobs are split into — the progress
-	// granularity, and in dist mode the lease granularity (0 = 16).
+	// Shards is the rectangle count jobs are split into (0 = 16): the
+	// progress and lease granularity, and what a degraded job keeps.
 	Shards int
 	// LeaseTTL is the dist coordinator's lease TTL (dist mode only).
 	LeaseTTL time.Duration
 	// CoordinatorGrace governs graceful degradation of the dist handoff: if
 	// the coordinator cannot start on DistCoordinator, or no rectangle
 	// completes for this long mid-job (workers dead or never joined), the
-	// job falls back to local rectangle-by-rectangle execution — same split,
-	// same deterministic merge, byte-identical body — and its status carries
-	// a degraded marker instead of failing. Must exceed the worst-case time
+	// listener shuts and the job finishes locally on the same coordinator —
+	// keeping the rectangles workers completed, byte-identical body — and
+	// its status carries a degraded marker instead of failing. Must exceed the worst-case time
 	// a single rectangle takes under the configured shard count. 0 means
 	// DefaultCoordinatorGrace; negative disables degradation (a failed
 	// handoff fails the job).
@@ -212,7 +211,7 @@ func New(cfg Config) *Server {
 		tr:    cfg.Tracer,
 	}
 	s.cache.register(cfg.Metrics)
-	hookSpanCounters(cfg.Metrics, s.tr)
+	s.tr.CountSpans(cfg.Metrics)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	go s.runJobs()
 	if cfg.JobTTL > 0 {

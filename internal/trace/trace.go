@@ -40,6 +40,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"crncompose/internal/metrics"
 )
 
 // DefaultCap is the span ring-buffer capacity when Options.Cap is zero.
@@ -221,6 +223,32 @@ func (t *Tracer) SetOnSpan(hook func(dropped bool)) {
 	t.mu.Lock()
 	t.onSpan = hook
 	t.mu.Unlock()
+}
+
+// CountSpans surfaces the tracer's recording activity on reg:
+//
+//	crn_trace_spans_total          counter — spans recorded into the ring
+//	crn_trace_spans_dropped_total  counter — recordings that evicted an
+//	    older span (the ring overflowed; old traces may be incomplete)
+//
+// Call it once, in the process that owns the tracer (crnserve's serve.New,
+// crncheck -coordinator): it installs the SetOnSpan hook, which replaces any
+// previous one, so a second call re-points the counts at another registry.
+// Nil-safe on both the tracer and reg.
+func (t *Tracer) CountSpans(reg *metrics.Registry) {
+	if t == nil || reg == nil {
+		return
+	}
+	spans := reg.Counter("crn_trace_spans_total",
+		"Spans recorded into the trace ring buffer.")
+	dropped := reg.Counter("crn_trace_spans_dropped_total",
+		"Span recordings that evicted an older span (ring overflow).")
+	t.SetOnSpan(func(evicted bool) {
+		spans.Inc()
+		if evicted {
+			dropped.Inc()
+		}
+	})
 }
 
 // Stats returns how many spans were ever recorded and how many of those
