@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -185,21 +186,46 @@ func TestHandlerContentType(t *testing.T) {
 func TestProgressReporter(t *testing.T) {
 	r := NewRegistry()
 	p := NewProgressReporter(r)
-	p.Report(progress.Event{Stage: "reach.grid", Done: 4, Total: 16})
-	p.Report(progress.Event{Stage: "reach.grid", Done: 16, Total: 16})
-	p.Report(progress.Event{Stage: "sim", Done: 4096, Total: 0})
+	grid := p.Run()
+	grid.Report(progress.Event{Stage: "reach.grid", Done: 4, Total: 16})
+	grid.Report(progress.Event{Stage: "reach.grid", Done: 16, Total: 16})
+	p.Run().Report(progress.Event{Stage: "sim", Done: 4096, Total: 0})
 
 	got := render(t, r)
 	for _, want := range []string{
 		`crn_progress_events_total{stage="reach.grid"} 2`,
 		`crn_progress_events_total{stage="sim"} 1`,
-		`crn_progress_done{stage="reach.grid"} 16`,
-		`crn_progress_total{stage="reach.grid"} 16`,
-		`crn_progress_total{stage="sim"} 0`,
+		`crn_progress_units_total{stage="reach.grid"} 16`,
+		`crn_progress_units_total{stage="sim"} 4096`,
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("missing %q in:\n%s", want, got)
 		}
+	}
+}
+
+// TestProgressReporterConcurrentRuns pins the units counter to the sum of
+// every run's final Done when runs interleave, which a latest-Done gauge
+// could not report.
+func TestProgressReporterConcurrentRuns(t *testing.T) {
+	r := NewRegistry()
+	p := NewProgressReporter(r)
+	finals := []int64{700, 1300}
+	var wg sync.WaitGroup
+	for _, final := range finals {
+		run := p.Run()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := int64(0); done <= final; done += 100 {
+				run.Report(progress.Event{Stage: "reach.grid", Done: done, Total: final})
+			}
+		}()
+	}
+	wg.Wait()
+	want := fmt.Sprintf(`crn_progress_units_total{stage="reach.grid"} %d`, finals[0]+finals[1])
+	if got := render(t, r); !strings.Contains(got, want) {
+		t.Fatalf("missing %q in:\n%s", want, got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package reach
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,12 +19,14 @@ import (
 //     frontier nodes, compute successors, and intern them in the sharded
 //     table, recording per-node edge lists under provisional (interner) ids.
 //     Interning order — and hence provisional ids — depends on scheduling.
-//  2. Replay the level sequentially (cheap: no hashing, no row copies):
+//  2. Replay the level on the owner (cheap: no hashing, no row copies):
 //     walk the frontier in canonical order and its recorded edges in
 //     reaction order, assigning canonical ids at first discovery and
 //     applying the MaxConfigs cut at the same head boundary the sequential
 //     engine would. This renumbering makes every output array — arena rows,
-//     CSR edges, BFS parents — independent of scheduling.
+//     CSR edges, BFS parents — independent of scheduling. It is one
+//     sequential pass because splitting it across the pool with prefix sums
+//     measured no faster on 2 CPUs.
 //
 // The set of workers expanding a level is dynamic: each level is published
 // to a stealPool as a levelTask, the exploration's owner always works on it,
@@ -187,11 +188,9 @@ type replayState struct {
 
 // explorePooled is the renumbering engine: it enumerates the reachable
 // configurations level-synchronized, expanding each level with the help of
-// whatever pool workers are idle, and replays every level into canonical
-// ids — sequentially for small frontiers, with prefix-summed first-discovery
-// counts on the pool for large ones (replayLevelPar); both produce identical
-// output. The caller must hold an owner registration on pool for the
-// duration of the call.
+// whatever pool workers are idle, and replays every level into canonical ids
+// on the owner (replayLevelSeq). The caller must hold an owner registration
+// on pool for the duration of the call.
 //
 // Cancellation is polled once per level, at the barrier before expansion —
 // the exact point where the sequential engine's head boundary falls — so a
@@ -235,17 +234,11 @@ func explorePooled(root crn.Config, o Options, pool *stealPool) (*Graph, error) 
 			g.Complete = false
 			break
 		}
-		nStart := in.n()
 		results := expandLevel(c, in, frontier, nR, o, pool)
 		for len(st.canon) < in.n() {
 			st.canon = append(st.canon, -1)
 		}
-		var next []int32
-		if len(frontier) >= replayMinFrontier {
-			next = replayLevelPar(g, st, frontier, results, frontCanonStart, o.MaxConfigs, nStart, pool)
-		} else {
-			next = replayLevelSeq(g, st, frontier, results, frontCanonStart, o.MaxConfigs)
-		}
+		next := replayLevelSeq(g, st, frontier, results, frontCanonStart, o.MaxConfigs)
 		frontCanonStart += len(frontier)
 		frontier = next
 	}
@@ -264,7 +257,7 @@ func explorePooled(root crn.Config, o Options, pool *stealPool) (*Graph, error) 
 	return g, nil
 }
 
-// replayLevelSeq is the sequential renumbering replay: walk the frontier in
+// replayLevelSeq is the renumbering replay: walk the frontier in
 // canonical order and each node's recorded edges in reaction order, assigning
 // canonical ids at first discovery, applying the MaxConfigs cut at the same
 // head boundary the sequential engine would. Returns the next frontier
@@ -299,163 +292,4 @@ func replayLevelSeq(g *Graph, st *replayState, frontier []int32, results []level
 		st.succOff = append(st.succOff, int32(len(g.succ)))
 	}
 	return next
-}
-
-// replayMinFrontier is the frontier size above which the renumbering replay
-// itself runs on the pool (replayLevelPar) instead of sequentially. The
-// replay is ~10-15% of explore time on big graphs, but each parallel pass
-// costs a publish/claim barrier, so small levels stay sequential. A variable
-// so tests can force the parallel replay onto small graphs.
-var replayMinFrontier = 1024
-
-// replayParGrain is the claim batch size of the parallel replay passes.
-const replayParGrain = 256
-
-// replayLevelPar renumbers one expanded level in parallel, byte-identically
-// to replayLevelSeq. The sequential replay assigns canonical ids in (frontier
-// order, edge order) of first discovery — a sequential dependency that is
-// broken in four data-parallel passes over the frontier:
-//
-//  1. disc: for every provisional id first interned this level, the minimum
-//     frontier index referencing it (atomic min) — its discovering node.
-//  2. count: per frontier node, how many ids it discovers (its locally-first
-//     references whose disc is that node); a sequential prefix sum over these
-//     counts yields each node's canonical-id base, which is exactly the
-//     number of ids the sequential replay would have assigned before reaching
-//     it — so the MaxConfigs cut lands on the same head boundary, found by
-//     binary search on the monotone base array.
-//  3. assign: each node writes canonical ids base[j], base[j]+1, ... to its
-//     discoveries in local edge order, along with parent/parentVia/provOf —
-//     disjoint writes, since an id has exactly one discovering node.
-//  4. emit: with every referenced id now canonical, each node fills its
-//     pre-sized slice of the CSR edge arrays.
-//
-// Passes run via parallelFor on the same steal pool as the expansion, so
-// idle grid workers accelerate the replay too.
-func replayLevelPar(g *Graph, st *replayState, frontier []int32, results []levelResult, frontCanonStart, maxConfigs, nStart int, pool *stealPool) []int32 {
-	nf := len(frontier)
-	nNew := len(st.canon) - nStart // provisional ids interned this level
-
-	// Pass 1: discovering node of every new provisional id.
-	disc := make([]atomic.Int32, nNew)
-	for i := range disc {
-		disc[i].Store(int32(nf)) // sentinel: larger than any frontier index
-	}
-	parallelFor(pool, nf, replayParGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			for _, e := range results[j].edges {
-				if int(e.pid) >= nStart {
-					atomicMin32(&disc[int(e.pid)-nStart], int32(j))
-				}
-			}
-		}
-	})
-
-	// Pass 2: per-node first-discovery counts, prefix-summed into the
-	// canonical-id base of each node's discoveries.
-	base := make([]int32, nf+1)
-	parallelFor(pool, nf, replayParGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			n := int32(0)
-			edges := results[j].edges
-			for k := range edges {
-				if isFirstDiscovery(edges, k, nStart, disc, j) {
-					n++
-				}
-			}
-			base[j+1] = n
-		}
-	})
-	for j := 0; j < nf; j++ {
-		base[j+1] += base[j]
-	}
-
-	// The sequential replay checks the budget before expanding node j, when
-	// st.ncanon + base[j] ids exist; cut at the first node failing that.
-	cut := sort.Search(nf, func(j int) bool { return st.ncanon+int(base[j]) > maxConfigs })
-	if cut < nf {
-		g.Complete = false
-		st.truncated = true
-	}
-	for j := 0; j < cut; j++ {
-		if results[j].overflow {
-			g.Complete = false
-		}
-	}
-
-	totalNew := int(base[cut])
-	edgeOff := make([]int32, cut+1)
-	for j := 0; j < cut; j++ {
-		edgeOff[j+1] = edgeOff[j] + int32(len(results[j].edges))
-	}
-	prevEdges := len(g.succ)
-	g.succ = append(g.succ, make([]int32, edgeOff[cut])...)
-	g.via = append(g.via, make([]int32, edgeOff[cut])...)
-	g.parent = append(g.parent, make([]int32, totalNew)...)
-	g.parentVia = append(g.parentVia, make([]int32, totalNew)...)
-	st.provOf = append(st.provOf, make([]int32, totalNew)...)
-	ncanon0 := st.ncanon
-
-	// Pass 3: assign canonical ids to this level's discoveries.
-	parallelFor(pool, cut, replayParGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			u := int32(frontCanonStart + j)
-			local := int32(0)
-			edges := results[j].edges
-			for k, e := range edges {
-				if isFirstDiscovery(edges, k, nStart, disc, j) {
-					cid := int32(ncanon0) + base[j] + local
-					local++
-					st.canon[e.pid] = cid
-					st.provOf[cid] = e.pid
-					g.parent[cid] = u
-					g.parentVia[cid] = e.ri
-				}
-			}
-		}
-	})
-
-	// Pass 4: emit CSR edges; every referenced id is canonical now.
-	parallelFor(pool, cut, replayParGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			off := prevEdges + int(edgeOff[j])
-			for k, e := range results[j].edges {
-				g.succ[off+k] = st.canon[e.pid]
-				g.via[off+k] = e.ri
-			}
-		}
-	})
-
-	for j := 0; j < cut; j++ {
-		st.succOff = append(st.succOff, int32(prevEdges)+edgeOff[j+1])
-	}
-	st.ncanon = ncanon0 + totalNew
-	return st.provOf[ncanon0:st.ncanon]
-}
-
-// isFirstDiscovery reports whether edges[k] is node j's discovery of its
-// successor: the successor was first interned this level, j is its
-// minimum-index referencing node, and no earlier edge of j references it
-// (edge lists are at most one entry per reaction, so the scan is short).
-func isFirstDiscovery(edges []levelEdge, k, nStart int, disc []atomic.Int32, j int) bool {
-	pid := edges[k].pid
-	if int(pid) < nStart || disc[int(pid)-nStart].Load() != int32(j) {
-		return false
-	}
-	for i := 0; i < k; i++ {
-		if edges[i].pid == pid {
-			return false
-		}
-	}
-	return true
-}
-
-// atomicMin32 lowers a to v if v is smaller.
-func atomicMin32(a *atomic.Int32, v int32) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }

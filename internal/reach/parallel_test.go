@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"crncompose/internal/benchcrn"
@@ -262,89 +261,6 @@ func TestExploreParallelLargeGridEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		requireGraphsIdentical(t, seq, Explore(root, WithWorkers(workers)))
-	}
-}
-
-// withForcedParallelReplay forces the prefix-sum renumbering replay
-// (replayLevelPar) onto every level, however small, so the byte-identity
-// suite pins it against the sequential replay on the same graphs.
-func withForcedParallelReplay(t *testing.T) {
-	t.Helper()
-	old := replayMinFrontier
-	replayMinFrontier = 0
-	t.Cleanup(func() { replayMinFrontier = old })
-}
-
-func TestParallelReplayByteIdentical(t *testing.T) {
-	withoutSmallProbe(t)
-	withForcedParallelReplay(t)
-	cases := []struct {
-		name string
-		root crn.Config
-		opts []Option
-	}{
-		{"min", minCRN().MustInitialConfig(vec.New(4, 3)), nil},
-		{"max", maxCRN().MustInitialConfig(vec.New(5, 4)), nil},
-		{"branchy", branchyCRN().MustInitialConfig(vec.New(5, 5)), nil},
-		{"branchy-large", branchyCRN().MustInitialConfig(vec.New(8, 8)), nil},
-		// Budget cuts must land on the same head boundary — the parallel
-		// replay finds it by binary search on the prefix sums.
-		{"budget-1", branchyCRN().MustInitialConfig(vec.New(6, 6)), []Option{WithMaxConfigs(1)}},
-		{"budget-17", branchyCRN().MustInitialConfig(vec.New(6, 6)), []Option{WithMaxConfigs(17)}},
-		{"budget-100", branchyCRN().MustInitialConfig(vec.New(6, 6)), []Option{WithMaxConfigs(100)}},
-		{"budget-0", branchyCRN().MustInitialConfig(vec.New(6, 6)), []Option{WithMaxConfigs(0)}},
-		// Count caps skip individual successors mid-level.
-		{"countcap", growerCRN().MustInitialConfig(vec.New(3)), []Option{WithMaxCount(40)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			seq, _ := exploreSeq(tc.root, buildOptions(append(slices.Clone(tc.opts), WithWorkers(1))))
-			for _, workers := range []int{2, 3, 8} {
-				par := Explore(tc.root, append(slices.Clone(tc.opts), WithWorkers(workers))...)
-				requireGraphsIdentical(t, seq, par)
-			}
-		})
-	}
-}
-
-func TestParallelReplayBudgetSweepByteIdentical(t *testing.T) {
-	withoutSmallProbe(t)
-	withForcedParallelReplay(t)
-	// Every budget from 0 to past the full graph must cut at the same
-	// boundary under the parallel replay as under the sequential one.
-	root := branchyCRN().MustInitialConfig(vec.New(3, 3))
-	full, _ := exploreSeq(root, buildOptions(nil))
-	n := full.NumConfigs()
-	for budget := 0; budget <= n+1; budget += max(1, n/37) {
-		seq, _ := exploreSeq(root, buildOptions([]Option{WithMaxConfigs(budget)}))
-		par := Explore(root, WithWorkers(4), WithMaxConfigs(budget))
-		t.Run(fmt.Sprintf("budget-%d", budget), func(t *testing.T) {
-			requireGraphsIdentical(t, seq, par)
-		})
-	}
-}
-
-func TestParallelForCoversRange(t *testing.T) {
-	// parallelFor must hit every index exactly once, with and without a pool.
-	for _, pooled := range []bool{false, true} {
-		var pool *stealPool
-		if pooled {
-			pool = newStealPool()
-			pool.addOwner()
-			defer pool.dropOwner()
-		}
-		const n = 10_000
-		hits := make([]atomic.Int32, n)
-		parallelFor(pool, n, 64, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
-			}
-		})
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("pooled=%v: index %d hit %d times", pooled, i, got)
-			}
-		}
 	}
 }
 

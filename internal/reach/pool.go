@@ -11,35 +11,25 @@ import (
 // into still-running explorations by stealing frontier slices of the level
 // currently being expanded, instead of idling at the chunk barrier. The same
 // pool backs a standalone parallel Explore, with o.Workers-1 dedicated
-// helpers draining it.
+// helpers draining it. The only work ever published is a levelTask, one BFS
+// level's expansion; claiming is lock-free inside the task, and the pool
+// only tracks which tasks still have unclaimed frontier slices.
 //
 // Determinism: stealing never changes any output. A levelTask's expansion
 // record for frontier node j depends only on that node's row (see
 // levelTask.work), so the records are identical however the claimed slices
-// land on workers, and the owner's sequential renumbering replay
-// (parallel.go) erases the scheduling-dependent provisional ids. The pool
+// land on workers, and the owner's renumbering replay (replayLevelSeq in
+// parallel.go) erases the scheduling-dependent provisional ids. The pool
 // therefore preserves the byte-identical-Graph contract at any worker count
 // and any steal schedule.
 type stealPool struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	tasks []poolTask // in-flight claimable work open for stealing
+	tasks []*levelTask // in-flight level expansions open for stealing
 	// owners counts goroutines that may still publish tasks: grid workers
 	// inside a checkInput, or a standalone Explore's calling goroutine.
 	// Helpers exit when owners reaches 0 with no stealable work left.
 	owners int
-}
-
-// poolTask is a unit of claimable work published to the pool: a level
-// expansion (levelTask) or a replay pass (rangeTask). Claiming is lock-free
-// inside the task; the pool only tracks which tasks still have unclaimed
-// slices.
-type poolTask interface {
-	// unclaimed reports whether work remains to claim.
-	unclaimed() bool
-	// work claims and runs slices until the task's cursor is exhausted.
-	// Safe for any number of concurrent callers.
-	work()
 }
 
 // testStealJitter, when non-nil, is invoked by pool workers around claim
@@ -78,7 +68,7 @@ func (p *stealPool) dropOwner() {
 }
 
 // publish offers t's unclaimed slices to idle pool workers.
-func (p *stealPool) publish(t poolTask) {
+func (p *stealPool) publish(t *levelTask) {
 	p.mu.Lock()
 	p.tasks = append(p.tasks, t)
 	p.mu.Unlock()
@@ -87,7 +77,7 @@ func (p *stealPool) publish(t poolTask) {
 
 // retract removes t once it is fully processed. Helpers still holding t see
 // an exhausted claim cursor and fall back to steal().
-func (p *stealPool) retract(t poolTask) {
+func (p *stealPool) retract(t *levelTask) {
 	p.mu.Lock()
 	for i, x := range p.tasks {
 		if x == t {
@@ -101,7 +91,7 @@ func (p *stealPool) retract(t poolTask) {
 // steal blocks until some published task has unclaimed work and returns it.
 // It returns nil once no owner remains to publish more — the pool is
 // drained.
-func (p *stealPool) steal() poolTask {
+func (p *stealPool) steal() *levelTask {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -208,56 +198,6 @@ func (e *firstError) get() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.err
-}
-
-// rangeTask is a claimable parallel loop over [0, n): pool workers (and the
-// publishing owner) claim batches of `grain` indices and run fn on each
-// half-open slice. fn must be safe for concurrent calls on disjoint ranges.
-type rangeTask struct {
-	n, grain   int64
-	fn         func(lo, hi int)
-	next, done atomic.Int64
-	finished   chan struct{}
-}
-
-func (t *rangeTask) unclaimed() bool { return t.next.Load() < t.n }
-
-func (t *rangeTask) work() {
-	for {
-		if testStealJitter != nil {
-			testStealJitter()
-		}
-		start := t.next.Add(t.grain) - t.grain
-		if start >= t.n {
-			return
-		}
-		end := min(start+t.grain, t.n)
-		t.fn(int(start), int(end))
-		if t.done.Add(end-start) == t.n {
-			close(t.finished)
-		}
-	}
-}
-
-// parallelFor runs fn over [0, n) with the help of idle pool workers, split
-// into batches of grain indices, and returns when every index has been
-// processed. The caller must hold an owner registration on pool (it always
-// participates, so progress never depends on idle helpers existing). With a
-// nil pool or a range no larger than one batch it degenerates to a plain
-// call.
-func parallelFor(pool *stealPool, n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if pool == nil || n <= grain {
-		fn(0, n)
-		return
-	}
-	t := &rangeTask{n: int64(n), grain: int64(grain), fn: fn, finished: make(chan struct{})}
-	pool.publish(t)
-	t.work()
-	<-t.finished
-	pool.retract(t)
 }
 
 func gridWorker(jobs []gridJob, verdicts []Verdict, o Options, pool *stealPool, next, failMin *atomic.Int64, ferr *firstError) {

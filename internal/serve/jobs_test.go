@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,6 +214,9 @@ func TestAdmissionBounds(t *testing.T) {
 		"simulate_trials_bound": {"/v1/simulate", SimulateRequest{CRN: minCRNText, X: []int64{1, 1}, Trials: MaxSimTrials + 1}},
 		"simulate_steps_bound":  {"/v1/simulate", SimulateRequest{CRN: minCRNText, X: []int64{1, 1}, MaxSteps: MaxSimMaxSteps + 1}},
 		"simulate_silent_bound": {"/v1/simulate", SimulateRequest{CRN: minCRNText, X: []int64{1, 1}, SilentSteps: -1}},
+		// A check that is valid but for its size: the padding is an ignored
+		// field, so only the body bound can refuse it.
+		"oversized_body": {"/v1/check", map[string]any{"crn": minCRNText, "func": "min", "hi": 1, "pad": strings.Repeat("x", MaxRequestBytes)}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			status, _, body := post(t, ts.URL+tc.path, tc.body)

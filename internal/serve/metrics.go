@@ -134,22 +134,24 @@ func (m *serveMetrics) jobTotals() map[string]uint64 {
 	}
 }
 
-// progressReporter is the reporter handed to every engine invocation;
-// a typed nil never escapes (progress.Post would treat a non-nil
-// interface holding a nil pointer as live).
+// progressReporter returns a fresh metrics reporter for one engine run
+// (see metrics.ProgressReporter.Run); a typed nil never escapes
+// (progress.Post would treat a non-nil interface holding a nil pointer
+// as live).
 func (s *Server) progressReporter() progress.Reporter {
 	if s.met == nil {
 		return nil
 	}
-	return s.met.progress
+	return s.met.progress.Run()
 }
 
-// reporterFor tees the metrics progress adapter with a tracing one that
-// turns engine stage events into child spans of parent. finish must be
-// called once the engine run completes — it ends the open stage spans; it
-// is safe to call when tracing is off. The engines themselves never see a
-// clock or a span: stage timestamps come from this layer's clock via the
-// adapter (the caller-owned-clock contract).
+// reporterFor builds the reporter for one engine run: the run's metrics
+// progress adapter teed with a tracing one that turns engine stage events
+// into child spans of parent. finish must be called once the engine run
+// completes — it ends the open stage spans; it is safe to call when
+// tracing is off. The engines themselves never see a clock or a span:
+// stage timestamps come from this layer's clock via the adapter (the
+// caller-owned-clock contract).
 func (s *Server) reporterFor(parent trace.SpanContext) (rep progress.Reporter, finish func()) {
 	base := s.progressReporter()
 	tp := trace.NewProgressReporter(s.tr, time.Now, parent)

@@ -93,6 +93,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	atLeast(t, series, `crn_http_request_duration_seconds_count{endpoint="/v1/check"}`, 2)
 	atLeast(t, series, `crn_http_requests_total{endpoint="/v1/check",code="200"}`, 2)
 	atLeast(t, series, `crn_progress_events_total{stage="reach.grid"}`, 1)
+	atLeast(t, series, `crn_progress_units_total{stage="reach.grid"}`, 1)
 	atLeast(t, series, "crn_jobs_submitted_total", 0)
 	atLeast(t, series, `crn_jobs{state="queued"}`, 0)
 	for name := range series {

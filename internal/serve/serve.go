@@ -493,6 +493,11 @@ const (
 	MaxSimMaxSteps = int64(1) << 30
 )
 
+// MaxRequestBytes bounds every JSON request body; a larger one is answered
+// 400 before it is fully read. The largest library construction
+// (crnsynth -f fig4a) is about 8 KB of CRN text.
+const MaxRequestBytes = 1 << 20
+
 // SimulateRequest is the JSON body of POST /v1/simulate: run a seeded
 // ensemble of stochastic simulations. Defaults mirror crnsim's flags
 // (method fair, 1 trial, seed 1; the step budget defaults to 50M and is
@@ -747,9 +752,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	_, _ = w.Write(append(b, '\n'))
 }
 
-// readJSON decodes the request body into v, answering 400 on failure.
+// readJSON decodes the request body, at most MaxRequestBytes of it, into v,
+// answering 400 on failure.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
 		return false
 	}
