@@ -62,9 +62,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -133,7 +130,7 @@ func run(args []string, out io.Writer) error {
 	tr := trace.New(trace.Options{Proc: proc})
 	if *traceFile != "" {
 		defer func() {
-			if werr := writeTraceFile(*traceFile, tr); werr != nil {
+			if werr := trace.WriteChromeTraceFile(*traceFile, tr); werr != nil {
 				fmt.Fprintf(os.Stderr, "crncheck: writing -trace: %v\n", werr)
 			}
 		}()
@@ -142,7 +139,7 @@ func run(args []string, out io.Writer) error {
 		if *coordAddr == "" {
 			return fmt.Errorf("-debug-addr only applies to coordinator mode (-coordinator)")
 		}
-		da, derr := startDebugServer(*debugAddr, tr)
+		da, derr := trace.StartDebugServer(*debugAddr, tr)
 		if derr != nil {
 			return fmt.Errorf("debug listener: %w", derr)
 		}
@@ -183,11 +180,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "structure: output-oblivious=%v output-monotonic=%v leader=%q species=%d reactions=%d\n",
 			c.IsOutputOblivious(), c.IsOutputMonotonic(), c.Leader, c.NumSpecies(), len(c.Reactions))
 	}
-	d := f.Dim()
-	los, his := make([]int64, d), make([]int64, d)
-	for i := range los {
-		los[i], his[i] = *lo, *hi
-	}
+	los, his := reach.Cube(f.Dim(), *lo, *hi)
 
 	var res reach.GridResult
 	if *coordAddr != "" {
@@ -265,38 +258,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("verification failed")
 	}
 	return nil
-}
-
-// startDebugServer serves net/http/pprof and the span recorder on its own
-// listener so profiles and traces come from a separate, operator-only port
-// — never the protocol listener workers connect to. (The coordinator's
-// protocol listener also serves /debug/traces for parity with crnserve.)
-func startDebugServer(addr string, tr *trace.Tracer) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if tr != nil {
-		mux.Handle("GET /debug/traces", tr.Handler())
-	}
-	go func() { _ = http.Serve(ln, mux) }()
-	return ln.Addr(), nil
-}
-
-// writeTraceFile dumps every finished span in the ring as Chrome
-// trace-event JSON, loadable in Perfetto or chrome://tracing.
-func writeTraceFile(path string, tr *trace.Tracer) error {
-	b, err := trace.ExportChromeTrace(tr.Snapshot())
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 // stderrProgress returns a reporter printing throttled "checked m/n"

@@ -179,3 +179,26 @@ func TestCheckCoordinatorRefutedExitsNonzero(t *testing.T) {
 		t.Fatalf("distributed failure report differs from local:\n%q\nvs\n%q", coord.String(), localOut.String())
 	}
 }
+
+// TestCheckEmptyGridFails: -lo above -hi is an empty grid. Local and
+// coordinator mode both refuse it with the same error and check nothing —
+// in particular not the input (lo, lo), which lies outside the grid.
+func TestCheckEmptyGridFails(t *testing.T) {
+	path := writeTempCRN(t, "#input X1 X2\n#output Y\nX1 + X2 -> Y\n")
+	args := []string{"-crn", path, "-f", "min", "-lo", "5", "-hi", "3"}
+	var errs []string
+	for _, mode := range [][]string{nil, {"-coordinator", freePort(t)}} {
+		var sb strings.Builder
+		err := run(append(append([]string(nil), args...), mode...), &sb)
+		if err == nil || !strings.Contains(err.Error(), "empty grid axis") {
+			t.Fatalf("%v: err = %v, want an empty-axis error\n%s", mode, err, sb.String())
+		}
+		if strings.Contains(sb.String(), "checked") {
+			t.Fatalf("%v: empty grid reported a result:\n%s", mode, sb.String())
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("local and coordinator errors differ: %q vs %q", errs[0], errs[1])
+	}
+}

@@ -71,9 +71,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -83,28 +80,6 @@ import (
 	"crncompose/internal/serve"
 	"crncompose/internal/trace"
 )
-
-// startDebugServer serves net/http/pprof — and, when tr is non-nil, the
-// span recorder at /debug/traces — on its own listener so profiles and
-// traces come from a separate, operator-only port — never the public API
-// one. Returns the bound address (port 0 picks a free one).
-func startDebugServer(addr string, tr *trace.Tracer) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if tr != nil {
-		mux.Handle("GET /debug/traces", tr.Handler())
-	}
-	go func() { _ = http.Serve(ln, mux) }()
-	return ln.Addr(), nil
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
@@ -137,7 +112,7 @@ func run(args []string, out io.Writer, ctx context.Context) error {
 	}
 	tr := trace.New(trace.Options{Proc: "crnserve", Cap: *traceCap})
 	if *debugAddr != "" {
-		da, err := startDebugServer(*debugAddr, tr)
+		da, err := trace.StartDebugServer(*debugAddr, tr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}

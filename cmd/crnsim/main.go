@@ -57,7 +57,7 @@ func run(args []string, out io.Writer) error {
 	tr := trace.New(trace.Options{Proc: "crnsim"})
 	if *traceFile != "" {
 		defer func() {
-			if werr := writeTraceFile(*traceFile, tr); werr != nil {
+			if werr := trace.WriteChromeTraceFile(*traceFile, tr); werr != nil {
 				fmt.Fprintf(os.Stderr, "crnsim: writing -trace: %v\n", werr)
 			}
 		}()
@@ -126,16 +126,6 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "summary: trials=%d converged=%d output[min=%d max=%d mean=%.2f] allEqual=%v medianSteps=%d\n",
 		st.Trials, st.Converged, st.MinOutput, st.MaxOutput, st.MeanOutput, st.AllEqual, st.MedianSteps)
 	return nil
-}
-
-// writeTraceFile dumps every finished span in the ring as Chrome
-// trace-event JSON, loadable in Perfetto or chrome://tracing.
-func writeTraceFile(path string, tr *trace.Tracer) error {
-	b, err := trace.ExportChromeTrace(tr.Snapshot())
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 func readAll(path string) (string, error) {

@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) error {
 	tr := trace.New(trace.Options{Proc: "crnsynth"})
 	if *traceFile != "" {
 		defer func() {
-			if werr := writeTraceFile(*traceFile, tr); werr != nil {
+			if werr := trace.WriteChromeTraceFile(*traceFile, tr); werr != nil {
 				fmt.Fprintf(os.Stderr, "crnsynth: writing -trace: %v\n", werr)
 			}
 		}()
@@ -124,16 +124,6 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprint(out, sys.Net)
 	return nil
-}
-
-// writeTraceFile dumps every finished span in the ring as Chrome
-// trace-event JSON, loadable in Perfetto or chrome://tracing.
-func writeTraceFile(path string, tr *trace.Tracer) error {
-	b, err := trace.ExportChromeTrace(tr.Snapshot())
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 func synthLeaderless(f *semilinear.Func, out io.Writer, stats bool) error {

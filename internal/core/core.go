@@ -69,12 +69,7 @@ func (s *System) Verify(lo, hi int64, opts ...reach.Option) (reach.GridResult, e
 // for the semantics: a canceled run returns a wrapped ctx.Err() and no
 // partial counts; a completed run is identical to Verify's).
 func (s *System) VerifyCtx(ctx context.Context, lo, hi int64, opts ...reach.Option) (reach.GridResult, error) {
-	d := s.F.Dim()
-	los := make([]int64, d)
-	his := make([]int64, d)
-	for i := range los {
-		los[i], his[i] = lo, hi
-	}
+	los, his := reach.Cube(s.F.Dim(), lo, hi)
 	return reach.CheckGridCtx(ctx, s.Net, func(x []int64) int64 { return s.F.Eval(vec.New(x...)) },
 		los, his, opts...)
 }

@@ -125,7 +125,10 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the job, splits the grid, and (if configured)
-// loads the checkpoint. It does not listen yet.
+// loads the checkpoint. It does not listen yet. The grid is validated and
+// sized by reach.GridPoints, the rule CheckGrid applies, so a grid a local
+// check refuses is refused here with the same error; Shards is clamped to
+// the grid's point count.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.CRN == nil {
 		return nil, errors.New("dist: coordinator needs a CRN")
@@ -133,14 +136,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Func == "" {
 		return nil, errors.New("dist: coordinator needs a function name")
 	}
-	d := cfg.CRN.Dim()
-	if len(cfg.Lo) != d || len(cfg.Hi) != d {
-		return nil, fmt.Errorf("dist: grid arity %d/%d does not match CRN arity %d", len(cfg.Lo), len(cfg.Hi), d)
-	}
-	for i := range cfg.Lo {
-		if cfg.Hi[i] < cfg.Lo[i] {
-			return nil, fmt.Errorf("dist: empty grid axis %d: lo %d > hi %d", i, cfg.Lo[i], cfg.Hi[i])
-		}
+	points, err := reach.GridPoints(cfg.CRN.Dim(), cfg.Lo, cfg.Hi)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MaxConfigs <= 0 {
 		cfg.MaxConfigs = 1 << 18 // reach.buildOptions' default
@@ -151,8 +149,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = DefaultShards
 	}
-	if n := gridSize(cfg.Lo, cfg.Hi); int64(cfg.Shards) > n {
-		cfg.Shards = int(n)
+	if int64(cfg.Shards) > points {
+		cfg.Shards = int(points)
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
@@ -493,7 +491,7 @@ func (co *Coordinator) sweepLocked() {
 func (co *Coordinator) firstDecidedLocked() int {
 	for id := range co.states {
 		st := &co.states[id]
-		if st.status == rectDone && (st.errMsg != "" || st.result.Failure != nil) {
+		if st.status == rectDone && (st.errMsg != "" || !st.result.OK()) {
 			return id
 		}
 	}
@@ -531,12 +529,13 @@ func (co *Coordinator) checkFinishedLocked() {
 	close(co.doneCh)
 }
 
-// mergeLocked folds the rectangle results in canonical grid order with the
-// deterministic rule: counts sum; the first rectangle with a failure (the
-// smallest failing input in grid order) contributes its partial counts and
-// its failure, and everything after it is dropped — exactly where a
-// single-process CheckGrid stops. Enumeration errors cut the same way, with
-// the error returned alongside the partial counts.
+// mergeLocked folds the rectangle results in canonical grid order with
+// reach.GridResult.Fold, the fold CheckGrid applies to its inputs: counts
+// sum; the first rectangle with a failure (the smallest failing input in
+// grid order) contributes its partial counts and its failure, and
+// everything after it is dropped — exactly where a single-process CheckGrid
+// stops. Enumeration errors cut the same way, with the error returned
+// alongside the partial counts.
 //
 // This is the only place rectangle results merge, whether workers or
 // RunLocal checked them. It is byte-identical to one CheckGrid over the
@@ -547,15 +546,8 @@ func (co *Coordinator) mergeLocked() (reach.GridResult, error) {
 	out := reach.GridResult{}
 	for id := range co.states {
 		st := &co.states[id]
-		if st.status != rectDone {
+		if st.status != rectDone || !out.Fold(st.result) {
 			break
-		}
-		out.Checked += st.result.Checked
-		out.Inconclusive += st.result.Inconclusive
-		out.Explored += st.result.Explored
-		if st.result.Failure != nil {
-			out.Failure = st.result.Failure
-			return out, nil
 		}
 		if st.errMsg != "" {
 			return out, errors.New(st.errMsg)

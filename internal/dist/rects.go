@@ -51,16 +51,3 @@ func splitInto(lo, hi []int64, target int, out *[]Rect) {
 		}
 	}
 }
-
-// gridSize returns the number of inputs in lo ≤ x ≤ hi (0 if any axis is
-// empty).
-func gridSize(lo, hi []int64) int64 {
-	n := int64(1)
-	for i := range lo {
-		if hi[i] < lo[i] {
-			return 0
-		}
-		n *= hi[i] - lo[i] + 1
-	}
-	return n
-}

@@ -3,11 +3,13 @@ package dist
 import (
 	"slices"
 	"testing"
+
+	"crncompose/internal/reach"
 )
 
 // enumerate returns the grid's inputs in canonical (lexicographic) order.
 func enumerate(lo, hi []int64) [][]int64 {
-	if gridSize(lo, hi) == 0 {
+	if _, err := reach.GridPoints(len(lo), lo, hi); err != nil {
 		return nil
 	}
 	var out [][]int64
@@ -84,17 +86,5 @@ func TestSplitGridPreservesGridOrder(t *testing.T) {
 			t.Fatalf("SplitGrid(%v,%v,%d) produced %d rects, contract is at most %d",
 				tc.lo, tc.hi, tc.target, len(rects), tc.target)
 		}
-	}
-}
-
-func TestGridSize(t *testing.T) {
-	if n := gridSize([]int64{0, 0}, []int64{3, 2}); n != 12 {
-		t.Fatalf("gridSize = %d, want 12", n)
-	}
-	if n := gridSize([]int64{1}, []int64{0}); n != 0 {
-		t.Fatalf("empty axis gridSize = %d, want 0", n)
-	}
-	if n := gridSize(nil, nil); n != 1 {
-		t.Fatalf("0-arity gridSize = %d, want 1", n)
 	}
 }

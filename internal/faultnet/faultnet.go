@@ -45,18 +45,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"crncompose/internal/metrics"
 )
-
-// NewInjectionCounter registers the crn_faultnet_injections_total
-// family (label "fault") on r — the CounterVec to hang on
-// Transport.Metrics or Listener.Metrics. Both sides can share one
-// counter: the label records the fault kind, not the injection point.
-func NewInjectionCounter(r *metrics.Registry) *metrics.CounterVec {
-	return r.CounterVec("crn_faultnet_injections_total",
-		"Faults injected by the deterministic chaos layer, by kind.", "fault")
-}
 
 // Fault is one injected failure mode.
 type Fault uint8
@@ -162,11 +151,6 @@ type Transport struct {
 	sched Schedule
 	// Logf, when non-nil, receives one line per injected fault.
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, additionally counts injected faults by kind
-	// on a shared metrics registry — label "fault" holding Fault.String()
-	// (see NewInjectionCounter). The internal Counts() counters are kept
-	// regardless, so chaos-suite assertions don't need a registry.
-	Metrics *metrics.CounterVec
 
 	next      atomic.Int64 // request index
 	scheduled atomic.Int64 // faults the schedule asked for (cap accounting)
@@ -211,9 +195,6 @@ func (t *Transport) decide() Fault {
 		return FaultNone
 	}
 	t.byFault[f].Add(1)
-	if t.Metrics != nil {
-		t.Metrics.With(f.String()).Inc()
-	}
 	return f
 }
 
@@ -290,9 +271,6 @@ type Listener struct {
 	sched Schedule
 	// Logf, when non-nil, receives one line per injected fault.
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, counts injected connection faults by kind,
-	// like Transport.Metrics.
-	Metrics *metrics.CounterVec
 
 	next      atomic.Int64
 	scheduled atomic.Int64 // cap accounting
@@ -320,9 +298,6 @@ func (l *Listener) Accept() (net.Conn, error) {
 				f = FaultNone
 			} else if f == FaultRefuse || f == FaultSlow {
 				l.injected.Add(1)
-				if l.Metrics != nil {
-					l.Metrics.With(f.String()).Inc()
-				}
 			}
 		}
 		switch f {

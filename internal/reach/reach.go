@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"crncompose/internal/crn"
@@ -580,7 +581,9 @@ type gridJob struct {
 
 // CheckGrid verifies stable computation of f on every input lo ≤ x ≤ hi.
 // It returns the first failing verdict (in lexicographic grid order)
-// together with the offending input, or an all-OK summary.
+// together with the offending input, or an all-OK summary. A grid that
+// GridPoints rejects — wrong arity, an empty axis (hi < lo), more points
+// than int64 holds — is an error, and nothing is checked.
 //
 // Independent inputs are checked concurrently on a shared work-stealing
 // pool (see WithWorkers): workers claim whole inputs while any remain, then
@@ -600,7 +603,8 @@ func CheckGrid(c *crn.CRN, f Func, lo, hi []int64, opts ...Option) (GridResult, 
 // polled only at grid-chunk boundaries and at the engines' own barrier
 // points, so a run that completes returns exactly CheckGrid's result at any
 // worker count; a canceled run returns a zero GridResult and a wrapped
-// ctx.Err(), never partial counts.
+// ctx.Err(), never partial counts. Grid validation is CheckGrid's: an empty
+// axis is an error here too.
 func CheckGridCtx(ctx context.Context, c *crn.CRN, f Func, lo, hi []int64, opts ...Option) (GridResult, error) {
 	o := buildOptions(opts)
 	o.ctx = ctx
@@ -608,8 +612,9 @@ func CheckGridCtx(ctx context.Context, c *crn.CRN, f Func, lo, hi []int64, opts 
 }
 
 func checkGrid(c *crn.CRN, f Func, lo, hi []int64, o Options) (GridResult, error) {
-	if len(lo) != c.Dim() || len(hi) != c.Dim() {
-		return GridResult{}, fmt.Errorf("reach: grid arity %d/%d does not match CRN arity %d", len(lo), len(hi), c.Dim())
+	total, err := GridPoints(c.Dim(), lo, hi)
+	if err != nil {
+		return GridResult{}, err
 	}
 
 	// Lazily enumerate the grid in lexicographic order, materializing roots
@@ -651,7 +656,6 @@ func checkGrid(c *crn.CRN, f Func, lo, hi []int64, o Options) (GridResult, error
 	}
 
 	res := GridResult{}
-	total := gridTotal(lo, hi)
 	// Per-input options drop the Reporter: grid progress is posted here, at
 	// chunk boundaries, from the calling goroutine only — never from the
 	// concurrently exploring workers.
@@ -670,14 +674,8 @@ func checkGrid(c *crn.CRN, f Func, lo, hi []int64, o Options) (GridResult, error
 		if err != nil {
 			return GridResult{}, err
 		}
-		for i := range jobs {
-			v := verdicts[i]
-			res.Checked++
-			res.Explored += v.Explored
-			if v.Inconclusive {
-				res.Inconclusive++
-			} else if !v.OK {
-				res.Failure = &GridFailure{Input: jobs[i].x, Want: jobs[i].want, Verdict: v}
+		for i, job := range jobs {
+			if !res.Fold(job.result(verdicts[i])) {
 				return res, nil
 			}
 		}
@@ -688,21 +686,50 @@ func checkGrid(c *crn.CRN, f Func, lo, hi []int64, o Options) (GridResult, error
 	}
 }
 
-// gridTotal returns the number of grid points in [lo, hi], or 0 when the
-// product overflows int64 (progress then reports an unknown total).
-func gridTotal(lo, hi []int64) int64 {
-	total := int64(1)
-	for i := range lo {
-		ext := hi[i] - lo[i] + 1
-		if ext <= 0 {
-			return 0
-		}
-		if total > (1<<62)/ext {
-			return 0
-		}
-		total *= ext
+// result is the one-input GridResult of verdict v on this grid input.
+func (job gridJob) result(v Verdict) GridResult {
+	r := GridResult{Checked: 1, Explored: v.Explored}
+	switch {
+	case v.Inconclusive:
+		r.Inconclusive = 1
+	case !v.OK:
+		r.Failure = &GridFailure{Input: job.x, Want: job.want, Verdict: v}
 	}
-	return total
+	return r
+}
+
+// Cube returns the per-axis bounds of the grid [lo, hi]^d.
+func Cube(d int, lo, hi int64) (los, his []int64) {
+	los, his = make([]int64, d), make([]int64, d)
+	for i := range los {
+		los[i], his[i] = lo, hi
+	}
+	return los, his
+}
+
+// GridPoints validates the grid lo ≤ x ≤ hi of a d-input CRN and returns
+// its number of points. It rejects an arity mismatch, an empty axis
+// (hi < lo), and a grid whose axis extent or point count overflows int64.
+// A 0-arity grid has one point, the empty input. CheckGrid applies it
+// before enumerating anything, so every caller that sizes or splits a grid
+// with it agrees with the engine on which grids exist.
+func GridPoints(d int, lo, hi []int64) (int64, error) {
+	if len(lo) != d || len(hi) != d {
+		return 0, fmt.Errorf("reach: grid arity %d/%d does not match CRN arity %d", len(lo), len(hi), d)
+	}
+	n := int64(1)
+	for i := range lo {
+		if hi[i] < lo[i] {
+			return 0, fmt.Errorf("reach: empty grid axis %d: lo %d > hi %d", i, lo[i], hi[i])
+		}
+		// hi ≥ lo, so a nonpositive extent is a wrapped int64.
+		ext := hi[i] - lo[i] + 1
+		if ext <= 0 || n > math.MaxInt64/ext {
+			return 0, fmt.Errorf("reach: grid %v..%v has more than %d points", lo, hi, int64(math.MaxInt64))
+		}
+		n *= ext
+	}
+	return n, nil
 }
 
 // GridResult summarizes a CheckGrid run. The JSON encoding is the wire form
@@ -725,6 +752,24 @@ type GridFailure struct {
 // OK reports whether every input verified (no failures; inconclusive inputs
 // are tolerated and counted separately).
 func (r GridResult) OK() bool { return r.Failure == nil }
+
+// Fold adds next, the result of the grid segment that follows r's in
+// canonical grid order, to r: counts sum, and the first failure ends the
+// fold — it becomes r's failure, and later segments are not added. Fold
+// reports whether the fold goes on (r is still OK). It is the one grid-order
+// merge: CheckGrid folds its inputs with it and dist's coordinator its
+// rectangles, so a grid split into contiguous segments merges to the bytes
+// of one CheckGrid over the whole grid.
+func (r *GridResult) Fold(next GridResult) bool {
+	if !r.OK() {
+		return false
+	}
+	r.Checked += next.Checked
+	r.Inconclusive += next.Inconclusive
+	r.Explored += next.Explored
+	r.Failure = next.Failure
+	return r.OK()
+}
 
 // String summarizes the result using the same field names as the JSON form.
 func (r GridResult) String() string {

@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -158,6 +159,56 @@ func TestCheckGrid(t *testing.T) {
 func TestCheckGridArityMismatch(t *testing.T) {
 	if _, err := CheckGrid(minCRN(), func(x []int64) int64 { return 0 }, []int64{0}, []int64{1}); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// TestCheckGridEmptyAxis: an empty grid is an error in every mode, and
+// nothing is checked — not even the lo corner, which lies outside it.
+func TestCheckGridEmptyAxis(t *testing.T) {
+	calls := 0
+	f := func(x []int64) int64 { calls++; return min(x[0], x[1]) }
+	res, err := CheckGrid(minCRN(), f, []int64{5, 5}, []int64{3, 3})
+	if err == nil || !strings.Contains(err.Error(), "empty grid axis 0") {
+		t.Fatalf("err = %v, want an empty-axis error", err)
+	}
+	if res != (GridResult{}) || calls != 0 {
+		t.Fatalf("empty grid checked something: %v (f called %d times)", res, calls)
+	}
+}
+
+func TestGridSize(t *testing.T) {
+	if n, err := GridPoints(2, []int64{0, 0}, []int64{3, 2}); n != 12 || err != nil {
+		t.Fatalf("GridPoints = %d, %v, want 12", n, err)
+	}
+	if n, err := GridPoints(1, []int64{1}, []int64{0}); err == nil {
+		t.Fatalf("empty axis GridPoints = %d, want an error", n)
+	}
+	if n, err := GridPoints(0, nil, nil); n != 1 || err != nil {
+		t.Fatalf("0-arity GridPoints = %d, %v, want 1", n, err)
+	}
+	// Arity mismatch and every int64 overflow are errors, never a wrapped
+	// count.
+	for _, tc := range []struct {
+		d      int
+		lo, hi []int64
+	}{
+		{2, []int64{0}, []int64{3}},
+		{1, []int64{0}, []int64{math.MaxInt64}},                   // extent 2^63
+		{2, []int64{0, 0}, []int64{math.MaxInt64, math.MaxInt64}}, // extents wrap, product wraps to 0
+		{1, []int64{-2}, []int64{math.MaxInt64}},                  // hi - lo itself overflows
+		{1, []int64{math.MinInt64}, []int64{math.MaxInt64}},       // extent 2^64 wraps to 0
+		{2, []int64{0, 0}, []int64{3_037_000_499, 3_037_000_499}}, // 3037000500^2 > MaxInt64
+	} {
+		if n, err := GridPoints(tc.d, tc.lo, tc.hi); err == nil {
+			t.Errorf("GridPoints(%d, %v, %v) = %d, want an error", tc.d, tc.lo, tc.hi, n)
+		}
+	}
+	// The largest representable grids still count.
+	if n, err := GridPoints(1, []int64{1}, []int64{math.MaxInt64}); n != math.MaxInt64 || err != nil {
+		t.Fatalf("GridPoints(1, [1], [MaxInt64]) = %d, %v", n, err)
+	}
+	if n, err := GridPoints(2, []int64{0, 0}, []int64{3_037_000_498, 3_037_000_498}); n != 3_037_000_499*3_037_000_499 || err != nil {
+		t.Fatalf("GridPoints just inside int64 = %d, %v", n, err)
 	}
 }
 

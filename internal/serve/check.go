@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -8,7 +9,6 @@ import (
 	"crncompose/internal/core"
 	"crncompose/internal/crn"
 	"crncompose/internal/parse"
-	"crncompose/internal/progress"
 	"crncompose/internal/reach"
 	"crncompose/internal/trace"
 	"crncompose/internal/vec"
@@ -44,40 +44,19 @@ type canonicalCheck struct {
 }
 
 // checkJob is a fully resolved check: the canonical request plus the live
-// CRN and evaluator it resolves to.
+// CRN and evaluator it resolves to, and its grid's point count.
 type checkJob struct {
-	cc  canonicalCheck
-	key string
-	c   *crn.CRN
-	f   reach.Func
+	cc     canonicalCheck
+	key    string
+	c      *crn.CRN
+	f      reach.Func
+	points int64
 }
 
 // maxGridPoints is the admission bound on a check's total grid size. Far
-// beyond anything the engine can enumerate, but small enough that the
-// overflow-checked product below stays meaningful and a single absurd
-// request cannot wedge the request path or the job queue.
+// beyond anything the engine can enumerate, but small enough that a single
+// absurd request cannot wedge the request path or the job queue.
 const maxGridPoints = int64(1) << 32
-
-// gridPoints returns the number of inputs in the job's grid (guaranteed
-// ≤ maxGridPoints by resolveCheck).
-func (j *checkJob) gridPoints() int64 {
-	n, _ := gridPointsOf(j.cc.Lo, j.cc.Hi)
-	return n
-}
-
-// gridPointsOf multiplies the axis extents with an overflow guard, reporting
-// false when the product exceeds maxGridPoints.
-func gridPointsOf(lo, hi []int64) (int64, bool) {
-	n := int64(1)
-	for i := range lo {
-		ext := hi[i] - lo[i] + 1
-		if ext > maxGridPoints/n {
-			return 0, false
-		}
-		n *= ext
-	}
-	return n, true
-}
 
 // resolveCheck canonicalizes a CheckRequest: parse the CRN, resolve the
 // function in the library, validate arities and bounds, fill defaults.
@@ -101,7 +80,7 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 	if req.Hi != nil {
 		hi = *req.Hi
 	}
-	if req.Lo < 0 || hi < req.Lo {
+	if req.Lo < 0 {
 		return nil, fmt.Errorf("bad grid bounds lo=%d hi=%d", req.Lo, hi)
 	}
 	maxConfigs := req.MaxConfigs
@@ -112,11 +91,12 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 		return nil, fmt.Errorf("maxconfigs must be >= 1")
 	}
 	d := f.Dim()
-	los, his := make([]int64, d), make([]int64, d)
-	for i := range los {
-		los[i], his[i] = req.Lo, hi
+	los, his := reach.Cube(d, req.Lo, hi)
+	points, err := reach.GridPoints(d, los, his)
+	if err != nil {
+		return nil, err
 	}
-	if _, ok := gridPointsOf(los, his); !ok {
+	if points > maxGridPoints {
 		return nil, fmt.Errorf("grid [%d,%d]^%d exceeds %d points", req.Lo, hi, d, maxGridPoints)
 	}
 	cc := canonicalCheck{
@@ -130,33 +110,27 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 		MaxCount:   1 << 40, // reach's default; part of the key because verdicts depend on it
 	}
 	return &checkJob{
-		cc:  cc,
-		key: requestKey(cc),
-		c:   c,
-		f:   func(x []int64) int64 { return f.Eval(vec.New(x...)) },
+		cc:     cc,
+		key:    requestKey(cc),
+		c:      c,
+		f:      func(x []int64) int64 { return f.Eval(vec.New(x...)) },
+		points: points,
 	}, nil
 }
 
-// runCheckGrid runs the job's whole grid on the in-process engine and
-// encodes the result in the canonical crncheck -json form. Engine stage
-// events trace as children of parent via the progress adapter.
-func (s *Server) runCheckGrid(j *checkJob, rep progress.Reporter) (cached, error) {
-	s.computed("check")
-	res, err := reach.CheckGrid(j.c, j.f, j.cc.Lo, j.cc.Hi,
+// checkGrid is the server's one grid runner: it checks j's rectangle
+// lo ≤ x ≤ hi on the in-process engine under j's budgets and the server's
+// worker budget, tracing engine stage events as children of parent. The
+// synchronous /v1/check path runs the whole grid through it, and a local
+// job each of its rectangles.
+func (s *Server) checkGrid(ctx context.Context, j *checkJob, lo, hi []int64, parent trace.SpanContext) (reach.GridResult, error) {
+	rep, finish := s.reporterFor(parent)
+	defer finish()
+	return reach.CheckGridCtx(ctx, j.c, j.f, lo, hi,
 		reach.WithMaxConfigs(j.cc.MaxConfigs),
 		reach.WithMaxCount(j.cc.MaxCount),
 		reach.WithWorkers(s.cfg.Workers),
 		reach.WithProgress(rep))
-	if err != nil {
-		// A deterministic enumeration error (the CLI exits without JSON):
-		// reported, never cached.
-		return cached{}, err
-	}
-	body, err := reach.MarshalGridResultIndent(res)
-	if err != nil {
-		return cached{}, err
-	}
-	return cached{status: http.StatusOK, contentType: contentTypeJSON, body: body}, nil
 }
 
 // handleCheck serves POST /v1/check.
@@ -199,16 +173,27 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeCached(w, val, cacheHit)
 		return
 	}
-	if j.gridPoints() > s.cfg.SyncGridLimit {
+	if j.points > s.cfg.SyncGridLimit {
 		jb := s.jobs.getOrCreate(j, s, sc)
 		w.Header().Set("Location", "/v1/jobs/"+jb.id)
 		writeJSON(w, http.StatusAccepted, s.jobs.status(jb))
 		return
 	}
 	val, source, err := s.cacheDo(r.Context(), "check", j.key, func() (cached, error) {
-		rep, finish := s.reporterFor(sc)
-		defer finish()
-		return s.runCheckGrid(j, rep)
+		s.computed("check")
+		// No request context: the flight is shared by parked identical
+		// requests, so one client hanging up must not cancel it.
+		res, err := s.checkGrid(context.Background(), j, j.cc.Lo, j.cc.Hi, sc)
+		if err != nil {
+			// A deterministic enumeration error (the CLI exits without
+			// JSON): reported, never cached.
+			return cached{}, err
+		}
+		body, err := reach.MarshalGridResultIndent(res)
+		if err != nil {
+			return cached{}, err
+		}
+		return cached{status: http.StatusOK, contentType: contentTypeJSON, body: body}, nil
 	})
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)

@@ -391,27 +391,19 @@ func (s *Server) execute(jb *asyncJob) ([]byte, error) {
 	return reach.MarshalGridResultIndent(res)
 }
 
-// rectChecker returns the job's in-process rectangle check: a serve.rect
-// span under serve.job, engine stage spans under it, on the server's
-// worker budget. The check runs under the job's context, so a DELETE lands
-// within one chunk of work.
+// rectChecker returns the job's in-process rectangle check: checkGrid on
+// the rectangle, under a serve.rect span in the job's trace. The check runs
+// under the job's context, so a DELETE lands within one chunk of work.
 func (s *Server) rectChecker(jb *asyncJob) func(context.Context, dist.Rect) (reach.GridResult, error) {
-	cc := jb.check.cc
 	return func(ctx context.Context, r dist.Rect) (reach.GridResult, error) {
 		sp := s.tr.StartSpan(time.Now(), "serve.rect", jb.span.Context(),
 			trace.Int("rect", int64(r.ID)))
-		rep, finish := s.reporterFor(sp.Context())
-		res, err := reach.CheckGridCtx(ctx, jb.check.c, jb.check.f, r.Lo, r.Hi,
-			reach.WithMaxConfigs(cc.MaxConfigs),
-			reach.WithMaxCount(cc.MaxCount),
-			reach.WithWorkers(s.cfg.Workers),
-			reach.WithProgress(rep))
-		finish()
+		res, err := s.checkGrid(ctx, jb.check, r.Lo, r.Hi, sp.Context())
 		outcome := "ok"
 		switch {
 		case err != nil:
 			outcome = "error"
-		case res.Failure != nil:
+		case !res.OK():
 			outcome = "failure"
 		}
 		sp.End(time.Now(), trace.String("outcome", outcome))

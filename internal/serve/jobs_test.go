@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -205,12 +206,21 @@ func TestFailedJobRetried(t *testing.T) {
 func TestAdmissionBounds(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	hugeHi := int64(3_037_000_500) // (hi+1)^2 overflows int64
+	maxHi := int64(math.MaxInt64)  // the axis extent itself overflows int64
+	// The extent overflow is refused at resolution, before the grid size
+	// picks the synchronous path or a job. Checked first: a /v1/check that
+	// resolved would run an unbounded grid on the request path.
+	if j, err := resolveCheck(CheckRequest{CRN: minCRNText, Func: "min", Hi: &maxHi}); err == nil {
+		t.Fatalf("hi = MaxInt64 resolved to grid %v..%v", j.cc.Lo, j.cc.Hi)
+	}
 	for name, tc := range map[string]struct {
 		path string
 		body any
 	}{
 		"check_overflow_grid":   {"/v1/check", CheckRequest{CRN: minCRNText, Func: "min", Hi: &hugeHi}},
 		"jobs_overflow_grid":    {"/v1/jobs", CheckRequest{CRN: minCRNText, Func: "min", Hi: &hugeHi}},
+		"check_maxint_hi":       {"/v1/check", CheckRequest{CRN: minCRNText, Func: "min", Hi: &maxHi}},
+		"jobs_maxint_hi":        {"/v1/jobs", CheckRequest{CRN: minCRNText, Func: "min", Hi: &maxHi}},
 		"simulate_trials_bound": {"/v1/simulate", SimulateRequest{CRN: minCRNText, X: []int64{1, 1}, Trials: MaxSimTrials + 1}},
 		"simulate_steps_bound":  {"/v1/simulate", SimulateRequest{CRN: minCRNText, X: []int64{1, 1}, MaxSteps: MaxSimMaxSteps + 1}},
 		"simulate_silent_bound": {"/v1/simulate", SimulateRequest{CRN: minCRNText, X: []int64{1, 1}, SilentSteps: -1}},

@@ -19,41 +19,20 @@ type RunnerCtx func(ctx context.Context, start crn.Config, opts ...Option) (Resu
 
 // Ensemble runs trials independent simulations of start in parallel,
 // seeding trial i with baseSeed+i, and returns all results in trial order.
+// It is EnsembleCtx under a context that is never canceled.
 func Ensemble(run Runner, start crn.Config, trials int, baseSeed uint64, opts ...Option) []Result {
-	results := make([]Result, trials)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, trials)
-	for i := 0; i < trials; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				trialOpts := append(append([]Option(nil), opts...), WithSeed(baseSeed+uint64(i)))
-				results[i] = run(start, trialOpts...)
-			}
-		}()
-	}
-	wg.Wait()
+	results, _ := EnsembleCtx(context.Background(), func(_ context.Context, start crn.Config, opts ...Option) (Result, error) {
+		return run(start, opts...), nil
+	}, start, trials, baseSeed, opts...) // run never fails, so neither does the ensemble
 	return results
 }
 
-// EnsembleCtx is Ensemble under a cancellation context: each trial runs on
-// the ctx-aware runner, and workers stop claiming trials once the context
-// is canceled. A canceled ensemble returns nil results and the first
-// wrapped ctx.Err() a trial observed — never a partially filled slice — and
-// a completed ensemble is trial-for-trial identical to Ensemble's (same
-// per-trial seeding, same trial order).
+// EnsembleCtx runs trials simulations like Ensemble, under a cancellation
+// context: each trial runs on the ctx-aware runner, and workers stop
+// claiming trials once the context is canceled. A canceled ensemble returns
+// nil results and the first wrapped ctx.Err() a trial observed — never a
+// partially filled slice — and a completed ensemble is trial-for-trial
+// identical to Ensemble's (same per-trial seeding, same trial order).
 func EnsembleCtx(ctx context.Context, run RunnerCtx, start crn.Config, trials int, baseSeed uint64, opts ...Option) ([]Result, error) {
 	results := make([]Result, trials)
 	workers := runtime.GOMAXPROCS(0)

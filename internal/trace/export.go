@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 )
 
@@ -140,4 +141,15 @@ func sortedKeys(m map[string]string) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// WriteChromeTraceFile writes every finished span in t's ring to path as
+// Chrome trace-event JSON (ExportChromeTrace) — what the CLIs' -trace flag
+// leaves behind at exit.
+func WriteChromeTraceFile(path string, t *Tracer) error {
+	b, err := ExportChromeTrace(t.Snapshot())
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, b, 0o644)
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
+	"net/http/pprof"
 )
 
 // traceGroup is one trace's spans in the GET /debug/traces document.
@@ -71,4 +73,27 @@ func (t *Tracer) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(append(b, '\n'))
 	})
+}
+
+// StartDebugServer serves net/http/pprof and, when t is non-nil, t's
+// Handler at GET /debug/traces on its own listener, so profiles and traces
+// come from a separate, operator-only port — never a public API or
+// protocol listener. It returns the bound address (port 0 picks a free
+// one) and serves until the process exits.
+func StartDebugServer(addr string, t *Tracer) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if t != nil {
+		mux.Handle("GET /debug/traces", t.Handler())
+	}
+	go func() { _ = http.Serve(ln, mux) }()
+	return ln.Addr(), nil
 }
