@@ -1,9 +1,8 @@
-// Command bench runs the reachability, simulation, distributed-checking,
-// and serve benchmark suites and writes machine-readable results to
-// BENCH_reach.json, BENCH_sim.json, BENCH_dist.json, and BENCH_serve.json,
-// so the performance trajectory of the hot paths (configs/sec explored,
-// ns per simulated reaction, served requests/sec cold vs cached,
-// allocations) is tracked in-repo from PR 2 forward.
+// Command bench runs the reachability and simulation engine suites and
+// writes machine-readable results to BENCH_reach.json and BENCH_sim.json,
+// so the engines' hot paths (configs/sec explored, ns per simulated
+// reaction, allocations) are tracked in-repo. The end-to-end serve and dist
+// numbers come from _perfbench instead (BENCH_e2e.json).
 //
 // Usage:
 //
@@ -13,30 +12,21 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
+	"strings"
 	"testing"
-	"time"
 
 	"crncompose/internal/benchcrn"
 	"crncompose/internal/classify"
-	"crncompose/internal/crn"
-	"crncompose/internal/dist"
-	"crncompose/internal/httpx"
 	"crncompose/internal/reach"
 	"crncompose/internal/semilinear"
-	"crncompose/internal/serve"
 	"crncompose/internal/sim"
 	"crncompose/internal/synth"
-	"crncompose/internal/trace"
 	"crncompose/internal/vec"
 )
 
@@ -60,32 +50,47 @@ type suiteReport struct {
 	Benchmarks  []record `json:"benchmarks"`
 }
 
+// suites is every suite bench can run, in the order -suite all runs them.
+var suites = []struct {
+	name, file string
+	run        func(quick bool) suiteReport
+}{
+	{"reach", "BENCH_reach.json", reachSuite},
+	{"sim", "BENCH_sim.json", simSuite},
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "small workloads for CI smoke runs")
 	outdir := flag.String("outdir", ".", "directory for BENCH_*.json")
-	suite := flag.String("suite", "all", "which suite to run: reach, sim, dist, serve, or all")
+	suite := flag.String("suite", "all", "which suite to run: "+suiteNames())
 	flag.Parse()
+	run := suites
+	if *suite != "all" {
+		run = nil
+		for _, st := range suites {
+			if st.name == *suite {
+				run = append(run, st)
+			}
+		}
+		if len(run) == 0 {
+			fmt.Fprintf(os.Stderr, "bench: unknown -suite %q (want %s)\n", *suite, suiteNames())
+			os.Exit(2)
+		}
+	}
+	for _, st := range run {
+		if err := writeReport(*outdir, st.file, st.run(*quick)); err != nil {
+			fatal(err)
+		}
+	}
+}
 
-	if *suite == "reach" || *suite == "all" {
-		if err := writeReport(*outdir, "BENCH_reach.json", reachSuite(*quick)); err != nil {
-			fatal(err)
-		}
+// suiteNames lists the accepted -suite values.
+func suiteNames() string {
+	names := make([]string, 0, len(suites)+1)
+	for _, st := range suites {
+		names = append(names, st.name)
 	}
-	if *suite == "sim" || *suite == "all" {
-		if err := writeReport(*outdir, "BENCH_sim.json", simSuite(*quick)); err != nil {
-			fatal(err)
-		}
-	}
-	if *suite == "dist" || *suite == "all" {
-		if err := writeReport(*outdir, "BENCH_dist.json", distSuite(*quick)); err != nil {
-			fatal(err)
-		}
-	}
-	if *suite == "serve" || *suite == "all" {
-		if err := writeReport(*outdir, "BENCH_serve.json", serveSuite(*quick)); err != nil {
-			fatal(err)
-		}
-	}
+	return strings.Join(append(names, "all"), ", ")
 }
 
 func fatal(err error) {
@@ -256,242 +261,6 @@ func skewGridBenchmarks(quick bool) []record {
 		out = append(out, rec)
 	}
 	return out
-}
-
-// distSuite measures the distributed checker against local CheckGrid on the
-// same grid: a coordinator plus two workers, all on localhost HTTP, so the
-// reported vs_local ratio is pure coordination overhead (lease round-trips,
-// JSON encoding, merge) — the floor a real multi-machine deployment pays
-// before network latency. The distributed result is also asserted
-// byte-identical to the local one, the subsystem's core invariant.
-func distSuite(quick bool) suiteReport {
-	rep := newReport("dist", quick)
-	c := benchcrn.Branchy()
-	h := int64(7)
-	if quick {
-		h = 4
-	}
-	lo, hi := []int64{0, 0}, []int64{h, h}
-	f := func(x []int64) int64 { return max(x[0], x[1]) }
-
-	var localJSON []byte
-	local := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := reach.CheckGrid(c, f, lo, hi, reach.WithWorkers(0))
-			if err != nil || !res.OK() {
-				b.Fatalf("%v %v", err, res)
-			}
-			localJSON, _ = json.Marshal(res)
-		}
-	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord(fmt.Sprintf("checkgrid_branchy_%dx%d_local_workers0", h+1, h+1), local))
-
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res := runDistOnce(b, c, lo, hi)
-			got, _ := json.Marshal(res)
-			if !bytes.Equal(got, localJSON) {
-				b.Fatalf("distributed result differs from local:\n%s\n%s", got, localJSON)
-			}
-		}
-	})
-	rec := toRecord(fmt.Sprintf("checkgrid_branchy_%dx%d_dist_coordinator_2workers", h+1, h+1), r)
-	rec.Extra = withExtra(rec.Extra, "vs_local", rec.NsPerOp/float64(local.NsPerOp()))
-	rep.Benchmarks = append(rep.Benchmarks, rec)
-	return rep
-}
-
-// runDistOnce runs one full coordinator + 2 workers job over localhost.
-func runDistOnce(b *testing.B, c *crn.CRN, lo, hi []int64) reach.GridResult {
-	co, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		CRN: c, Func: "max", Lo: lo, Hi: hi, Shards: 8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := co.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer co.Shutdown(context.Background())
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wk := &dist.Worker{
-			Coordinator: co.Addr().String(),
-			Name:        fmt.Sprintf("bench-%d", w),
-			Resolve: func(name string) (reach.Func, error) {
-				if name != "max" {
-					return nil, fmt.Errorf("unknown function %q", name)
-				}
-				return func(x []int64) int64 { return max(x[0], x[1]) }, nil
-			},
-			Poll: 2 * time.Millisecond,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := wk.Run(ctx); err != nil && ctx.Err() == nil {
-				b.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	res, err := co.Wait(ctx)
-	cancel()
-	wg.Wait()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// serveSuite measures the verification service end to end over real
-// localhost HTTP on the branchy 8×8 grid: cold /v1/check (the cache is
-// flushed every iteration, so each request runs the engine) versus cached
-// (content-addressed replay of the stored bytes). Every iteration's body is
-// asserted byte-identical to the local engine's crncheck -json encoding —
-// the serve layer's core contract stays under measurement, and the
-// cold/cached ratio is the factor a repeated identical request gets back
-// from the cache.
-func serveSuite(quick bool) suiteReport {
-	rep := newReport("serve", quick)
-	c := benchcrn.Branchy()
-	h := int64(7)
-	if quick {
-		h = 4
-	}
-	lo, hi := []int64{0, 0}, []int64{h, h}
-	f := func(x []int64) int64 { return max(x[0], x[1]) }
-	res, err := reach.CheckGrid(c, f, lo, hi, reach.WithWorkers(0), reach.WithMaxConfigs(1<<20))
-	if err != nil || !res.OK() {
-		fatal(fmt.Errorf("branchy reference grid: %v %v", err, res))
-	}
-	want, err := reach.MarshalGridResultIndent(res)
-	if err != nil {
-		fatal(err)
-	}
-
-	s := serve.New(serve.Config{CacheMax: 64, SyncGridLimit: 1 << 30})
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
-	url := "http://" + s.Addr().String() + "/v1/check"
-	reqBody, err := json.Marshal(map[string]any{"crn": c.String(), "func": "max", "hi": h})
-	if err != nil {
-		fatal(err)
-	}
-	client := &httpx.Client{
-		HTTP:        &http.Client{Timeout: 5 * time.Minute},
-		MaxAttempts: 1, // a benchmark must not retry inside the timer
-	}
-	tryCheck := func() error {
-		raw, err := client.PostRaw(context.Background(), url, json.RawMessage(reqBody))
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(raw.Body, want) {
-			return fmt.Errorf("served body differs from crncheck -json:\n%s\nwant:\n%s", raw.Body, want)
-		}
-		return nil
-	}
-	doCheck := func(b *testing.B) {
-		if err := tryCheck(); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	name := fmt.Sprintf("serve_check_branchy_%dx%d", h+1, h+1)
-	cold := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.FlushCache()
-			doCheck(b)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord(name+"_cold", cold))
-
-	if err := tryCheck(); err != nil { // prime the cache outside the timer
-		fatal(err)
-	}
-	cached := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			doCheck(b)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	})
-	rec := toRecord(name+"_cached", cached)
-	rec.Extra = withExtra(rec.Extra, "cold_vs_cached", float64(cold.NsPerOp())/float64(cached.NsPerOp()))
-	rep.Benchmarks = append(rep.Benchmarks, rec)
-
-	// The same cached-hit path with span recording on: every request now
-	// opens a serve.request root span and a serve.cache.lookup child.
-	// trace_overhead is the fractional cost over the untraced server
-	// (0.03 = 3% slower) — the tracing layer's budget on the hottest path.
-	// The two servers are measured interleaved in one loop so both see the
-	// same heap, GC, and scheduler conditions: a sequential traced-after-
-	// untraced measurement inherits the cold benchmark's heap growth and
-	// reads tens of percent of phantom overhead on a ~70µs request.
-	st := serve.New(serve.Config{
-		CacheMax:      64,
-		SyncGridLimit: 1 << 30,
-		Tracer:        trace.New(trace.Options{Proc: "bench"}),
-	})
-	if err := st.Start("127.0.0.1:0"); err != nil {
-		fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = st.Shutdown(ctx)
-	}()
-	tracedURL := "http://" + st.Addr().String() + "/v1/check"
-	tryTraced := func() error {
-		raw, err := client.PostRaw(context.Background(), tracedURL, json.RawMessage(reqBody))
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(raw.Body, want) {
-			return fmt.Errorf("traced served body differs from crncheck -json:\n%s\nwant:\n%s", raw.Body, want)
-		}
-		return nil
-	}
-	if err := tryTraced(); err != nil { // prime the cache outside the timer
-		fatal(err)
-	}
-	traced := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		var plainNs, tracedNs time.Duration
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			doCheck(b)
-			t1 := time.Now()
-			if err := tryTraced(); err != nil {
-				b.Fatal(err)
-			}
-			tracedNs += time.Since(t1)
-			plainNs += t1.Sub(t0)
-		}
-		b.ReportMetric(float64(plainNs.Nanoseconds())/float64(b.N), "plain_ns/op")
-		b.ReportMetric(float64(tracedNs.Nanoseconds())/float64(b.N), "traced_ns/op")
-	})
-	trec := toRecord(name+"_cached_traced", traced)
-	// Each benchmark op above is one untraced + one traced request; report
-	// the traced request alone as this record's headline numbers.
-	trec.NsPerOp = trec.Extra["traced_ns/op"]
-	trec.Extra = withExtra(trec.Extra, "req/s", 1e9/trec.NsPerOp)
-	trec.Extra = withExtra(trec.Extra, "trace_overhead",
-		trec.Extra["traced_ns/op"]/trec.Extra["plain_ns/op"]-1)
-	rep.Benchmarks = append(rep.Benchmarks, trec)
-	return rep
 }
 
 // withExtra sets key in the (possibly nil) extra-metric map.

@@ -115,7 +115,8 @@
 //   - internal/core: the end-to-end facade;
 //   - internal/figures: regeneration of the data behind Figures 1–8.
 //
-// See README.md for build/usage instructions and benchmark numbers; the
-// BENCH_*.json files (regenerated by cmd/bench) track the hot-path
-// performance trajectory.
+// See README.md for build/usage instructions and benchmark numbers. The
+// committed BENCH_reach.json and BENCH_sim.json (regenerated by cmd/bench)
+// track the engines' hot paths; BENCH_e2e.json records _perfbench's
+// end-to-end serve and dist runs.
 package crncompose

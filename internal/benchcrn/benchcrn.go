@@ -1,7 +1,8 @@
-// Package benchcrn provides the shared benchmark workloads used by both the
-// in-tree `go test -bench` suites and cmd/bench, so the committed
-// BENCH_*.json numbers always measure exactly the same networks and
-// baseline algorithm as the benchmarks they mirror.
+// Package benchcrn provides the shared benchmark workloads used by the
+// in-tree `go test -bench` suites, cmd/bench and _perfbench, so the
+// committed BENCH_reach.json, BENCH_sim.json and BENCH_e2e.json numbers
+// always measure exactly the same networks and baseline algorithms as the
+// benchmarks they mirror.
 package benchcrn
 
 import (

@@ -186,15 +186,6 @@ func (rc *resultCache) put(key string, val cached) {
 	rc.storeLocked(key, val)
 }
 
-// flush drops every stored entry (in-flight computations are unaffected).
-func (rc *resultCache) flush() {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.ll.Init()
-	rc.items = make(map[string]*list.Element)
-	rc.entries.Set(0)
-}
-
 // cacheStats is the /v1/stats snapshot of the cache. Field names are
 // a stable API (pinned by TestStatsJSONKeys); Inflight is the number
 // of computations currently running under singleflight.

@@ -117,8 +117,8 @@ func TestCacheEvictionRespectsMax(t *testing.T) {
 }
 
 // TestResultCacheUnit exercises the cache directly: errors are never stored
-// and are delivered to every concurrent waiter; put/get/flush behave; LRU
-// touch order decides eviction.
+// and are delivered to every concurrent waiter; put/get behave; LRU touch
+// order decides eviction.
 func TestResultCacheUnit(t *testing.T) {
 	rc := newResultCache(2)
 	boom := errors.New("boom")
@@ -135,8 +135,8 @@ func TestResultCacheUnit(t *testing.T) {
 	if _, source, _ := rc.do("k", func() (cached, error) { t.Fatal("recomputed"); return cached{}, nil }); source != cacheHit {
 		t.Fatalf("source %q", source)
 	}
-	// Touch order: a, b, touch a, insert c → b evicted.
-	rc.flush()
+	// Touch order on a fresh cache: a, b, touch a, insert c → b evicted.
+	rc = newResultCache(2)
 	rc.put("a", val)
 	rc.put("b", val)
 	rc.get("a")

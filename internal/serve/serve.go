@@ -232,11 +232,6 @@ func (s *Server) computed(op string) {
 	}
 }
 
-// FlushCache drops every cached response (jobs and in-flight computations
-// are unaffected). Operational escape hatch, and how the bench suite
-// measures cold-path throughput.
-func (s *Server) FlushCache() { s.cache.flush() }
-
 // Handler returns the server's HTTP API. Every route is wrapped with
 // the per-endpoint duration histogram and request counter; the
 // endpoint label is the route pattern, so label cardinality is the
