@@ -33,11 +33,12 @@
 // cancellation instead of a partial verdict. -progress prints throttled
 // checked-inputs counts to stderr without affecting the result.
 //
-// A coordinator serves GET /metrics (lease-table gauges, lease churn,
-// per-rectangle completion latency) and GET /debug/traces (the span
-// recorder) on its protocol listener, and -debug-addr adds net/http/pprof
-// plus a second /debug/traces on a separate operator-only listener —
-// profiles never share the port workers connect to.
+// A coordinator serves GET /metrics (lease-table gauges, lease churn, and
+// crn_span_duration_seconds for its job, lease and merge events) and GET
+// /debug/traces (the span recorder) on its protocol listener, and
+// -debug-addr adds net/http/pprof plus a second /debug/traces on a separate
+// operator-only listener — profiles never share the port workers connect
+// to.
 //
 // Every mode records spans: local runs open a root span over the grid with
 // engine stage events as children; a coordinator parents lease and merge
@@ -71,7 +72,6 @@ import (
 	"crncompose/internal/dist"
 	"crncompose/internal/metrics"
 	"crncompose/internal/parse"
-	"crncompose/internal/progress"
 	"crncompose/internal/reach"
 	"crncompose/internal/trace"
 	"crncompose/internal/vec"
@@ -206,40 +206,31 @@ func run(args []string, out io.Writer) error {
 			Checkpoint: *checkpoint,
 			Metrics:    reg,
 			Tracer:     tr,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "crncheck: "+format+"\n", args...)
-			},
+			Logf:       stderrLogf,
 		})
 		if cerr != nil {
 			return cerr
 		}
 		res, err = co.Run(ctx, *coordAddr)
 	} else {
-		checkOpts := []reach.Option{reach.WithMaxConfigs(*maxConfigs), reach.WithWorkers(*workers)}
 		// Local runs trace too: a root span over the whole grid with engine
 		// stage events as children, so -trace on a plain check yields a
-		// useful Perfetto timeline.
-		root := tr.StartSpan(time.Now(), "crncheck.check", trace.SpanContext{},
-			trace.String("func", *fname))
-		var rep progress.Reporter
+		// useful Perfetto timeline. -progress gives the seam a log hook,
+		// and the progress adapter logs throttled stage counts through it.
+		var logf func(format string, args ...any)
+		var logEvery time.Duration
 		if *progFlag {
-			rep = stderrProgress()
+			logf, logEvery = stderrLogf, 500*time.Millisecond
 		}
-		tp := trace.NewProgressReporter(tr, time.Now, root.Context())
-		if multi := progress.Multi(rep, tp); multi != nil {
-			checkOpts = append(checkOpts, reach.WithProgress(multi))
-		}
+		seam := trace.NewSeam(tr, nil, logf)
+		root := seam.Start(time.Now(), "crncheck.check", trace.SpanContext{},
+			trace.String("func", *fname))
+		prog := seam.Progress(time.Now, root.Context(), logEvery)
 		res, err = reach.CheckGridCtx(ctx, c, func(x []int64) int64 { return f.Eval(vec.New(x...)) },
-			los, his, checkOpts...)
-		tp.Finish(time.Now())
-		outcome := "ok"
-		switch {
-		case err != nil:
-			outcome = "error"
-		case !res.OK():
-			outcome = "failure"
-		}
-		root.End(time.Now(), trace.String("outcome", outcome))
+			los, his, reach.WithMaxConfigs(*maxConfigs), reach.WithWorkers(*workers), reach.WithProgress(prog))
+		outcome := reach.Outcome(res, err)
+		prog.Finish(time.Now(), outcome)
+		root.End(time.Now(), outcome)
 	}
 	if err != nil {
 		return err
@@ -260,17 +251,10 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// stderrProgress returns a reporter printing throttled "checked m/n"
-// lines. Grid progress is posted from the aggregating goroutine only, so
-// the unsynchronized lastPrint is safe.
-func stderrProgress() progress.Reporter {
-	var lastPrint time.Time
-	return progress.Func(func(e progress.Event) {
-		if now := time.Now(); now.Sub(lastPrint) >= 500*time.Millisecond {
-			lastPrint = now
-			fmt.Fprintf(os.Stderr, "crncheck: %s %d/%d\n", e.Stage, e.Done, e.Total)
-		}
-	})
+// stderrLogf prints one "crncheck: "-prefixed line to stderr — the log hook
+// of every mode.
+func stderrLogf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "crncheck: "+format+"\n", args...)
 }
 
 // runWorker joins a coordinator and serves until the job is done or ctx is
@@ -291,9 +275,7 @@ func runWorker(ctx context.Context, addr string, workers int, grace time.Duratio
 			}
 			return func(x []int64) int64 { return f.Eval(vec.New(x...)) }, nil
 		},
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "crncheck: "+format+"\n", args...)
-		},
+		Logf: stderrLogf,
 	}
 	return w.Run(ctx)
 }

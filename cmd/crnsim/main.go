@@ -102,14 +102,14 @@ func run(args []string, out io.Writer) error {
 	// identical to the plain Ensemble when uninterrupted).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	sp := tr.StartSpan(time.Now(), "crnsim.ensemble", trace.SpanContext{},
+	ev := trace.NewSeam(tr, nil, nil).Start(time.Now(), "crnsim.ensemble", trace.SpanContext{},
 		trace.String("method", *method), trace.Int("trials", int64(*trials)))
 	results, err := sim.EnsembleCtx(ctx, runner, start, *trials, *seed, opts...)
 	outcome := "ok"
 	if err != nil {
 		outcome = "error"
 	}
-	sp.End(time.Now(), trace.String("outcome", outcome))
+	ev.End(time.Now(), outcome)
 	if err != nil {
 		return err
 	}

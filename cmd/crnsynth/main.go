@@ -85,29 +85,23 @@ func run(args []string, out io.Writer) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	root := tr.StartSpan(time.Now(), "crnsynth.compile", trace.SpanContext{}, trace.String("func", *name))
+	seam := trace.NewSeam(tr, nil, nil)
+	root := seam.Start(time.Now(), "crnsynth.compile", trace.SpanContext{}, trace.String("func", *name))
 	sys, err := core.Compile(f, core.CompileOptions{Bound: *bound, N: *n, Ctx: ctx})
 	if err != nil {
-		root.End(time.Now(), trace.String("outcome", "error"))
+		root.End(time.Now(), "error")
 		var nce *synth.NotComputableError
 		if errors.As(err, &nce) && nce.Result.Contradiction != nil {
 			return fmt.Errorf("%w\n%s", err, nce.Result.Contradiction)
 		}
 		return err
 	}
-	root.End(time.Now(), trace.String("outcome", "ok"))
+	root.End(time.Now(), "ok")
 	if *verify >= 0 {
-		vsp := tr.StartSpan(time.Now(), "crnsynth.verify", trace.SpanContext{},
+		vev := seam.Start(time.Now(), "crnsynth.verify", trace.SpanContext{},
 			trace.String("func", *name), trace.Int("hi", *verify))
 		res, verr := sys.VerifyCtx(ctx, 0, *verify, reach.WithWorkers(*workers), reach.WithMaxConfigs(*maxConfigs))
-		outcome := "ok"
-		switch {
-		case verr != nil:
-			outcome = "error"
-		case !res.OK():
-			outcome = "failure"
-		}
-		vsp.End(time.Now(), trace.String("outcome", outcome))
+		vev.End(time.Now(), reach.Outcome(res, verr))
 		if verr != nil {
 			return verr
 		}

@@ -53,20 +53,25 @@
 //   - internal/metrics: a stdlib-only metrics registry — atomic
 //     counters, gauges, and fixed-bucket histograms with bounded label
 //     vectors — rendering the Prometheus text exposition format 0.0.4
-//     deterministically (sorted families and label sets); every timing
-//     primitive takes its instants from the caller, so the package
+//     deterministically (sorted families and label sets); its one timing
+//     primitive takes both instants from the caller, so the package
 //     never reads a clock and the determinism analyzer still catches
-//     engines laundering time.Now through a metrics timer; surfaced at
+//     engines laundering time.Now through a metrics helper; surfaced at
 //     GET /metrics on crnserve and on the dist coordinator;
 //   - internal/trace: a stdlib-only distributed-tracing recorder — W3C
 //     traceparent ids from an injectable generator, spans in a bounded
 //     ring buffer, deterministic byte-stable JSON export and Chrome
 //     trace-event (Perfetto-loadable) export, GET /debug/traces on the
-//     operator listeners; every span instant comes from the caller
-//     (StartSpan(now)/End(now)), so the package never reads a clock and
-//     sits in the crnlint engine set itself; one trace id follows a
-//     request from the serve root span through the coordinator's lease
-//     spans to worker rectangle spans shipped back with each result;
+//     operator listeners; every instant comes from the caller, so the
+//     package never reads a clock and sits in the crnlint engine set
+//     itself; one trace id follows a request from the serve root span
+//     through the coordinator's lease spans to worker rectangle spans
+//     shipped back with each result. Its Seam is the one instrumentation
+//     seam of every layer: one Start/End(now, outcome) per event records
+//     the span, observes crn_span_duration_seconds{name,outcome} and
+//     stamps the event's log lines with its trace and span ids, and its
+//     progress adapter turns engine progress into stage events and the
+//     crn_progress_* families;
 //   - internal/faultnet: deterministic seeded fault injection for chaos
 //     tests — RoundTripper and Listener wrappers that refuse, time out,
 //     inject 5xx, slow, or drop-after-commit requests on a pure
@@ -84,8 +89,9 @@
 //     tree to lint clean;
 //   - internal/progress: the progress.Reporter seam every long-running
 //     engine reports through (checked grid inputs, explored levels,
-//     simulation steps, synthesized modules) — the hook the CLI progress
-//     printers and the internal/metrics per-stage families attach to;
+//     simulation steps, synthesized modules) — the hook the seam's
+//     progress adapter (stage events, crn_progress_*, crncheck -progress
+//     lines) attaches to;
 //     the stage strings and their Done/Total semantics are pinned by
 //     a cross-engine contract test;
 //   - internal/sim: Gillespie and fair-random stochastic simulation, both

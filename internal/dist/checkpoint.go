@@ -74,23 +74,23 @@ func (co *Coordinator) loadCheckpointLocked() {
 	b, err := os.ReadFile(co.cfg.Checkpoint)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			co.logf("checkpoint: %v (starting fresh)", err)
+			co.seam.Logf("checkpoint: %v (starting fresh)", err)
 		}
 		return
 	}
 	var cp checkpointFile
 	if err := json.Unmarshal(b, &cp); err != nil {
-		co.logf("checkpoint: %v (starting fresh)", err)
+		co.seam.Logf("checkpoint: %v (starting fresh)", err)
 		return
 	}
 	if cp.Version != ProtocolVersion || cp.Job != co.jobSum {
-		co.logf("checkpoint: version/job mismatch (starting fresh)")
+		co.seam.Logf("checkpoint: version/job mismatch (starting fresh)")
 		return
 	}
 	restored := 0
 	for _, e := range cp.Done {
 		if e.ID < 0 || e.ID >= len(co.states) {
-			co.logf("checkpoint: rect %d out of range (skipped)", e.ID)
+			co.seam.Logf("checkpoint: rect %d out of range (skipped)", e.ID)
 			continue
 		}
 		st := &co.states[e.ID]
@@ -101,11 +101,11 @@ func (co *Coordinator) loadCheckpointLocked() {
 		if len(e.Result) > 0 {
 			res, err = reach.UnmarshalGridResult(e.Result, co.cfg.CRN)
 			if err != nil {
-				co.logf("checkpoint: rect %d: %v (skipped)", e.ID, err)
+				co.seam.Logf("checkpoint: rect %d: %v (skipped)", e.ID, err)
 				continue
 			}
 		} else if e.Err == "" {
-			co.logf("checkpoint: rect %d carries neither result nor error (skipped)", e.ID)
+			co.seam.Logf("checkpoint: rect %d carries neither result nor error (skipped)", e.ID)
 			continue
 		}
 		st.status = rectDone
@@ -115,6 +115,6 @@ func (co *Coordinator) loadCheckpointLocked() {
 		restored++
 	}
 	if restored > 0 {
-		co.logf("checkpoint: resumed %d of %d rects from %s", restored, len(co.states), co.cfg.Checkpoint)
+		co.seam.Logf("checkpoint: resumed %d of %d rects from %s", restored, len(co.states), co.cfg.Checkpoint)
 	}
 }

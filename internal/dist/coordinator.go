@@ -55,9 +55,9 @@ type CoordinatorConfig struct {
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 	// Metrics is the registry the coordinator's GET /metrics renders
-	// (lease-table gauges, lease-churn counters, per-rectangle
-	// completion histogram). Nil gets a private registry; inject one to
-	// aggregate coordinator metrics with a host process's.
+	// (lease-table gauges, lease-churn counters, and the dist.* series of
+	// crn_span_duration_seconds). Nil gets a private registry; inject one
+	// to aggregate coordinator metrics with a host process's.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records the coordinator's spans: a dist.job
 	// root for the whole run, a dist.lease span per grant (ended when the
@@ -85,9 +85,8 @@ type rectState struct {
 	status   rectStatus
 	worker   string      // current lease holder (status == rectLeased)
 	deadline time.Time   // lease expiry (status == rectLeased)
-	leasedAt time.Time   // when the current lease was granted (completion histogram)
 	attempts int         // times leased (for /status observability)
-	span     *trace.Span // open dist.lease span (status == rectLeased; nil untraced)
+	lease    trace.Event // open dist.lease event (status == rectLeased)
 	result   reach.GridResult
 	raw      json.RawMessage // wire form of result, for the checkpoint file
 	errMsg   string          // deterministic enumeration error, if any
@@ -105,10 +104,10 @@ type Coordinator struct {
 	ttl    time.Duration
 	now    func() time.Time // injectable for lease tests
 	met    *distMetrics
-	tr     *trace.Tracer
-	// jobSpan is the dist.job root span, open from construction until
-	// checkFinishedLocked; nil when untraced.
-	jobSpan *trace.Span
+	seam   *trace.Seam
+	// jobEv is the dist.job root event, open from construction until
+	// checkFinishedLocked.
+	jobEv trace.Event
 
 	mu        sync.Mutex
 	states    []rectState
@@ -171,6 +170,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	sum := sha256.Sum256(jb)
+	met := newDistMetrics(cfg.Metrics)
 	co := &Coordinator{
 		cfg:       cfg,
 		job:       job,
@@ -181,13 +181,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		states:    make([]rectState, len(rects)),
 		doneCh:    make(chan struct{}),
 		closingCh: make(chan struct{}),
-		met:       newDistMetrics(cfg.Metrics),
-		tr:        cfg.Tracer,
+		met:       met,
+		seam:      trace.NewSeam(cfg.Tracer, met.reg, cfg.Logf),
 	}
-	// The job root span opens before the checkpoint load: a checkpoint that
+	// The job root event opens before the checkpoint load: a checkpoint that
 	// already completes the run finishes inside checkFinishedLocked below,
-	// which ends this span.
-	co.jobSpan = co.tr.StartSpan(co.now(), "dist.job", cfg.TraceContext,
+	// which ends this event.
+	co.jobEv = co.seam.Start(co.now(), "dist.job", cfg.TraceContext,
 		trace.String("func", cfg.Func),
 		trace.Int("rects", int64(len(rects))))
 	co.mu.Lock()
@@ -202,12 +202,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 // Rects returns the grid partition, in canonical grid order.
 func (co *Coordinator) Rects() []Rect { return co.rects }
-
-func (co *Coordinator) logf(format string, args ...any) {
-	if co.cfg.Logf != nil {
-		co.cfg.Logf(format, args...)
-	}
-}
 
 // lease hands out the lowest-indexed pending rectangle, after reclaiming
 // expired leases. Rectangles past the first decided (failed or errored) one
@@ -225,23 +219,23 @@ func (co *Coordinator) lease(worker string) LeaseResponse {
 		if st.status != rectPending {
 			continue
 		}
+		now := co.now()
 		st.status = rectLeased
 		st.worker = worker
-		st.leasedAt = co.now()
-		st.deadline = st.leasedAt.Add(co.ttl)
+		st.deadline = now.Add(co.ttl)
 		st.attempts++
-		st.span = co.tr.StartSpan(st.leasedAt, "dist.lease", co.jobSpan.Context(),
+		st.lease = co.seam.Start(now, "dist.lease", co.jobEv.Context(),
 			trace.Int("rect", int64(id)),
 			trace.String("worker", worker),
 			trace.Int("attempt", int64(st.attempts)))
 		co.met.leasesGranted.Inc()
 		co.syncRectsLocked()
 		r := co.rects[id]
-		trace.Logf(co.logf, st.span.Context())("lease: rect %d -> %s (attempt %d)", id, worker, st.attempts)
+		st.lease.Logf("lease: rect %d -> %s (attempt %d)", id, worker, st.attempts)
 		return LeaseResponse{
 			Rect:        &r,
 			TTLMillis:   co.ttl.Milliseconds(),
-			Traceparent: st.span.Context().Traceparent(),
+			Traceparent: st.lease.Context().Traceparent(),
 		}
 	}
 	return LeaseResponse{Wait: true}
@@ -375,18 +369,16 @@ func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 // Caller holds co.mu and has checked the rectangle is not done yet.
 func (co *Coordinator) recordLocked(id int, worker string, res reach.GridResult, raw json.RawMessage, errMsg string, spans []trace.SpanData) {
 	st := &co.states[id]
-	if !st.leasedAt.IsZero() {
-		// Lease grant to accepted result, on the coordinator's clock seam.
-		co.met.rectSeconds.ObserveSince(st.leasedAt, co.now())
-	}
-	leaseSC := st.span.Context()
-	st.span.End(co.now(), trace.String("outcome", "ok"))
-	st.span = nil
+	// The lease event, when one is open, ends at the accepted result: its
+	// dist.lease/ok series is grant-to-result time per rectangle.
+	lease := st.lease
+	lease.End(co.now(), "ok")
+	st.lease = trace.Event{}
 	for i, d := range spans {
 		if i >= maxShippedSpans {
 			break
 		}
-		co.tr.Record(d)
+		co.cfg.Tracer.Record(d)
 	}
 	st.status = rectDone
 	st.worker = worker
@@ -394,10 +386,10 @@ func (co *Coordinator) recordLocked(id int, worker string, res reach.GridResult,
 	st.raw = raw
 	st.errMsg = errMsg
 	co.syncRectsLocked()
-	trace.Logf(co.logf, leaseSC)("result: rect %d from %s: %v", id, worker, res)
+	lease.Logf("result: rect %d from %s: %v", id, worker, res)
 	if co.cfg.Checkpoint != "" {
 		if err := co.saveCheckpointLocked(); err != nil {
-			co.logf("checkpoint: %v", err)
+			co.seam.Logf("checkpoint: %v", err)
 		}
 	}
 	co.checkFinishedLocked()
@@ -461,15 +453,15 @@ func (co *Coordinator) RunLocal(ctx context.Context, check func(context.Context,
 }
 
 // requeueLocked returns rectangle id's lease to the pending set, ending its
-// lease span with outcome: "expired" (the holder went silent past the TTL)
+// lease event with outcome: "expired" (the holder went silent past the TTL)
 // or "lost" (RunLocal took the rectangle back).
 func (co *Coordinator) requeueLocked(id int, outcome string) {
 	st := &co.states[id]
-	trace.Logf(co.logf, st.span.Context())("lease: rect %d %s (held by %s); requeued", id, outcome, st.worker)
+	st.lease.Logf("lease: rect %d %s (held by %s); requeued", id, outcome, st.worker)
 	st.status = rectPending
 	st.worker = ""
-	st.span.End(co.now(), trace.String("outcome", outcome))
-	st.span = nil
+	st.lease.End(co.now(), outcome)
+	st.lease = trace.Event{}
 	co.syncRectsLocked()
 }
 
@@ -480,7 +472,6 @@ func (co *Coordinator) sweepLocked() {
 		st := &co.states[id]
 		if st.status == rectLeased && st.deadline.Before(now) {
 			co.requeueLocked(id, "expired")
-			co.met.leaseExpired.Inc()
 		}
 	}
 }
@@ -512,19 +503,11 @@ func (co *Coordinator) checkFinishedLocked() {
 			return
 		}
 	}
-	mergeStart := co.now()
+	merge := co.seam.Start(co.now(), "dist.merge", co.jobEv.Context())
 	co.merged, co.mergedErr = co.mergeLocked()
 	mergeEnd := co.now()
-	co.tr.StartSpan(mergeStart, "dist.merge", co.jobSpan.Context()).End(mergeEnd,
-		trace.Int("checked", int64(co.merged.Checked)))
-	outcome := "ok"
-	switch {
-	case co.mergedErr != nil:
-		outcome = "error"
-	case co.merged.Failure != nil:
-		outcome = "failure"
-	}
-	co.jobSpan.End(mergeEnd, trace.String("outcome", outcome))
+	merge.End(mergeEnd, "ok", trace.Int("checked", int64(co.merged.Checked)))
+	co.jobEv.End(mergeEnd, reach.Outcome(co.merged, co.mergedErr))
 	co.finished = true
 	close(co.doneCh)
 }
@@ -592,8 +575,8 @@ func (co *Coordinator) Handler() http.Handler {
 		writeJSON(w, co.status())
 	})
 	mux.Handle("GET /metrics", co.met.reg.Handler())
-	if co.tr != nil {
-		mux.Handle("GET /debug/traces", co.tr.Handler())
+	if co.cfg.Tracer != nil {
+		mux.Handle("GET /debug/traces", co.cfg.Tracer.Handler())
 	}
 	return mux
 }
@@ -622,7 +605,7 @@ func (co *Coordinator) Start(addr string) error {
 	co.ln = ln
 	co.srv = &http.Server{Handler: co.Handler()}
 	go func() { _ = co.srv.Serve(ln) }()
-	co.logf("coordinator: serving %d rects on %s", len(co.rects), ln.Addr())
+	co.seam.Logf("coordinator: serving %d rects on %s", len(co.rects), ln.Addr())
 	return nil
 }
 
@@ -656,25 +639,45 @@ func (co *Coordinator) Shutdown(ctx context.Context) error {
 	return co.srv.Shutdown(ctx)
 }
 
+// linger is how long Close keeps a finished coordinator's listener open:
+// one worker poll cycle, so polling workers observe Done and exit cleanly
+// instead of losing the coordinator.
+const linger = 200 * time.Millisecond
+
+// Close ends a coordinator that Start put on the network. When the run has
+// finished and nothing has shut the listener yet, it first lingers so
+// polling workers see the Done answer; then it shuts the listener down,
+// giving in-flight requests a second. A run that has not finished (canceled,
+// or handed to RunLocal) closes at once. A no-op before Start.
+func (co *Coordinator) Close() {
+	if co.srv == nil {
+		return
+	}
+	select {
+	case <-co.closingCh: // already shut down; nobody left to linger for
+		return
+	default:
+	}
+	select {
+	case <-co.doneCh:
+		time.Sleep(linger)
+	default:
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_ = co.Shutdown(ctx)
+}
+
 // Run serves on addr until the grid is fully checked and returns the merged
 // result — the exact GridResult a single-process reach.CheckGrid would
-// return. It lingers briefly before shutdown so polling workers observe the
-// Done response and exit cleanly.
+// return. Close lingers before the listener shuts, so polling workers
+// observe the Done response and exit cleanly.
 func (co *Coordinator) Run(ctx context.Context, addr string) (reach.GridResult, error) {
 	if err := co.Start(addr); err != nil {
 		return reach.GridResult{}, err
 	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = co.Shutdown(sctx)
-	}()
-	res, err := co.Wait(ctx)
-	if err == nil || ctx.Err() == nil {
-		// Give workers one poll cycle to see Done before the listener closes.
-		time.Sleep(200 * time.Millisecond)
-	}
-	return res, err
+	defer co.Close()
+	return co.Wait(ctx)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

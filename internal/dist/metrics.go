@@ -9,16 +9,16 @@ import "crncompose/internal/metrics"
 //	    status (pending | leased | done)
 //	crn_dist_leases_granted_total            counter   — every grant,
 //	    re-grants of reclaimed rectangles included
-//	crn_dist_lease_expired_total             counter   — leases reclaimed
-//	    after their holder went silent past the TTL
 //	crn_dist_renew_failures_total            counter   — renew requests
 //	    answered "lease lost" (the worker was fenced out)
-//	crn_dist_rect_completion_seconds         histogram — lease grant to
-//	    accepted result, per rectangle
 //
-// All durations come from the coordinator's injected clock (co.now),
-// the same seam the lease table runs on, so lease tests with a fake
-// clock observe deterministic histogram buckets.
+// Lease timings are not a family of their own: each lease is a dist.lease
+// event on the coordinator's trace.Seam, so crn_span_duration_seconds
+// {name="dist.lease"} observes grant to accepted result (outcome ok) and
+// counts reclaimed leases (outcome expired, or lost to RunLocal). Those
+// durations come from the coordinator's injected clock (co.now), the same
+// clock the lease table runs on, so lease tests with a fake clock observe
+// deterministic buckets.
 type distMetrics struct {
 	reg *metrics.Registry
 
@@ -27,16 +27,8 @@ type distMetrics struct {
 	rectsDone    *metrics.Gauge
 
 	leasesGranted *metrics.Counter
-	leaseExpired  *metrics.Counter
 	renewFailures *metrics.Counter
-
-	rectSeconds *metrics.Histogram
 }
-
-// rectBuckets widens the default latency buckets to rectangle scale:
-// a rectangle is a whole sub-grid exploration, so the tail runs to
-// minutes, not milliseconds.
-var rectBuckets = []float64{.01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
 func newDistMetrics(reg *metrics.Registry) *distMetrics {
 	if reg == nil {
@@ -50,12 +42,8 @@ func newDistMetrics(reg *metrics.Registry) *distMetrics {
 	m.rectsDone = rects.With("done")
 	m.leasesGranted = reg.Counter("crn_dist_leases_granted_total",
 		"Rectangle leases granted, re-grants after reclaim included.")
-	m.leaseExpired = reg.Counter("crn_dist_lease_expired_total",
-		"Leases reclaimed because the holder went silent past the TTL.")
 	m.renewFailures = reg.Counter("crn_dist_renew_failures_total",
 		"Renew requests answered with a lost lease (worker fenced out).")
-	m.rectSeconds = reg.Histogram("crn_dist_rect_completion_seconds",
-		"Time from lease grant to accepted result, per rectangle.", rectBuckets)
 	return m
 }
 

@@ -8,9 +8,9 @@ import (
 
 // TestCoordinatorMetrics drives the lease table under the fake clock
 // and checks every family the coordinator registers: the lease-table
-// gauges track status transitions, expiry and fenced-out renewals hit
-// their counters, and the completion histogram observes lease-grant →
-// result durations on the injected clock.
+// gauges track status transitions, fenced-out renewals hit their counter,
+// and the dist.lease series of crn_span_duration_seconds count expired
+// leases and observe lease-grant → result durations on the injected clock.
 func TestCoordinatorMetrics(t *testing.T) {
 	clock := newFakeClock(7)
 	co := newTestCoordinator(t, clock, 3, "")
@@ -39,9 +39,6 @@ func TestCoordinatorMetrics(t *testing.T) {
 	// rectangles and the holders' next renews are fenced-out failures.
 	clock.advance(11 * time.Second)
 	co.sweepAll()
-	if e := met.leaseExpired.Value(); e != 2 {
-		t.Fatalf("leases expired = %d, want 2", e)
-	}
 	wantRects("expired", 3, 0, 0)
 	if co.renew("A", la.Rect.ID).OK {
 		t.Fatal("A renewed an expired lease")
@@ -51,7 +48,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	}
 
 	// C picks the reclaimed rectangle back up and finishes it 2s later:
-	// the completion histogram sees one observation in the 2.5s bucket.
+	// the dist.lease/ok series sees one observation in the 2.5s bucket.
 	lc := co.lease("C")
 	if lc.Rect == nil {
 		t.Fatalf("reclaimed rect not re-leased: %+v", lc)
@@ -60,12 +57,6 @@ func TestCoordinatorMetrics(t *testing.T) {
 	r := localRectResult(t, minCRN(), minFunc, *lc.Rect, "C")
 	if resp, err := co.result(r); err != nil || !resp.OK {
 		t.Fatalf("result rejected: %+v %v", resp, err)
-	}
-	if n := met.rectSeconds.Count(); n != 1 {
-		t.Fatalf("completion histogram count = %d, want 1", n)
-	}
-	if s := met.rectSeconds.Sum(); s < 1.9 || s > 2.1 {
-		t.Fatalf("completion histogram sum = %v, want ~2s", s)
 	}
 	wantRects("one done", 2, 0, 1)
 
@@ -80,9 +71,12 @@ func TestCoordinatorMetrics(t *testing.T) {
 		`crn_dist_rects{status="leased"}`,
 		`crn_dist_rects{status="done"} 1`,
 		"crn_dist_leases_granted_total",
-		"crn_dist_lease_expired_total",
 		"crn_dist_renew_failures_total",
-		"crn_dist_rect_completion_seconds_bucket",
+		`crn_span_duration_seconds_count{name="dist.lease",outcome="expired"} 2`,
+		`crn_span_duration_seconds_count{name="dist.lease",outcome="ok"} 1`,
+		`crn_span_duration_seconds_sum{name="dist.lease",outcome="ok"} 2`,
+		`crn_span_duration_seconds_bucket{name="dist.lease",outcome="ok",le="1"} 0`,
+		`crn_span_duration_seconds_bucket{name="dist.lease",outcome="ok",le="2.5"} 1`,
 	} {
 		if !strings.Contains(out, fam) {
 			t.Errorf("scrape missing %q\n%s", fam, out)

@@ -58,6 +58,17 @@
 //   - a renew answering OK=false means the lease was reassigned; with
 //     Worker.AbortOnLeaseLoss the fenced-out worker cancels the in-flight
 //     rectangle instead of finishing work it no longer owns.
+//
+// # Instrumentation
+//
+// The coordinator and each worker instrument their events on one
+// trace.Seam each: dist.job, dist.lease (ended ok at the accepted result,
+// expired or lost when reclaimed) and dist.merge on the coordinator,
+// dist.rect and every httpx.attempt of its coordinator clients on a
+// worker. Each event records its span, observes
+// crn_span_duration_seconds{name,outcome} when the process has a registry
+// (the coordinator always does), and stamps its log lines with its trace
+// and span ids — a worker's httpx retry and give-up lines included.
 package dist
 
 import (

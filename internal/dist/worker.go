@@ -75,26 +75,22 @@ type Worker struct {
 	AbortOnLeaseLoss bool
 	// Client, when non-nil, overrides the HTTP client.
 	Client *http.Client
-	// Logf, when non-nil, receives progress lines.
+	// Logf, when non-nil, receives progress lines, the coordinator
+	// client's retry and give-up lines among them.
 	Logf func(format string, args ...any)
 	// Tracer, when non-nil, records a dist.rect span per leased rectangle
 	// — parented under the coordinator's lease span via the traceparent
 	// carried in the lease response, so the rectangle joins the submitting
 	// request's trace — plus per-attempt httpx client spans for renew and
 	// result calls. The rectangle trace's spans are shipped to the
-	// coordinator with the result report.
+	// coordinator with the result report. Tracer and Logf make the
+	// worker's trace.Seam, which its coordinator clients share.
 	Tracer *trace.Tracer
 
 	// LeaseHook, when non-nil, runs right after a lease is granted; a
 	// non-nil error kills the worker mid-rectangle without reporting — how
 	// tests (dist's and serve's) simulate a crashed worker.
 	LeaseHook func(Rect) error
-}
-
-func (w *Worker) logf(format string, args ...any) {
-	if w.Logf != nil {
-		w.Logf(format, args...)
-	}
 }
 
 // Run joins the coordinator and processes rectangles until the job is done
@@ -134,6 +130,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
+	seam := trace.NewSeam(w.Tracer, nil, w.Logf)
 
 	// Join: fetch the job, retrying transient failures for up to JoinTimeout
 	// so worker/coordinator start order does not matter. A 4xx answer is the
@@ -145,7 +142,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		Budget:      joinTimeout,
 		BaseDelay:   poll,
 		MaxDelay:    time.Second,
-		Tracer:      w.Tracer,
+		Seam:        seam,
 	}
 	var job JobSpec
 	if err := joinC.GetJSON(ctx, base+"/job", &job); err != nil {
@@ -174,7 +171,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		reach.WithMaxCount(job.MaxCount),
 		reach.WithWorkers(w.Workers),
 	}
-	w.logf("worker %s: joined %s (%s on %d rects)", name, base, job.Func, job.Rects)
+	seam.Logf("worker %s: joined %s (%s on %d rects)", name, base, job.Func, job.Rects)
 
 	// Each /lease call retries transient failures briefly on its own; the
 	// loop below tracks how long the coordinator has been continuously
@@ -185,7 +182,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		MaxAttempts: 3,
 		BaseDelay:   poll,
 		MaxDelay:    time.Second,
-		Tracer:      w.Tracer,
+		Seam:        seam,
 	}
 	var downSince time.Time
 	for {
@@ -204,7 +201,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			if downSince.IsZero() {
 				downSince = polledAt
-				w.logf("worker %s: coordinator unreachable (%v); retrying for up to %s", name, err, grace)
+				seam.Logf("worker %s: coordinator unreachable (%v); retrying for up to %s", name, err, grace)
 			}
 			if time.Since(downSince) >= grace {
 				return fmt.Errorf("dist: worker %s: coordinator %s unreachable for %s (last error: %v): %w", name, base, grace, err, ErrCoordinatorLost)
@@ -213,12 +210,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if !downSince.IsZero() {
-			w.logf("worker %s: coordinator reachable again after %s", name, time.Since(downSince).Round(time.Millisecond))
+			seam.Logf("worker %s: coordinator reachable again after %s", name, time.Since(downSince).Round(time.Millisecond))
 			downSince = time.Time{}
 		}
 		switch {
 		case lr.Done:
-			w.logf("worker %s: job done", name)
+			seam.Logf("worker %s: job done", name)
 			return nil
 		case lr.Rect == nil:
 			// An empty answer after a full long-poll window can be retried
@@ -237,7 +234,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		}
-		if err := w.checkRect(ctx, client, base, name, grace, c, f, rect, lr, opts); err != nil {
+		if err := w.checkRect(ctx, seam, client, base, name, grace, c, f, rect, lr, opts); err != nil {
 			return err
 		}
 	}
@@ -246,7 +243,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // checkRect runs one leased rectangle with a heartbeat renewing the lease,
 // then reports the result. A result that cannot be delivered within Grace is
 // dropped: the lease expires and the rectangle is recomputed elsewhere.
-func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name string, grace time.Duration, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
+func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.Client, base, name string, grace time.Duration, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
 	ttl := time.Duration(lr.TTLMillis) * time.Millisecond
 	// The lease response's traceparent stitches this rectangle into the
 	// trace that submitted the job: the rectangle-compute span is a child of
@@ -256,18 +253,18 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 	if lr.Traceparent != "" {
 		leaseSC, _ = trace.ParseTraceparent(lr.Traceparent)
 	}
-	rectSpan := w.Tracer.StartSpan(time.Now(), "dist.rect", leaseSC,
+	rectEv := seam.Start(time.Now(), "dist.rect", leaseSC,
 		trace.Int("rect", int64(rect.ID)),
 		trace.String("worker", name))
 	// Every rectangle-scoped log line carries the trace and span ids, so a
 	// worker's interleaved output greps apart by rectangle and joins against
-	// /debug/traces on the coordinator. With tracing off this is w.logf.
-	logf := trace.Logf(w.logf, rectSpan.Context())
+	// /debug/traces on the coordinator.
+	logf := rectEv.Logf
 	// rctx is what the engine runs under; with AbortOnLeaseLoss the
 	// heartbeat cancels it when the coordinator says the lease is gone. It
 	// also carries the rectangle span so the heartbeat's renew attempts
 	// trace as its children.
-	rctx, rcancel := trace.ContextSpan(ctx, rectSpan), context.CancelFunc(func() {})
+	rctx, rcancel := trace.ContextWith(ctx, rectEv.Context()), context.CancelFunc(func() {})
 	if w.AbortOnLeaseLoss {
 		rctx, rcancel = context.WithCancel(rctx)
 	}
@@ -279,7 +276,7 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 		// hbctx parents the renew attempts under the rectangle span without
 		// inheriting rctx's AbortOnLeaseLoss cancelation: the renew that
 		// discovers the loss must itself complete.
-		hbctx := trace.ContextSpan(ctx, rectSpan)
+		hbctx := trace.ContextWith(ctx, rectEv.Context())
 		go func() {
 			defer hb.Done()
 			renewC := &httpx.Client{
@@ -287,7 +284,7 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 				MaxAttempts: 2,
 				BaseDelay:   w.pollInterval(),
 				MaxDelay:    max(ttl/3, time.Millisecond),
-				Tracer:      w.Tracer,
+				Seam:        seam,
 			}
 			// Renew failures are expected during a coordinator restart, so
 			// they must not kill the worker — but they must not be silent
@@ -339,25 +336,17 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 	// returned no verdicts, the heartbeat above has stopped, and the lease
 	// simply expires so the coordinator reassigns the rectangle elsewhere.
 	if ctx.Err() != nil {
-		rectSpan.End(time.Now(), trace.String("outcome", "canceled"))
+		rectEv.End(time.Now(), "canceled")
 		return ctx.Err()
 	}
 	if rctx.Err() != nil {
 		// Fenced out with AbortOnLeaseLoss: the rectangle belongs to another
 		// worker now, so abandon it and go lease the next one.
-		rectSpan.End(time.Now(), trace.String("outcome", "fenced"))
+		rectEv.End(time.Now(), "fenced")
 		logf("worker %s: abandoned rect %d after lease loss", name, rect.ID)
 		return nil
 	}
-	outcome := "ok"
-	switch {
-	case rerr != nil:
-		outcome = "error"
-	case res.Failure != nil:
-		outcome = "failure"
-	}
-	rectSpan.End(time.Now(), trace.String("outcome", outcome),
-		trace.Int("checked", int64(res.Checked)))
+	rectEv.End(time.Now(), reach.Outcome(res, rerr), trace.Int("checked", int64(res.Checked)))
 
 	req := ResultRequest{Worker: name, RectID: rect.ID}
 	raw, err := json.Marshal(res)
@@ -374,10 +363,10 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 	// rect span's own subtree ships: the trace also holds earlier rectangles'
 	// spans (one job fans out many leases to one worker), and re-shipping
 	// those would duplicate them in the coordinator's ring.
-	if rectSpan != nil {
+	if w.Tracer != nil {
 		spans := spanSubtree(
-			w.Tracer.TraceSpans(rectSpan.Context().TraceID.String()),
-			rectSpan.Context().SpanID.String())
+			w.Tracer.TraceSpans(rectEv.Context().TraceID.String()),
+			rectEv.Context().SpanID.String())
 		if len(spans) > maxShippedSpans {
 			spans = spans[len(spans)-maxShippedSpans:]
 		}
@@ -393,10 +382,10 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 		Budget:      grace,
 		BaseDelay:   w.pollInterval(),
 		MaxDelay:    time.Second,
-		Tracer:      w.Tracer,
+		Seam:        seam,
 	}
 	var ack ResultResponse
-	if err := resultC.PostJSON(trace.ContextSpan(ctx, rectSpan), base+"/result", req, &ack); err != nil {
+	if err := resultC.PostJSON(trace.ContextWith(ctx, rectEv.Context()), base+"/result", req, &ack); err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}

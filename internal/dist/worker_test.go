@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"crncompose/internal/reach"
+	"crncompose/internal/trace"
 )
 
 // fakeCoordinator is a scriptable coordinator endpoint for worker-side
@@ -229,4 +233,70 @@ func TestWorkerAbortOnLeaseLoss(t *testing.T) {
 	if n := fc.results.Load(); n != 0 {
 		t.Fatalf("fenced-out worker posted %d results, want 0", n)
 	}
+}
+
+// TestWorkerRetryLogStamped: the worker's coordinator clients log through
+// the worker's seam, so when the coordinator answers a /result with a 503
+// the retry line reaches Worker.Logf, stamped with the ids of the
+// rectangle's trace — the one the coordinator's lease started.
+func TestWorkerRetryLogStamped(t *testing.T) {
+	ctr := trace.New(trace.Options{Proc: "coordinator"})
+	co, err := NewCoordinator(CoordinatorConfig{
+		CRN: minCRN(), Func: "min",
+		Lo: []int64{0, 0}, Hi: []int64{2, 2},
+		Shards: 1,
+		Tracer: ctr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused atomic.Bool
+	h := co.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/result" && refused.CompareAndSwap(false, true) {
+			http.Error(w, "try again", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	var mu sync.Mutex
+	var lines []string
+	w := &Worker{
+		Coordinator: srv.URL,
+		Name:        "W",
+		Workers:     1,
+		Resolve:     testResolver,
+		Poll:        time.Millisecond,
+		Tracer:      trace.New(trace.Options{Proc: "worker"}),
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if _, err := co.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var jobTrace string
+	for _, d := range ctr.Snapshot() {
+		if d.Name == "dist.job" {
+			jobTrace = d.TraceID
+		}
+	}
+	stamp := regexp.MustCompile(`/result attempt 1 failed .* trace=` + jobTrace + ` span=[0-9a-f]{16}$`)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.HasPrefix(l, "httpx: POST ") && stamp.MatchString(l) {
+			return
+		}
+	}
+	t.Fatalf("no /result retry line ending in trace=%s span=<id> in:\n%s", jobTrace, strings.Join(lines, "\n"))
 }

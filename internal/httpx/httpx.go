@@ -19,6 +19,12 @@
 //     408, 429, transport errors, and truncated/undecodable response
 //     bodies are transient by assumption and retried.
 //
+// Each attempt is one "httpx.attempt" event on the client's trace.Seam
+// (Client.Seam): a span when the seam traces, an observation of
+// crn_span_duration_seconds{name="httpx.attempt",outcome} when it has a
+// registry, and retry/give-up log lines stamped with the attempt's trace
+// and span ids.
+//
 // The zero value of Client is usable: it retries DefaultMaxAttempts times
 // against a shared default http.Client.
 package httpx
@@ -32,6 +38,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -78,20 +85,15 @@ type Client struct {
 	// Rand draws jitter: a uniform int64 in [0, n). Nil uses math/rand/v2.
 	// Injectable so tests can pin backoff schedules.
 	Rand func(n int64) int64
-	// Logf, when non-nil, receives one line per retried failure and one
-	// line when the call gives up (attempts or budget exhausted).
-	Logf func(format string, args ...any)
-	// Metrics, when non-nil, records per-attempt counters and latency
-	// histograms plus a give-up counter on a shared metrics registry.
-	// Nil-safe like Logf: the zero Client records nothing.
-	Metrics *Metrics
-	// Tracer, when non-nil, opens one client span per attempt (named
-	// "httpx.attempt", with method/url/attempt/outcome attributes),
-	// parented under the span context carried by the call's ctx. Whether
-	// or not a tracer is set, an active context is propagated to the
-	// server as a W3C traceparent header on every attempt — the link that
-	// stitches one trace across processes.
-	Tracer *trace.Tracer
+	// Seam, when non-nil, instruments every attempt as one
+	// "httpx.attempt" event (method/url/attempt/status attributes; outcome
+	// ok, retryable or fatal) parented under the span context carried by
+	// the call's ctx, and stamps one log line per retried failure and one
+	// when the call gives up (attempts or budget exhausted). Whether or
+	// not it is set, an active context is propagated to the server as a
+	// W3C traceparent header on every attempt — the link that stitches one
+	// trace across processes.
+	Seam *trace.Seam
 }
 
 // StatusError is a non-2xx HTTP response, carrying enough of the reply to
@@ -199,29 +201,23 @@ func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, ou
 		deadline = time.Now().Add(c.Budget)
 	}
 	// parent is the span context carried by the caller's ctx; it parents
-	// the per-attempt client spans and is the traceparent sent when no
-	// tracer is configured. traceTag lands in every retry/give-up log line
-	// so a trace ID in the logs can be looked up in /debug/traces.
+	// each attempt's event, which sends its own context (parent's, when
+	// untraced) as the traceparent and stamps the retry/give-up lines, so a
+	// trace id in the logs can be looked up in /debug/traces.
 	parent := trace.FromContext(ctx)
-	var traceTag string
-	if parent.Valid() {
-		traceTag = " trace=" + parent.TraceID.String()
-	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		attemptStart := time.Now()
-		sp := c.Tracer.StartSpan(attemptStart, "httpx.attempt", parent,
+		ev := c.Seam.Start(attemptStart, "httpx.attempt", parent,
 			trace.String("method", method),
 			trace.String("url", url),
 			trace.Int("attempt", int64(attempt+1)))
-		hdr := parent
-		if sp != nil {
-			hdr = sp.Context()
-		}
-		err := c.attempt(ctx, httpc, method, url, body, out, hdr)
+		err := c.attempt(ctx, httpc, method, url, body, out, ev.Context())
 		elapsed := time.Since(attemptStart)
-		endAttemptSpan(sp, attemptStart.Add(elapsed), err)
-		c.Metrics.recordAttempt(method, elapsed, err)
+		if code := StatusCode(err); code != 0 {
+			ev.SetAttr("status", strconv.Itoa(code))
+		}
+		ev.End(attemptStart.Add(elapsed), attemptOutcome(err))
 		if err == nil {
 			return nil
 		}
@@ -235,50 +231,34 @@ func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, ou
 		}
 		lastErr = err
 		if maxAttempts > 0 && attempt+1 >= maxAttempts {
-			c.Metrics.recordGiveUp(method)
-			if c.Logf != nil {
-				c.Logf("httpx: %s %s giving up after %d attempts (last attempt took %s, status %d)%s: %v",
-					method, url, attempt+1, elapsed, StatusCode(lastErr), traceTag, lastErr)
-			}
+			ev.Logf("httpx: %s %s giving up after %d attempts (last attempt took %s, status %d): %v",
+				method, url, attempt+1, elapsed, StatusCode(lastErr), lastErr)
 			return fmt.Errorf("httpx: %s %s failed after %d attempts: %w", method, url, attempt+1, lastErr)
 		}
 		d := c.backoff(attempt)
 		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
-			c.Metrics.recordGiveUp(method)
-			if c.Logf != nil {
-				c.Logf("httpx: %s %s giving up, retry budget %s exhausted after %d attempts (last attempt took %s, status %d)%s: %v",
-					method, url, c.Budget, attempt+1, elapsed, StatusCode(lastErr), traceTag, lastErr)
-			}
+			ev.Logf("httpx: %s %s giving up, retry budget %s exhausted after %d attempts (last attempt took %s, status %d): %v",
+				method, url, c.Budget, attempt+1, elapsed, StatusCode(lastErr), lastErr)
 			return fmt.Errorf("httpx: %s %s: retry budget %s exhausted after %d attempts: %w", method, url, c.Budget, attempt+1, lastErr)
 		}
-		if c.Logf != nil {
-			c.Logf("httpx: %s %s attempt %d failed in %s: %v (retrying in %s)%s", method, url, attempt+1, elapsed, err, d, traceTag)
-		}
+		ev.Logf("httpx: %s %s attempt %d failed in %s: %v (retrying in %s)", method, url, attempt+1, elapsed, err, d)
 		if !sleepCtx(ctx, d) {
 			return fmt.Errorf("httpx: %s %s: %w", method, url, ctx.Err())
 		}
 	}
 }
 
-// endAttemptSpan closes a per-attempt client span with its classified
-// outcome: "ok", "retryable" (the loop will back off and try again unless
-// the budget trips), or "fatal" (a non-retryable rejection). Nil-safe.
-func endAttemptSpan(sp *trace.Span, end time.Time, err error) {
-	if sp == nil {
-		return
-	}
-	outcome := "ok"
+// attemptOutcome classifies one attempt: "ok", "retryable" (the loop will
+// back off and try again unless the budget trips), or "fatal" (a
+// non-retryable rejection).
+func attemptOutcome(err error) string {
 	switch {
 	case err == nil:
+		return "ok"
 	case Retryable(err):
-		outcome = "retryable"
-	default:
-		outcome = "fatal"
+		return "retryable"
 	}
-	if code := StatusCode(err); code != 0 {
-		sp.SetAttr("status", fmt.Sprintf("%d", code))
-	}
-	sp.End(end, trace.String("outcome", outcome))
+	return "fatal"
 }
 
 // attempt performs one request/response cycle. A valid sc is sent as the

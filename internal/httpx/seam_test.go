@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"crncompose/internal/metrics"
+	"crncompose/internal/trace"
 )
 
 func TestMetricsAndGiveUpLog(t *testing.T) {
@@ -24,8 +25,7 @@ func TestMetricsAndGiveUpLog(t *testing.T) {
 		BaseDelay:   1,
 		MaxDelay:    1,
 		Rand:        func(n int64) int64 { return 0 },
-		Logf:        func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
-		Metrics:     NewMetrics(reg),
+		Seam:        trace.NewSeam(nil, reg, func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }),
 	}
 	err := c.GetJSON(context.Background(), srv.URL, nil)
 	if err == nil {
@@ -41,9 +41,7 @@ func TestMetricsAndGiveUpLog(t *testing.T) {
 	}
 	exposition := b.String()
 	for _, want := range []string{
-		`crn_httpx_attempts_total{method="GET",outcome="retryable"} 3`,
-		`crn_httpx_giveups_total{method="GET"} 1`,
-		`crn_httpx_attempt_seconds_count 3`,
+		`crn_span_duration_seconds_count{name="httpx.attempt",outcome="retryable"} 3`,
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("missing %q in exposition:\n%s", want, exposition)
@@ -83,7 +81,7 @@ func TestMetricsOutcomes(t *testing.T) {
 	defer srv.Close()
 
 	reg := metrics.NewRegistry()
-	c := &Client{MaxAttempts: 1, Metrics: NewMetrics(reg)}
+	c := &Client{MaxAttempts: 1, Seam: trace.NewSeam(nil, reg, nil)}
 	if err := c.GetJSON(context.Background(), srv.URL+"/ok", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +94,14 @@ func TestMetricsOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`crn_httpx_attempts_total{method="GET",outcome="ok"} 1`,
-		`crn_httpx_attempts_total{method="GET",outcome="fatal"} 1`,
+		`crn_span_duration_seconds_count{name="httpx.attempt",outcome="ok"} 1`,
+		`crn_span_duration_seconds_count{name="httpx.attempt",outcome="fatal"} 1`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("missing %q in:\n%s", want, b.String())
 		}
 	}
-	// A fatal (4xx) rejection is not a give-up: the family header
-	// renders but no GET sample exists.
-	if strings.Contains(b.String(), `crn_httpx_giveups_total{`) {
-		t.Errorf("unexpected give-up sample:\n%s", b.String())
+	if strings.Contains(b.String(), `outcome="retryable"`) {
+		t.Errorf("a fatal rejection was counted as retryable:\n%s", b.String())
 	}
 }

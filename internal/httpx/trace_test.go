@@ -50,10 +50,9 @@ func TestTraceparentPropagationAndAttemptSpans(t *testing.T) {
 		MaxAttempts: 5,
 		BaseDelay:   1,
 		MaxDelay:    1,
-		Tracer:      tr,
-		Logf:        func(format string, args ...any) { logs = append(logs, sprintfFor(t, format, args...)) },
+		Seam:        trace.NewSeam(tr, nil, func(format string, args ...any) { logs = append(logs, sprintfFor(t, format, args...)) }),
 	}
-	ctx := trace.ContextSpan(context.Background(), root)
+	ctx := trace.ContextWith(context.Background(), root.Context())
 	var out struct{}
 	if err := c.PostJSON(ctx, srv.URL, struct{}{}, &out); err != nil {
 		t.Fatalf("PostJSON: %v", err)
@@ -127,10 +126,9 @@ func TestGiveUpLogCarriesTraceID(t *testing.T) {
 		MaxAttempts: 2,
 		BaseDelay:   1,
 		MaxDelay:    1,
-		Tracer:      tr,
-		Logf:        func(format string, args ...any) { logs = append(logs, sprintfFor(t, format, args...)) },
+		Seam:        trace.NewSeam(tr, nil, func(format string, args ...any) { logs = append(logs, sprintfFor(t, format, args...)) }),
 	}
-	err := c.GetJSON(trace.ContextSpan(context.Background(), root), srv.URL, nil)
+	err := c.GetJSON(trace.ContextWith(context.Background(), root.Context()), srv.URL, nil)
 	if err == nil {
 		t.Fatal("want give-up error")
 	}
@@ -162,7 +160,7 @@ func TestNoTracerStillPropagates(t *testing.T) {
 	root := tr.StartSpan(at(0), "root", trace.SpanContext{})
 	c := &Client{MaxAttempts: 1}
 	var out struct{}
-	if err := c.GetJSON(trace.ContextSpan(context.Background(), root), srv.URL, &out); err != nil {
+	if err := c.GetJSON(trace.ContextWith(context.Background(), root.Context()), srv.URL, &out); err != nil {
 		t.Fatalf("GetJSON: %v", err)
 	}
 	if want := root.Context().Traceparent(); got != want {

@@ -9,13 +9,12 @@
 // state produce identical bytes, matching the repo-wide byte-identity
 // discipline.
 //
-// The package never reads the wall clock. Timer and
-// Histogram.ObserveSince take the clock (or both endpoints) from the
-// caller, so engine packages — where crnlint's determinism analyzer
-// forbids time.Now — cannot launder a wall-clock read through a
-// metrics helper: the time.Now reference itself would appear at the
-// call site and be flagged. Wall-clock reads belong in cmd/, serve,
-// and dist, which already own them.
+// The package never reads the wall clock. Histogram.ObserveSince takes
+// both endpoints from the caller, so engine packages — where crnlint's
+// determinism analyzer forbids time.Now — cannot launder a wall-clock
+// read through a metrics helper: the time.Now reference itself would
+// appear at the call site and be flagged. Wall-clock reads belong in
+// cmd/, serve, and dist, which already own them (through trace.Seam).
 package metrics
 
 import (
@@ -35,17 +34,11 @@ import (
 // the conventional Prometheus latency buckets.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// Observer is anything observations can be fed to; *Histogram
-// implements it, and Timer records through it.
-type Observer interface {
-	Observe(v float64)
-}
-
 // Registry holds metric families and renders them. The zero value is
 // not usable; call NewRegistry. Registration is idempotent: asking
 // for a family that already exists with the same type and label names
 // returns the existing one, so independently initialized components
-// (serve cache, httpx seam, progress adapter) can share one registry
+// (serve cache, trace seams, progress adapters) can share one registry
 // without coordination. Re-registering a name with a different type
 // or label set panics — that is a programming error, caught at init.
 type Registry struct {
@@ -238,31 +231,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Timer measures one span against a caller-owned clock and reports
-// the elapsed seconds to an Observer.
-type Timer struct {
-	clock func() time.Time
-	start time.Time
-	obs   Observer
-}
-
-// StartTimer starts a span on the given clock. The clock is passed in
-// precisely so that deterministic packages cannot create timers: the
-// time.Now reference would appear at their call site.
-func StartTimer(clock func() time.Time, obs Observer) *Timer {
-	return &Timer{clock: clock, start: clock(), obs: obs}
-}
-
-// ObserveDuration reports the elapsed time to the Observer and
-// returns it.
-func (t *Timer) ObserveDuration() time.Duration {
-	d := t.clock().Sub(t.start)
-	if t.obs != nil {
-		t.obs.Observe(d.Seconds())
-	}
-	return d
-}
 
 // Counter returns the unlabeled counter with the given name,
 // registering the family on first use.

@@ -1,14 +1,11 @@
 package metrics
 
 import (
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"crncompose/internal/progress"
 )
 
 func render(t *testing.T, r *Registry) string {
@@ -142,24 +139,6 @@ func TestEmptyFamilyEmitsHeader(t *testing.T) {
 	}
 }
 
-func TestTimerUsesCallerClock(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_span_seconds", "Spans.", DefBuckets)
-	now := time.Unix(100, 0)
-	clock := func() time.Time { return now }
-	tm := StartTimer(clock, h)
-	now = now.Add(250 * time.Millisecond)
-	if d := tm.ObserveDuration(); d != 250*time.Millisecond {
-		t.Fatalf("ObserveDuration = %v", d)
-	}
-	if h.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", h.Count())
-	}
-	if got := h.Sum(); got != 0.25 {
-		t.Fatalf("Sum = %v, want 0.25", got)
-	}
-}
-
 func TestObserveSince(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_since_seconds", "Spans.", []float64{1})
@@ -180,52 +159,6 @@ func TestHandlerContentType(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "test_total 1") {
 		t.Fatalf("body missing sample:\n%s", rec.Body.String())
-	}
-}
-
-func TestProgressReporter(t *testing.T) {
-	r := NewRegistry()
-	p := NewProgressReporter(r)
-	grid := p.Run()
-	grid.Report(progress.Event{Stage: "reach.grid", Done: 4, Total: 16})
-	grid.Report(progress.Event{Stage: "reach.grid", Done: 16, Total: 16})
-	p.Run().Report(progress.Event{Stage: "sim", Done: 4096, Total: 0})
-
-	got := render(t, r)
-	for _, want := range []string{
-		`crn_progress_events_total{stage="reach.grid"} 2`,
-		`crn_progress_events_total{stage="sim"} 1`,
-		`crn_progress_units_total{stage="reach.grid"} 16`,
-		`crn_progress_units_total{stage="sim"} 4096`,
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("missing %q in:\n%s", want, got)
-		}
-	}
-}
-
-// TestProgressReporterConcurrentRuns pins the units counter to the sum of
-// every run's final Done when runs interleave, which a latest-Done gauge
-// could not report.
-func TestProgressReporterConcurrentRuns(t *testing.T) {
-	r := NewRegistry()
-	p := NewProgressReporter(r)
-	finals := []int64{700, 1300}
-	var wg sync.WaitGroup
-	for _, final := range finals {
-		run := p.Run()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for done := int64(0); done <= final; done += 100 {
-				run.Report(progress.Event{Stage: "reach.grid", Done: done, Total: final})
-			}
-		}()
-	}
-	wg.Wait()
-	want := fmt.Sprintf(`crn_progress_units_total{stage="reach.grid"} %d`, finals[0]+finals[1])
-	if got := render(t, r); !strings.Contains(got, want) {
-		t.Fatalf("missing %q in:\n%s", want, got)
 	}
 }
 

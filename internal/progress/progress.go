@@ -41,35 +41,3 @@ func Post(r Reporter, stage string, done, total int64) {
 		r.Report(Event{Stage: stage, Done: done, Total: total})
 	}
 }
-
-// multi fans every event out to a fixed set of reporters, in order.
-type multi []Reporter
-
-// Report implements Reporter.
-func (m multi) Report(e Event) {
-	for _, r := range m {
-		r.Report(e)
-	}
-}
-
-// Multi combines reporters into one that fans each event out to all of
-// them — how the serve layer feeds a single engine run into both the
-// metrics adapter and the tracing span adapter. Nil entries are dropped
-// (interface-nil only: passing a non-nil interface holding a nil pointer
-// is the caller's bug, same as with Post); zero live reporters yields nil,
-// and a single one is returned unwrapped.
-func Multi(rs ...Reporter) Reporter {
-	live := make(multi, 0, len(rs))
-	for _, r := range rs {
-		if r != nil {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}

@@ -753,6 +753,19 @@ type GridFailure struct {
 // are tolerated and counted separately).
 func (r GridResult) OK() bool { return r.Failure == nil }
 
+// Outcome names how a grid check that returned r and err ended, as the
+// outcome of the event instrumenting it: "error" (an enumeration error or
+// a cancellation), "failure" (a refuted input) or "ok".
+func Outcome(r GridResult, err error) string {
+	switch {
+	case err != nil:
+		return "error"
+	case !r.OK():
+		return "failure"
+	}
+	return "ok"
+}
+
 // Fold adds next, the result of the grid segment that follows r's in
 // canonical grid order, to r: counts sum, and the first failure ends the
 // fold — it becomes r's failure, and later segments are not added. Fold

@@ -124,13 +124,14 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 // synchronous /v1/check path runs the whole grid through it, and a local
 // job each of its rectangles.
 func (s *Server) checkGrid(ctx context.Context, j *checkJob, lo, hi []int64, parent trace.SpanContext) (reach.GridResult, error) {
-	rep, finish := s.reporterFor(parent)
-	defer finish()
-	return reach.CheckGridCtx(ctx, j.c, j.f, lo, hi,
+	prog := s.seam.Progress(time.Now, parent, 0)
+	res, err := reach.CheckGridCtx(ctx, j.c, j.f, lo, hi,
 		reach.WithMaxConfigs(j.cc.MaxConfigs),
 		reach.WithMaxCount(j.cc.MaxCount),
 		reach.WithWorkers(s.cfg.Workers),
-		reach.WithProgress(rep))
+		reach.WithProgress(prog))
+	prog.Finish(time.Now(), reach.Outcome(res, err))
+	return res, err
 }
 
 // handleCheck serves POST /v1/check.
@@ -159,16 +160,13 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := trace.FromContext(r.Context())
-	lookupStart := time.Now()
+	lookup := s.seam.Start(time.Now(), "serve.cache.lookup", sc)
 	val, ok := s.cache.get(j.key)
-	if s.tr != nil {
-		outcome := "miss"
-		if ok {
-			outcome = "hit"
-		}
-		s.tr.StartSpan(lookupStart, "serve.cache.lookup", sc).End(time.Now(),
-			trace.String("outcome", outcome))
+	outcome := "miss"
+	if ok {
+		outcome = "hit"
 	}
+	lookup.End(time.Now(), outcome)
 	if ok {
 		writeCached(w, val, cacheHit)
 		return

@@ -86,12 +86,12 @@ type asyncJob struct {
 
 	// parent is the span context of the submitting request (zero when that
 	// request was untraced) and submittedAt the admission instant — together
-	// they let the runner open a serve.job span that covers queue wait plus
-	// execution, in the submitter's trace. span is that open span; it is set
+	// they let the runner open a serve.job event that covers queue wait plus
+	// execution, in the submitter's trace. ev is that open event; it is set
 	// by runJob before execution and read only on the runner goroutine.
 	parent      trace.SpanContext
 	submittedAt time.Time
-	span        *trace.Span
+	ev          trace.Event
 
 	// co schedules and merges the job's rectangles while it runs; status
 	// reads progress from it. At the terminal transition its final count
@@ -254,7 +254,7 @@ func (s *Server) gcJobs() {
 		select {
 		case <-t.C:
 			if n := s.jobs.gc(s.jobs.now(), s.cfg.JobTTL); n > 0 {
-				s.logf("job gc: expired %d terminal job(s)", n)
+				s.seam.Logf("job gc: expired %d terminal job(s)", n)
 			}
 		case <-s.baseCtx.Done():
 			return
@@ -295,15 +295,18 @@ func (s *Server) runJobs() {
 
 // runJob executes one job to a terminal state and publishes its body to the
 // response cache. A job canceled before or during execution lands in
-// "canceled" with no partial result.
+// "canceled" with no partial result. A dist-mode job's coordinator closes
+// only after the terminal state is published: its linger for polling
+// workers does not delay the job, but it does hold the dispatcher slot, so
+// the next dist-mode job binds the address only once the listener is gone.
 func (s *Server) runJob(jb *asyncJob) {
-	// The serve.job span opens at the admission instant, so it covers queue
+	// The serve.job event opens at the admission instant, so it covers queue
 	// wait plus execution; the admission child makes the wait visible on its
 	// own. Both live in the submitting request's trace (jb.parent).
 	runStart := time.Now()
-	jb.span = s.tr.StartSpan(jb.submittedAt, "serve.job", jb.parent,
+	jb.ev = s.seam.Start(jb.submittedAt, "serve.job", jb.parent,
 		trace.String("job", jb.id[:min(12, len(jb.id))]))
-	s.tr.StartSpan(jb.submittedAt, "serve.job.admission", jb.span.Context()).End(runStart)
+	s.seam.Start(jb.submittedAt, "serve.job.admission", jb.ev.Context()).End(runStart, "ok")
 	var body []byte
 	var err error
 	if err = jb.ctx.Err(); err == nil {
@@ -312,8 +315,9 @@ func (s *Server) runJob(jb *asyncJob) {
 	}
 	s.jobs.mu.Lock()
 	from := jb.state
-	if jb.co != nil {
-		jb.rectsDone, jb.rects = jb.co.Progress()
+	co := jb.co
+	if co != nil {
+		jb.rectsDone, jb.rects = co.Progress()
 		jb.co = nil
 	}
 	switch {
@@ -333,12 +337,13 @@ func (s *Server) runJob(jb *asyncJob) {
 	terminal := jb.state
 	degraded := jb.degraded
 	s.jobs.mu.Unlock()
-	jb.span.End(time.Now(),
-		trace.String("state", terminal),
-		trace.Bool("degraded", degraded))
+	jb.ev.End(time.Now(), terminal, trace.Bool("degraded", degraded))
 	jb.cancel()
 	close(jb.done)
-	trace.Logf(s.logf, jb.span.Context())("job %.12s…: %s", jb.id, terminal)
+	jb.ev.Logf("job %.12s…: %s", jb.id, terminal)
+	if co != nil {
+		co.Close()
+	}
 }
 
 // execute runs the job's grid through a dist.Coordinator and returns the
@@ -367,8 +372,8 @@ func (s *Server) execute(jb *asyncJob) ([]byte, error) {
 		// each other's crn_dist_rects gauges.
 		cfg.Logf = s.cfg.Logf
 		cfg.Metrics = s.cfg.Metrics
-		cfg.Tracer = s.tr
-		cfg.TraceContext = jb.span.Context()
+		cfg.Tracer = s.cfg.Tracer
+		cfg.TraceContext = jb.ev.Context()
 	}
 	co, err := dist.NewCoordinator(cfg)
 	if err != nil {
@@ -392,29 +397,23 @@ func (s *Server) execute(jb *asyncJob) ([]byte, error) {
 }
 
 // rectChecker returns the job's in-process rectangle check: checkGrid on
-// the rectangle, under a serve.rect span in the job's trace. The check runs
+// the rectangle, under a serve.rect event in the job's trace. The check runs
 // under the job's context, so a DELETE lands within one chunk of work.
 func (s *Server) rectChecker(jb *asyncJob) func(context.Context, dist.Rect) (reach.GridResult, error) {
 	return func(ctx context.Context, r dist.Rect) (reach.GridResult, error) {
-		sp := s.tr.StartSpan(time.Now(), "serve.rect", jb.span.Context(),
+		ev := s.seam.Start(time.Now(), "serve.rect", jb.ev.Context(),
 			trace.Int("rect", int64(r.ID)))
-		res, err := s.checkGrid(ctx, jb.check, r.Lo, r.Hi, sp.Context())
-		outcome := "ok"
-		switch {
-		case err != nil:
-			outcome = "error"
-		case !res.OK():
-			outcome = "failure"
-		}
-		sp.End(time.Now(), trace.String("outcome", outcome))
+		res, err := s.checkGrid(ctx, jb.check, r.Lo, r.Hi, ev.Context())
+		ev.End(time.Now(), reach.Outcome(res, err))
 		return res, err
 	}
 }
 
 // runDist starts co on Config.DistCoordinator, where external workers
 // (`crncheck -join addr`) compute the rectangles, and waits for the merged
-// result under the job's context: a DELETE cancels the wait and shuts the
-// coordinator down, letting workers see the job disappear and exit.
+// result under the job's context: a DELETE cancels the wait, and runJob
+// then closes the coordinator, letting workers see the job disappear and
+// exit.
 //
 // Two failures degrade instead of failing the job (unless CoordinatorGrace
 // is negative): the coordinator cannot start on the address, or no
@@ -426,16 +425,16 @@ func (s *Server) rectChecker(jb *asyncJob) func(context.Context, dist.Rect) (rea
 func (s *Server) runDist(jb *asyncJob, co *dist.Coordinator) (reach.GridResult, error) {
 	addr, grace := s.cfg.DistCoordinator, s.cfg.CoordinatorGrace
 	degrade := func(reason string) (reach.GridResult, error) {
-		trace.Logf(s.logf, jb.span.Context())("job %.12s…: degraded, finishing locally: %s", jb.id, reason)
+		jb.ev.Logf("job %.12s…: degraded, finishing locally: %s", jb.id, reason)
 		s.met.degraded()
 		s.jobs.mu.Lock()
 		jb.degraded = true
 		jb.degradedReason = reason
 		s.jobs.mu.Unlock()
-		sp := s.tr.StartSpan(time.Now(), "serve.degrade", jb.span.Context(),
+		ev := s.seam.Start(time.Now(), "serve.degrade", jb.ev.Context(),
 			trace.String("reason", reason))
 		res, err := co.RunLocal(jb.ctx, s.rectChecker(jb))
-		sp.End(time.Now())
+		ev.End(time.Now(), reach.Outcome(res, err))
 		return res, err
 	}
 	if err := co.Start(addr); err != nil {
@@ -444,7 +443,6 @@ func (s *Server) runDist(jb *asyncJob, co *dist.Coordinator) (reach.GridResult, 
 		}
 		return degrade(fmt.Sprintf("coordinator could not start on %s: %v", addr, err))
 	}
-	defer shutdown(co)
 	// Each Wait is bounded by one tick of the stall watchdog.
 	const tick = 200 * time.Millisecond
 	lastDone, lastChange := 0, time.Now()
@@ -453,12 +451,7 @@ func (s *Server) runDist(jb *asyncJob, co *dist.Coordinator) (reach.GridResult, 
 		res, err := co.Wait(wctx)
 		ticked := wctx.Err() != nil
 		cancel()
-		switch {
-		case err == nil:
-			// Linger one poll cycle so workers observe Done (as dist.Run does).
-			time.Sleep(tick)
-			return res, nil
-		case !ticked || jb.ctx.Err() != nil:
+		if err == nil || !ticked || jb.ctx.Err() != nil {
 			return res, err
 		}
 		done, total := co.Progress()
@@ -466,17 +459,10 @@ func (s *Server) runDist(jb *asyncJob, co *dist.Coordinator) (reach.GridResult, 
 			lastDone, lastChange = done, time.Now()
 		}
 		if grace > 0 && time.Since(lastChange) >= grace {
-			shutdown(co)
+			co.Close()
 			return degrade(fmt.Sprintf("no rectangle completed for %s (%d/%d done); workers presumed lost", grace, done, total))
 		}
 	}
-}
-
-// shutdown stops co's listener, giving in-flight requests a second.
-func shutdown(co *dist.Coordinator) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = co.Shutdown(ctx)
 }
 
 // handleJobSubmit serves POST /v1/jobs: the body is a CheckRequest; the

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -251,4 +253,57 @@ func freeAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	_ = ln.Close()
 	return addr
+}
+
+// TestJobDistDoneBeforeLinger: a dist-mode job reads done before its
+// coordinator's listener closes, so the linger that lets polling workers
+// see Done does not delay the job's terminal state. The test parks one idle
+// keep-alive connection on the coordinator; the listener's shutdown closes
+// it, and at that instant the job must already be done.
+func TestJobDistDoneBeforeLinger(t *testing.T) {
+	addr := freeAddr(t)
+	s, ts := newTestServer(t, Config{
+		Shards:           2,
+		DistCoordinator:  addr,
+		LeaseTTL:         5 * time.Second,
+		CoordinatorGrace: time.Minute,
+	})
+	js := submitJob(t, ts.URL, 3)
+	var conn net.Conn
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		var err error
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never listened on %s: %v", addr, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "GET /status HTTP/1.1\r\nHost: %s\r\n\r\n", addr)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	workerDone := make(chan error, 1)
+	go func() {
+		w := &dist.Worker{Coordinator: addr, Name: "w", Workers: 1, Resolve: resolveLibrary, LongPoll: 200 * time.Millisecond}
+		workerDone <- w.Run(ctx)
+	}()
+	if _, err := br.ReadByte(); err == nil {
+		t.Fatal("coordinator wrote on an idle connection")
+	}
+	if st := s.jobs.status(s.jobs.get(js.ID)); st.State != jobDone {
+		t.Fatalf("coordinator closed while the job was %q; done must be published first", st.State)
+	}
+	if err := <-workerDone; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
 }

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"crncompose/internal/httpx"
 	"crncompose/internal/metrics"
-	"crncompose/internal/progress"
 	"crncompose/internal/trace"
 )
 
@@ -23,9 +21,11 @@ import (
 //	crn_jobs_total{state}                        counter   — terminal transitions
 //	crn_jobs_submitted_total                     counter
 //	crn_jobs_degraded_total                      counter   — dist→local fallbacks
-//	crn_progress_*{stage}                        the engine-progress adapter
 //	crn_cache_*                                  registered by newResultCache
-//	crn_httpx_*                                  the retry-client seam
+//
+// The server's trace.Seam adds crn_span_duration_seconds{name,outcome}
+// (serve.* events and engine stages) and, through each engine run's
+// progress adapter, crn_progress_*{stage}.
 //
 // The endpoint label is the mux route pattern ("/v1/jobs/{id}"), not
 // the raw path, so label cardinality stays bounded.
@@ -42,16 +42,6 @@ type serveMetrics struct {
 	jobsFailed    *metrics.Counter
 	jobsCanceled  *metrics.Counter
 	jobsDegraded  *metrics.Counter
-
-	// progress feeds every engine run (sync checks, local job
-	// rectangles, classify/synthesize/simulate) into the per-stage
-	// families without touching engine code.
-	progress *metrics.ProgressReporter
-
-	// httpx is the retry-client seam registered on the same registry,
-	// so one scrape covers any in-process httpx client this server
-	// grows (and the families are advertised even while unused).
-	httpx *httpx.Metrics
 }
 
 func newServeMetrics(reg *metrics.Registry) *serveMetrics {
@@ -73,8 +63,6 @@ func newServeMetrics(reg *metrics.Registry) *serveMetrics {
 		"Async grid jobs created (identical re-submissions attach to the existing job and are not counted).")
 	m.jobsDegraded = reg.Counter("crn_jobs_degraded_total",
 		"Dist handoffs that fell back to local execution (byte-identical result, degraded marker).")
-	m.progress = metrics.NewProgressReporter(reg)
-	m.httpx = httpx.NewMetrics(reg)
 	return m
 }
 
@@ -134,33 +122,6 @@ func (m *serveMetrics) jobTotals() map[string]uint64 {
 	}
 }
 
-// progressReporter returns a fresh metrics reporter for one engine run
-// (see metrics.ProgressReporter.Run); a typed nil never escapes
-// (progress.Post would treat a non-nil interface holding a nil pointer
-// as live).
-func (s *Server) progressReporter() progress.Reporter {
-	if s.met == nil {
-		return nil
-	}
-	return s.met.progress.Run()
-}
-
-// reporterFor builds the reporter for one engine run: the run's metrics
-// progress adapter teed with a tracing one that turns engine stage events
-// into child spans of parent. finish must be called once the engine run
-// completes — it ends the open stage spans; it is safe to call when
-// tracing is off. The engines themselves never see a clock or a span:
-// stage timestamps come from this layer's clock via the adapter (the
-// caller-owned-clock contract).
-func (s *Server) reporterFor(parent trace.SpanContext) (rep progress.Reporter, finish func()) {
-	base := s.progressReporter()
-	tp := trace.NewProgressReporter(s.tr, time.Now, parent)
-	if tp == nil {
-		return base, func() {}
-	}
-	return progress.Multi(base, tp), func() { tp.Finish(time.Now()) }
-}
-
 // statusRecorder captures the status code written by a handler for
 // the request counter.
 type statusRecorder struct {
@@ -174,37 +135,53 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // instrument wraps a handler with the per-endpoint duration histogram
-// and request counter, and — for the /v1/* API routes of a tracing
-// server — a serve.request root span. An incoming W3C traceparent header
-// continues the caller's trace (that is how an httpx client's attempt
-// span becomes this request's parent across processes); otherwise the
-// request starts a fresh one. The span context rides the request context
-// so everything downstream (cache layer, engines via the progress
-// adapter, the dist handoff) parents under it. The wall-clock read lives
-// here, in the serve layer — never in engine code (the crnlint
+// and request counter, and — for the /v1/* API routes — a serve.request
+// event on the server's seam. On a tracing server an incoming W3C
+// traceparent header continues the caller's trace (that is how an httpx
+// client's attempt span becomes this request's parent across processes);
+// otherwise the request starts a fresh one. The span context rides the
+// request context so everything downstream (cache layer, engines via the
+// progress adapter, the dist handoff) parents under it. The wall-clock
+// read lives here, in the serve layer — never in engine code (the crnlint
 // determinism contract).
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	traced := s.tr != nil && strings.HasPrefix(endpoint, "/v1/")
-	if s.met == nil && !traced {
-		return h
-	}
+	api := strings.HasPrefix(endpoint, "/v1/")
+	traced := api && s.cfg.Tracer != nil
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		var sp *trace.Span
-		if traced {
-			// A missing or malformed header just starts a new trace.
-			parent, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
-			sp = s.tr.StartSpan(start, "serve.request", parent,
+		var ev trace.Event
+		if api {
+			var parent trace.SpanContext
+			if traced {
+				// A missing or malformed header just starts a new trace.
+				parent, _ = trace.ParseTraceparent(r.Header.Get("traceparent"))
+			}
+			ev = s.seam.Start(start, "serve.request", parent,
 				trace.String("endpoint", endpoint),
 				trace.String("method", r.Method))
-			r = r.WithContext(trace.ContextSpan(r.Context(), sp))
+			if traced {
+				r = r.WithContext(trace.ContextWith(r.Context(), ev.Context()))
+			}
 		}
 		h(rec, r)
-		sp.End(time.Now(), trace.Int("code", int64(rec.code)))
+		end := time.Now()
+		ev.End(end, requestOutcome(rec.code), trace.Int("code", int64(rec.code)))
 		if s.met != nil {
-			s.met.reqDur.With(endpoint).Observe(time.Since(start).Seconds())
+			s.met.reqDur.With(endpoint).ObserveSince(start, end)
 			s.met.reqTotal.With(endpoint, strconv.Itoa(rec.code)).Inc()
 		}
 	}
+}
+
+// requestOutcome is a serve.request event's outcome: "ok" below 400,
+// "rejected" for a 4xx, "error" for a 5xx.
+func requestOutcome(code int) string {
+	switch {
+	case code >= 500:
+		return "error"
+	case code >= 400:
+		return "rejected"
+	}
+	return "ok"
 }

@@ -2,15 +2,22 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"crncompose/internal/dist"
+	"crncompose/internal/httpx"
 	"crncompose/internal/metrics"
+	"crncompose/internal/parse"
 	"crncompose/internal/trace"
 )
 
@@ -72,9 +79,10 @@ func atLeast(t *testing.T, series map[string]string, name string, min float64) {
 
 // TestMetricsEndpoint drives one cache miss and one hit through /v1/check
 // and asserts the scrape: valid exposition, cache counters, the
-// per-endpoint latency histogram, engine progress, and the advertised
-// httpx/jobs families. The /metrics route itself must not appear as an
-// endpoint label — a scrape should not grow the families it reads.
+// per-endpoint latency histogram, engine progress, the seam's span
+// durations, and the advertised jobs families. The /metrics route itself
+// must not appear as an endpoint label — a scrape should not grow the
+// families it reads.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	hi := int64(1)
@@ -94,6 +102,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	atLeast(t, series, `crn_http_requests_total{endpoint="/v1/check",code="200"}`, 2)
 	atLeast(t, series, `crn_progress_events_total{stage="reach.grid"}`, 1)
 	atLeast(t, series, `crn_progress_units_total{stage="reach.grid"}`, 1)
+	atLeast(t, series, `crn_span_duration_seconds_count{name="serve.request",outcome="ok"}`, 2)
+	atLeast(t, series, `crn_span_duration_seconds_count{name="serve.cache.lookup",outcome="hit"}`, 1)
+	atLeast(t, series, `crn_span_duration_seconds_count{name="serve.compute",outcome="ok"}`, 1)
 	atLeast(t, series, "crn_jobs_submitted_total", 0)
 	atLeast(t, series, `crn_jobs{state="queued"}`, 0)
 	for name := range series {
@@ -105,7 +116,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestMetricsSharedRegistry: a caller-supplied registry receives the
 // server's families (the embedding pattern: one registry, one scrape for
-// the whole process), including the advertised-but-unused httpx seam.
+// the whole process), the seam's crn_span_duration_seconds included.
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := metrics.NewRegistry()
 	_, ts := newTestServer(t, Config{Metrics: reg})
@@ -121,7 +132,7 @@ func TestMetricsSharedRegistry(t *testing.T) {
 		"# TYPE crn_cache_hits_total counter",
 		"# TYPE crn_http_request_duration_seconds histogram",
 		"# TYPE crn_jobs gauge",
-		"# TYPE crn_httpx_attempts_total counter",
+		"# TYPE crn_span_duration_seconds histogram",
 		"# TYPE crn_progress_events_total counter",
 	} {
 		if !strings.Contains(out, want) {
@@ -195,5 +206,91 @@ func TestMetricsSpanCountsLocalJobs(t *testing.T) {
 			t.Fatalf("crn_trace_spans_total = %s, tracer recorded %s", got, want)
 		}
 		return
+	}
+}
+
+// TestSeamNameSet pins crn_span_duration_seconds' name label to the one
+// documented list, trace.SpanNames, the way internal/progress pins stage
+// names: after a sync check, a simulation, a local job, a coordinator with
+// one worker and an httpx retry, all on one registry, every name observed
+// is on the list, so label cardinality stays bounded.
+func TestSeamNameSet(t *testing.T) {
+	reg := metrics.NewRegistry()
+	_, ts := newTestServer(t, Config{Metrics: reg, Shards: 2, Tracer: trace.New(trace.Options{Proc: "serve-test"})})
+	hi := int64(1)
+	if status, _, body := post(t, ts.URL+"/v1/check", CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi}); status != http.StatusOK {
+		t.Fatalf("sync check: %d %s", status, body)
+	}
+	if status, _, body := post(t, ts.URL+"/v1/simulate", SimulateRequest{CRN: minCRNText, X: []int64{2, 1}}); status != http.StatusOK {
+		t.Fatalf("simulate: %d %s", status, body)
+	}
+	if final := awaitJob(t, ts.URL, submitJob(t, ts.URL, 3).ID); final.State != jobDone {
+		t.Fatalf("local job: %+v", final)
+	}
+
+	minCRN, err := parse.Parse(minCRNText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := dist.NewCoordinator(dist.CoordinatorConfig{
+		CRN: minCRN, Func: "min", Lo: []int64{0, 0}, Hi: []int64{2, 2},
+		Shards: 2, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w := &dist.Worker{Coordinator: co.Addr().String(), Name: "w", Workers: 1, Resolve: resolveLibrary}
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if _, err := co.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	var calls atomic.Int64
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprint(w, "{}")
+	}))
+	defer busy.Close()
+	c := &httpx.Client{Seam: trace.NewSeam(nil, reg, nil), Rand: func(int64) int64 { return 0 }}
+	if err := c.GetJSON(ctx, busy.URL, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	known := make(map[string]bool)
+	for _, name := range trace.SpanNames {
+		known[name] = true
+	}
+	seen := make(map[string]bool)
+	count := regexp.MustCompile(`^crn_span_duration_seconds_count\{name="([^"]*)",outcome="[^"]*"\} [1-9]`)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if m := count.FindStringSubmatch(line); m != nil {
+			if !known[m[1]] {
+				t.Errorf("event name %q is not in trace.SpanNames", m[1])
+			}
+			seen[m[1]] = true
+		}
+	}
+	for _, want := range []string{
+		"serve.request", "serve.cache.lookup", "serve.compute", "serve.job", "serve.rect",
+		"dist.job", "dist.lease", "dist.merge", "httpx.attempt", "reach.grid",
+	} {
+		if !seen[want] {
+			t.Errorf("no %s observation in:\n%s", want, b.String())
+		}
 	}
 }

@@ -55,6 +55,15 @@
 // status. DELETE /v1/jobs/{id} cancels a job; on SIGTERM the
 // server drains (Drain): admission closes, in-flight jobs finish (or are
 // canceled at the drain deadline), and the process exits cleanly.
+//
+// # Instrumentation
+//
+// Every serve event — a /v1/* request, its cache lookup or computation, a
+// job, its queue wait and rectangles, a degradation, each engine run's
+// stages — is one call on the server's trace.Seam: it records the span
+// (Config.Tracer), observes crn_span_duration_seconds{name,outcome}
+// (Config.Metrics) and stamps the event's log lines (Config.Logf) with its
+// trace and span ids. A dist-mode job's coordinator shares all three.
 package serve
 
 import (
@@ -70,6 +79,7 @@ import (
 
 	"crncompose/internal/classify"
 	"crncompose/internal/core"
+	"crncompose/internal/crn"
 	"crncompose/internal/metrics"
 	"crncompose/internal/parse"
 	"crncompose/internal/progress"
@@ -138,9 +148,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// Metrics is the registry GET /metrics renders and every server
 	// counter registers on (cache, jobs, per-endpoint latency, engine
-	// progress, the httpx seam). Nil gets a private registry, so the
-	// endpoint always works; inject one to aggregate several components
-	// onto a single scrape.
+	// progress, crn_span_duration_seconds). Nil gets a private registry,
+	// so the endpoint always works; inject one to aggregate several
+	// components onto a single scrape.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records spans: a serve.request root per /v1/*
 	// request (continuing an incoming W3C traceparent header when one is
@@ -148,7 +158,8 @@ type Config struct {
 	// spans via the progress adapter, and per-job spans for async jobs —
 	// handed onward to the dist coordinator in dist mode so one trace id
 	// spans submitter, coordinator, and workers. Nil disables tracing; the
-	// request path then pays only a pointer check.
+	// request path then still observes each event's duration, but records
+	// no span.
 	Tracer *trace.Tracer
 }
 
@@ -159,7 +170,9 @@ type Server struct {
 	cache *resultCache
 	jobs  *jobTable
 	met   *serveMetrics
-	tr    *trace.Tracer
+	// seam instruments every serve event (requests, cache layer, jobs,
+	// rectangles, engine runs) on the server's tracer, registry and Logf.
+	seam *trace.Seam
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -208,22 +221,16 @@ func New(cfg Config) *Server {
 		cache: newResultCache(cfg.CacheMax),
 		jobs:  newJobTable(),
 		met:   newServeMetrics(cfg.Metrics),
-		tr:    cfg.Tracer,
+		seam:  trace.NewSeam(cfg.Tracer, cfg.Metrics, cfg.Logf),
 	}
 	s.cache.register(cfg.Metrics)
-	s.tr.CountSpans(cfg.Metrics)
+	cfg.Tracer.CountSpans(cfg.Metrics)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	go s.runJobs()
 	if cfg.JobTTL > 0 {
 		go s.gcJobs()
 	}
 	return s
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 func (s *Server) computed(op string) {
@@ -267,20 +274,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// cacheDo wraps resultCache.do with a span naming how the response was
+// cacheDo wraps resultCache.do with an event naming how the response was
 // produced — serve.cache.hit (replayed), serve.singleflight.park (joined an
 // identical in-flight computation), serve.compute (this request ran the
-// engine). The span is recorded retroactively, after do returns, because
+// engine). The event is started retroactively, after do returns, because
 // which of the three happened is only known then; its start is the instant
 // the request entered the cache layer, so durations are still honest.
 func (s *Server) cacheDo(ctx context.Context, op, key string, compute func() (cached, error)) (cached, string, error) {
-	if s.tr == nil {
-		val, source, err := s.cache.do(key, compute)
-		return val, source, err
-	}
 	start := time.Now()
 	val, source, err := s.cache.do(key, compute)
-	parent := trace.FromContext(ctx)
 	name := "serve.compute"
 	switch source {
 	case cacheHit:
@@ -288,12 +290,22 @@ func (s *Server) cacheDo(ctx context.Context, op, key string, compute func() (ca
 	case cacheDedup:
 		name = "serve.singleflight.park"
 	}
-	sp := s.tr.StartSpan(start, name, parent, trace.String("op", op))
+	ev := s.seam.Start(start, name, trace.FromContext(ctx), trace.String("op", op))
+	outcome := "ok"
 	if err != nil {
-		sp.SetAttr("error", err.Error())
+		outcome = "error"
+		ev.SetAttr("error", err.Error())
 	}
-	sp.End(time.Now())
+	ev.End(time.Now(), outcome)
 	return val, source, err
+}
+
+// runOutcome is an engine run's outcome for its progress adapter.
+func runOutcome(err error) string {
+	if err != nil {
+		return "error"
+	}
+	return "ok"
 }
 
 // Stats is the GET /v1/stats document. Cache and JobsTotal read from
@@ -358,9 +370,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}{1, "classify", req.Func, req.Bound})
 	val, source, err := s.cacheDo(r.Context(), "classify", key, func() (cached, error) {
 		s.computed("classify")
-		rep, finish := s.reporterFor(trace.FromContext(r.Context()))
-		defer finish()
-		res, err := classify.Analyze(f, classify.Options{Bound: req.Bound, WitnessSearch: true, Progress: rep})
+		prog := s.seam.Progress(time.Now, trace.FromContext(r.Context()), 0)
+		res, err := classify.Analyze(f, classify.Options{Bound: req.Bound, WitnessSearch: true, Progress: prog})
+		prog.Finish(time.Now(), runOutcome(err))
 		if err != nil {
 			return cached{}, err
 		}
@@ -426,9 +438,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}{1, "synthesize", req.Func, req.Bound, req.N, req.Leaderless})
 	val, source, err := s.cacheDo(r.Context(), "synthesize", key, func() (cached, error) {
 		s.computed("synthesize")
-		rep, finish := s.reporterFor(trace.FromContext(r.Context()))
-		defer finish()
-		resp, err := synthesize(f, req, rep)
+		prog := s.seam.Progress(time.Now, trace.FromContext(r.Context()), 0)
+		resp, err := synthesize(f, req, prog)
+		prog.Finish(time.Now(), runOutcome(err))
 		if err != nil {
 			return cached{}, err
 		}
@@ -535,11 +547,21 @@ type SimulateResponse struct {
 	Summary SimSummary `json:"summary"`
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
+// simJob is a fully resolved simulation: the canonical request (defaults
+// filled in, CRN re-rendered through parse→String), its content address,
+// and the runner and initial configuration it resolves to.
+type simJob struct {
+	req    SimulateRequest
+	key    string
+	runner sim.Runner
+	start  crn.Config
+}
+
+// resolveSimulate canonicalizes a SimulateRequest the way resolveCheck does
+// a CheckRequest: fill defaults, apply the admission bounds, resolve the
+// method, parse the CRN and check the input arity. Errors are client errors
+// (http.StatusBadRequest).
+func resolveSimulate(req SimulateRequest) (*simJob, error) {
 	if req.Method == "" {
 		req.Method = "fair"
 	}
@@ -553,16 +575,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		req.MaxSteps = 50_000_000
 	}
 	if req.Trials > MaxSimTrials {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("trials %d exceeds the per-request bound %d", req.Trials, MaxSimTrials))
-		return
+		return nil, fmt.Errorf("trials %d exceeds the per-request bound %d", req.Trials, MaxSimTrials)
 	}
 	if req.MaxSteps > MaxSimMaxSteps {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("maxsteps %d exceeds the per-request bound %d", req.MaxSteps, MaxSimMaxSteps))
-		return
+		return nil, fmt.Errorf("maxsteps %d exceeds the per-request bound %d", req.MaxSteps, MaxSimMaxSteps)
 	}
 	if req.SilentSteps < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("negative silent steps"))
-		return
+		return nil, fmt.Errorf("negative silent steps")
 	}
 	var runner sim.Runner
 	switch req.Method {
@@ -571,40 +590,52 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	case "gillespie":
 		runner = sim.Gillespie
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown method %q", req.Method))
-		return
+		return nil, fmt.Errorf("unknown method %q", req.Method)
 	}
 	c, err := parse.Parse(req.CRN)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	if len(req.X) != c.Dim() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("x has %d values, CRN takes %d inputs", len(req.X), c.Dim()))
-		return
+		return nil, fmt.Errorf("x has %d values, CRN takes %d inputs", len(req.X), c.Dim())
 	}
 	start, err := c.InitialConfig(req.X)
+	if err != nil {
+		return nil, err
+	}
+	req.CRN = c.String()
+	return &simJob{
+		req: req,
+		key: requestKey(struct {
+			V  int    `json:"v"`
+			Op string `json:"op"`
+			SimulateRequest
+		}{1, "simulate", req}),
+		runner: runner,
+		start:  start,
+	}, nil
+}
+
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	var body SimulateRequest
+	if !readJSON(w, r, &body) {
+		return
+	}
+	j, err := resolveSimulate(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := requestKey(struct {
-		V  int    `json:"v"`
-		Op string `json:"op"`
-		SimulateRequest
-	}{1, "simulate", SimulateRequest{
-		CRN: c.String(), X: req.X, Method: req.Method, Trials: req.Trials,
-		Seed: req.Seed, MaxSteps: req.MaxSteps, SilentSteps: req.SilentSteps,
-	}})
-	val, source, err := s.cacheDo(r.Context(), "simulate", key, func() (cached, error) {
+	req := j.req
+	val, source, err := s.cacheDo(r.Context(), "simulate", j.key, func() (cached, error) {
 		s.computed("simulate")
-		rep, finish := s.reporterFor(trace.FromContext(r.Context()))
-		defer finish()
-		opts := []sim.Option{sim.WithMaxSteps(req.MaxSteps), sim.WithProgress(rep)}
+		prog := s.seam.Progress(time.Now, trace.FromContext(r.Context()), 0)
+		opts := []sim.Option{sim.WithMaxSteps(req.MaxSteps), sim.WithProgress(prog)}
 		if req.SilentSteps > 0 {
 			opts = append(opts, sim.WithSilentSteps(req.SilentSteps))
 		}
-		results := sim.Ensemble(runner, start, req.Trials, req.Seed, opts...)
+		results := sim.Ensemble(j.runner, j.start, req.Trials, req.Seed, opts...)
+		prog.Finish(time.Now(), "ok")
 		resp := SimulateResponse{Trials: make([]SimTrial, len(results))}
 		for i, res := range results {
 			resp.Trials[i] = SimTrial{
@@ -643,7 +674,7 @@ func (s *Server) Start(addr string) error {
 	s.ln = ln
 	s.srv = &http.Server{Handler: s.Handler()}
 	go func() { _ = s.srv.Serve(ln) }()
-	s.logf("serving on %s (workers=%d cache-max=%d sync-grid=%d dist=%q)",
+	s.seam.Logf("serving on %s (workers=%d cache-max=%d sync-grid=%d dist=%q)",
 		ln.Addr(), s.cfg.Workers, s.cfg.CacheMax, s.cfg.SyncGridLimit, s.cfg.DistCoordinator)
 	return nil
 }
@@ -675,14 +706,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // nil after a best-effort stop so callers can exit 0 on SIGTERM.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	s.logf("drain: admission closed; awaiting jobs")
+	s.seam.Logf("drain: admission closed; awaiting jobs")
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
 wait:
 	for !s.jobs.allTerminal() {
 		select {
 		case <-ctx.Done():
-			s.logf("drain: deadline reached; canceling remaining jobs")
+			s.seam.Logf("drain: deadline reached; canceling remaining jobs")
 			s.cancel()
 			break wait
 		case <-tick.C:
@@ -695,7 +726,7 @@ wait:
 	select {
 	case <-runnersDone:
 	case <-time.After(5 * time.Second):
-		s.logf("drain: job runners still unwinding at exit")
+		s.seam.Logf("drain: job runners still unwinding at exit")
 	}
 	s.cancel()
 	if s.srv != nil {
@@ -703,7 +734,7 @@ wait:
 		defer cancel()
 		_ = s.srv.Shutdown(sctx)
 	}
-	s.logf("drain: complete")
+	s.seam.Logf("drain: complete")
 	return nil
 }
 

@@ -13,7 +13,14 @@
 // where the analyzer flags it. Engines never trace themselves; the serving
 // layers (httpx, serve, dist, the CLIs) own both the spans and the clocks,
 // and engine work shows up as spans via the progress adapter
-// (ProgressReporter), whose clock is injected by those layers too.
+// (Seam.Progress), whose clock is injected by those layers too.
+//
+// # One seam per layer
+//
+// A layer instruments an event with one call: Seam.Start opens it, and its
+// End records the span, observes crn_span_duration_seconds{name,outcome}
+// and closes it, while its Logf stamps the event's log lines with the trace
+// and span ids. Event names come from the fixed SpanNames list.
 //
 // # Propagation
 //
@@ -121,16 +128,6 @@ func ContextWith(ctx context.Context, sc SpanContext) context.Context {
 func FromContext(ctx context.Context) SpanContext {
 	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
 	return sc
-}
-
-// ContextSpan returns ctx carrying sp's context, or ctx unchanged when sp
-// is nil (tracing disabled) — the one-liner for threading a new span into
-// downstream calls without a nil guard.
-func ContextSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return ContextWith(ctx, sp.Context())
 }
 
 // Attr is one key=value span attribute. Values are strings on the wire;
@@ -428,18 +425,4 @@ func (sp *Span) End(now time.Time, attrs ...Attr) {
 	}
 	sp.mu.Unlock()
 	sp.t.Record(d)
-}
-
-// Logf wraps base so every line it emits carries the active trace and span
-// id as trailing key=value fields — the cross-reference between the log
-// stream and /debug/traces. An invalid sc returns base unchanged; a nil
-// base returns nil (callers keep their own nil-Logf guards).
-func Logf(base func(format string, args ...any), sc SpanContext) func(format string, args ...any) {
-	if base == nil || !sc.Valid() {
-		return base
-	}
-	suffix := " trace=" + sc.TraceID.String() + " span=" + sc.SpanID.String()
-	return func(format string, args ...any) {
-		base(format+"%s", append(args, suffix)...)
-	}
 }

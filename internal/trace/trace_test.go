@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"crncompose/internal/metrics"
 	"crncompose/internal/progress"
 )
 
@@ -283,34 +285,89 @@ func TestLogfStamping(t *testing.T) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}
 	tr := testTracer(16)
-	sp := tr.StartSpan(at(1), "op", SpanContext{})
-	logf := Logf(base, sp.Context())
-	logf("leased rect %d", 7)
-	want := "leased rect 7 trace=" + sp.Context().TraceID.String() + " span=" + sp.Context().SpanID.String()
+	ev := NewSeam(tr, nil, base).Start(at(1), "op", SpanContext{})
+	ev.Logf("leased rect %d", 7)
+	want := "leased rect 7 trace=" + ev.Context().TraceID.String() + " span=" + ev.Context().SpanID.String()
 	if len(lines) != 1 || lines[0] != want {
 		t.Fatalf("got %q, want %q", lines, want)
 	}
-	if got := Logf(base, SpanContext{}); got == nil {
-		// invalid context returns base unchanged
-		t.Fatal("Logf with invalid context must return base")
+	// Untraced, an event stamps its parent's ids, and with no valid
+	// context at all the line goes out unstamped.
+	untraced := NewSeam(nil, nil, base)
+	untraced.Start(at(1), "op", ev.Context()).Logf("child")
+	untraced.Start(at(1), "op", SpanContext{}).Logf("bare")
+	if len(lines) != 3 || lines[1] != "child"+want[len("leased rect 7"):] || lines[2] != "bare" {
+		t.Fatalf("untraced lines %q", lines[1:])
 	}
-	if Logf(nil, sp.Context()) != nil {
-		t.Fatal("Logf with nil base must return nil")
+	// No log hook, or no seam: nothing is emitted and nothing panics.
+	NewSeam(tr, nil, nil).Start(at(1), "op", SpanContext{}).Logf("dropped")
+	var nilSeam *Seam
+	nilSeam.Start(at(1), "op", SpanContext{}).Logf("dropped")
+	nilSeam.Logf("dropped")
+	if len(lines) != 3 {
+		t.Fatalf("lines emitted without a hook: %q", lines[3:])
 	}
+}
+
+// TestSeamEnd pins the one-call contract: End records the span with its
+// outcome attribute and observes crn_span_duration_seconds{name,outcome}
+// over the caller's instants; either half works without the other.
+func TestSeamEnd(t *testing.T) {
+	tr := testTracer(16)
+	reg := metrics.NewRegistry()
+	s := NewSeam(tr, reg, nil)
+	ev := s.Start(at(10), "dist.lease", SpanContext{}, Int("rect", 3))
+	ev.End(at(260), "ok", Int("extra", 1))
+	s.Start(at(0), "dist.lease", ev.Context()).End(at(2000), "expired")
+
+	spans := tr.Snapshot()
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(spans))
+	}
+	if d := spans[0]; d.Name != "dist.lease" || d.Attrs["outcome"] != "ok" ||
+		d.Attrs["rect"] != "3" || d.Attrs["extra"] != "1" || d.End != at(260).UnixNano() {
+		t.Fatalf("span %+v", d)
+	}
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`crn_span_duration_seconds_count{name="dist.lease",outcome="ok"} 1`,
+		`crn_span_duration_seconds_sum{name="dist.lease",outcome="ok"} 0.25`,
+		`crn_span_duration_seconds_bucket{name="dist.lease",outcome="ok",le="0.1"} 0`,
+		`crn_span_duration_seconds_bucket{name="dist.lease",outcome="ok",le="0.25"} 1`,
+		`crn_span_duration_seconds_count{name="dist.lease",outcome="expired"} 1`,
+		`crn_span_duration_seconds_bucket{name="dist.lease",outcome="expired",le="300"} 1`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("missing %q in:\n%s", want, b.String())
+		}
+	}
+
+	// Metrics only: no span, and the parent still propagates.
+	untraced := NewSeam(nil, reg, nil).Start(at(0), "serve.request", ev.Context())
+	if untraced.Context() != ev.Context() {
+		t.Fatalf("untraced event context %+v, want its parent %+v", untraced.Context(), ev.Context())
+	}
+	untraced.End(at(1), "ok")
+	if n := len(tr.Snapshot()); n != 2 {
+		t.Fatalf("untraced event recorded a span: %d spans", n)
+	}
+	// A registry-less, tracer-less seam and the zero Event are no-ops.
+	NewSeam(nil, nil, nil).Start(at(0), "x", SpanContext{}).End(at(1), "ok")
+	Event{}.End(at(1), "ok")
 }
 
 func TestContextPlumbing(t *testing.T) {
 	tr := testTracer(16)
 	sp := tr.StartSpan(at(1), "op", SpanContext{})
-	ctx := ContextSpan(t.Context(), sp)
+	ctx := ContextWith(t.Context(), sp.Context())
 	if got := FromContext(ctx); got != sp.Context() {
 		t.Fatalf("FromContext = %+v, want %+v", got, sp.Context())
 	}
 	if FromContext(t.Context()).Valid() {
 		t.Fatal("empty context must yield invalid span context")
-	}
-	if ContextSpan(t.Context(), nil) != t.Context() {
-		t.Fatal("nil span must leave ctx unchanged")
 	}
 }
 
@@ -318,13 +375,15 @@ func TestProgressReporter(t *testing.T) {
 	tr := testTracer(16)
 	parent := tr.StartSpan(at(1), "job", SpanContext{})
 	clockNow := at(5)
-	pr := NewProgressReporter(tr, func() time.Time { return clockNow }, parent.Context())
+	var lines []string
+	s := NewSeam(tr, nil, func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) })
+	pr := s.Progress(func() time.Time { return clockNow }, parent.Context(), time.Second)
 	pr.Report(progress.Event{Stage: "reach.grid", Done: 1, Total: 10})
 	clockNow = at(6)
 	pr.Report(progress.Event{Stage: "reach.explore", Done: 100, Total: 0})
 	pr.Report(progress.Event{Stage: "reach.grid", Done: 9, Total: 10})
-	pr.Finish(at(9))
-	pr.Finish(at(99)) // idempotent
+	pr.Finish(at(9), "ok")
+	pr.Finish(at(99), "error") // idempotent
 	pr.Report(progress.Event{Stage: "late", Done: 1, Total: 1})
 	spans := tr.Snapshot()
 	if len(spans) != 2 {
@@ -341,10 +400,67 @@ func TestProgressReporter(t *testing.T) {
 	if grid.Start != at(5).UnixNano() || grid.End != at(9).UnixNano() {
 		t.Fatalf("grid instants %d..%d", grid.Start, grid.End)
 	}
-	if grid.Attrs["done"] != "9" || grid.Attrs["total"] != "10" {
+	if grid.Attrs["done"] != "9" || grid.Attrs["total"] != "10" || grid.Attrs["outcome"] != "ok" {
 		t.Fatalf("grid attrs %+v", grid.Attrs)
 	}
-	if NewProgressReporter(nil, func() time.Time { return at(0) }, SpanContext{}) != nil {
-		t.Fatal("nil tracer must yield nil reporter")
+	// One log line per second of the injected clock: only the first event's.
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "reach.grid 1/10 trace=") {
+		t.Fatalf("progress log lines %q", lines)
 	}
+}
+
+func TestProgressUnits(t *testing.T) {
+	r := metrics.NewRegistry()
+	s := NewSeam(nil, r, nil)
+	clock := func() time.Time { return at(0) }
+	grid := s.Progress(clock, SpanContext{}, 0)
+	grid.Report(progress.Event{Stage: "reach.grid", Done: 4, Total: 16})
+	grid.Report(progress.Event{Stage: "reach.grid", Done: 16, Total: 16})
+	s.Progress(clock, SpanContext{}, 0).Report(progress.Event{Stage: "sim", Done: 4096, Total: 0})
+
+	got := render(t, r)
+	for _, want := range []string{
+		`crn_progress_events_total{stage="reach.grid"} 2`,
+		`crn_progress_events_total{stage="sim"} 1`,
+		`crn_progress_units_total{stage="reach.grid"} 16`,
+		`crn_progress_units_total{stage="sim"} 4096`,
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("missing %q in:\n%s", want, got)
+		}
+	}
+}
+
+// TestProgressReporterConcurrentRuns pins the units counter to the sum of
+// every run's final Done when runs interleave, which a latest-Done gauge
+// could not report.
+func TestProgressReporterConcurrentRuns(t *testing.T) {
+	r := metrics.NewRegistry()
+	s := NewSeam(nil, r, nil)
+	finals := []int64{700, 1300}
+	var wg sync.WaitGroup
+	for _, final := range finals {
+		run := s.Progress(func() time.Time { return at(0) }, SpanContext{}, 0)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := int64(0); done <= final; done += 100 {
+				run.Report(progress.Event{Stage: "reach.grid", Done: done, Total: final})
+			}
+		}()
+	}
+	wg.Wait()
+	want := fmt.Sprintf(`crn_progress_units_total{stage="reach.grid"} %d`, finals[0]+finals[1])
+	if got := render(t, r); !strings.Contains(got, want) {
+		t.Fatalf("missing %q in:\n%s", want, got)
+	}
+}
+
+func render(t *testing.T, r *metrics.Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	return b.String()
 }
