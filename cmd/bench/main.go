@@ -176,7 +176,11 @@ func reachSuite(quick bool) suiteReport {
 			b.ReportMetric(float64(configs), "configs")
 			b.ReportMetric(float64(configs)/(b.Elapsed().Seconds()/float64(b.N)), "configs/s")
 		})
-		rep.Benchmarks = append(rep.Benchmarks, toRecord(name, r))
+		rec := toRecord(name, r)
+		rec.Extra = withExtra(rec.Extra, "bytes_per_config", bytesPerConfig(func() *reach.Graph {
+			return reach.Explore(root, reach.WithMaxConfigs(budget), reach.WithWorkers(workers))
+		}))
+		rep.Benchmarks = append(rep.Benchmarks, rec)
 	}
 	// The fig4a 2×2 grid is itself the paper-shaped skewed workload: x=(1,1)
 	// explores ~87k configurations while the axis inputs are trivial, so the
@@ -218,6 +222,22 @@ func reachSuite(quick bool) suiteReport {
 	}
 	rep.Benchmarks = append(rep.Benchmarks, skewGridBenchmarks(quick)...)
 	return rep
+}
+
+// bytesPerConfig is the heap a live Graph retains per configuration: the
+// HeapAlloc after a collection with the graph from explore alive, minus the
+// HeapAlloc after a collection before it was built, divided by its
+// configurations. It runs outside the timed loop.
+func bytesPerConfig(explore func() *reach.Graph) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := explore()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := g.NumConfigs()
+	runtime.KeepAlive(g)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
 }
 
 // skewGridBenchmarks measures the synthetic 1-large-among-N-small grid

@@ -15,6 +15,7 @@
 //     explorer) and a text format;
 //   - internal/reach: an exhaustive stable-computation model checker
 //     (the literal Section 2.2 definition) built on a configuration arena
+//     of rows packed at the narrowest count width (1, 2, 4 or 8 bytes),
 //     with sharded hash interning and CSR edge storage; one shared
 //     work-stealing pool serves both parallelism levels — workers check
 //     grid inputs while any remain, then migrate into still-running

@@ -1,36 +1,47 @@
 package reach
 
 import (
-	"slices"
+	"bytes"
 	"sync"
 	"sync/atomic"
 
 	"crncompose/internal/vec"
 )
 
-// interner deduplicates configuration count rows for the sequential engine.
-// Rows live contiguously in arena; slots is an open-addressing hash table
-// mapping row hash to id+1 (0 = empty). Load factor is kept below 3/4.
+// interner deduplicates configuration rows for the sequential engine. Rows
+// live contiguously in arena, packed at width w (row.go); slots is an
+// open-addressing hash table mapping row hash to id+1 (0 = empty). Load
+// factor is kept below 3/4. Hashes are taken over the decoded counts, so
+// widening the arena never rehashes the table.
 type interner struct {
 	d      int
-	arena  []int64
+	w      int // bytes per count, shared by every row
+	arena  []byte
 	hashes []uint64
 	slots  []int32
 	mask   uint64
+	packed []byte // scratch: the row being interned, packed at w
 }
 
 func newInterner(d int) *interner {
 	const initialSlots = 1 << 10
-	return &interner{d: d, slots: make([]int32, initialSlots), mask: initialSlots - 1}
+	return &interner{d: d, w: 1, packed: make([]byte, d), slots: make([]int32, initialSlots), mask: initialSlots - 1}
 }
 
 func (t *interner) n() int { return len(t.hashes) }
 
-func (t *interner) row(id int) []int64 { return t.arena[id*t.d : (id+1)*t.d] }
+func (t *interner) row(id int) []byte { rb := t.d * t.w; return t.arena[id*rb : (id+1)*rb] }
 
-// lookupOrAdd interns the row counts (copying it into the arena if new) and
-// reports whether it was added.
+// lookupOrAdd interns the row counts (packing it into the arena if new, and
+// first widening every row if one of its counts does not fit) and reports
+// whether it was added.
 func (t *interner) lookupOrAdd(counts []int64) (int32, bool) {
+	if !packRow(t.packed, counts, t.w) {
+		w := rowWidth(counts)
+		t.arena = widen(t.arena, t.w, w)
+		t.w, t.packed = w, make([]byte, t.d*w)
+		packRow(t.packed, counts, w)
+	}
 	h := vec.Hash64(counts)
 	i := h & t.mask
 	for {
@@ -39,14 +50,14 @@ func (t *interner) lookupOrAdd(counts []int64) (int32, bool) {
 			id := int32(len(t.hashes))
 			t.slots[i] = id + 1
 			t.hashes = append(t.hashes, h)
-			t.arena = append(t.arena, counts...)
+			t.arena = append(t.arena, t.packed...)
 			if len(t.hashes)*4 >= len(t.slots)*3 {
 				t.grow()
 			}
 			return id, true
 		}
 		id := s - 1
-		if t.hashes[id] == h && slices.Equal(t.row(int(id)), counts) {
+		if t.hashes[id] == h && bytes.Equal(t.row(int(id)), t.packed) {
 			return id, false
 		}
 		i = (i + 1) & t.mask
@@ -67,11 +78,11 @@ func (t *interner) grow() {
 }
 
 const (
-	// Arena chunks target this many int64s (≈256 KB) whatever the row
-	// width, so a tiny exploration of a wide-species CRN never pays for a
-	// huge mostly-empty first chunk, while narrow CRNs still get thousands
-	// of rows per chunk.
-	targetChunkInt64s = 1 << 15
+	// Arena chunks target this many counts (32 KB at 1 byte per count)
+	// whatever the species count, so a tiny exploration of a wide-species
+	// CRN never pays for a huge mostly-empty first chunk, while narrow CRNs
+	// still get thousands of rows per chunk.
+	targetChunkCounts = 1 << 15
 
 	// The intern table is split into 1<<shardBits independently locked
 	// shards selected by the top bits of the row hash.
@@ -79,65 +90,82 @@ const (
 	numShards = 1 << shardBits
 )
 
-// chunkedArena stores configuration count rows (d int64 each) in fixed-size
-// chunks. Unlike an append-grown flat slice, growth never moves existing
-// rows, which is what lets parallel workers read frontier rows while other
-// workers claim and fill new ones. The chunk directory itself grows
-// copy-on-write behind an atomic pointer, so readers never lock.
+// chunkedArena stores configuration rows (d counts packed at width w each)
+// in fixed-size chunks. Unlike an append-grown flat slice, growth never
+// moves existing rows, which is what lets parallel workers read frontier
+// rows while other workers claim and fill new ones. The chunk directory
+// itself grows copy-on-write behind an atomic pointer, so readers never
+// lock. Widening re-encodes every chunk, so it runs only at a level
+// barrier, when no worker holds a row.
 type chunkedArena struct {
 	d     int
+	w     int   // bytes per count; changed only by widen
 	shift uint  // log2 rows per chunk, sized from d at construction
 	mask  int32 // rows per chunk - 1
-	dir   atomic.Pointer[[][]int64]
+	dir   atomic.Pointer[[][]byte]
 	mu    sync.Mutex // serializes directory growth
 }
 
-func newChunkedArena(d int) *chunkedArena {
+func newChunkedArena(d, w int) *chunkedArena {
 	shift := uint(6)
-	for shift < 13 && (1<<(shift+1))*max(d, 1) <= targetChunkInt64s {
+	for shift < 13 && (1<<(shift+1))*max(d, 1) <= targetChunkCounts {
 		shift++
 	}
-	a := &chunkedArena{d: d, shift: shift, mask: int32(1)<<shift - 1}
-	dir := make([][]int64, 0, 16)
+	a := &chunkedArena{d: d, w: w, shift: shift, mask: int32(1)<<shift - 1}
+	dir := make([][]byte, 0, 16)
 	a.dir.Store(&dir)
 	return a
 }
 
-// row returns row id. The row must already be published: either the caller
-// observed its intern-table entry under the owning shard's lock, or a level
-// barrier separates the write from this read.
-func (a *chunkedArena) row(id int32) []int64 {
+// row returns the packed row id. The row must already be published: either
+// the caller observed its intern-table entry under the owning shard's lock,
+// or a level barrier separates the write from this read.
+func (a *chunkedArena) row(id int32) []byte {
 	dir := *a.dir.Load()
-	off := int(id&a.mask) * a.d
-	return dir[id>>a.shift][off : off+a.d]
+	rb := a.d * a.w
+	off := int(id&a.mask) * rb
+	return dir[id>>a.shift][off : off+rb]
 }
 
-// write copies counts into row id, allocating the owning chunk if needed.
-// Distinct ids may be written concurrently.
-func (a *chunkedArena) write(id int32, counts []int64) {
+// write copies the packed row into row id, allocating the owning chunk if
+// needed. Distinct ids may be written concurrently.
+func (a *chunkedArena) write(id int32, packed []byte) {
 	ci := int(id >> a.shift)
 	dir := *a.dir.Load()
 	if ci >= len(dir) {
 		dir = a.growTo(ci)
 	}
-	off := int(id&a.mask) * a.d
-	copy(dir[ci][off:off+a.d], counts)
+	rb := a.d * a.w
+	off := int(id&a.mask) * rb
+	copy(dir[ci][off:off+rb], packed)
 }
 
-func (a *chunkedArena) growTo(ci int) [][]int64 {
+func (a *chunkedArena) growTo(ci int) [][]byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	dir := *a.dir.Load()
 	if ci < len(dir) {
 		return dir
 	}
-	grown := make([][]int64, len(dir), max(ci+1, 2*max(len(dir), 8)))
+	grown := make([][]byte, len(dir), max(ci+1, 2*max(len(dir), 8)))
 	copy(grown, dir)
 	for len(grown) <= ci {
-		grown = append(grown, make([]int64, (int(a.mask)+1)*a.d))
+		grown = append(grown, make([]byte, (int(a.mask)+1)*a.d*a.w))
 	}
 	a.dir.Store(&grown)
 	return grown
+}
+
+// widen re-encodes every row at width w. Ids are unchanged. The caller must
+// be the only goroutine touching the arena (a level barrier).
+func (a *chunkedArena) widen(w int) {
+	dir := *a.dir.Load()
+	wide := make([][]byte, len(dir), cap(dir))
+	for i, chunk := range dir {
+		wide[i] = widen(chunk, a.w, w)
+	}
+	a.w = w
+	a.dir.Store(&wide)
 }
 
 // shardedInterner deduplicates rows across concurrent workers. The table is
@@ -172,8 +200,8 @@ type internEntry struct {
 	id   int32
 }
 
-func newShardedInterner(d int) *shardedInterner {
-	t := &shardedInterner{d: d, arena: newChunkedArena(d)}
+func newShardedInterner(d, w int) *shardedInterner {
+	t := &shardedInterner{d: d, arena: newChunkedArena(d, w)}
 	// Shards start tiny: with the steal pool every pooled grid input gets a
 	// sharded interner, including inputs whose whole state space is a few
 	// dozen rows, so the empty table must be cheap. Per-shard doubling
@@ -189,12 +217,13 @@ func newShardedInterner(d int) *shardedInterner {
 // n returns the number of interned rows. Only exact between level barriers.
 func (t *shardedInterner) n() int { return int(t.nextID.Load()) }
 
-// lookupOrAdd interns the row counts with hash h = vec.Hash64(counts),
-// copying it into the arena if new, and reports whether it was added. Safe
-// for concurrent use; the row is fully written before its entry is
-// published, and probing happens under the same shard lock, so a hit always
-// sees a complete row.
-func (t *shardedInterner) lookupOrAdd(counts []int64, h uint64) (int32, bool) {
+// lookupOrAdd interns the row packed (counts packed at the arena's width)
+// with hash h = vec.Hash64(counts), copying it into the arena if new, and
+// reports whether it was added. Safe for concurrent use; the row is fully
+// written before its entry is published, and probing happens under the
+// same shard lock, so a hit always sees a complete row. The hash does not
+// depend on the width, so widening the arena leaves the shards valid.
+func (t *shardedInterner) lookupOrAdd(packed []byte, h uint64) (int32, bool) {
 	s := &t.shards[vec.HashShard(h, shardBits)]
 	s.mu.Lock()
 	i := h & s.mask
@@ -205,7 +234,7 @@ func (t *shardedInterner) lookupOrAdd(counts []int64, h uint64) (int32, bool) {
 			if id < 0 {
 				panic("reach: intern table overflow (≥ 2^31 configurations)")
 			}
-			t.arena.write(id, counts)
+			t.arena.write(id, packed)
 			s.entries[i] = internEntry{hash: h, id: id + 1}
 			s.n++
 			if s.n*4 >= len(s.entries)*3 {
@@ -214,7 +243,7 @@ func (t *shardedInterner) lookupOrAdd(counts []int64, h uint64) (int32, bool) {
 			s.mu.Unlock()
 			return id, true
 		}
-		if e.hash == h && slices.Equal(t.arena.row(e.id-1), counts) {
+		if e.hash == h && bytes.Equal(t.arena.row(e.id-1), packed) {
 			s.mu.Unlock()
 			return e.id - 1, false
 		}

@@ -39,6 +39,15 @@ import (
 // Nodes interned during a level that the budget cut then discards are
 // dropped by the renumbering (they simply never receive a canonical id), so
 // budget-truncated graphs are also byte-identical to the sequential engine's.
+//
+// Rows are packed at the arena's width (row.go), fixed for the whole of a
+// level. A worker whose successor does not fit records the width it needs
+// and skips it; at the barrier the owner widens the arena and expands the
+// same frontier again. Interned ids survive widening, and the second
+// expansion's records are the ones any schedule would produce, because a
+// node's record depends only on its row. The Graph's width is chosen
+// during the final canonical copy from the rows the graph keeps, so a wide
+// row that only the budget cut dropped does not widen it.
 
 // levelEdge is one discovered edge: the provisional id of the successor and
 // the reaction producing it.
@@ -73,10 +82,15 @@ type levelTask struct {
 	results  []levelResult
 	nR       int
 	maxCount int64
+	w        int // the arena's width for this level
 	batch    int64
 	next     atomic.Int64  // claim cursor over frontier
 	done     atomic.Int64  // completed frontier nodes
 	finished chan struct{} // closed when done == len(frontier); nil if unpublished
+	// need is the widest width a successor needed beyond w (0 = none). Once
+	// set, the level's records are void: claimants skip their remaining
+	// nodes and the owner widens the arena and expands the level again.
+	need atomic.Int32
 }
 
 // unclaimed reports whether frontier nodes remain to claim.
@@ -86,7 +100,9 @@ func (t *levelTask) unclaimed() bool { return t.next.Load() < int64(len(t.fronti
 // is exhausted. Safe for any number of concurrent callers.
 func (t *levelTask) work() {
 	d := t.in.d
+	cur := make([]int64, d)
 	scratch := make([]int64, d)
+	packed := make([]byte, d*t.w)
 	// Edge records append into a worker-local buffer; per-node slices are
 	// capped views into it. Capacity is topped up between nodes so one
 	// node's edges never straddle a reallocation.
@@ -101,22 +117,26 @@ func (t *levelTask) work() {
 			return
 		}
 		end := min(start+t.batch, n)
-		for j := start; j < end; j++ {
-			row := t.in.arena.row(t.frontier[j])
+		for j := start; j < end && t.need.Load() == 0; j++ {
+			unpackRow(cur, t.in.arena.row(t.frontier[j]), t.w)
 			if cap(buf)-len(buf) < t.nR {
 				buf = make([]levelEdge, 0, max(1024, 4*t.nR))
 			}
 			first := len(buf)
 			for ri := 0; ri < t.nR; ri++ {
-				if !t.c.ApplicableAt(row, ri) {
+				if !t.c.ApplicableAt(cur, ri) {
 					continue
 				}
-				t.c.ApplyInto(scratch, row, ri)
+				t.c.ApplyInto(scratch, cur, ri)
 				if vec.V(scratch).MaxComponent() > t.maxCount {
 					t.results[j].overflow = true
 					continue
 				}
-				pid, _ := t.in.lookupOrAdd(scratch, vec.Hash64(scratch))
+				if !packRow(packed, scratch, t.w) {
+					t.needWidth(int32(rowWidth(scratch)))
+					continue
+				}
+				pid, _ := t.in.lookupOrAdd(packed, vec.Hash64(scratch))
 				buf = append(buf, levelEdge{pid: pid, ri: int32(ri)})
 			}
 			t.results[j].edges = buf[first:len(buf):len(buf)]
@@ -127,29 +147,48 @@ func (t *levelTask) work() {
 	}
 }
 
+// needWidth raises t.need to at least w.
+func (t *levelTask) needWidth(w int32) {
+	for {
+		cur := t.need.Load()
+		if w <= cur || t.need.CompareAndSwap(cur, w) {
+			return
+		}
+	}
+}
+
 // expandLevel expands every frontier node. With a pool attached and a
 // frontier large enough to amortize the coordination, the level is published
 // so idle pool workers can claim slices alongside the owner; the owner
-// always participates and blocks until every claimed slice is complete.
+// always participates and blocks until every claimed slice is complete. A
+// successor too wide for the arena widens it, and the level is expanded
+// again at the new width.
 func expandLevel(c *crn.CRN, in *shardedInterner, frontier []int32, nR int, o Options, pool *stealPool) []levelResult {
-	t := &levelTask{
-		c: c, in: in, frontier: frontier,
-		results:  make([]levelResult, len(frontier)),
-		nR:       nR,
-		maxCount: o.MaxCount,
+	for {
+		t := &levelTask{
+			c: c, in: in, frontier: frontier,
+			results:  make([]levelResult, len(frontier)),
+			nR:       nR,
+			maxCount: o.MaxCount,
+			w:        in.arena.w,
+		}
+		if pool == nil || len(frontier) < stealMinFrontier {
+			t.batch = int64(len(frontier))
+			t.work()
+		} else {
+			t.batch = int64(max(1, min(maxStealBatch, len(frontier)/stealBatchDiv)))
+			t.finished = make(chan struct{})
+			pool.publish(t)
+			t.work()
+			<-t.finished
+			pool.retract(t)
+		}
+		need := int(t.need.Load())
+		if need == 0 {
+			return t.results
+		}
+		in.arena.widen(need)
 	}
-	if pool == nil || len(frontier) < stealMinFrontier {
-		t.batch = int64(len(frontier))
-		t.work()
-		return t.results
-	}
-	t.batch = int64(max(1, min(maxStealBatch, len(frontier)/stealBatchDiv)))
-	t.finished = make(chan struct{})
-	pool.publish(t)
-	t.work()
-	<-t.finished
-	pool.retract(t)
-	return t.results
 }
 
 // exploreParallel runs a standalone parallel exploration: a private pool
@@ -203,9 +242,11 @@ func explorePooled(root crn.Config, o Options, pool *stealPool) (*Graph, error) 
 	g := &Graph{CRN: c, Complete: true, d: d, outIdx: c.OutputIndex()}
 	nR := c.NumReactions()
 
-	in := newShardedInterner(d)
 	rootRow := root.CountsRef()
-	in.lookupOrAdd(rootRow, vec.Hash64(rootRow))
+	in := newShardedInterner(d, rowWidth(rootRow))
+	rootPacked := make([]byte, d*in.arena.w)
+	packRow(rootPacked, rootRow, in.arena.w)
+	in.lookupOrAdd(rootPacked, vec.Hash64(rootRow))
 
 	st := &replayState{
 		canon:   make([]int32, 1, 1024),
@@ -244,14 +285,24 @@ func explorePooled(root crn.Config, o Options, pool *stealPool) (*Graph, error) 
 	}
 
 	// Close the offset table over discovered-but-unexpanded nodes, then copy
-	// the surviving rows into a flat arena in canonical order.
+	// the surviving rows into a flat arena in canonical order, at the
+	// narrowest width that holds them.
 	for len(st.succOff) < st.ncanon+1 {
 		st.succOff = append(st.succOff, int32(len(g.succ)))
 	}
 	g.succOff = st.succOff
-	g.arena = make([]int64, st.ncanon*d)
+	aw := in.arena.w
+	g.w = 1
+	for _, pid := range st.provOf[:st.ncanon] {
+		if g.w == aw {
+			break
+		}
+		g.w = max(g.w, packedWidth(in.arena.row(pid), aw))
+	}
+	rb := d * g.w
+	g.arena = make([]byte, st.ncanon*rb)
 	for cid, pid := range st.provOf[:st.ncanon] {
-		copy(g.arena[cid*d:(cid+1)*d], in.arena.row(pid))
+		repack(g.arena[cid*rb:(cid+1)*rb], in.arena.row(pid), aw, g.w)
 	}
 	g.buildPred()
 	return g, nil

@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -36,7 +37,10 @@ func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 			t.Fatalf("%s differs:\nsequential %v\nparallel   %v", name, pair[0], pair[1])
 		}
 	}
-	if !slices.Equal(seq.arena, par.arena) {
+	if seq.w != par.w {
+		t.Fatalf("row width: sequential %d, parallel %d", seq.w, par.w)
+	}
+	if !bytes.Equal(seq.arena, par.arena) {
 		t.Fatalf("arena differs (%d vs %d rows)", seq.NumConfigs(), par.NumConfigs())
 	}
 }
@@ -85,12 +89,68 @@ func TestExploreParallelByteIdentical(t *testing.T) {
 			}
 		})
 	}
+	for _, wc := range widenCases() {
+		t.Run(wc.name, func(t *testing.T) {
+			seq := Explore(wc.root, append(slices.Clone(wc.opts), WithWorkers(1))...)
+			if seq.w != wc.w {
+				t.Fatalf("graph stores %d bytes per count, want %d", seq.w, wc.w)
+			}
+			for _, workers := range []int{2, 3, 8} {
+				par := Explore(wc.root, append(slices.Clone(wc.opts), WithWorkers(workers))...)
+				requireGraphsIdentical(t, seq, par)
+			}
+		})
+	}
+}
+
+// widenCase is an exploration that exercises row widening, with the bytes
+// per count its graph must end at.
+type widenCase struct {
+	name string
+	root crn.Config
+	opts []Option
+	w    int
+}
+
+func widenCases() []widenCase {
+	return []widenCase{
+		// Counts cross 255 and then 65,535 mid-exploration.
+		{"widen-1-2-4", burstCRN().MustInitialConfig(vec.New(70)), nil, 4},
+		// The root alone needs two bytes per count.
+		{"wide-root", growerCRN().MustInitialConfig(vec.New(300)), []Option{WithMaxCount(1 << 20), WithMaxConfigs(5000)}, 2},
+		// The only row needing two bytes is interned in the cut level and
+		// dropped by the cut: the graph's width comes from its own rows.
+		{"widen-then-cut", cutWideCRN().MustInitialConfig(vec.New(255, 1, 1)), []Option{WithMaxConfigs(3)}, 1},
+	}
 }
 
 func growerCRN() *crn.CRN {
 	return crn.MustNew([]crn.Species{"X"}, "Y", "", []crn.Reaction{
 		{Reactants: []crn.Term{{Coeff: 1, Sp: "X"}}, Products: []crn.Term{{Coeff: 2, Sp: "X"}}},
 		{Reactants: []crn.Term{{Coeff: 2, Sp: "X"}}, Products: []crn.Term{{Coeff: 1, Sp: "X"}, {Coeff: 1, Sp: "Y"}}},
+	})
+}
+
+// burstCRN turns each A into 1000 X or 1000 Y, so from A=70 its BFS
+// crosses a count of 255 at level 1 and 65,535 at level 66, over ~2.6k
+// configurations with levels wide enough to publish for stealing.
+func burstCRN() *crn.CRN {
+	return crn.MustNew([]crn.Species{"A"}, "Y", "", []crn.Reaction{
+		{Reactants: []crn.Term{{Coeff: 1, Sp: "A"}}, Products: []crn.Term{{Coeff: 1000, Sp: "X"}}},
+		{Reactants: []crn.Term{{Coeff: 1, Sp: "A"}}, Products: []crn.Term{{Coeff: 1000, Sp: "Y"}}},
+	})
+}
+
+// cutWideCRN, from the input (X, A, B) = (255, 1, 1), has level
+// 1 = {a: A→C, b: B→D}; level 2 holds c (from a and b, all counts ≤ 255)
+// and, from b only, w with X = 256. A budget of 3 expands a and cuts
+// before b, so the sequential engine never interns w while the pooled one
+// interns and then drops it.
+func cutWideCRN() *crn.CRN {
+	return crn.MustNew([]crn.Species{"X", "A", "B"}, "Y", "", []crn.Reaction{
+		{Reactants: []crn.Term{{Coeff: 1, Sp: "A"}}, Products: []crn.Term{{Coeff: 1, Sp: "C"}}},
+		{Reactants: []crn.Term{{Coeff: 1, Sp: "B"}}, Products: []crn.Term{{Coeff: 1, Sp: "D"}}},
+		{Reactants: []crn.Term{{Coeff: 1, Sp: "D"}, {Coeff: 1, Sp: "X"}}, Products: []crn.Term{{Coeff: 1, Sp: "D"}, {Coeff: 2, Sp: "X"}}},
 	})
 }
 
@@ -140,7 +200,11 @@ func TestShardedInternerContention(t *testing.T) {
 			rows = append(rows, row)
 		}
 	}
-	in := newShardedInterner(d)
+	w := 1
+	for _, row := range rows {
+		w = max(w, rowWidth(row))
+	}
+	in := newShardedInterner(d, w)
 	const goroutines = 16
 	ids := make([][]int32, goroutines)
 	var wg sync.WaitGroup
@@ -151,8 +215,10 @@ func TestShardedInternerContention(t *testing.T) {
 			// Each goroutine interns every row in its own order.
 			order := rand.New(rand.NewPCG(uint64(gi), 7)).Perm(len(rows))
 			ids[gi] = make([]int32, len(rows))
+			packed := make([]byte, d*w)
 			for _, ri := range order {
-				id, _ := in.lookupOrAdd(rows[ri], vec.Hash64(rows[ri]))
+				packRow(packed, rows[ri], w)
+				id, _ := in.lookupOrAdd(packed, vec.Hash64(rows[ri]))
 				ids[gi][ri] = id
 			}
 		}()
@@ -162,6 +228,7 @@ func TestShardedInternerContention(t *testing.T) {
 		t.Fatalf("interned %d rows, want %d", in.n(), len(rows))
 	}
 	seen := make(map[int32]bool)
+	got := make([]int64, d)
 	for ri := range rows {
 		id := ids[0][ri]
 		if seen[id] {
@@ -171,8 +238,9 @@ func TestShardedInternerContention(t *testing.T) {
 		if id < 0 || int(id) >= len(rows) {
 			t.Fatalf("row %d: id %d out of dense range", ri, id)
 		}
-		if !slices.Equal(in.arena.row(id), rows[ri]) {
-			t.Fatalf("row %d: arena holds %v, want %v", ri, in.arena.row(id), rows[ri])
+		unpackRow(got, in.arena.row(id), w)
+		if !slices.Equal(got, rows[ri]) {
+			t.Fatalf("row %d: arena holds %v, want %v", ri, got, rows[ri])
 		}
 		for gi := 1; gi < goroutines; gi++ {
 			if ids[gi][ri] != id {
@@ -184,29 +252,44 @@ func TestShardedInternerContention(t *testing.T) {
 
 func TestChunkedArenaRowsStableAcrossGrowth(t *testing.T) {
 	// Rows handed out before growth must remain valid and unchanged after
-	// the directory grows many times over.
+	// the directory grows many times over, and every row must decode to
+	// the same counts after each widening.
 	const d = 2
-	a := newChunkedArena(d)
+	a := newChunkedArena(d, 1)
 	chunkRows := a.mask + 1
-	early := []int64{42, 43}
-	a.write(0, early)
-	held := a.row(0)
-	for id := int32(1); id < 3*chunkRows; id++ {
-		a.write(id, []int64{int64(id), -int64(id)})
+	want := func(id int32) []int64 { return []int64{int64(id) % 256, 255 - int64(id)%256} }
+	put := func(id int32) {
+		packed := make([]byte, d*a.w)
+		if !packRow(packed, want(id), a.w) {
+			t.Fatalf("row %d does not fit width %d", id, a.w)
+		}
+		a.write(id, packed)
 	}
-	if !slices.Equal(held, early) {
+	put(0)
+	held := a.row(0)
+	early := slices.Clone(held)
+	for id := int32(1); id < 3*chunkRows; id++ {
+		put(id)
+	}
+	if !bytes.Equal(held, early) {
 		t.Fatalf("early row changed after growth: %v", held)
 	}
-	for id := int32(1); id < 3*chunkRows; id += chunkRows / 3 {
-		if got := a.row(id); got[0] != int64(id) || got[1] != -int64(id) {
-			t.Fatalf("row %d = %v", id, got)
+	got := make([]int64, d)
+	for _, w := range []int{1, 2, 4, 8} {
+		if w > a.w {
+			a.widen(w)
+		}
+		for id := int32(0); id < 3*chunkRows; id += chunkRows / 3 {
+			if unpackRow(got, a.row(id), a.w); !slices.Equal(got, want(id)) {
+				t.Fatalf("width %d: row %d = %v, want %v", w, id, got, want(id))
+			}
 		}
 	}
 	// And a wide-row arena must pick a small chunk so tiny explorations of
 	// wide-species CRNs don't allocate megabytes up front.
-	wide := newChunkedArena(200)
-	if rows := int(wide.mask) + 1; rows*200*8 > 2*targetChunkInt64s*8 {
-		t.Fatalf("chunk for d=200 is %d rows (%d bytes)", rows, rows*200*8)
+	wide := newChunkedArena(200, 8)
+	if rows := int(wide.mask) + 1; rows*200 > 2*targetChunkCounts {
+		t.Fatalf("chunk for d=200 is %d rows (%d counts)", rows, rows*200)
 	}
 }
 

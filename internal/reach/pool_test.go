@@ -153,6 +153,16 @@ func TestExploreStealScheduleByteIdentical(t *testing.T) {
 	withStealJitter(t, 7, func() {
 		requireGraphsIdentical(t, seqCut, Explore(root, WithWorkers(8), WithMaxConfigs(500)))
 	})
+	// Row widening mid-level: stolen slices that hit a too-wide successor
+	// void the level, and the re-expansion must land on the same graph.
+	for _, wc := range widenCases() {
+		seq := Explore(wc.root, append([]Option{WithWorkers(1)}, wc.opts...)...)
+		for _, workers := range []int{2, 3, 8} {
+			withStealJitter(t, uint64(workers), func() {
+				requireGraphsIdentical(t, seq, Explore(wc.root, append([]Option{WithWorkers(workers)}, wc.opts...)...))
+			})
+		}
+	}
 }
 
 // TestStealPoolDrainTerminates exercises the pool lifecycle edges: a chunk

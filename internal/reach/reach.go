@@ -18,8 +18,12 @@
 // This is the hottest path in the module: every synthesized CRN is model
 // checked through Explore/CheckGrid. The explorer therefore avoids
 // per-configuration allocation entirely. All explored configurations live in
-// an []int64 arena (d counts per row), deduplicated by a 64-bit hash with an
-// open-addressing interning table — no string keys, no Config clones. Edges
+// a byte arena, one row of d counts per configuration packed at the
+// narrowest width of 1, 2, 4 or 8 bytes per count that holds every row
+// (row.go), deduplicated by a 64-bit hash of the counts with an
+// open-addressing interning table — no string keys, no Config clones. The
+// constructions' counts are tiny, so rows are usually one byte per count;
+// an exploration widens every row the first time a count does not fit. Edges
 // are stored in CSR form (flat successor/reaction arrays plus per-node
 // offsets), with predecessor CSR derived in a second pass.
 //
@@ -142,17 +146,19 @@ func buildOptions(opts []Option) Options {
 var ErrBudget = errors.New("reach: exploration budget exhausted")
 
 // Graph is the reachable configuration graph from a root configuration.
-// Configuration counts are stored row-wise in a flat arena and edges in CSR
-// (compressed sparse row) form; use the accessor methods. Config id 0 is the
-// root.
+// Configuration counts are stored row-wise in a flat arena, packed at the
+// narrowest width that holds every row of the graph, and edges in CSR
+// (compressed sparse row) form; use the accessor methods, which decode rows
+// into memory the caller owns. Config id 0 is the root.
 type Graph struct {
 	CRN *crn.CRN
 	// Complete is false if the budget was exhausted (the graph is a prefix).
 	Complete bool
 
-	d      int     // species per configuration (arena row width)
-	outIdx int     // dense index of the output species
-	arena  []int64 // n rows of d counts
+	d      int    // species per configuration (counts per arena row)
+	w      int    // bytes per count (1, 2, 4 or 8)
+	outIdx int    // dense index of the output species
+	arena  []byte // n rows of d counts packed at width w
 
 	succ    []int32 // successor config ids, grouped by source node
 	via     []int32 // via[e] is the reaction producing edge e
@@ -169,21 +175,29 @@ type Graph struct {
 // NumConfigs returns the number of explored configurations.
 func (g *Graph) NumConfigs() int { return len(g.parent) }
 
-// Counts returns the count row of configuration id, borrowed from the arena.
-// Callers must not mutate it.
-func (g *Graph) Counts(id int32) vec.V {
-	return g.arena[int(id)*g.d : (int(id)+1)*g.d]
+// row returns the packed row of configuration id.
+func (g *Graph) row(id int32) []byte {
+	rb := g.d * g.w
+	return g.arena[int(id)*rb : (int(id)+1)*rb]
 }
 
-// Config returns configuration id as a crn.Config backed by the arena
-// (no copy; treat as read-only).
+// Counts decodes the count row of configuration id into a new row the
+// caller owns.
+func (g *Graph) Counts(id int32) vec.V {
+	counts := make(vec.V, g.d)
+	unpackRow(counts, g.row(id), g.w)
+	return counts
+}
+
+// Config returns configuration id as a crn.Config the caller owns.
 func (g *Graph) Config(id int32) crn.Config { return g.CRN.DenseConfig(g.Counts(id)) }
 
 // Root returns the root configuration (id 0).
 func (g *Graph) Root() crn.Config { return g.Config(0) }
 
-// Output returns the output count of configuration id.
-func (g *Graph) Output(id int32) int64 { return g.arena[int(id)*g.d+g.outIdx] }
+// Output returns the output count of configuration id, decoding only that
+// field.
+func (g *Graph) Output(id int32) int64 { return unpackCount(g.row(id), g.w, g.outIdx) }
 
 // Succ returns the successor config ids of id (borrowed; do not mutate).
 func (g *Graph) Succ(id int32) []int32 { return g.succ[g.succOff[id]:g.succOff[id+1]] }
@@ -290,10 +304,12 @@ func exploreSmallProbe(root crn.Config, o Options) *Graph {
 }
 
 // exploreSeq is the single-threaded engine: a FIFO BFS interning rows into
-// one flat append-grown arena. It defines the canonical id order the
-// parallel engine reproduces. Cancellation is polled every
-// cancelCheckHeads heads — a deterministic boundary, so every completed
-// run is identical to an uncancellable one.
+// one flat append-grown arena, widened in place as soon as a row needs it.
+// Every interned row is a row of the graph, so the arena's width is the
+// graph's. It defines the canonical id order the parallel engine
+// reproduces. Cancellation is polled every cancelCheckHeads heads — a
+// deterministic boundary, so every completed run is identical to an
+// uncancellable one.
 func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 	c := root.CRN()
 	d := c.NumSpecies()
@@ -305,7 +321,7 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 	g.parentVia = append(g.parentVia, -1)
 
 	numReactions := c.NumReactions()
-	cur := make([]int64, d)     // stable copy of the head row (the arena may move)
+	cur := make([]int64, d)     // the head row, decoded (the arena may move)
 	scratch := make([]int64, d) // candidate successor row
 	succOff := make([]int32, 1, 1024)
 	for head := 0; head < in.n(); head++ {
@@ -321,7 +337,7 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 			g.Complete = false
 			break
 		}
-		copy(cur, in.row(head))
+		unpackRow(cur, in.row(head), in.w)
 		for ri := 0; ri < numReactions; ri++ {
 			if !c.ApplicableAt(cur, ri) {
 				continue
@@ -347,7 +363,7 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 	for len(succOff) < n+1 {
 		succOff = append(succOff, int32(len(g.succ)))
 	}
-	g.arena = in.arena
+	g.arena, g.w = in.arena, in.w
 	g.succOff = succOff
 	g.buildPred()
 	return g, nil
@@ -386,8 +402,7 @@ func (g *Graph) TraceTo(id int32) crn.Trace {
 	for i := range rev {
 		seq[i] = rev[len(rev)-1-i]
 	}
-	// Clone the root so the trace stays valid independently of the arena.
-	return crn.Trace{Start: g.Root().Clone(), Reactions: seq}
+	return crn.Trace{Start: g.Root(), Reactions: seq}
 }
 
 // outputBounds computes, for every configuration, the minimum and maximum

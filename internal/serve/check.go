@@ -87,8 +87,8 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 	if maxConfigs == 0 {
 		maxConfigs = 1 << 20 // crncheck's -maxconfigs default
 	}
-	if maxConfigs < 1 {
-		return nil, fmt.Errorf("maxconfigs must be >= 1")
+	if maxConfigs < 1 || maxConfigs > MaxCheckConfigs {
+		return nil, fmt.Errorf("maxconfigs %d is outside [1, %d]", maxConfigs, MaxCheckConfigs)
 	}
 	d := f.Dim()
 	los, his := reach.Cube(d, req.Lo, hi)

@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzResolveCheck pins resolveCheck's admission contract: a request it
-// accepts has a grid of 1..maxGridPoints points and a budget of at least
-// one configuration, and resolving its canonical form again yields the same
-// content address.
+// accepts has a grid of 1..maxGridPoints points and a budget of
+// 1..MaxCheckConfigs configurations, and resolving its canonical form again
+// yields the same content address.
 func FuzzResolveCheck(f *testing.F) {
 	for _, seed := range []struct {
 		crn, fn    string
@@ -25,6 +25,9 @@ func FuzzResolveCheck(f *testing.F) {
 		{minCRNText, "min", 0, 65_535, true, 0},
 		{minCRNText, "min", -1, 3, true, 0},
 		{minCRNText, "min", 0, 3, true, -1},
+		{minCRNText, "min", 0, 1, true, MaxCheckConfigs},
+		{minCRNText, "min", 0, 1, true, MaxCheckConfigs + 1},
+		{minCRNText, "min", 0, 1, true, math.MaxInt},
 		{minCRNText, "max", 0, 2, true, 0},
 		{"#input X\n#output Y\nX -> 2Y\n", "double", 0, 8, true, 0},
 		{minCRNText, "double", 0, 3, false, 0},
@@ -44,7 +47,7 @@ func FuzzResolveCheck(f *testing.F) {
 		if j.points < 1 || j.points > maxGridPoints {
 			t.Fatalf("accepted a grid of %d points (%v..%v)", j.points, j.cc.Lo, j.cc.Hi)
 		}
-		if j.cc.MaxConfigs < 1 {
+		if j.cc.MaxConfigs < 1 || j.cc.MaxConfigs > MaxCheckConfigs {
 			t.Fatalf("accepted maxconfigs %d", j.cc.MaxConfigs)
 		}
 		again, err := resolveCheck(CheckRequest{CRN: j.cc.CRN, Func: fn, Lo: lo, Hi: &j.cc.Hi[0], MaxConfigs: j.cc.MaxConfigs})

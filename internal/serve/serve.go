@@ -500,6 +500,12 @@ const (
 	MaxSimMaxSteps = int64(1) << 30
 )
 
+// MaxCheckConfigs bounds a /v1/check or /v1/jobs request's per-input
+// exploration budget (maxconfigs). Far beyond the library constructions'
+// largest inputs, and far inside the explorer's int32 configuration ids,
+// whose overflow would panic a pool goroutine and take the server down.
+const MaxCheckConfigs = 1 << 26
+
 // MaxRequestBytes bounds every JSON request body; a larger one is answered
 // 400 before it is fully read. The largest library construction
 // (crnsynth -f fig4a) is about 8 KB of CRN text.

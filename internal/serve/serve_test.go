@@ -294,6 +294,29 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestCheckMaxConfigsCap pins the admission bound on a client's
+// exploration budget: one past MaxCheckConfigs is a 400 on both the
+// synchronous and the async path, before any engine work, and the bound
+// itself is served.
+func TestCheckMaxConfigsCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	hi := int64(1)
+	over := CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi, MaxConfigs: MaxCheckConfigs + 1}
+	for _, path := range []string{"/v1/check", "/v1/jobs"} {
+		status, _, body := post(t, ts.URL+path, over)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s with maxconfigs %d: status %d, want 400: %s", path, over.MaxConfigs, status, body)
+		}
+		if !bytes.Contains(body, []byte("maxconfigs")) {
+			t.Fatalf("%s: error does not name maxconfigs: %s", path, body)
+		}
+	}
+	atCap := CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi, MaxConfigs: MaxCheckConfigs}
+	if status, _, body := post(t, ts.URL+"/v1/check", atCap); status != http.StatusOK {
+		t.Fatalf("maxconfigs %d: status %d: %s", MaxCheckConfigs, status, body)
+	}
+}
+
 func TestHealthzAndStats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if status, body := get(t, ts.URL+"/healthz"); status != http.StatusOK || !bytes.Contains(body, []byte("true")) {

@@ -213,8 +213,7 @@ func BuildOverproduction(c *crn.CRN, f Func, con *Contradiction, opts ...reach.O
 		found := false
 		for _, id := range g.StableIDs() {
 			if g.Output(id) == f(a) {
-				// Clone so the stable config doesn't pin the whole arena.
-				stables[idx] = stableInfo{cfg: g.Config(id).Clone(), trace: g.TraceTo(id)}
+				stables[idx] = stableInfo{cfg: g.Config(id), trace: g.TraceTo(id)}
 				found = true
 				break
 			}

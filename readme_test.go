@@ -18,6 +18,7 @@ var readmeUnits = map[string]float64{
 	"ms/op":         1e-6, // from ns_per_op
 	"ns/step":       1,
 	"configs":       1,
+	"B/config":      1,
 	"k configs/s":   1e-3,
 	"M reactions/s": 1e-6,
 	"×":             1, // a ratio
