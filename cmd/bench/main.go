@@ -23,6 +23,7 @@ import (
 
 	"crncompose/internal/benchcrn"
 	"crncompose/internal/classify"
+	"crncompose/internal/core"
 	"crncompose/internal/reach"
 	"crncompose/internal/semilinear"
 	"crncompose/internal/sim"
@@ -202,8 +203,7 @@ func reachSuite(quick bool) suiteReport {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := reach.CheckGrid(c,
-					func(x []int64) int64 { return f.Eval(vec.New(x...)) },
+				res, err := reach.CheckGrid(c, core.Evaluator(f),
 					[]int64{0, 0}, []int64{hi, hi},
 					reach.WithMaxConfigs(budget), reach.WithWorkers(workers))
 				if err != nil {

@@ -71,10 +71,8 @@ import (
 	"crncompose/internal/core"
 	"crncompose/internal/dist"
 	"crncompose/internal/metrics"
-	"crncompose/internal/parse"
 	"crncompose/internal/reach"
 	"crncompose/internal/trace"
-	"crncompose/internal/vec"
 )
 
 func main() {
@@ -98,7 +96,7 @@ func run(args []string, out io.Writer) error {
 		fname      = fs.String("f", "", "library function the CRN should compute (see crnsynth -list)")
 		lo         = fs.Int64("lo", 0, "grid lower bound per coordinate")
 		hi         = fs.Int64("hi", 3, "grid upper bound per coordinate")
-		maxConfigs = fs.Int("maxconfigs", 1<<20, "reachability budget per input")
+		maxConfigs = fs.Int("maxconfigs", core.DefaultMaxConfigs, "reachability budget per input")
 		workers    = fs.Int("workers", 0, "size of the shared work-stealing pool: workers check grid inputs concurrently and migrate into still-running explorations as inputs finish (0 = all CPUs, 1 = sequential)")
 		jsonOut    = fs.Bool("json", false, "emit the machine-readable GridResult (the distributed protocol's encoding) instead of the human report")
 		timeout    = fs.Duration("timeout", 0, "abort the check after this long (0 = none); a timed-out or interrupted run reports the cancellation, never a partial verdict")
@@ -161,26 +159,19 @@ func run(args []string, out io.Writer) error {
 	if *crnPath == "" || *fname == "" {
 		return fmt.Errorf("need both -crn and -f (or -join addr)")
 	}
-	src, err := readAll(*crnPath)
+	src, err := core.ReadCRN(*crnPath)
 	if err != nil {
 		return err
 	}
-	c, err := parse.Parse(src)
+	c, f, err := core.ParseCheck(src, *fname)
 	if err != nil {
 		return err
-	}
-	f, ok := core.Library()[*fname]
-	if !ok {
-		return fmt.Errorf("unknown function %q", *fname)
-	}
-	if c.Dim() != f.Dim() {
-		return fmt.Errorf("CRN takes %d inputs but %s takes %d", c.Dim(), f.Name, f.Dim())
 	}
 	if !*jsonOut {
 		fmt.Fprintf(out, "structure: output-oblivious=%v output-monotonic=%v leader=%q species=%d reactions=%d\n",
 			c.IsOutputOblivious(), c.IsOutputMonotonic(), c.Leader, c.NumSpecies(), len(c.Reactions))
 	}
-	los, his := reach.Cube(f.Dim(), *lo, *hi)
+	los, his := reach.Cube(c.Dim(), *lo, *hi)
 
 	var res reach.GridResult
 	if *coordAddr != "" {
@@ -226,8 +217,8 @@ func run(args []string, out io.Writer) error {
 		root := seam.Start(time.Now(), "crncheck.check", trace.SpanContext{},
 			trace.String("func", *fname))
 		prog := seam.Progress(time.Now, root.Context(), logEvery)
-		res, err = reach.CheckGridCtx(ctx, c, func(x []int64) int64 { return f.Eval(vec.New(x...)) },
-			los, his, reach.WithMaxConfigs(*maxConfigs), reach.WithWorkers(*workers), reach.WithProgress(prog))
+		res, err = reach.CheckGridCtx(ctx, c, f, los, his,
+			reach.WithMaxConfigs(*maxConfigs), reach.WithWorkers(*workers), reach.WithProgress(prog))
 		outcome := reach.Outcome(res, err)
 		prog.Finish(time.Now(), outcome)
 		root.End(time.Now(), outcome)
@@ -259,7 +250,7 @@ func stderrLogf(format string, args ...any) {
 
 // runWorker joins a coordinator and serves until the job is done or ctx is
 // canceled (a canceled worker abandons its lease without reporting). The
-// function library is resolved locally (core.Library), so worker and
+// function library is resolved locally (core.Resolve), so worker and
 // coordinator binaries must agree on it.
 func runWorker(ctx context.Context, addr string, workers int, grace time.Duration, abortOnLeaseLoss bool, tr *trace.Tracer) error {
 	w := &dist.Worker{
@@ -268,14 +259,8 @@ func runWorker(ctx context.Context, addr string, workers int, grace time.Duratio
 		Grace:            grace,
 		AbortOnLeaseLoss: abortOnLeaseLoss,
 		Tracer:           tr,
-		Resolve: func(name string) (reach.Func, error) {
-			f, ok := core.Library()[name]
-			if !ok {
-				return nil, fmt.Errorf("unknown function %q", name)
-			}
-			return func(x []int64) int64 { return f.Eval(vec.New(x...)) }, nil
-		},
-		Logf: stderrLogf,
+		Resolve:          core.Resolve,
+		Logf:             stderrLogf,
 	}
 	return w.Run(ctx)
 }
@@ -287,13 +272,4 @@ func writeJSONResult(out io.Writer, res reach.GridResult) error {
 	}
 	_, err = out.Write(b)
 	return err
-}
-
-func readAll(path string) (string, error) {
-	if path == "-" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }

@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"crncompose/internal/core"
 	"crncompose/internal/parse"
 	"crncompose/internal/sim"
 	"crncompose/internal/trace"
@@ -43,10 +44,10 @@ func run(args []string, out io.Writer) error {
 	var (
 		crnPath   = fs.String("crn", "", "CRN file (or - for stdin)")
 		inputStr  = fs.String("x", "", "comma-separated input counts, e.g. 100,80")
-		method    = fs.String("method", "fair", "scheduler: gillespie or fair")
+		method    = fs.String("method", sim.DefaultMethod, "scheduler: gillespie or fair")
 		trials    = fs.Int("trials", 1, "number of independent trials")
 		seed      = fs.Uint64("seed", 1, "base RNG seed")
-		maxSteps  = fs.Int64("maxsteps", 50_000_000, "step budget per trial")
+		maxSteps  = fs.Int64("maxsteps", sim.DefaultMaxSteps, "step budget per trial")
 		silent    = fs.Int64("silent", 0, "convergence after this many output-silent steps (0 = terminal only)")
 		verbose   = fs.Bool("v", false, "print the parsed CRN and per-trial details")
 		traceFile = fs.String("trace", "", "write the run's spans to this file as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
@@ -65,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	if *crnPath == "" {
 		return fmt.Errorf("missing -crn (use - for stdin)")
 	}
-	src, err := readAll(*crnPath)
+	src, err := core.ReadCRN(*crnPath)
 	if err != nil {
 		return err
 	}
@@ -85,14 +86,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var runner sim.RunnerCtx
-	switch *method {
-	case "gillespie":
-		runner = sim.GillespieCtx
-	case "fair":
-		runner = sim.FairRandomCtx
-	default:
-		return fmt.Errorf("unknown method %q", *method)
+	runner, err := sim.RunnerByName(*method)
+	if err != nil {
+		return err
 	}
 	opts := []sim.Option{sim.WithMaxSteps(*maxSteps)}
 	if *silent > 0 {
@@ -105,11 +101,7 @@ func run(args []string, out io.Writer) error {
 	ev := trace.NewSeam(tr, nil, nil).Start(time.Now(), "crnsim.ensemble", trace.SpanContext{},
 		trace.String("method", *method), trace.Int("trials", int64(*trials)))
 	results, err := sim.EnsembleCtx(ctx, runner, start, *trials, *seed, opts...)
-	outcome := "ok"
-	if err != nil {
-		outcome = "error"
-	}
-	ev.End(time.Now(), outcome)
+	ev.End(time.Now(), trace.Outcome(err))
 	if err != nil {
 		return err
 	}
@@ -126,15 +118,6 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "summary: trials=%d converged=%d output[min=%d max=%d mean=%.2f] allEqual=%v medianSteps=%d\n",
 		st.Trials, st.Converged, st.MinOutput, st.MaxOutput, st.MeanOutput, st.AllEqual, st.MedianSteps)
 	return nil
-}
-
-func readAll(path string) (string, error) {
-	if path == "-" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }
 
 func parseInputs(s string, d int) (vec.V, error) {

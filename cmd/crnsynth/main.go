@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,10 +33,7 @@ import (
 
 	"crncompose/internal/core"
 	"crncompose/internal/reach"
-	"crncompose/internal/semilinear"
-	"crncompose/internal/synth"
 	"crncompose/internal/trace"
-	"crncompose/internal/vec"
 )
 
 func main() {
@@ -58,7 +54,7 @@ func run(args []string, out io.Writer) error {
 		stats      = fs.Bool("stats", false, "print size statistics instead of the CRN")
 		verify     = fs.Int64("verify", -1, "model-check the synthesized CRN on the grid [0,N]^d before emitting it (-1 = off)")
 		workers    = fs.Int("workers", 0, "verification worker pool size; the shared work-stealing pool spans grid inputs and per-input exploration (0 = all CPUs)")
-		maxConfigs = fs.Int("maxconfigs", 1<<20, "verification reachability budget per input")
+		maxConfigs = fs.Int("maxconfigs", core.DefaultMaxConfigs, "verification reachability budget per input")
 		traceFile  = fs.String("trace", "", "write the run's spans to this file as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -76,27 +72,19 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, strings.Join(core.LibraryNames(), "\n"))
 		return nil
 	}
-	f, ok := core.Library()[*name]
-	if !ok {
-		return fmt.Errorf("unknown function %q (try -list)", *name)
-	}
-	if *leaderless {
-		return synthLeaderless(f, out, *stats)
+	f, err := core.Lookup(*name)
+	if err != nil {
+		return fmt.Errorf("%w (try -list)", err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	seam := trace.NewSeam(tr, nil, nil)
 	root := seam.Start(time.Now(), "crnsynth.compile", trace.SpanContext{}, trace.String("func", *name))
-	sys, err := core.Compile(f, core.CompileOptions{Bound: *bound, N: *n, Ctx: ctx})
+	sys, err := core.Synthesize(ctx, f, *bound, *n, *leaderless, nil)
+	root.End(time.Now(), trace.Outcome(err))
 	if err != nil {
-		root.End(time.Now(), "error")
-		var nce *synth.NotComputableError
-		if errors.As(err, &nce) && nce.Result.Contradiction != nil {
-			return fmt.Errorf("%w\n%s", err, nce.Result.Contradiction)
-		}
 		return err
 	}
-	root.End(time.Now(), "ok")
 	if *verify >= 0 {
 		vev := seam.Start(time.Now(), "crnsynth.verify", trace.SpanContext{},
 			trace.String("func", *name), trace.Int("hi", *verify))
@@ -110,6 +98,11 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(os.Stderr, "verified: %s\n", res)
 	}
+	if *stats && *leaderless {
+		fmt.Fprintf(out, "function=%s species=%d reactions=%d leaderless=true\n",
+			f.Name, sys.Net.NumSpecies(), len(sys.Net.Reactions))
+		return nil
+	}
 	if *stats {
 		fmt.Fprintf(out, "function=%s species=%d reactions=%d terms=%d n=%s oblivious=%v\n",
 			f.Name, sys.Net.NumSpecies(), len(sys.Net.Reactions),
@@ -117,26 +110,5 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 	fmt.Fprint(out, sys.Net)
-	return nil
-}
-
-func synthLeaderless(f *semilinear.Func, out io.Writer, stats bool) error {
-	if f.Dim() != 1 {
-		return fmt.Errorf("leaderless construction is 1D only (Theorem 9.2); %s takes %d inputs", f.Name, f.Dim())
-	}
-	spec, err := synth.FitOneDim(func(x int64) int64 { return f.Eval(vec.New(x)) }, 0, 0)
-	if err != nil {
-		return err
-	}
-	c, err := synth.LeaderlessOneDim(spec)
-	if err != nil {
-		return err
-	}
-	if stats {
-		fmt.Fprintf(out, "function=%s species=%d reactions=%d leaderless=true\n",
-			f.Name, c.NumSpecies(), len(c.Reactions))
-		return nil
-	}
-	fmt.Fprint(out, c)
 	return nil
 }

@@ -1,10 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"crncompose/internal/parse"
+	"crncompose/internal/serve"
 )
 
 func TestList(t *testing.T) {
@@ -100,5 +107,73 @@ func TestSynthVerify(t *testing.T) {
 	}
 	if _, err := parse.Parse(sb.String()); err != nil {
 		t.Fatalf("verified CRN does not reparse: %v", err)
+	}
+}
+
+// TestMatchesSynthesizeEndpoint: crnsynth and POST /v1/synthesize run the
+// one synthesis pipeline (core.Synthesize), so the served crn field is the
+// CLI's output byte for byte, and a function outside Theorem 9.2 is refused
+// by both with the same message.
+func TestMatchesSynthesizeEndpoint(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Shutdown(context.Background())
+	})
+	synthesize := func(req serve.SynthesizeRequest) (int, []byte) {
+		t.Helper()
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	for _, tc := range []struct {
+		args []string
+		req  serve.SynthesizeRequest
+	}{
+		{[]string{"-f", "min"}, serve.SynthesizeRequest{Func: "min"}},
+		{[]string{"-f", "fig7"}, serve.SynthesizeRequest{Func: "fig7"}},
+		{[]string{"-f", "floor3x2", "-leaderless"}, serve.SynthesizeRequest{Func: "floor3x2", Leaderless: true}},
+	} {
+		var sb strings.Builder
+		if err := run(tc.args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		status, body := synthesize(tc.req)
+		var resp serve.SynthesizeResponse
+		if err := json.Unmarshal(body, &resp); status != http.StatusOK || err != nil {
+			t.Fatalf("%v: %d %v %s", tc.args, status, err, body)
+		}
+		if resp.CRN != sb.String() {
+			t.Errorf("%v: /v1/synthesize crn differs from crnsynth:\n%s\nwant:\n%s", tc.args, resp.CRN, sb.String())
+		}
+	}
+	err := run([]string{"-f", "min1", "-leaderless"}, io.Discard)
+	if err == nil {
+		t.Fatal("crnsynth accepted leaderless min1")
+	}
+	status, body := synthesize(serve.SynthesizeRequest{Func: "min1", Leaderless: true})
+	var e struct{ Error string }
+	if jerr := json.Unmarshal(body, &e); status != http.StatusUnprocessableEntity || jerr != nil || e.Error != err.Error() {
+		t.Fatalf("leaderless min1: served %d %s; crnsynth %q", status, body, err)
+	}
+}
+
+// TestSynthLeaderlessVerify: -verify model-checks the leaderless CRN too.
+func TestSynthLeaderlessVerify(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-f", "floor3x2", "-leaderless", "-verify", "6", "-workers", "1"}, &sb); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,11 +11,18 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"io"
+	"maps"
+	"os"
+	"slices"
+	"sync"
 
 	"crncompose/internal/classify"
 	"crncompose/internal/crn"
+	"crncompose/internal/parse"
+	"crncompose/internal/progress"
 	"crncompose/internal/reach"
 	"crncompose/internal/semilinear"
 	"crncompose/internal/sim"
@@ -45,14 +52,41 @@ type CompileOptions struct {
 	Ctx context.Context
 }
 
-// Compile runs classification and synthesis. When f is not
-// obliviously-computable the returned error is a *synth.NotComputableError
-// carrying the Lemma 4.1 contradiction.
+// Compile runs classification and synthesis: Synthesize's general
+// construction, without a progress reporter.
 func Compile(f *semilinear.Func, opts CompileOptions) (*System, error) {
+	return Synthesize(opts.Ctx, f, opts.Bound, opts.N, false, nil)
+}
+
+// Synthesize is the one synthesis pipeline (crnsynth, /v1/synthesize). With
+// leaderless it builds Theorem 9.2's CRN (1D superadditive f only) and no
+// Analysis; otherwise it classifies f and builds the Lemma 6.2 CRN, and a
+// non-computable f's error wraps its *synth.NotComputableError followed by
+// the Lemma 4.1 contradiction.
+func Synthesize(ctx context.Context, f *semilinear.Func, bound, n int64, leaderless bool, rep progress.Reporter) (*System, error) {
+	if leaderless {
+		if f.Dim() != 1 {
+			return nil, fmt.Errorf("core: leaderless construction is 1D only (Theorem 9.2); %s takes %d inputs", f.Name, f.Dim())
+		}
+		spec, err := synth.FitOneDim(func(x int64) int64 { return f.Eval(vec.New(x)) }, 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		net, err := synth.LeaderlessOneDim(spec)
+		if err != nil {
+			return nil, err
+		}
+		return &System{F: f, Net: net}, nil
+	}
 	net, res, err := synth.General(f, synth.GeneralOptions{
-		Classify: classify.Options{Bound: opts.Bound, WitnessSearch: true, Ctx: opts.Ctx},
-		N:        opts.N,
+		Classify: classify.Options{Bound: bound, WitnessSearch: true, Ctx: ctx, Progress: rep},
+		N:        n,
+		Progress: rep,
 	})
+	var nce *synth.NotComputableError
+	if errors.As(err, &nce) && nce.Result.Contradiction != nil {
+		return nil, fmt.Errorf("core: %w\n%s", err, nce.Result.Contradiction)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -70,8 +104,7 @@ func (s *System) Verify(lo, hi int64, opts ...reach.Option) (reach.GridResult, e
 // partial counts; a completed run is identical to Verify's).
 func (s *System) VerifyCtx(ctx context.Context, lo, hi int64, opts ...reach.Option) (reach.GridResult, error) {
 	los, his := reach.Cube(s.F.Dim(), lo, hi)
-	return reach.CheckGridCtx(ctx, s.Net, func(x []int64) int64 { return s.F.Eval(vec.New(x...)) },
-		los, his, opts...)
+	return reach.CheckGridCtx(ctx, s.Net, Evaluator(s.F), los, his, opts...)
 }
 
 // Simulate runs trials fair-random simulations at input x and reports
@@ -110,9 +143,12 @@ func Demonstrate(c *crn.CRN, f witness.Func, con *witness.Contradiction) (*witne
 	return witness.BuildOverproduction(c, f, con)
 }
 
-// Library returns the named functions from the paper available to the
-// command-line tools, sorted by name.
-func Library() map[string]*semilinear.Func {
+// DefaultMaxConfigs is the per-input exploration budget crncheck,
+// crnsynth -verify and /v1/check default to (4× reach.DefaultMaxConfigs).
+const DefaultMaxConfigs = 1 << 20
+
+// library builds the immutable library functions once, for every caller.
+var library = sync.OnceValue(func() map[string]*semilinear.Func {
 	return map[string]*semilinear.Func{
 		"identity":   semilinear.Identity(),
 		"double":     semilinear.Double(),
@@ -126,15 +162,63 @@ func Library() map[string]*semilinear.Func {
 		"fig4a":      semilinear.Fig4a(),
 		"sumplusmin": semilinear.SumPlusMin(),
 	}
-}
+})
+
+// Library returns the paper's named functions: a fresh map over shared
+// functions, which callers must not modify.
+func Library() map[string]*semilinear.Func { return maps.Clone(library()) }
 
 // LibraryNames returns the sorted names of Library.
-func LibraryNames() []string {
-	lib := Library()
-	names := make([]string, 0, len(lib))
-	for name := range lib {
-		names = append(names, name)
+func LibraryNames() []string { return slices.Sorted(maps.Keys(library())) }
+
+// Lookup returns the named library function, or the one "core: unknown
+// function" error every front end reports.
+func Lookup(name string) (*semilinear.Func, error) {
+	f, ok := library()[name]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown function %q", name)
 	}
-	sort.Strings(names)
-	return names
+	return f, nil
+}
+
+// Evaluator wraps f as the engine's reach.Func.
+func Evaluator(f *semilinear.Func) reach.Func {
+	return func(x []int64) int64 { return f.Eval(vec.New(x...)) }
+}
+
+// Resolve returns the named library function's evaluator, in the shape of
+// dist.Worker.Resolve (crncheck -join's resolver).
+func Resolve(name string) (reach.Func, error) {
+	f, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return Evaluator(f), nil
+}
+
+// ReadCRN reads a CRN file's text; path "-" reads stdin.
+func ReadCRN(path string) (string, error) {
+	if path == "-" {
+		b, err := io.ReadAll(os.Stdin)
+		return string(b), err
+	}
+	b, err := os.ReadFile(path)
+	return string(b), err
+}
+
+// ParseCheck parses CRN text, looks up the library function it should
+// compute and checks their arities agree: crncheck's and /v1/check's front.
+func ParseCheck(src, name string) (*crn.CRN, reach.Func, error) {
+	c, err := parse.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := Lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.Dim() != f.Dim() {
+		return nil, nil, fmt.Errorf("core: CRN takes %d inputs but %s takes %d", c.Dim(), f.Name, f.Dim())
+	}
+	return c, Evaluator(f), nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"crncompose/internal/crn"
@@ -116,5 +118,90 @@ func TestLibraryComplete(t *testing.T) {
 	for name, f := range Library() {
 		_ = f.Eval(vec.Zero(f.Dim()))
 		_ = name
+	}
+}
+
+// TestParseCheck pins the one resolver every front end shares: crncheck,
+// /v1/check, and (through Lookup) /v1/classify, /v1/synthesize and crnsynth.
+func TestParseCheck(t *testing.T) {
+	const minText = "#input X1 X2\n#output Y\nX1 + X2 -> Y\n"
+	for _, tc := range []struct {
+		name, src, fn, wantErr string
+	}{
+		{"unknown function", minText, "nonsense", `unknown function "nonsense"`},
+		{"arity mismatch", minText, "double", "CRN takes 2 inputs but double takes 1"},
+		{"parse error", "#output Y\nX Y\n", "min", "parse"},
+		{"valid", minText, "min", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, f, err := ParseCheck(tc.src, tc.fn)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) || c != nil || f != nil {
+					t.Fatalf("ParseCheck = %v, %v, %v; want error containing %q", c, f != nil, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Dim() != 2 || f([]int64{5, 3}) != 3 {
+				t.Fatalf("resolved dim %d, min(5,3) = %d", c.Dim(), f([]int64{5, 3}))
+			}
+		})
+	}
+	if _, err := Resolve("nonsense"); err == nil {
+		t.Fatal("Resolve accepted an unknown name")
+	}
+	if f, err := Resolve("fig4a"); err != nil || f([]int64{4, 3}) != semilinear.Fig4a().Eval(vec.New(4, 3)) {
+		t.Fatalf("Resolve(fig4a) = %v", err)
+	}
+}
+
+// TestLibraryBuiltOnce: every call shares the same functions, and a call
+// costs one map, not eleven constructions.
+func TestLibraryBuiltOnce(t *testing.T) {
+	a, b := Library(), Library()
+	for name, f := range a {
+		if b[name] != f {
+			t.Fatalf("Library()[%q] differs between calls", name)
+		}
+		if g, _ := Lookup(name); g != f {
+			t.Fatalf("Lookup(%q) differs from Library()", name)
+		}
+	}
+	delete(a, "min")
+	if _, err := Lookup("min"); err != nil {
+		t.Fatal("a caller's map edit reached the shared library")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Library() }); n > 4 {
+		t.Fatalf("Library() allocates %v times per call, want ≤ 4", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = Lookup("fig7") }); n != 0 {
+		t.Fatalf("Lookup allocates %v times per call, want 0", n)
+	}
+}
+
+// TestSynthesizeLeaderless: the leaderless branch is 1D only, builds no
+// leader, and rejects a function outside Theorem 9.2 (Observation 9.1).
+func TestSynthesizeLeaderless(t *testing.T) {
+	sys, err := Synthesize(context.Background(), semilinear.FloorThreeHalves(), 0, 0, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Net.Leader != "" || sys.Analysis != nil {
+		t.Fatalf("leaderless system: leader %q, analysis %v", sys.Net.Leader, sys.Analysis)
+	}
+	if res, err := sys.Verify(0, 6); err != nil || !res.OK() {
+		t.Fatalf("leaderless floor3x2 does not verify: %v %v", res, err)
+	}
+	for _, f := range []*semilinear.Func{semilinear.Min2(), semilinear.MinConst1()} {
+		if _, err := Synthesize(context.Background(), f, 0, 0, true, nil); err == nil {
+			t.Errorf("leaderless synthesis accepted %s", f.Name)
+		}
+	}
+	_, err = Synthesize(context.Background(), semilinear.Max2(), 0, 0, false, nil)
+	var nce *synth.NotComputableError
+	if !errors.As(err, &nce) || !strings.Contains(err.Error(), "Lemma 4.1") {
+		t.Fatalf("max: err = %v, want a NotComputableError carrying its contradiction", err)
 	}
 }

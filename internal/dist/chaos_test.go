@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crncompose/internal/core"
 	"crncompose/internal/crn"
 	"crncompose/internal/faultnet"
 	"crncompose/internal/reach"
@@ -84,7 +85,7 @@ func runChaos(t *testing.T, c *crn.CRN, lo, hi []int64, shape string, seed uint6
 			Coordinator: addr,
 			Name:        fmt.Sprintf("chaos-%d", i),
 			Workers:     2,
-			Resolve:     testResolver,
+			Resolve:     core.Resolve,
 			Poll:        5 * time.Millisecond,
 			LongPoll:    200 * time.Millisecond,
 			Grace:       30 * time.Second, // ride out every injected outage
@@ -211,7 +212,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 			Coordinator: addr,
 			Name:        fmt.Sprintf("restart-%d", i),
 			Workers:     2,
-			Resolve:     testResolver,
+			Resolve:     core.Resolve,
 			Poll:        5 * time.Millisecond,
 			LongPoll:    100 * time.Millisecond,
 			Grace:       30 * time.Second, // must span the restart outage

@@ -30,13 +30,13 @@ type CoordinatorConfig struct {
 	// workers and it rebinds decoded witness configurations.
 	CRN *crn.CRN
 	// Func names the function the CRN should compute. Workers resolve the
-	// name themselves (cmd/crncheck uses core.Library on both sides).
+	// name themselves (cmd/crncheck uses core.Resolve on both sides).
 	Func string
 	// Lo, Hi bound the grid, per coordinate (lo ≤ x ≤ hi).
 	Lo, Hi []int64
 	// MaxConfigs and MaxCount are the per-input exploration budgets — part
 	// of the job, since verdicts depend on them. Nonpositive values pick
-	// reach's own defaults (1<<18 configs, 1<<40 max count), so an unset
+	// reach.DefaultMaxConfigs and reach.DefaultMaxCount, so an unset
 	// config stays byte-identical to a reach.CheckGrid with unset options.
 	MaxConfigs int
 	MaxCount   int64
@@ -140,10 +140,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	if cfg.MaxConfigs <= 0 {
-		cfg.MaxConfigs = 1 << 18 // reach.buildOptions' default
+		cfg.MaxConfigs = reach.DefaultMaxConfigs
 	}
 	if cfg.MaxCount <= 0 {
-		cfg.MaxCount = 1 << 40 // reach.buildOptions' default
+		cfg.MaxCount = reach.DefaultMaxCount
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = DefaultShards
@@ -547,21 +547,23 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if !readJSON(w, r, &req) {
+		if !readJSON(w, r, &req, maxControlBytes) {
 			return
 		}
 		writeJSON(w, co.leaseWait(r.Context(), req.Worker, time.Duration(req.WaitMillis)*time.Millisecond))
 	})
 	mux.HandleFunc("POST /renew", func(w http.ResponseWriter, r *http.Request) {
 		var req RenewRequest
-		if !readJSON(w, r, &req) {
+		if !readJSON(w, r, &req, maxControlBytes) {
 			return
 		}
 		writeJSON(w, co.renew(req.Worker, req.RectID))
 	})
 	mux.HandleFunc("POST /result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if !readJSON(w, r, &req) {
+		// Uncapped: a result carries its rectangle's failure witness,
+		// whose size grows with the schedule it replays.
+		if !readJSON(w, r, &req, 0) {
 			return
 		}
 		resp, err := co.result(req)
@@ -685,7 +687,15 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// maxControlBytes bounds a /lease or /renew body: a worker name and an id.
+const maxControlBytes = 64 << 10
+
+// readJSON decodes r's body into v, answering 400 to a malformed body or,
+// when limit > 0, to one longer than limit bytes.
+func readJSON(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	if limit > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	}
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return false

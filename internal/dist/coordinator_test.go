@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -367,5 +370,37 @@ func assertSameAsLocal(t *testing.T, merged reach.GridResult, mergedErr error, c
 	}
 	if merged.String() != local.String() {
 		t.Fatalf("String differs: %q vs %q", merged, local)
+	}
+}
+
+// TestControlBodiesCapped: a /lease or /renew body past maxControlBytes is
+// answered 400 without being read to its end, and the coordinator then
+// still grants leases.
+func TestControlBodiesCapped(t *testing.T) {
+	co := newTestCoordinator(t, nil, 1, "")
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+	post := func(path string, body []byte) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	huge := []byte(`{"worker":"` + strings.Repeat("w", 2*maxControlBytes) + `"}`)
+	for _, path := range []string{"/lease", "/renew"} {
+		if resp := post(path, huge); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("oversized %s answered %d, want 400", path, resp.StatusCode)
+		}
+	}
+	resp := post("/lease", []byte(`{"worker":"A"}`))
+	var la LeaseResponse
+	if err := json.NewDecoder(resp.Body).Decode(&la); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || la.Rect == nil {
+		t.Fatalf("lease after oversized bodies: %d %+v", resp.StatusCode, la)
 	}
 }

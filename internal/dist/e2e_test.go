@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"crncompose/internal/core"
 	"crncompose/internal/crn"
 	"crncompose/internal/reach"
 )
@@ -43,7 +44,7 @@ func runDistributed(t *testing.T, c *crn.CRN, lo, hi []int64, shards, workers in
 			Coordinator: addr,
 			Name:        string(rune('A' + i)),
 			Workers:     2,
-			Resolve:     testResolver,
+			Resolve:     core.Resolve,
 			Poll:        10 * time.Millisecond,
 			Logf:        t.Logf,
 		}
@@ -114,7 +115,7 @@ func TestWorkerRejectsWrongProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Shutdown(context.Background())
-	w := &Worker{Coordinator: co.Addr().String(), Resolve: testResolver, JoinTimeout: 2 * time.Second}
+	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, JoinTimeout: 2 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := w.Run(ctx); err == nil {
@@ -136,7 +137,7 @@ func TestWorkerUnknownFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Shutdown(context.Background())
-	w := &Worker{Coordinator: co.Addr().String(), Resolve: testResolver, JoinTimeout: 2 * time.Second}
+	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, JoinTimeout: 2 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := w.Run(ctx); err == nil {

@@ -36,7 +36,7 @@
 //
 // Workers resolve the function name themselves (the coordinator never ships
 // code), so coordinator and workers must agree on the function library —
-// cmd/crncheck wires both sides to core.Library.
+// cmd/crncheck wires both sides to core.Resolve.
 //
 // # Fault model
 //

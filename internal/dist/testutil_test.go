@@ -2,7 +2,6 @@ package dist
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -28,14 +27,6 @@ func sumCRN() *crn.CRN {
 }
 
 func minFunc(x []int64) int64 { return min(x[0], x[1]) }
-
-// testResolver resolves the single function name used by the tests.
-func testResolver(name string) (reach.Func, error) {
-	if name != "min" {
-		return nil, fmt.Errorf("unknown function %q", name)
-	}
-	return minFunc, nil
-}
 
 // fakeClock is a manually advanced clock whose every observation also
 // drifts forward by a small random jitter, so lease-expiry tests cannot

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"crncompose/internal/core"
 	"crncompose/internal/reach"
 	"crncompose/internal/trace"
 )
@@ -92,7 +93,7 @@ func TestWorkerJoin4xxFailsFast(t *testing.T) {
 
 	w := &Worker{
 		Coordinator: ts.URL,
-		Resolve:     testResolver,
+		Resolve:     core.Resolve,
 		Poll:        5 * time.Millisecond,
 		JoinTimeout: 30 * time.Second, // must NOT be waited out
 		Logf:        t.Logf,
@@ -133,7 +134,7 @@ func TestWorkerJoinRetriesTransient(t *testing.T) {
 
 	w := &Worker{
 		Coordinator: ts.URL,
-		Resolve:     testResolver,
+		Resolve:     core.Resolve,
 		Poll:        time.Millisecond,
 		JoinTimeout: 30 * time.Second,
 		LongPoll:    -1,
@@ -158,7 +159,7 @@ func TestWorkerCoordinatorLost(t *testing.T) {
 	const grace = 250 * time.Millisecond
 	w := &Worker{
 		Coordinator: ts.URL,
-		Resolve:     testResolver,
+		Resolve:     core.Resolve,
 		Poll:        5 * time.Millisecond,
 		LongPoll:    -1,
 		Grace:       grace,
@@ -267,7 +268,7 @@ func TestWorkerRetryLogStamped(t *testing.T) {
 		Coordinator: srv.URL,
 		Name:        "W",
 		Workers:     1,
-		Resolve:     testResolver,
+		Resolve:     core.Resolve,
 		Poll:        time.Millisecond,
 		Tracer:      trace.New(trace.Options{Proc: "worker"}),
 		Logf: func(format string, args ...any) {

@@ -130,8 +130,15 @@ func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 // the computed result.
 func WithProgress(r progress.Reporter) Option { return func(o *Options) { o.Progress = r } }
 
+// The budgets of a run no option sets; dist.NewCoordinator and serve's
+// check key use them to match such a run.
+const (
+	DefaultMaxConfigs = 1 << 18
+	DefaultMaxCount   = int64(1) << 40
+)
+
 func buildOptions(opts []Option) Options {
-	o := Options{MaxConfigs: 1 << 18, MaxCount: 1 << 40, Workers: 0}
+	o := Options{MaxConfigs: DefaultMaxConfigs, MaxCount: DefaultMaxCount, Workers: 0}
 	for _, fn := range opts {
 		fn(&o)
 	}

@@ -8,17 +8,16 @@ import (
 
 	"crncompose/internal/core"
 	"crncompose/internal/crn"
-	"crncompose/internal/parse"
 	"crncompose/internal/reach"
 	"crncompose/internal/trace"
-	"crncompose/internal/vec"
 )
 
 // CheckRequest is the JSON body of POST /v1/check and POST /v1/jobs: verify
 // that CRN stably computes the named library function on the grid
-// [Lo,Hi]^d. Defaults mirror crncheck's flags (lo 0, hi 3, maxconfigs 2^20),
-// so a request and the CLI invocation it quotes verify under identical
-// budgets — the precondition for the byte-identity contract below.
+// [Lo,Hi]^d. Defaults are crncheck's (lo 0, hi 3, maxconfigs
+// core.DefaultMaxConfigs, max count reach.DefaultMaxCount), so a request and
+// the CLI invocation it quotes verify under identical budgets — the
+// precondition for the byte-identity contract below.
 type CheckRequest struct {
 	CRN        string `json:"crn"`
 	Func       string `json:"func"`
@@ -65,16 +64,9 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 	if req.CRN == "" || req.Func == "" {
 		return nil, fmt.Errorf("need both crn and func")
 	}
-	c, err := parse.Parse(req.CRN)
+	c, f, err := core.ParseCheck(req.CRN, req.Func)
 	if err != nil {
 		return nil, err
-	}
-	f, ok := core.Library()[req.Func]
-	if !ok {
-		return nil, fmt.Errorf("unknown function %q", req.Func)
-	}
-	if c.Dim() != f.Dim() {
-		return nil, fmt.Errorf("CRN takes %d inputs but %s takes %d", c.Dim(), f.Name, f.Dim())
 	}
 	hi := int64(3)
 	if req.Hi != nil {
@@ -85,12 +77,12 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 	}
 	maxConfigs := req.MaxConfigs
 	if maxConfigs == 0 {
-		maxConfigs = 1 << 20 // crncheck's -maxconfigs default
+		maxConfigs = core.DefaultMaxConfigs
 	}
 	if maxConfigs < 1 || maxConfigs > MaxCheckConfigs {
 		return nil, fmt.Errorf("maxconfigs %d is outside [1, %d]", maxConfigs, MaxCheckConfigs)
 	}
-	d := f.Dim()
+	d := c.Dim()
 	los, his := reach.Cube(d, req.Lo, hi)
 	points, err := reach.GridPoints(d, los, his)
 	if err != nil {
@@ -107,13 +99,13 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 		Lo:         los,
 		Hi:         his,
 		MaxConfigs: maxConfigs,
-		MaxCount:   1 << 40, // reach's default; part of the key because verdicts depend on it
+		MaxCount:   reach.DefaultMaxCount, // part of the key because verdicts depend on it
 	}
 	return &checkJob{
 		cc:     cc,
 		key:    requestKey(cc),
 		c:      c,
-		f:      func(x []int64) int64 { return f.Eval(vec.New(x...)) },
+		f:      f,
 		points: points,
 	}, nil
 }

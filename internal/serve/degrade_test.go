@@ -15,9 +15,7 @@ import (
 
 	"crncompose/internal/core"
 	"crncompose/internal/dist"
-	"crncompose/internal/reach"
 	"crncompose/internal/trace"
-	"crncompose/internal/vec"
 )
 
 // Graceful-degradation coverage: a dist handoff that cannot start or makes
@@ -92,13 +90,6 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	resolver := func(name string) (reach.Func, error) {
-		f, ok := core.Library()[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown function %q", name)
-		}
-		return func(x []int64) int64 { return f.Eval(vec.New(x...)) }, nil
-	}
 	killed := errors.New("worker killed mid-rectangle")
 	workerErrs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -106,7 +97,7 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 			Coordinator: addr,
 			Name:        fmt.Sprintf("worker-%d", i),
 			Workers:     1,
-			Resolve:     resolver,
+			Resolve:     core.Resolve,
 			Poll:        10 * time.Millisecond,
 			LongPoll:    200 * time.Millisecond,
 			JoinTimeout: 30 * time.Second,
@@ -143,16 +134,6 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 	}
 }
 
-// resolveLibrary is a dist.Worker resolver over core.Library, as
-// crncheck -join wires it.
-func resolveLibrary(name string) (reach.Func, error) {
-	f, ok := core.Library()[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown function %q", name)
-	}
-	return func(x []int64) int64 { return f.Eval(vec.New(x...)) }, nil
-}
-
 // TestJobDegradeKeepsCompletedRects: the only worker completes k
 // rectangles, then dies holding its next lease. The watchdog degrades the
 // job, which finishes on the same coordinator: progress never drops (so
@@ -177,7 +158,7 @@ func TestJobDegradeKeepsCompletedRects(t *testing.T) {
 		Coordinator: addr,
 		Name:        "mortal",
 		Workers:     1,
-		Resolve:     resolveLibrary,
+		Resolve:     core.Resolve,
 		Poll:        10 * time.Millisecond,
 		LongPoll:    200 * time.Millisecond,
 		JoinTimeout: 30 * time.Second,
@@ -269,7 +250,7 @@ func TestJobDistConcurrentJobs(t *testing.T) {
 					Coordinator: addr,
 					Name:        fmt.Sprintf("worker-%d", i),
 					Workers:     1,
-					Resolve:     resolveLibrary,
+					Resolve:     core.Resolve,
 					Poll:        10 * time.Millisecond,
 					LongPoll:    200 * time.Millisecond,
 					JoinTimeout: 30 * time.Second,

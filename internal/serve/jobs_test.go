@@ -16,9 +16,7 @@ import (
 
 	"crncompose/internal/core"
 	"crncompose/internal/dist"
-	"crncompose/internal/reach"
 	"crncompose/internal/trace"
-	"crncompose/internal/vec"
 )
 
 // TestJobSubmitDedupAndProgress: POST /v1/jobs always runs asynchronously,
@@ -133,13 +131,7 @@ func TestJobDistBackend(t *testing.T) {
 			Coordinator: addr,
 			Name:        "test-worker",
 			Workers:     1,
-			Resolve: func(name string) (reach.Func, error) {
-				f, ok := core.Library()[name]
-				if !ok {
-					return nil, fmt.Errorf("unknown function %q", name)
-				}
-				return func(x []int64) int64 { return f.Eval(vec.New(x...)) }, nil
-			},
+			Resolve:     core.Resolve,
 			JoinTimeout: 30 * time.Second,
 			LongPoll:    200 * time.Millisecond,
 		}
@@ -294,7 +286,7 @@ func TestJobDistDoneBeforeLinger(t *testing.T) {
 	defer cancel()
 	workerDone := make(chan error, 1)
 	go func() {
-		w := &dist.Worker{Coordinator: addr, Name: "w", Workers: 1, Resolve: resolveLibrary, LongPoll: 200 * time.Millisecond}
+		w := &dist.Worker{Coordinator: addr, Name: "w", Workers: 1, Resolve: core.Resolve, LongPoll: 200 * time.Millisecond}
 		workerDone <- w.Run(ctx)
 	}()
 	if _, err := br.ReadByte(); err == nil {

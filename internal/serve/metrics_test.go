@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"crncompose/internal/core"
 	"crncompose/internal/dist"
 	"crncompose/internal/httpx"
 	"crncompose/internal/metrics"
@@ -245,7 +246,7 @@ func TestSeamNameSet(t *testing.T) {
 	defer co.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	w := &dist.Worker{Coordinator: co.Addr().String(), Name: "w", Workers: 1, Resolve: resolveLibrary}
+	w := &dist.Worker{Coordinator: co.Addr().String(), Name: "w", Workers: 1, Resolve: core.Resolve}
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("worker: %v", err)
 	}

@@ -69,7 +69,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -82,12 +81,8 @@ import (
 	"crncompose/internal/crn"
 	"crncompose/internal/metrics"
 	"crncompose/internal/parse"
-	"crncompose/internal/progress"
-	"crncompose/internal/semilinear"
 	"crncompose/internal/sim"
-	"crncompose/internal/synth"
 	"crncompose/internal/trace"
-	"crncompose/internal/vec"
 )
 
 // Defaults for Config zero values.
@@ -291,21 +286,11 @@ func (s *Server) cacheDo(ctx context.Context, op, key string, compute func() (ca
 		name = "serve.singleflight.park"
 	}
 	ev := s.seam.Start(start, name, trace.FromContext(ctx), trace.String("op", op))
-	outcome := "ok"
 	if err != nil {
-		outcome = "error"
 		ev.SetAttr("error", err.Error())
 	}
-	ev.End(time.Now(), outcome)
+	ev.End(time.Now(), trace.Outcome(err))
 	return val, source, err
-}
-
-// runOutcome is an engine run's outcome for its progress adapter.
-func runOutcome(err error) string {
-	if err != nil {
-		return "error"
-	}
-	return "ok"
 }
 
 // Stats is the GET /v1/stats document. Cache and JobsTotal read from
@@ -357,9 +342,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	f, ok := core.Library()[req.Func]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown function %q", req.Func))
+	f, err := core.Lookup(req.Func)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	key := requestKey(struct {
@@ -372,7 +357,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		s.computed("classify")
 		prog := s.seam.Progress(time.Now, trace.FromContext(r.Context()), 0)
 		res, err := classify.Analyze(f, classify.Options{Bound: req.Bound, WitnessSearch: true, Progress: prog})
-		prog.Finish(time.Now(), runOutcome(err))
+		prog.Finish(time.Now(), trace.Outcome(err))
 		if err != nil {
 			return cached{}, err
 		}
@@ -423,9 +408,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	f, ok := core.Library()[req.Func]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown function %q", req.Func))
+	f, err := core.Lookup(req.Func)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	key := requestKey(struct {
@@ -439,56 +424,22 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	val, source, err := s.cacheDo(r.Context(), "synthesize", key, func() (cached, error) {
 		s.computed("synthesize")
 		prog := s.seam.Progress(time.Now, trace.FromContext(r.Context()), 0)
-		resp, err := synthesize(f, req, prog)
-		prog.Finish(time.Now(), runOutcome(err))
+		sys, err := core.Synthesize(context.Background(), f, req.Bound, req.N, req.Leaderless, prog)
+		prog.Finish(time.Now(), trace.Outcome(err))
 		if err != nil {
 			return cached{}, err
 		}
-		return encodeJSON(resp)
+		return encodeJSON(SynthesizeResponse{
+			Func: f.Name, CRN: sys.Net.String(),
+			Species: sys.Net.NumSpecies(), Reactions: len(sys.Net.Reactions),
+			OutputOblivious: sys.Net.IsOutputOblivious(), Leaderless: req.Leaderless,
+		})
 	})
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	writeCached(w, val, source)
-}
-
-func synthesize(f *semilinear.Func, req SynthesizeRequest, rep progress.Reporter) (SynthesizeResponse, error) {
-	if req.Leaderless {
-		if f.Dim() != 1 {
-			return SynthesizeResponse{}, fmt.Errorf("leaderless construction is 1D only (Theorem 9.2); %s takes %d inputs", f.Name, f.Dim())
-		}
-		spec, err := synth.FitOneDim(func(x int64) int64 { return f.Eval(vec.New(x)) }, 0, 0)
-		if err != nil {
-			return SynthesizeResponse{}, err
-		}
-		c, err := synth.LeaderlessOneDim(spec)
-		if err != nil {
-			return SynthesizeResponse{}, err
-		}
-		return SynthesizeResponse{
-			Func: f.Name, CRN: c.String(),
-			Species: c.NumSpecies(), Reactions: len(c.Reactions),
-			OutputOblivious: c.IsOutputOblivious(), Leaderless: true,
-		}, nil
-	}
-	net, _, err := synth.General(f, synth.GeneralOptions{
-		Classify: classify.Options{Bound: req.Bound, WitnessSearch: true, Progress: rep},
-		N:        req.N,
-		Progress: rep,
-	})
-	if err != nil {
-		var nce *synth.NotComputableError
-		if errors.As(err, &nce) && nce.Result.Contradiction != nil {
-			return SynthesizeResponse{}, fmt.Errorf("%w\n%s", err, nce.Result.Contradiction)
-		}
-		return SynthesizeResponse{}, err
-	}
-	return SynthesizeResponse{
-		Func: f.Name, CRN: net.String(),
-		Species: net.NumSpecies(), Reactions: len(net.Reactions),
-		OutputOblivious: net.IsOutputOblivious(),
-	}, nil
 }
 
 // Admission bounds on /v1/simulate: simulation runs on the request path, so
@@ -512,13 +463,14 @@ const MaxCheckConfigs = 1 << 26
 const MaxRequestBytes = 1 << 20
 
 // SimulateRequest is the JSON body of POST /v1/simulate: run a seeded
-// ensemble of stochastic simulations. Defaults mirror crnsim's flags
-// (method fair, 1 trial, seed 1; the step budget defaults to 50M and is
-// admission-capped at MaxSimMaxSteps, trials at MaxSimTrials).
+// ensemble of stochastic simulations. Defaults are crnsim's (method
+// sim.DefaultMethod, 1 trial, seed 1, step budget sim.DefaultMaxSteps);
+// the step budget is admission-capped at MaxSimMaxSteps, trials at
+// MaxSimTrials.
 type SimulateRequest struct {
 	CRN    string  `json:"crn"`
 	X      []int64 `json:"x"`
-	Method string  `json:"method,omitempty"` // "fair" (default) or "gillespie"
+	Method string  `json:"method,omitempty"` // a sim.RunnerByName method
 	Trials int     `json:"trials,omitempty"`
 	Seed   uint64  `json:"seed,omitempty"`
 	// MaxSteps bounds each trial; SilentSteps enables the sound silence
@@ -559,7 +511,7 @@ type SimulateResponse struct {
 type simJob struct {
 	req    SimulateRequest
 	key    string
-	runner sim.Runner
+	runner sim.RunnerCtx
 	start  crn.Config
 }
 
@@ -569,7 +521,7 @@ type simJob struct {
 // (http.StatusBadRequest).
 func resolveSimulate(req SimulateRequest) (*simJob, error) {
 	if req.Method == "" {
-		req.Method = "fair"
+		req.Method = sim.DefaultMethod
 	}
 	if req.Trials <= 0 {
 		req.Trials = 1
@@ -578,7 +530,7 @@ func resolveSimulate(req SimulateRequest) (*simJob, error) {
 		req.Seed = 1
 	}
 	if req.MaxSteps <= 0 {
-		req.MaxSteps = 50_000_000
+		req.MaxSteps = sim.DefaultMaxSteps
 	}
 	if req.Trials > MaxSimTrials {
 		return nil, fmt.Errorf("trials %d exceeds the per-request bound %d", req.Trials, MaxSimTrials)
@@ -589,14 +541,9 @@ func resolveSimulate(req SimulateRequest) (*simJob, error) {
 	if req.SilentSteps < 0 {
 		return nil, fmt.Errorf("negative silent steps")
 	}
-	var runner sim.Runner
-	switch req.Method {
-	case "fair":
-		runner = sim.FairRandom
-	case "gillespie":
-		runner = sim.Gillespie
-	default:
-		return nil, fmt.Errorf("unknown method %q", req.Method)
+	runner, err := sim.RunnerByName(req.Method)
+	if err != nil {
+		return nil, err
 	}
 	c, err := parse.Parse(req.CRN)
 	if err != nil {
@@ -640,8 +587,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if req.SilentSteps > 0 {
 			opts = append(opts, sim.WithSilentSteps(req.SilentSteps))
 		}
-		results := sim.Ensemble(j.runner, j.start, req.Trials, req.Seed, opts...)
-		prog.Finish(time.Now(), "ok")
+		// No request context, as for checks: parked identical requests
+		// share the flight.
+		results, err := sim.EnsembleCtx(context.Background(), j.runner, j.start, req.Trials, req.Seed, opts...)
+		prog.Finish(time.Now(), trace.Outcome(err))
+		if err != nil {
+			return cached{}, err
+		}
 		resp := SimulateResponse{Trials: make([]SimTrial, len(results))}
 		for i, res := range results {
 			resp.Trials[i] = SimTrial{

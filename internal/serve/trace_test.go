@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
 	"crncompose/internal/core"
 	"crncompose/internal/dist"
-	"crncompose/internal/reach"
 	"crncompose/internal/trace"
-	"crncompose/internal/vec"
 )
 
 // clientTraceparent is a fixed incoming W3C trace context, as an external
@@ -152,13 +149,7 @@ func TestTraceDistE2E(t *testing.T) {
 			Coordinator: addr,
 			Name:        "trace-worker",
 			Workers:     1,
-			Resolve: func(name string) (reach.Func, error) {
-				f, ok := core.Library()[name]
-				if !ok {
-					return nil, fmt.Errorf("unknown function %q", name)
-				}
-				return func(x []int64) int64 { return f.Eval(vec.New(x...)) }, nil
-			},
+			Resolve:     core.Resolve,
 			JoinTimeout: 30 * time.Second,
 			LongPoll:    200 * time.Millisecond,
 			Tracer:      workerTr,

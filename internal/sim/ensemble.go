@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -16,6 +17,21 @@ type Runner func(start crn.Config, opts ...Option) Result
 // RunnerCtx is a cancellation-aware single-trial simulation function
 // (GillespieCtx, FairRandomCtx, or a RunScheduledCtx closure).
 type RunnerCtx func(ctx context.Context, start crn.Config, opts ...Option) (Result, error)
+
+// DefaultMethod is the method crnsim and /v1/simulate run when none is given.
+const DefaultMethod = "fair"
+
+// RunnerByName returns the simulator a method name selects: "fair"
+// (FairRandomCtx) or "gillespie" (GillespieCtx).
+func RunnerByName(method string) (RunnerCtx, error) {
+	switch method {
+	case "fair":
+		return FairRandomCtx, nil
+	case "gillespie":
+		return GillespieCtx, nil
+	}
+	return nil, fmt.Errorf("sim: unknown method %q", method)
+}
 
 // Ensemble runs trials independent simulations of start in parallel,
 // seeding trial i with baseSeed+i, and returns all results in trial order.

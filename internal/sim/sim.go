@@ -38,7 +38,7 @@ type Result struct {
 
 // Options configure a simulation run.
 type Options struct {
-	// MaxSteps bounds the number of reactions fired (default 50M).
+	// MaxSteps bounds the number of reactions fired (DefaultMaxSteps).
 	MaxSteps int64
 	// Seed seeds the PCG generator.
 	Seed uint64
@@ -98,8 +98,11 @@ func WithSilentSteps(n int64) Option { return func(o *Options) { o.SilentSteps =
 // Options.Progress).
 func WithProgress(r progress.Reporter) Option { return func(o *Options) { o.Progress = r } }
 
+// DefaultMaxSteps is the step budget of a trial, crnsim and /v1/simulate.
+const DefaultMaxSteps = 50_000_000
+
 func buildOptions(opts []Option) Options {
-	o := Options{MaxSteps: 50_000_000, Seed: 1}
+	o := Options{MaxSteps: DefaultMaxSteps, Seed: 1}
 	for _, fn := range opts {
 		fn(&o)
 	}

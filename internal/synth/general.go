@@ -7,7 +7,6 @@ import (
 	"crncompose/internal/compose"
 	"crncompose/internal/crn"
 	"crncompose/internal/progress"
-	"crncompose/internal/quilt"
 	"crncompose/internal/semilinear"
 	"crncompose/internal/vec"
 )
@@ -255,8 +254,3 @@ func appendLeader(ls []crn.Species, l crn.Species) []crn.Species {
 	}
 	return ls
 }
-
-// QuiltDirect builds the Lemma 6.1 CRN for a quilt-affine function given as
-// a classify normal form with a single term and verifies nonnegativity.
-// Convenience used by tools and examples.
-func QuiltDirect(g *quilt.Func) (*crn.CRN, error) { return FromQuilt(g) }

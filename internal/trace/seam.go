@@ -135,6 +135,15 @@ func (e Event) End(now time.Time, outcome string, attrs ...Attr) {
 	}
 }
 
+// Outcome is the outcome of an event whose work returned err: "error" or
+// "ok".
+func Outcome(err error) string {
+	if err != nil {
+		return "error"
+	}
+	return "ok"
+}
+
 // Logf emits one line through the seam's log hook with the event's trace
 // and span ids appended as trailing key=value fields, " trace=<id>
 // span=<id>" — the cross-reference between the log stream and
