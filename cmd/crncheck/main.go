@@ -95,7 +95,7 @@ func run(args []string, out io.Writer) error {
 		crnPath    = fs.String("crn", "", "CRN file (or - for stdin)")
 		fname      = fs.String("f", "", "library function the CRN should compute (see crnsynth -list)")
 		lo         = fs.Int64("lo", 0, "grid lower bound per coordinate")
-		hi         = fs.Int64("hi", 3, "grid upper bound per coordinate")
+		hi         = fs.Int64("hi", core.DefaultHi, "grid upper bound per coordinate")
 		maxConfigs = fs.Int("maxconfigs", core.DefaultMaxConfigs, "reachability budget per input")
 		workers    = fs.Int("workers", 0, "size of the shared work-stealing pool: workers check grid inputs concurrently and migrate into still-running explorations as inputs finish (0 = all CPUs, 1 = sequential)")
 		jsonOut    = fs.Bool("json", false, "emit the machine-readable GridResult (the distributed protocol's encoding) instead of the human report")

@@ -147,6 +147,10 @@ func Demonstrate(c *crn.CRN, f witness.Func, con *witness.Contradiction) (*witne
 // crnsynth -verify and /v1/check default to (4× reach.DefaultMaxConfigs).
 const DefaultMaxConfigs = 1 << 20
 
+// DefaultHi is the per-coordinate grid upper bound crncheck -hi and
+// /v1/check default to.
+const DefaultHi = 3
+
 // library builds the immutable library functions once, for every caller.
 var library = sync.OnceValue(func() map[string]*semilinear.Func {
 	return map[string]*semilinear.Func{

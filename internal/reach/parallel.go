@@ -304,7 +304,6 @@ func explorePooled(root crn.Config, o Options, pool *stealPool) (*Graph, error) 
 	for cid, pid := range st.provOf[:st.ncanon] {
 		repack(g.arena[cid*rb:(cid+1)*rb], in.arena.row(pid), aw, g.w)
 	}
-	g.buildPred()
 	return g, nil
 }
 
@@ -338,7 +337,6 @@ func replayLevelSeq(g *Graph, st *replayState, frontier []int32, results []level
 				next = append(next, e.pid)
 			}
 			g.succ = append(g.succ, cid)
-			g.via = append(g.via, e.ri)
 		}
 		st.succOff = append(st.succOff, int32(len(g.succ)))
 	}

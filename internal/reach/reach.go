@@ -6,10 +6,11 @@
 //	every configuration C reachable from I_x, a stable configuration O
 //	with O(Y) = f(x) is reachable from C.
 //
-// The verifier enumerates the reachable configuration graph, identifies the
-// stable configurations (those from which the output count can never
-// change), and checks that the backward closure of the correct stable
-// configurations covers the whole graph. Exploration is bounded; results
+// The verifier enumerates the reachable configuration graph and decides the
+// definition in one forward pass over its strongly connected components: a
+// configuration is stable when the output reachable from its component is
+// fixed, and the input is verified when every component can reach a correct
+// stable one. Exploration is bounded; results
 // distinguish "verified", "refuted (with witness)", and "inconclusive
 // (budget exhausted)".
 //
@@ -24,8 +25,8 @@
 // open-addressing interning table — no string keys, no Config clones. The
 // constructions' counts are tiny, so rows are usually one byte per count;
 // an exploration widens every row the first time a count does not fit. Edges
-// are stored in CSR form (flat successor/reaction arrays plus per-node
-// offsets), with predecessor CSR derived in a second pass.
+// are stored in CSR form (one flat successor array plus per-node offsets),
+// forward only; the one reaction kept per node is its BFS tree edge's.
 //
 // Parallelism exists at both levels under one worker budget (WithWorkers,
 // default runtime.NumCPU) served by a single shared work-stealing pool
@@ -167,11 +168,8 @@ type Graph struct {
 	outIdx int    // dense index of the output species
 	arena  []byte // n rows of d counts packed at width w
 
-	succ    []int32 // successor config ids, grouped by source node
-	via     []int32 // via[e] is the reaction producing edge e
+	succ    []int32 // successor config ids, grouped by source node in reaction order
 	succOff []int32 // len n+1; node u's out-edges are succ[succOff[u]:succOff[u+1]]
-	pred    []int32 // predecessor config ids (one entry per in-edge, not deduplicated)
-	predOff []int32 // len n+1
 
 	// parent and parentVia give one BFS tree edge per node for trace
 	// extraction (-1 for the root).
@@ -208,14 +206,6 @@ func (g *Graph) Output(id int32) int64 { return unpackCount(g.row(id), g.w, g.ou
 
 // Succ returns the successor config ids of id (borrowed; do not mutate).
 func (g *Graph) Succ(id int32) []int32 { return g.succ[g.succOff[id]:g.succOff[id+1]] }
-
-// Via returns, aligned with Succ, the reaction index producing each
-// successor of id (borrowed; do not mutate).
-func (g *Graph) Via(id int32) []int32 { return g.via[g.succOff[id]:g.succOff[id+1]] }
-
-// Pred returns the predecessor config ids of id, one entry per in-edge
-// (borrowed; do not mutate).
-func (g *Graph) Pred(id int32) []int32 { return g.pred[g.predOff[id]:g.predOff[id+1]] }
 
 // Parent returns the BFS-tree parent of id (-1 for the root).
 func (g *Graph) Parent(id int32) int32 { return g.parent[id] }
@@ -360,7 +350,6 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 				g.parentVia = append(g.parentVia, int32(ri))
 			}
 			g.succ = append(g.succ, nid)
-			g.via = append(g.via, int32(ri))
 		}
 		succOff = append(succOff, int32(len(g.succ)))
 	}
@@ -372,30 +361,7 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 	}
 	g.arena, g.w = in.arena, in.w
 	g.succOff = succOff
-	g.buildPred()
 	return g, nil
-}
-
-// buildPred derives the predecessor CSR from the successor CSR: count
-// in-degrees, prefix-sum, then fill in source order.
-func (g *Graph) buildPred() {
-	n := g.NumConfigs()
-	g.predOff = make([]int32, n+1)
-	for _, v := range g.succ {
-		g.predOff[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.predOff[i+1] += g.predOff[i]
-	}
-	g.pred = make([]int32, len(g.succ))
-	fill := make([]int32, n)
-	copy(fill, g.predOff[:n])
-	for u := 0; u < n; u++ {
-		for _, v := range g.succ[g.succOff[u]:g.succOff[u+1]] {
-			g.pred[fill[v]] = int32(u)
-			fill[v]++
-		}
-	}
 }
 
 // TraceTo reconstructs a reaction trace from the root to config id using the
@@ -412,59 +378,113 @@ func (g *Graph) TraceTo(id int32) crn.Trace {
 	return crn.Trace{Start: g.Root(), Reactions: seq}
 }
 
-// outputBounds computes, for every configuration, the minimum and maximum
-// output count over all configurations reachable from it, by fixpoint
-// propagation backward along edges.
-func (g *Graph) outputBounds() (minY, maxY []int64) {
+// condensation is the result of the verdict pass over a graph: its
+// strongly connected components, each named by its root, the member the
+// search reached first.
+type condensation struct {
+	root   []int32 // root[v] is the root of configuration v's component
+	lo, hi []int64 // at a root: the least and greatest output reachable from its component
+	can    []bool  // at a root: its component can reach a stable configuration with output want
+}
+
+// condense is the one verdict pass: Tarjan's strongly connected components
+// (SIAM J. Comput. 1972) in Pearce's one-word-per-node form (IPL 2016),
+// written iteratively so a graph millions of configurations deep cannot
+// overflow the stack. When a component is completed every successor
+// component already is, so its reachable output bounds are the min and max
+// over its members' outputs and its successor components' bounds, and it
+// can reach a correct stable configuration if it is one (bounds equal to
+// want) or a successor component can. Every configuration is reachable from
+// the root, so one search from id 0 visits the whole graph.
+func (g *Graph) condense(want int64) condensation {
 	n := g.NumConfigs()
-	minY = make([]int64, n)
-	maxY = make([]int64, n)
-	for i := 0; i < n; i++ {
-		y := g.Output(int32(i))
-		minY[i] = y
-		maxY[i] = y
+	// rindex[v] is 0 until v is visited, then the least visit index v is
+	// known to reach while its component is open, then -1 minus its
+	// component's root once that is complete.
+	rindex := make([]int32, n)
+	// lo[v], hi[v] and can[v] start at v's own output and take in each
+	// complete component v has an edge to. A node that is not its
+	// component's root hands them to its parent, which is in the same
+	// component, so at the root they cover the component.
+	cd := condensation{lo: make([]int64, n), hi: make([]int64, n), can: make([]bool, n)}
+	lo, hi, can := cd.lo, cd.hi, cd.can
+	for v := range lo {
+		lo[v] = g.Output(int32(v))
+		hi[v] = lo[v]
 	}
-	// Worklist fixpoint: when a node's bounds widen, its predecessors may
-	// widen too.
-	queue := make([]int32, 0, n)
-	inQueue := make([]bool, n)
-	for i := 0; i < n; i++ {
-		queue = append(queue, int32(i))
-		inQueue[i] = true
+	type frame struct {
+		v, e int32 // the node and its next out-edge
+		root bool  // no out-edge has led below v's own visit index
 	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		for _, p := range g.Pred(u) {
-			changed := false
-			if minY[u] < minY[p] {
-				minY[p] = minY[u]
-				changed = true
+	var call []frame
+	var open []int32 // finished nodes whose component is still open
+	succ, succOff := g.succ, g.succOff
+	index := int32(0)
+	for next := int32(0); ; {
+		if next >= 0 {
+			index++
+			rindex[next] = index
+			call = append(call, frame{v: next, e: succOff[next], root: true})
+		}
+		f := &call[len(call)-1]
+		v := f.v
+		next = -1
+		for ; f.e < succOff[v+1]; f.e++ {
+			w := succ[f.e]
+			r := rindex[w]
+			if r == 0 {
+				next = w // the edge is taken again once w is finished
+				break
 			}
-			if maxY[u] > maxY[p] {
-				maxY[p] = maxY[u]
-				changed = true
-			}
-			if changed && !inQueue[p] {
-				queue = append(queue, p)
-				inQueue[p] = true
+			if r < 0 {
+				c := -r - 1
+				lo[v], hi[v], can[v] = min(lo[v], lo[c]), max(hi[v], hi[c]), can[v] || can[c]
+			} else if r < rindex[v] {
+				rindex[v], f.root = r, false
 			}
 		}
+		if next >= 0 {
+			continue
+		}
+		root := f.root
+		call = call[:len(call)-1]
+		open = append(open, v)
+		if !root {
+			p := call[len(call)-1].v
+			lo[p], hi[p], can[p] = min(lo[p], lo[v]), max(hi[p], hi[v]), can[p] || can[v]
+			continue
+		}
+		// v and the nodes finished since it was visited are its component.
+		k := len(open) - 1
+		for k > 0 && rindex[open[k-1]] >= rindex[v] {
+			k--
+		}
+		for _, u := range open[k:] {
+			rindex[u] = -v - 1
+		}
+		open = open[:k]
+		can[v] = can[v] || lo[v] == hi[v] && lo[v] == want
+		if len(call) == 0 {
+			break
+		}
 	}
-	return minY, maxY
+	for v, r := range rindex {
+		rindex[v] = -r - 1
+	}
+	cd.root = rindex
+	return cd
 }
 
 // StableIDs returns the ids of the stable configurations in g: those whose
-// output count cannot change in any configuration reachable from them.
-// Only meaningful when g.Complete (otherwise it is an under-approximation
-// computed on the explored prefix).
+// output count cannot change in any configuration reachable from them, read
+// off the verdict pass (condense). Only meaningful when g.Complete
+// (otherwise it is an under-approximation computed on the explored prefix).
 func (g *Graph) StableIDs() []int32 {
-	minY, maxY := g.outputBounds()
+	cd := g.condense(-1) // outputs are never negative: no component is correct
 	var out []int32
-	for i := range minY {
-		if minY[i] == maxY[i] {
-			out = append(out, int32(i))
+	for v, r := range cd.root {
+		if cd.lo[r] == cd.hi[r] {
+			out = append(out, int32(v))
 		}
 	}
 	return out
@@ -516,25 +536,17 @@ func checkInput(root crn.Config, want int64, o Options, pool *stealPool) (Verdic
 	if !g.Complete {
 		return Verdict{Inconclusive: true, Explored: g.NumConfigs(), Err: ErrBudget}, nil
 	}
-	// The verdict passes below are bounded by the explored graph, but on
-	// big graphs they are a visible slice of work; poll once before each so
-	// cancellation still lands within one pass.
+	// The verdict pass is bounded by the explored graph, but on big graphs
+	// it is a visible slice of work; poll once before it so cancellation
+	// still lands within one pass.
 	if err := o.ctxErr(); err != nil {
 		return Verdict{}, err
 	}
-	minY, maxY := g.outputBounds()
+	cd := g.condense(want)
 	n := g.NumConfigs()
-
-	// Correct stable configurations.
-	correct := make([]bool, n)
-	anyCorrect := false
-	for i := 0; i < n; i++ {
-		if minY[i] == maxY[i] && g.Output(int32(i)) == want {
-			correct[i] = true
-			anyCorrect = true
-		}
-	}
-	if !anyCorrect {
+	if !cd.can[0] { // id 0, where the search starts, roots its component
+		// Every configuration is reachable from the root, so a root that
+		// cannot reach a correct stable configuration means none exists.
 		// Prefer an overproduction witness if one exists: a config whose
 		// output already exceeds want and can never come back down (always
 		// true for output-oblivious CRNs).
@@ -555,28 +567,8 @@ func checkInput(root crn.Config, want int64, o Options, pool *stealPool) (Verdic
 			Explored: n,
 		}, nil
 	}
-
-	// Backward closure of the correct stable configurations.
-	canReach := make([]bool, n)
-	queue := make([]int32, 0, n)
-	for i := range correct {
-		if correct[i] {
-			canReach[i] = true
-			queue = append(queue, int32(i))
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, p := range g.Pred(u) {
-			if !canReach[p] {
-				canReach[p] = true
-				queue = append(queue, p)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !canReach[i] {
+	for i, r := range cd.root {
+		if !cd.can[r] {
 			tr := g.TraceTo(int32(i))
 			return Verdict{
 				OK: false,

@@ -223,53 +223,6 @@ func TestVerdictOnLeaderedCRN(t *testing.T) {
 	}
 }
 
-func TestGraphPredecessorsConsistent(t *testing.T) {
-	g := Explore(maxCRN().MustInitialConfig(vec.New(1, 2)))
-	// Every successor edge must appear as a predecessor edge.
-	for u := 0; u < g.NumConfigs(); u++ {
-		for _, v := range g.Succ(int32(u)) {
-			found := false
-			for _, p := range g.Pred(v) {
-				if int(p) == u {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("edge %d→%d missing from Pred", u, v)
-			}
-		}
-	}
-}
-
-func TestGraphViaEdgesReplay(t *testing.T) {
-	// Each CSR edge (u, v, via) must satisfy v = Apply(u, via): the edge
-	// arrays and the arena have to agree.
-	g := Explore(maxCRN().MustInitialConfig(vec.New(2, 2)))
-	edges := 0
-	for u := 0; u < g.NumConfigs(); u++ {
-		succ, via := g.Succ(int32(u)), g.Via(int32(u))
-		if len(succ) != len(via) {
-			t.Fatalf("node %d: %d successors but %d via entries", u, len(succ), len(via))
-		}
-		cu := g.Config(int32(u))
-		for k, v := range succ {
-			ri := int(via[k])
-			if !cu.Applicable(ri) {
-				t.Fatalf("edge %d→%d: reaction %d not applicable at source", u, v, ri)
-			}
-			got := cu.Apply(ri)
-			if got.Key() != g.Config(v).Key() {
-				t.Fatalf("edge %d→%d via %d lands on %s, want %s", u, v, ri, got, g.Config(v))
-			}
-			edges++
-		}
-	}
-	if edges == 0 {
-		t.Fatal("graph has no edges")
-	}
-}
-
 func TestGridInconclusiveCounting(t *testing.T) {
 	// X → 2X is unbounded for every x ≥ 1; x = 0 is trivially stable. The
 	// grid must count the inconclusive inputs without failing.

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"crncompose/internal/core"
 )
 
 // TestSingleflightDedup pins the satellite contract: N concurrent identical
@@ -193,5 +195,23 @@ func TestRequestKeyStable(t *testing.T) {
 		if other.key == base.key {
 			t.Fatalf("%s collided with the base key", name)
 		}
+	}
+}
+
+// TestCheckDefaultHiKey pins that a /v1/check request without hi resolves
+// to the same canonical key as one that spells out core.DefaultHi, the
+// default crncheck -hi reads too.
+func TestCheckDefaultHiKey(t *testing.T) {
+	hi := int64(core.DefaultHi)
+	implicit, err := resolveCheck(CheckRequest{CRN: minCRNText, Func: "min"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := resolveCheck(CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if implicit.key != explicit.key {
+		t.Fatalf("request without hi keyed %s, with hi %d keyed %s", implicit.key, hi, explicit.key)
 	}
 }

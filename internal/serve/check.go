@@ -14,7 +14,7 @@ import (
 
 // CheckRequest is the JSON body of POST /v1/check and POST /v1/jobs: verify
 // that CRN stably computes the named library function on the grid
-// [Lo,Hi]^d. Defaults are crncheck's (lo 0, hi 3, maxconfigs
+// [Lo,Hi]^d. Defaults are crncheck's (lo 0, hi core.DefaultHi, maxconfigs
 // core.DefaultMaxConfigs, max count reach.DefaultMaxCount), so a request and
 // the CLI invocation it quotes verify under identical budgets — the
 // precondition for the byte-identity contract below.
@@ -68,7 +68,7 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	hi := int64(3)
+	hi := int64(core.DefaultHi)
 	if req.Hi != nil {
 		hi = *req.Hi
 	}
