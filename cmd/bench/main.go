@@ -1,7 +1,9 @@
 // Command bench runs the reachability and simulation engine suites and
 // writes machine-readable results to BENCH_reach.json and BENCH_sim.json,
 // so the engines' hot paths (configs/sec explored, ns per simulated
-// reaction, allocations) are tracked in-repo. The end-to-end serve and dist
+// reaction, allocations) are tracked in-repo. Each row is the median of
+// three testing.Benchmark samples with the fastest and slowest as its
+// spread (one sample under -quick). The end-to-end serve and dist
 // numbers come from _perfbench instead (BENCH_e2e.json).
 //
 // Usage:
@@ -12,12 +14,15 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,10 +36,16 @@ import (
 	"crncompose/internal/vec"
 )
 
+// record is one benchmark row: the median of its samples by ns/op (that
+// sample's iterations, allocations and extra metrics), with the fastest and
+// slowest samples' ns/op as its spread.
 type record struct {
 	Name        string             `json:"name"`
+	Samples     int                `json:"samples"`
 	Iterations  int                `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
+	NsPerOpMin  float64            `json:"ns_per_op_min"`
+	NsPerOpMax  float64            `json:"ns_per_op_max"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
 	BytesPerOp  int64              `json:"bytes_per_op"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
@@ -127,21 +138,38 @@ func writeReport(dir, file string, rep suiteReport) error {
 	return nil
 }
 
-func toRecord(name string, r testing.BenchmarkResult) record {
-	rec := record{
+// samples is how many testing.Benchmark runs each row takes: three for
+// a median with its spread, one under -quick.
+func samples(quick bool) int {
+	if quick {
+		return 1
+	}
+	return 3
+}
+
+// measure runs fn as n testing.Benchmark samples and records the median.
+func measure(name string, n int, fn func(b *testing.B)) record {
+	rs := make([]testing.BenchmarkResult, n)
+	for i := range rs {
+		rs[i] = testing.Benchmark(fn)
+	}
+	slices.SortFunc(rs, func(a, b testing.BenchmarkResult) int { return cmp.Compare(nsPerOp(a), nsPerOp(b)) })
+	r := rs[n/2]
+	return record{
 		Name:        name,
+		Samples:     n,
 		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		NsPerOp:     nsPerOp(r),
+		NsPerOpMin:  nsPerOp(rs[0]),
+		NsPerOpMax:  nsPerOp(rs[n-1]),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
+		Extra:       maps.Clone(r.Extra),
 	}
-	if len(r.Extra) > 0 {
-		rec.Extra = make(map[string]float64, len(r.Extra))
-		for k, v := range r.Extra {
-			rec.Extra[k] = v
-		}
-	}
-	return rec
+}
+
+func nsPerOp(r testing.BenchmarkResult) float64 {
+	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
 // reachSuite measures the state-space explorer on the paper's Fig 4a
@@ -162,9 +190,9 @@ func reachSuite(quick bool) suiteReport {
 	if quick {
 		budget = 1 << 14 // explore a 16k-config prefix only
 	}
+	k := samples(quick)
 	for _, workers := range []int{1, 2, 4, 8} {
-		name := fmt.Sprintf("explore_fig4a_workers%d", workers)
-		r := testing.Benchmark(func(b *testing.B) {
+		rec := measure(fmt.Sprintf("explore_fig4a_workers%d", workers), k, func(b *testing.B) {
 			b.ReportAllocs()
 			var configs int
 			for i := 0; i < b.N; i++ {
@@ -177,7 +205,6 @@ func reachSuite(quick bool) suiteReport {
 			b.ReportMetric(float64(configs), "configs")
 			b.ReportMetric(float64(configs)/(b.Elapsed().Seconds()/float64(b.N)), "configs/s")
 		})
-		rec := toRecord(name, r)
 		rec.Extra = withExtra(rec.Extra, "bytes_per_config", bytesPerConfig(func() *reach.Graph {
 			return reach.Explore(root, reach.WithMaxConfigs(budget), reach.WithWorkers(workers))
 		}))
@@ -187,7 +214,7 @@ func reachSuite(quick bool) suiteReport {
 	// explores ~87k configurations while the axis inputs are trivial, so the
 	// pool's tail-latency behavior shows up as the grid's wall-clock ratio
 	// to the large input checked alone at the same total worker budget.
-	aloneFig := testing.Benchmark(func(b *testing.B) {
+	aloneFig := measure("checkinput_fig4a_x11_alone_workers0", k, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			v := reach.CheckInput(root, f.Eval(vec.New(1, 1)), reach.WithMaxConfigs(budget), reach.WithWorkers(0))
@@ -196,11 +223,26 @@ func reachSuite(quick bool) suiteReport {
 			}
 		}
 	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord("checkinput_fig4a_x11_alone_workers0", aloneFig))
+	rep.Benchmarks = append(rep.Benchmarks, aloneFig)
+	// Fig 4a (2,1), one input of the full [0,2]^2 grid test, explores
+	// 890,958 configurations: ten times the (1,1) rows, large enough for
+	// the verdict pass's time and allocation to show.
+	root21 := c.MustInitialConfig(vec.New(2, 1))
+	rep.Benchmarks = append(rep.Benchmarks, measure("checkinput_fig4a_x21_workers0", k, func(b *testing.B) {
+		b.ReportAllocs()
+		var explored int
+		for i := 0; i < b.N; i++ {
+			v := reach.CheckInput(root21, f.Eval(vec.New(2, 1)), reach.WithMaxConfigs(budget), reach.WithWorkers(0))
+			if !quick && !v.OK {
+				b.Fatalf("Fig 4a (2,1) not verified: %+v", v)
+			}
+			explored = v.Explored
+		}
+		b.ReportMetric(float64(explored), "configs")
+	}))
 	hi := int64(1)
 	for _, workers := range []int{1, 0} {
-		name := fmt.Sprintf("checkgrid_fig4a_2x2_workers%d", workers)
-		r := testing.Benchmark(func(b *testing.B) {
+		rec := measure(fmt.Sprintf("checkgrid_fig4a_2x2_workers%d", workers), k, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := reach.CheckGrid(c, core.Evaluator(f),
@@ -214,13 +256,12 @@ func reachSuite(quick bool) suiteReport {
 				}
 			}
 		})
-		rec := toRecord(name, r)
 		if workers == 0 {
-			rec.Extra = withExtra(rec.Extra, "vs_large_alone", rec.NsPerOp/float64(aloneFig.NsPerOp()))
+			rec.Extra = withExtra(rec.Extra, "vs_large_alone", rec.NsPerOp/aloneFig.NsPerOp)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, rec)
 	}
-	rep.Benchmarks = append(rep.Benchmarks, skewGridBenchmarks(quick)...)
+	rep.Benchmarks = append(rep.Benchmarks, skewGridBenchmarks(quick, k)...)
 	return rep
 }
 
@@ -246,7 +287,7 @@ func bytesPerConfig(explore func() *reach.Graph) float64 {
 // wall-clock should stay within 1.5× of checking the large input alone at
 // the same total worker budget — workers that finish the trivial inputs
 // migrate into the straggler instead of idling.
-func skewGridBenchmarks(quick bool) []record {
+func skewGridBenchmarks(quick bool, k int) []record {
 	thr, m := int64(20), 16
 	if quick {
 		thr, m = 12, 10
@@ -254,7 +295,7 @@ func skewGridBenchmarks(quick bool) []record {
 	skew := benchcrn.SkewGrid(thr, m)
 	skewRoot := skew.MustInitialConfig(vec.New(thr))
 	zero := func(x []int64) int64 { return 0 }
-	alone := testing.Benchmark(func(b *testing.B) {
+	alone := measure(fmt.Sprintf("checkinput_skewgrid_m%d_large_alone_workers0", m), k, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			v := reach.CheckInput(skewRoot, 0, reach.WithWorkers(0))
@@ -263,9 +304,9 @@ func skewGridBenchmarks(quick bool) []record {
 			}
 		}
 	})
-	out := []record{toRecord(fmt.Sprintf("checkinput_skewgrid_m%d_large_alone_workers0", m), alone)}
+	out := []record{alone}
 	for _, workers := range []int{1, 0} {
-		r := testing.Benchmark(func(b *testing.B) {
+		rec := measure(fmt.Sprintf("checkgrid_skewgrid_1large_%dsmall_workers%d", thr, workers), k, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := reach.CheckGrid(skew, zero, []int64{0}, []int64{thr}, reach.WithWorkers(workers))
@@ -274,9 +315,8 @@ func skewGridBenchmarks(quick bool) []record {
 				}
 			}
 		})
-		rec := toRecord(fmt.Sprintf("checkgrid_skewgrid_1large_%dsmall_workers%d", thr, workers), r)
 		if workers == 0 {
-			rec.Extra = withExtra(rec.Extra, "vs_large_alone", rec.NsPerOp/float64(alone.NsPerOp()))
+			rec.Extra = withExtra(rec.Extra, "vs_large_alone", rec.NsPerOp/alone.NsPerOp)
 		}
 		out = append(out, rec)
 	}
@@ -299,10 +339,11 @@ func simSuite(quick bool) suiteReport {
 	if quick {
 		steps, n = 10_000, 1_000
 	}
+	k := samples(quick)
 
 	ring := benchcrn.Ring(128)
 	ringStart := ring.MustInitialConfig(vec.New(64))
-	r := testing.Benchmark(func(b *testing.B) {
+	rep.Benchmarks = append(rep.Benchmarks, measure("gillespie_ring128_incremental", k, func(b *testing.B) {
 		b.ReportAllocs()
 		var fired int64
 		for i := 0; i < b.N; i++ {
@@ -310,20 +351,18 @@ func simSuite(quick bool) suiteReport {
 			fired += res.Steps
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/step")
-	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord("gillespie_ring128_incremental", r))
+	}))
 
-	r = testing.Benchmark(func(b *testing.B) {
+	rep.Benchmarks = append(rep.Benchmarks, measure("gillespie_ring128_full_recompute_baseline", k, func(b *testing.B) {
 		b.ReportAllocs()
 		var fired int64
 		for i := 0; i < b.N; i++ {
 			fired += benchcrn.GillespieFullRecompute(ringStart, steps, uint64(i)+1)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/step")
-	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord("gillespie_ring128_full_recompute_baseline", r))
+	}))
 
-	r = testing.Benchmark(func(b *testing.B) {
+	rep.Benchmarks = append(rep.Benchmarks, measure("fairrandom_ring128_incremental", k, func(b *testing.B) {
 		b.ReportAllocs()
 		var fired int64
 		for i := 0; i < b.N; i++ {
@@ -331,21 +370,19 @@ func simSuite(quick bool) suiteReport {
 			fired += res.Steps
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/step")
-	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord("fairrandom_ring128_incremental", r))
+	}))
 
-	r = testing.Benchmark(func(b *testing.B) {
+	rep.Benchmarks = append(rep.Benchmarks, measure("fairrandom_ring128_full_walk_baseline", k, func(b *testing.B) {
 		b.ReportAllocs()
 		var fired int64
 		for i := 0; i < b.N; i++ {
 			fired += benchcrn.FairRandomFullWalk(ringStart, steps, uint64(i)+1)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/step")
-	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord("fairrandom_ring128_full_walk_baseline", r))
+	}))
 
 	start := benchcrn.Max().MustInitialConfig(vec.New(n, n))
-	r = testing.Benchmark(func(b *testing.B) {
+	rep.Benchmarks = append(rep.Benchmarks, measure(fmt.Sprintf("gillespie_max_n%d", n), k, func(b *testing.B) {
 		b.ReportAllocs()
 		var fired int64
 		for i := 0; i < b.N; i++ {
@@ -354,10 +391,9 @@ func simSuite(quick bool) suiteReport {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/step")
 		b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "reactions/s")
-	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord(fmt.Sprintf("gillespie_max_n%d", n), r))
+	}))
 
-	r = testing.Benchmark(func(b *testing.B) {
+	rep.Benchmarks = append(rep.Benchmarks, measure(fmt.Sprintf("fairrandom_max_n%d", n), k, func(b *testing.B) {
 		b.ReportAllocs()
 		var fired int64
 		for i := 0; i < b.N; i++ {
@@ -365,7 +401,6 @@ func simSuite(quick bool) suiteReport {
 			fired += res.Steps
 		}
 		b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "reactions/s")
-	})
-	rep.Benchmarks = append(rep.Benchmarks, toRecord(fmt.Sprintf("fairrandom_max_n%d", n), r))
+	}))
 	return rep
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 )
 
 // mainArg as a child's first argument makes TestMain run main itself, so
@@ -58,5 +60,33 @@ func TestUnknownSuiteExitsTwo(t *testing.T) {
 		if len(files) != 0 {
 			t.Errorf("-suite %s wrote %d files", suite, len(files))
 		}
+	}
+}
+
+// TestMeasureRecordsMedianAndSpread pins how a row summarizes its samples:
+// ns_per_op and the extra metrics come from the median sample, and
+// ns_per_op_min and ns_per_op_max from the fastest and slowest.
+func TestMeasureRecordsMedianAndSpread(t *testing.T) {
+	old := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("test.benchtime", old)
+	sleeps := []time.Duration{9 * time.Millisecond, time.Millisecond, 5 * time.Millisecond}
+	sample := 0
+	rec := measure("sleep", len(sleeps), func(b *testing.B) {
+		d := sleeps[sample]
+		sample++
+		for i := 0; i < b.N; i++ {
+			time.Sleep(d)
+		}
+		b.ReportMetric(float64(d.Milliseconds()), "ms")
+	})
+	if rec.Samples != 3 || rec.Extra["ms"] != 5 {
+		t.Fatalf("samples %d, median sample's metric %v; want 3 and 5", rec.Samples, rec.Extra["ms"])
+	}
+	if !(rec.NsPerOpMin < rec.NsPerOp && rec.NsPerOp < rec.NsPerOpMax) ||
+		rec.NsPerOpMin < float64(time.Millisecond) || rec.NsPerOpMax < float64(9*time.Millisecond) {
+		t.Fatalf("ns/op min %g, median %g, max %g", rec.NsPerOpMin, rec.NsPerOp, rec.NsPerOpMax)
 	}
 }

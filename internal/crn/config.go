@@ -86,7 +86,9 @@ func (c *CRN) NumReactions() int { return len(c.Reactions) }
 
 // ApplicableAt reports whether reaction ri can fire in the raw count row
 // counts (indexed like a dense configuration). It is the allocation-free
-// hot-path twin of Config.Applicable.
+// hot-path twin of Config.Applicable. It does not build the CRN's index:
+// counts must come from a call that does (InitialConfig, DenseConfig,
+// NumSpecies, ...), since New leaves the index to its first use.
 func (c *CRN) ApplicableAt(counts []int64, ri int) bool {
 	for _, rc := range c.compiled[ri].reactants {
 		if counts[rc.Idx] < rc.Coeff {
@@ -98,7 +100,8 @@ func (c *CRN) ApplicableAt(counts []int64, ri int) bool {
 
 // ApplyInto writes src + delta(ri) into dst, where src is a raw count row in
 // which reaction ri is applicable (not checked). dst and src must have equal
-// length and may alias. No allocation.
+// length and may alias. No allocation. Like ApplicableAt it does not build
+// the CRN's index: src must come from an index-building call.
 func (c *CRN) ApplyInto(dst, src []int64, ri int) {
 	if &dst[0] != &src[0] {
 		copy(dst, src)

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -64,22 +64,34 @@ func coeffOf(ts []Term, sp Species) int64 {
 // String renders the reaction in the standard arrow notation, e.g.
 // "X1 + X2 -> Y" or "L -> 2Y + L0". An empty side renders as "0".
 func (r Reaction) String() string {
-	return sideString(r.Reactants) + " -> " + sideString(r.Products)
+	return string(r.appendTo(nil))
 }
 
-func sideString(ts []Term) string {
+// appendTo appends r in arrow notation to b. It is the one renderer behind
+// Reaction.String and CRN.String, whose bytes are the cache key's canonical
+// form: changing them moves every content address.
+func (r Reaction) appendTo(b []byte) []byte {
+	b = appendSide(b, r.Reactants)
+	b = append(b, " -> "...)
+	return appendSide(b, r.Products)
+}
+
+// appendSide appends one reaction side: "0" when empty, otherwise its terms
+// joined by " + ", each with its coefficient prefixed when it is not 1.
+func appendSide(b []byte, ts []Term) []byte {
 	if len(ts) == 0 {
-		return "0"
+		return append(b, '0')
 	}
-	parts := make([]string, 0, len(ts))
-	for _, t := range ts {
-		if t.Coeff == 1 {
-			parts = append(parts, string(t.Sp))
-		} else {
-			parts = append(parts, fmt.Sprintf("%d%s", t.Coeff, t.Sp))
+	for i, t := range ts {
+		if i > 0 {
+			b = append(b, " + "...)
 		}
+		if t.Coeff != 1 {
+			b = strconv.AppendInt(b, t.Coeff, 10)
+		}
+		b = append(b, t.Sp...)
 	}
-	return strings.Join(parts, " + ")
+	return b
 }
 
 // CRN is a chemical reaction network together with the computational roles
@@ -120,6 +132,9 @@ type IdxCoeff struct {
 }
 
 // New constructs a CRN with the given roles and reactions, and validates it.
+// The species table and compiled reaction rows are not built here but on
+// first engine use (buildIndex), so parsing a CRN only to render or hash it,
+// as a cached /v1/check does, never pays for them.
 func New(inputs []Species, output, leader Species, reactions []Reaction) (*CRN, error) {
 	c := &CRN{
 		Inputs:    append([]Species(nil), inputs...),
@@ -130,7 +145,6 @@ func New(inputs []Species, output, leader Species, reactions []Reaction) (*CRN, 
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	c.buildIndex()
 	return c, nil
 }
 
@@ -165,12 +179,14 @@ func (c *CRN) Validate() error {
 		if len(r.Reactants) == 0 && len(r.Products) == 0 {
 			return fmt.Errorf("crn: reaction %d is empty", i)
 		}
-		for _, t := range append(append([]Term(nil), r.Reactants...), r.Products...) {
-			if t.Coeff <= 0 {
-				return fmt.Errorf("crn: reaction %d has nonpositive coefficient %d for %q", i, t.Coeff, t.Sp)
-			}
-			if t.Sp == "" {
-				return fmt.Errorf("crn: reaction %d names an empty species", i)
+		for _, side := range [2][]Term{r.Reactants, r.Products} {
+			for _, t := range side {
+				if t.Coeff <= 0 {
+					return fmt.Errorf("crn: reaction %d has nonpositive coefficient %d for %q", i, t.Coeff, t.Sp)
+				}
+				if t.Sp == "" {
+					return fmt.Errorf("crn: reaction %d names an empty species", i)
+				}
 			}
 		}
 	}
@@ -352,21 +368,43 @@ func (c *CRN) IsOutputMonotonic() bool {
 func (c *CRN) Dim() int { return len(c.Inputs) }
 
 // String renders the CRN with role directives followed by one reaction per
-// line, in a format accepted by the parse package.
+// line, in a format accepted by the parse package. A CRN without inputs
+// still renders its "#input " line, trailing space included.
 func (c *CRN) String() string {
-	var sb strings.Builder
-	names := make([]string, len(c.Inputs))
-	for i, in := range c.Inputs {
-		names[i] = string(in)
-	}
-	fmt.Fprintf(&sb, "#input %s\n", strings.Join(names, " "))
-	fmt.Fprintf(&sb, "#output %s\n", c.Output)
-	if c.Leader != "" {
-		fmt.Fprintf(&sb, "#leader %s\n", c.Leader)
+	// Presize for the names, separators and one-digit coefficients, so a
+	// typical CRN renders in one allocation plus the string copy.
+	n := 32 + len(c.Output) + len(c.Leader)
+	for _, in := range c.Inputs {
+		n += len(in) + 1
 	}
 	for _, r := range c.Reactions {
-		sb.WriteString(r.String())
-		sb.WriteByte('\n')
+		n += 8
+		for _, t := range r.Reactants {
+			n += len(t.Sp) + 4
+		}
+		for _, t := range r.Products {
+			n += len(t.Sp) + 4
+		}
 	}
-	return sb.String()
+	b := make([]byte, 0, n)
+	b = append(b, "#input "...)
+	for i, in := range c.Inputs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, in...)
+	}
+	b = append(b, "\n#output "...)
+	b = append(b, c.Output...)
+	b = append(b, '\n')
+	if c.Leader != "" {
+		b = append(b, "#leader "...)
+		b = append(b, c.Leader...)
+		b = append(b, '\n')
+	}
+	for _, r := range c.Reactions {
+		b = r.appendTo(b)
+		b = append(b, '\n')
+	}
+	return string(b)
 }

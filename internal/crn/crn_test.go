@@ -261,18 +261,14 @@ func TestStringRoundtripFormat(t *testing.T) {
 }
 
 func TestConcurrentLazyIndexBuild(t *testing.T) {
-	// The species index and compiled reaction tables are built lazily; the
-	// reachability engine's parallel workers may race to the first call.
-	// Construct the CRN without New (which pre-builds) so the lazy path is
-	// actually exercised, then hit it from many goroutines under -race.
-	c := &CRN{
-		Inputs: []Species{"X1", "X2"},
-		Output: "Y",
-		Reactions: []Reaction{
-			{Reactants: []Term{{Coeff: 1, Sp: "X1"}, {Coeff: 1, Sp: "X2"}}, Products: []Term{{Coeff: 1, Sp: "Y"}}},
-			{Reactants: []Term{{Coeff: 2, Sp: "Y"}}, Products: []Term{{Coeff: 1, Sp: "K"}}},
-		},
-	}
+	// The species index and compiled reaction tables are built lazily, on
+	// first use after New; the reachability engine's parallel workers and
+	// sim ensembles may race to that first call. Hit it from many
+	// goroutines under -race.
+	c := MustNew([]Species{"X1", "X2"}, "Y", "", []Reaction{
+		{Reactants: []Term{{Coeff: 1, Sp: "X1"}, {Coeff: 1, Sp: "X2"}}, Products: []Term{{Coeff: 1, Sp: "Y"}}},
+		{Reactants: []Term{{Coeff: 2, Sp: "Y"}}, Products: []Term{{Coeff: 1, Sp: "K"}}},
+	})
 	var wg sync.WaitGroup
 	got := make([]int, 16)
 	for i := range got {

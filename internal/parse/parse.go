@@ -106,8 +106,10 @@ func parseSide(s string) ([]crn.Term, error) {
 	if s == "" || s == "0" || s == "∅" {
 		return nil, nil
 	}
-	var terms []crn.Term
-	for _, part := range strings.Split(s, "+") {
+	terms := make([]crn.Term, 0, strings.Count(s, "+")+1)
+	for more := true; more; {
+		var part string
+		part, s, more = strings.Cut(s, "+")
 		t, err := parseTerm(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err

@@ -10,6 +10,7 @@ import (
 
 	"crncompose/internal/benchcrn"
 	"crncompose/internal/crn"
+	"crncompose/internal/parse"
 	"crncompose/internal/vec"
 )
 
@@ -350,5 +351,44 @@ func TestExploreBudgetSweepByteIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("budget-%d", budget), func(t *testing.T) {
 			requireGraphsIdentical(t, seq, par)
 		})
+	}
+}
+
+// TestCheckGridBuildsIndexOnFirstUse runs CheckGrid at two workers on a CRN
+// fresh from parse.Parse, whose species table and compiled rows crn.New no
+// longer builds: the grid's first initial configuration builds them, and
+// the workers then read the rows through ApplicableAt and ApplyInto. Under
+// -race this pins that the lazy build happens before every worker's read.
+// The result must equal the sequential check's on a CRN built beforehand.
+func TestCheckGridBuildsIndexOnFirstUse(t *testing.T) {
+	const src = "#input X1 X2\n#output Y\n#leader L\nX1 + X2 -> Y\nL + Y -> L + Y\n"
+	minF := func(x []int64) int64 { return min(x[0], x[1]) }
+	fresh, err := parse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CheckGrid(fresh, minF, []int64{0, 0}, []int64{4, 4}, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := parse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.NumSpecies()
+	want, err := CheckGrid(built, minF, []int64{0, 0}, []int64{4, 4}, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := MarshalGridResultIndent(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := MarshalGridResultIndent(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.OK() || !bytes.Equal(gb, wb) {
+		t.Fatalf("two workers on a fresh CRN:\n%s\nsequential on a built one:\n%s", gb, wb)
 	}
 }

@@ -198,6 +198,31 @@ func TestRequestKeyStable(t *testing.T) {
 	}
 }
 
+// TestRequestKeyGolden pins one request's content address to the hex the
+// fmt-based renderer produced: the canonical CRN text, the canonicalCheck
+// encoding and the hash together. Cache entries, job ids and checkpoints
+// are all named by it, so a renderer or schema change that moves the key
+// must bump canonicalCheck.V and this value together.
+func TestRequestKeyGolden(t *testing.T) {
+	hi := int64(4)
+	j, err := resolveCheck(CheckRequest{
+		CRN:        "# doubling, spelled loosely\n#input X\n#output Y\n#leader L\nL+X → 2Y + L\n2 X -> 0\nL -> L + Y\n",
+		Func:       "double",
+		Lo:         1,
+		Hi:         &hi,
+		MaxConfigs: 5000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "#input X\n#output Y\n#leader L\nL + X -> 2Y + L\n2X -> 0\nL -> L + Y\n"; j.cc.CRN != want {
+		t.Errorf("canonical CRN = %q, want %q", j.cc.CRN, want)
+	}
+	if want := "2476c5d0ced82104815bf5fbd6f2c6fd4e6bc741f00c331e17ec490015b23c3f"; j.key != want {
+		t.Errorf("requestKey = %s, want %s", j.key, want)
+	}
+}
+
 // TestCheckDefaultHiKey pins that a /v1/check request without hi resolves
 // to the same canonical key as one that spells out core.DefaultHi, the
 // default crncheck -hi reads too.

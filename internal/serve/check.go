@@ -110,6 +110,16 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 	}, nil
 }
 
+// resolve is resolveCheck as the serve.resolve seam event under the
+// request's span sc: parse to canonical key, all of a cache hit's work
+// before its lookup.
+func (s *Server) resolve(sc trace.SpanContext, req CheckRequest) (*checkJob, error) {
+	ev := s.seam.Start(time.Now(), "serve.resolve", sc)
+	j, err := resolveCheck(req)
+	ev.End(time.Now(), trace.Outcome(err))
+	return j, err
+}
+
 // checkGrid is the server's one grid runner: it checks j's rectangle
 // lo ≤ x ≤ hi on the in-process engine under j's budgets and the server's
 // worker budget, tracing engine stage events as children of parent. The
@@ -146,12 +156,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	j, err := resolveCheck(req)
+	sc := trace.FromContext(r.Context())
+	j, err := s.resolve(sc, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sc := trace.FromContext(r.Context())
 	lookup := s.seam.Start(time.Now(), "serve.cache.lookup", sc)
 	val, ok := s.cache.get(j.key)
 	outcome := "miss"

@@ -478,12 +478,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	j, err := resolveCheck(req)
+	sc := trace.FromContext(r.Context())
+	j, err := s.resolve(sc, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	jb := s.jobs.getOrCreate(j, s, trace.FromContext(r.Context()))
+	jb := s.jobs.getOrCreate(j, s, sc)
 	w.Header().Set("Location", "/v1/jobs/"+jb.id)
 	writeJSON(w, http.StatusAccepted, s.jobs.status(jb))
 }

@@ -287,7 +287,7 @@ func TestSeamNameSet(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"serve.request", "serve.cache.lookup", "serve.compute", "serve.job", "serve.rect",
+		"serve.request", "serve.resolve", "serve.cache.lookup", "serve.compute", "serve.job", "serve.rect",
 		"dist.job", "dist.lease", "dist.merge", "httpx.attempt", "reach.grid",
 	} {
 		if !seen[want] {

@@ -333,10 +333,10 @@ func TestGeneralConstructionFig4a(t *testing.T) {
 		t.Fatal("general construction must be output-oblivious")
 	}
 	// Model-check small inputs exhaustively. The full 3×3 grid explores
-	// ~10.4M configurations (~2 minutes with the arena-based parallel
-	// engine; the old string-keyed explorer exceeded the 10-minute test
-	// timeout on it), so -short verifies the 2×2 grid, which stays well
-	// inside CI budgets even single-core.
+	// ~10.4M configurations (about 40 s on 2 CPUs with the packed-row
+	// parallel engine; the old string-keyed explorer exceeded the 10-minute
+	// test timeout on it), so -short verifies the 2×2 grid, which stays
+	// well inside CI budgets even single-core.
 	hi := []int64{1, 1}
 	if !testing.Short() {
 		hi = []int64{2, 2}

@@ -14,6 +14,8 @@ import (
 // cardinality stays bounded. internal/serve's TestSeamNameSet pins it.
 //
 //	serve.request            one /v1/* request, decode to write
+//	serve.resolve            a check request's parse to canonical key
+//	                         (resolveCheck), under serve.request
 //	serve.cache.lookup       the /v1/check cache probe (outcome hit | miss)
 //	serve.cache.hit          a replayed cached body
 //	serve.singleflight.park  a request that joined an identical computation
@@ -34,7 +36,7 @@ import (
 //	reach.grid, reach.explore, sim, classify.regions, synth.modules
 //	                         engine stages, from the progress adapter
 var SpanNames = []string{
-	"serve.request", "serve.cache.lookup", "serve.cache.hit",
+	"serve.request", "serve.resolve", "serve.cache.lookup", "serve.cache.hit",
 	"serve.singleflight.park", "serve.compute",
 	"serve.job", "serve.job.admission", "serve.rect", "serve.degrade",
 	"dist.job", "dist.lease", "dist.merge", "dist.rect",
