@@ -1,6 +1,8 @@
 // Command crnlint runs the repository's static-analysis suite: the
 // determinism, httpx, mapiter, and errwrap analyzers that machine-check
-// the invariants behind the byte-identity guarantees (see internal/lint).
+// the invariants behind the byte-identity guarantees, and the unreached
+// analyzer that keeps internal/ free of functions nothing calls (see
+// internal/lint).
 //
 // Usage:
 //

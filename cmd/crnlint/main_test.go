@@ -65,6 +65,10 @@ import "errors"
 
 func Run() error { return errors.New("no prefix") }
 `},
+		{"unreached", "internal/vec/v.go", `package vec
+
+func Unused() int { return 0 }
+`},
 	} {
 		t.Run(tc.analyzer, func(t *testing.T) {
 			t.Parallel()
@@ -89,6 +93,12 @@ func TestCleanModuleExitsZero(t *testing.T) {
 		"internal/reach/r.go": `package reach
 
 func Pure(x int) int { return x + 1 }
+`,
+		"cmd/use/main.go": `package main
+
+import "example.com/tmp/internal/reach"
+
+func main() { _ = reach.Pure(1) }
 `,
 	})
 	var out, errOut strings.Builder

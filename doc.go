@@ -20,10 +20,10 @@
 //     work-stealing pool serves both parallelism levels — workers check
 //     grid inputs while any remain, then migrate into still-running
 //     explorations — with graphs byte-identical to the sequential
-//     engine's at any worker count and steal schedule; every engine
-//     entry point has a ...Ctx variant that cancels at deterministic
-//     points (level barriers, grid-chunk boundaries) and returns a
-//     wrapped context error, never a partial verdict;
+//     engine's at any worker count and steal schedule; CheckGridCtx
+//     cancels at deterministic points (level barriers, grid-chunk
+//     boundaries) and returns a wrapped context error, never a partial
+//     verdict;
 //   - internal/dist: the distributed grid checker — a coordinator that
 //     shards CheckGrid into grid-order rectangles leased to workers over
 //     HTTP+JSON, with expired leases reassigned (a killed worker never
@@ -116,7 +116,6 @@
 //     Lemma 6.2 general construction);
 //   - internal/compose: concatenation and feed-forward module wiring
 //     (Section 2.3);
-//   - internal/pp: the population-protocol substrate (footnote 5);
 //   - internal/scaling: the ∞-scaling bridge to continuous CRNs
 //     (Theorem 8.2);
 //   - internal/core: the end-to-end facade;

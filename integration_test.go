@@ -260,12 +260,12 @@ func TestSynthesizedCRNsRoundTripThroughParser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := parse.Format(sys.Net)
+	text := sys.Net.String()
 	back, err := parse.Parse(text)
 	if err != nil {
 		t.Fatalf("reparse failed: %v", err)
 	}
-	if parse.Format(back) != text {
+	if back.String() != text {
 		t.Fatal("round trip drift")
 	}
 	if back.NumSpecies() != sys.Net.NumSpecies() || len(back.Reactions) != len(sys.Net.Reactions) {

@@ -38,6 +38,8 @@ func Ring(m int) *crn.CRN {
 // inputs. It stably computes max(x1, x2), making any rectangular grid a
 // valid all-OK CheckGrid workload with strongly non-uniform per-input cost
 // (the corner dominates the axes by orders of magnitude).
+//
+//crnlint:ignore unreached the _perfbench module's check, jobs and grid workloads run it
 func Branchy() *crn.CRN {
 	return crn.MustNew([]crn.Species{"X1", "X2"}, "Y", "L", []crn.Reaction{
 		{Reactants: []crn.Term{{Coeff: 1, Sp: "X1"}}, Products: []crn.Term{{Coeff: 1, Sp: "A"}, {Coeff: 1, Sp: "Y"}}},

@@ -167,7 +167,12 @@ func TestIdentityAndDouble(t *testing.T) {
 }
 
 func TestStepComputable(t *testing.T) {
-	f := semilinear.Threshold1D(3, 2)
+	// f(x) = 2·1{x ≥ 3}.
+	ge := semilinear.Threshold{A: vec.New(1), B: 3}
+	f := semilinear.MustNew(1, "step",
+		semilinear.Piece{Domain: ge, Grad: rat.ZeroVec(1), Off: rat.FromInt(2)},
+		semilinear.Piece{Domain: semilinear.Not{Op: ge}, Grad: rat.ZeroVec(1), Off: rat.Zero()},
+	)
 	res := requireComputable(t, f)
 	checkNormalForm(t, f, res, 40)
 	// Eventually constant 2.

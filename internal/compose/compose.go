@@ -16,39 +16,6 @@ import (
 	"crncompose/internal/crn"
 )
 
-// Rename returns a copy of c with every species renamed through fn.
-// fn must be injective on c's species; roles (inputs/output/leader) are
-// renamed consistently.
-func Rename(c *crn.CRN, fn func(crn.Species) crn.Species) (*crn.CRN, error) {
-	seen := make(map[crn.Species]crn.Species)
-	for _, sp := range c.SpeciesList() {
-		to := fn(sp)
-		for old, t := range seen {
-			if t == to && old != sp {
-				return nil, fmt.Errorf("compose: rename collision: %q and %q both map to %q", old, sp, to)
-			}
-		}
-		seen[sp] = to
-	}
-	inputs := make([]crn.Species, len(c.Inputs))
-	for i, in := range c.Inputs {
-		inputs[i] = seen[in]
-	}
-	var leader crn.Species
-	if c.Leader != "" {
-		leader = seen[c.Leader]
-	}
-	reactions := make([]crn.Reaction, len(c.Reactions))
-	for ri, r := range c.Reactions {
-		reactions[ri] = crn.Reaction{
-			Reactants: renameTerms(r.Reactants, seen),
-			Products:  renameTerms(r.Products, seen),
-			Name:      r.Name,
-		}
-	}
-	return crn.New(inputs, seen[c.Output], leader, reactions)
-}
-
 func renameTerms(ts []crn.Term, m map[crn.Species]crn.Species) []crn.Term {
 	out := make([]crn.Term, len(ts))
 	for i, t := range ts {

@@ -31,20 +31,6 @@ func doubleCRN() *crn.CRN {
 	})
 }
 
-func TestRename(t *testing.T) {
-	c, err := Rename(minCRN(), func(s crn.Species) crn.Species { return "p." + s })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Output != "p.Y" || c.Inputs[0] != "p.X1" {
-		t.Errorf("rename wrong: %v / %v", c.Output, c.Inputs)
-	}
-	// Collision detection.
-	if _, err := Rename(minCRN(), func(s crn.Species) crn.Species { return "same" }); err == nil {
-		t.Fatal("colliding rename accepted")
-	}
-}
-
 // TestComposable2Min reproduces the Section 1.2 positive example: the
 // concatenation of min (output-oblivious) with double stably computes
 // 2·min(x1, x2) (Observation 2.2).

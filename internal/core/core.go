@@ -170,6 +170,8 @@ var library = sync.OnceValue(func() map[string]*semilinear.Func {
 
 // Library returns the paper's named functions: a fresh map over shared
 // functions, which callers must not modify.
+//
+//crnlint:ignore unreached the _perfbench module builds its fixtures from it
 func Library() map[string]*semilinear.Func { return maps.Clone(library()) }
 
 // LibraryNames returns the sorted names of Library.

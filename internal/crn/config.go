@@ -46,24 +46,6 @@ func (c *CRN) MustInitialConfig(x vec.V) Config {
 	return cfg
 }
 
-// ConfigFromCounts builds a configuration from an explicit species→count
-// map. Species not in the CRN's universe are rejected.
-func (c *CRN) ConfigFromCounts(counts map[Species]int64) (Config, error) {
-	c.buildIndex()
-	v := make(vec.V, len(c.species))
-	for sp, n := range counts {
-		i, ok := c.index[sp]
-		if !ok {
-			return Config{}, fmt.Errorf("crn: unknown species %q", sp)
-		}
-		if n < 0 {
-			return Config{}, fmt.Errorf("crn: negative count %d for %q", n, sp)
-		}
-		v[i] = n
-	}
-	return Config{counts: v, crn: c}, nil
-}
-
 // DenseConfig wraps a dense count vector as a Config without copying. The
 // vector is indexed by the CRN's species table (see SpeciesList) and must
 // have exactly NumSpecies components. The Config borrows the slice: callers
@@ -139,20 +121,9 @@ func (cf Config) Clone() Config {
 	return Config{counts: cf.counts.Clone(), crn: cf.crn}
 }
 
-// Total returns the total molecular count.
-func (cf Config) Total() int64 { return cf.counts.Sum() }
-
 // Key returns a canonical string key for the configuration, suitable for
 // deduplication in reachability search.
 func (cf Config) Key() string { return cf.counts.Key() }
-
-// Leq reports pointwise cf ≤ other. Both must belong to the same CRN.
-func (cf Config) Leq(other Config) bool {
-	if cf.crn != other.crn {
-		panic("crn: comparing configurations of different CRNs")
-	}
-	return cf.counts.Leq(other.counts)
-}
 
 // Add returns cf + other (additivity of configurations; used with the
 // additive reachability property A→*B ⇒ A+C→*B+C).
@@ -172,19 +143,6 @@ func (cf Config) Applicable(ri int) bool {
 		}
 	}
 	return true
-}
-
-// Apply returns the configuration yielded by firing reaction ri
-// (C' = C - R + P). It panics if the reaction is not applicable.
-func (cf Config) Apply(ri int) Config {
-	if !cf.Applicable(ri) {
-		panic(fmt.Sprintf("crn: reaction %d (%s) not applicable in %s", ri, cf.crn.Reactions[ri], cf))
-	}
-	out := cf.counts.Clone()
-	for _, d := range cf.crn.compiled[ri].delta {
-		out[d.Idx] += d.Coeff
-	}
-	return Config{counts: out, crn: cf.crn}
 }
 
 // ApplyInPlace fires reaction ri, mutating cf's counts. The caller must own
@@ -208,16 +166,6 @@ func (cf Config) ApplicableReactions(scratch []int) []int {
 		}
 	}
 	return out
-}
-
-// IsTerminal reports whether no reaction is applicable in cf.
-func (cf Config) IsTerminal() bool {
-	for ri := range cf.crn.compiled {
-		if cf.Applicable(ri) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders nonzero counts as "{2 X, 1 L}" sorted by species name.

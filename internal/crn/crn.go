@@ -42,15 +42,6 @@ func (r Reaction) P(sp Species) int64 { return coeffOf(r.Products, sp) }
 // Net returns P(sp) - R(sp): the net change in sp when the reaction fires.
 func (r Reaction) Net(sp Species) int64 { return r.P(sp) - r.R(sp) }
 
-// Order returns the total reactant coefficient (the molecularity).
-func (r Reaction) Order() int64 {
-	var n int64
-	for _, t := range r.Reactants {
-		n += t.Coeff
-	}
-	return n
-}
-
 func coeffOf(ts []Term, sp Species) int64 {
 	var n int64
 	for _, t := range ts {

@@ -107,31 +107,32 @@ func TestApplyAndApplicability(t *testing.T) {
 	if !cfg.Applicable(0) {
 		t.Fatal("min reaction should be applicable")
 	}
-	next := cfg.Apply(0)
+	next := cfg.Clone()
+	next.ApplyInPlace(0)
 	if next.Count("X1") != 1 || next.Count("X2") != 0 || next.Output() != 1 {
 		t.Errorf("after firing: %s", next)
 	}
-	// Original is unchanged (Apply is pure).
+	// The original is unchanged (Clone is independent).
 	if cfg.Count("X1") != 2 {
-		t.Error("Apply mutated its receiver")
+		t.Error("ApplyInPlace on a clone mutated the original")
 	}
 	if next.Applicable(0) {
 		t.Error("reaction applicable without X2")
 	}
-	if !next.IsTerminal() {
-		t.Error("config should be terminal")
+	if got := next.ApplicableReactions(nil); len(got) != 0 {
+		t.Errorf("config should be terminal, applicable: %v", got)
 	}
 }
 
 func TestApplyPanicsWhenInapplicable(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Apply on inapplicable reaction should panic")
+			t.Error("ApplyInPlace on inapplicable reaction should panic")
 		}
 	}()
 	c := minCRN()
 	cfg := c.MustInitialConfig(vec.New(0, 0))
-	cfg.Apply(0)
+	cfg.ApplyInPlace(0)
 }
 
 func TestTraceReplay(t *testing.T) {
@@ -222,9 +223,6 @@ func TestReactionAccessors(t *testing.T) {
 	}
 	if r.R("X") != 2 || r.P("Y") != 3 || r.Net("L") != 0 || r.Net("X") != -2 {
 		t.Errorf("accessors wrong: R(X)=%d P(Y)=%d Net(L)=%d", r.R("X"), r.P("Y"), r.Net("L"))
-	}
-	if r.Order() != 3 {
-		t.Errorf("order = %d", r.Order())
 	}
 	if got := r.String(); got != "2X + L -> 3Y + L" {
 		t.Errorf("String = %q", got)

@@ -200,9 +200,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return co, nil
 }
 
-// Rects returns the grid partition, in canonical grid order.
-func (co *Coordinator) Rects() []Rect { return co.rects }
-
 // lease hands out the lowest-indexed pending rectangle, after reclaiming
 // expired leases. Rectangles past the first decided (failed or errored) one
 // can no longer affect the merged result and are never handed out.

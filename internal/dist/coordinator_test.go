@@ -44,8 +44,8 @@ func newTestCoordinator(t *testing.T, clock *fakeClock, shards int, checkpoint s
 func TestLeaseExpiryReassignment(t *testing.T) {
 	clock := newFakeClock(1)
 	co := newTestCoordinator(t, clock, 3, "")
-	if len(co.Rects()) != 3 {
-		t.Fatalf("%d rects, want 3", len(co.Rects()))
+	if len(co.rects) != 3 {
+		t.Fatalf("%d rects, want 3", len(co.rects))
 	}
 
 	// A and B take the first two rectangles.
@@ -81,17 +81,17 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	}
 
 	// C reports rect 0; A's stale duplicate must be a no-op.
-	r0 := localRectResult(t, minCRN(), minFunc, co.Rects()[0], "C")
+	r0 := localRectResult(t, minCRN(), minFunc, co.rects[0], "C")
 	if resp, err := co.result(r0); err != nil || !resp.OK {
 		t.Fatalf("C's result rejected: %+v %v", resp, err)
 	}
-	stale := localRectResult(t, minCRN(), minFunc, co.Rects()[0], "A")
+	stale := localRectResult(t, minCRN(), minFunc, co.rects[0], "A")
 	if resp, err := co.result(stale); err != nil || !resp.OK {
 		t.Fatalf("stale duplicate rejected: %+v %v", resp, err)
 	}
 
 	for _, id := range []int{1, 2} {
-		r := localRectResult(t, minCRN(), minFunc, co.Rects()[id], "B")
+		r := localRectResult(t, minCRN(), minFunc, co.rects[id], "B")
 		if resp, err := co.result(r); err != nil || !resp.OK {
 			t.Fatalf("rect %d result rejected: %+v %v", id, resp, err)
 		}
@@ -143,7 +143,7 @@ func TestLeaseLongPoll(t *testing.T) {
 	woken := make(chan LeaseResponse, 1)
 	go func() { woken <- co.leaseWait(context.Background(), "C", time.Hour) }()
 	time.Sleep(20 * time.Millisecond) // let C park (racing is still correct, just weaker)
-	r := localRectResult(t, minCRN(), minFunc, co.Rects()[0], "B")
+	r := localRectResult(t, minCRN(), minFunc, co.rects[0], "B")
 	if resp, err := co.result(r); err != nil || !resp.OK {
 		t.Fatalf("result rejected: %+v %v", resp, err)
 	}
@@ -187,7 +187,7 @@ func TestMergeStopsAtFirstFailingRect(t *testing.T) {
 		}
 		return min(x[0], x[1])
 	}
-	rects := co.Rects()
+	rects := co.rects
 	// Report out of order, later rects first.
 	for _, id := range []int{3, 0, 1} {
 		r := localRectResult(t, minCRN(), badHigh, rects[id], "w")
@@ -222,7 +222,7 @@ func TestMergeStopsAtFirstFailingRect(t *testing.T) {
 func TestCheckpointResume(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "ckpt.json")
 	co1 := newTestCoordinator(t, nil, 4, cp)
-	rects := co1.Rects()
+	rects := co1.rects
 	for _, id := range []int{0, 2} {
 		r := localRectResult(t, minCRN(), minFunc, rects[id], "w")
 		if resp, err := co1.result(r); err != nil || !resp.OK {
@@ -295,7 +295,7 @@ func TestRunLocalKeepsCompletedRects(t *testing.T) {
 			if l := co.lease("A"); l.Rect == nil || l.Rect.ID != 0 {
 				t.Fatalf("A's lease: %+v", l)
 			}
-			if _, err := co.result(localRectResult(t, minCRN(), tc.f, co.Rects()[0], "A")); err != nil {
+			if _, err := co.result(localRectResult(t, minCRN(), tc.f, co.rects[0], "A")); err != nil {
 				t.Fatal(err)
 			}
 			if l := co.lease("B"); l.Rect == nil || l.Rect.ID != 1 {

@@ -1,7 +1,6 @@
 // Package faultnet is deterministic, seeded network fault injection for the
 // chaos test suites: an http.RoundTripper wrapper that makes a client's
-// requests fail on a reproducible schedule, and a net.Listener wrapper that
-// does the same to a server's accepted connections.
+// requests fail on a reproducible schedule.
 //
 // # Determinism
 //
@@ -154,10 +153,12 @@ type Transport struct {
 
 	next      atomic.Int64 // request index
 	scheduled atomic.Int64 // faults the schedule asked for (cap accounting)
-	byFault   [numFaults]atomic.Int64
+	injected  atomic.Int64 // faults actually injected
 }
 
 // NewTransport wraps inner (nil = http.DefaultTransport) with the schedule.
+//
+//crnlint:ignore unreached chaos-suite harness: only the dist chaos tests build faulty transports
 func NewTransport(inner http.RoundTripper, s Schedule) *Transport {
 	if inner == nil {
 		inner = http.DefaultTransport
@@ -165,25 +166,11 @@ func NewTransport(inner http.RoundTripper, s Schedule) *Transport {
 	return &Transport{inner: inner, sched: s}
 }
 
-// Requests returns how many requests the transport has seen; Injected how
-// many were actually faulted (observability for chaos-suite logs).
-func (t *Transport) Requests() int64 { return t.next.Load() }
-func (t *Transport) Injected() int64 {
-	var n int64
-	for i := range t.byFault {
-		n += t.byFault[i].Load()
-	}
-	return n
-}
-
-// Counts returns the per-fault injection counts, indexed by Fault.
-func (t *Transport) Counts() [int(numFaults)]int64 {
-	var out [int(numFaults)]int64
-	for i := range out {
-		out[i] = t.byFault[i].Load()
-	}
-	return out
-}
+// Injected returns how many requests were actually faulted, for the chaos
+// suite's logs.
+//
+//crnlint:ignore unreached chaos-suite harness: the dist chaos tests log it
+func (t *Transport) Injected() int64 { return t.injected.Load() }
 
 // decide picks the fault for the next request, honoring MaxFaults.
 func (t *Transport) decide() Fault {
@@ -194,7 +181,7 @@ func (t *Transport) decide() Fault {
 	if t.sched.MaxFaults > 0 && t.scheduled.Add(1) > t.sched.MaxFaults {
 		return FaultNone
 	}
-	t.byFault[f].Add(1)
+	t.injected.Add(1)
 	return f
 }
 
@@ -259,60 +246,5 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 func closeBody(req *http.Request) {
 	if req.Body != nil {
 		req.Body.Close()
-	}
-}
-
-// Listener injects server-side faults: per accepted connection the schedule
-// decides to serve it normally, abort it (closed before the server reads a
-// byte — the client sees a reset), or delay its hand-off by Latency. Only
-// FaultRefuse and FaultSlow apply listener-side; other faults pass.
-type Listener struct {
-	net.Listener
-	sched Schedule
-	// Logf, when non-nil, receives one line per injected fault.
-	Logf func(format string, args ...any)
-
-	next      atomic.Int64
-	scheduled atomic.Int64 // cap accounting
-	injected  atomic.Int64
-}
-
-// NewListener wraps ln with the schedule.
-func NewListener(ln net.Listener, s Schedule) *Listener {
-	return &Listener{Listener: ln, sched: s}
-}
-
-// Injected returns how many connections were actually faulted.
-func (l *Listener) Injected() int64 { return l.injected.Load() }
-
-// Accept implements net.Listener under the fault schedule.
-func (l *Listener) Accept() (net.Conn, error) {
-	for {
-		conn, err := l.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		f := l.sched.At(l.next.Add(1) - 1)
-		if f != FaultNone {
-			if l.sched.MaxFaults > 0 && l.scheduled.Add(1) > l.sched.MaxFaults {
-				f = FaultNone
-			} else if f == FaultRefuse || f == FaultSlow {
-				l.injected.Add(1)
-			}
-		}
-		switch f {
-		case FaultRefuse:
-			if l.Logf != nil {
-				l.Logf("faultnet: aborting connection from %s", conn.RemoteAddr())
-			}
-			conn.Close()
-			continue
-		case FaultSlow:
-			if l.Logf != nil {
-				l.Logf("faultnet: delaying connection from %s", conn.RemoteAddr())
-			}
-			time.Sleep(l.sched.latency())
-		}
-		return conn, nil
 	}
 }

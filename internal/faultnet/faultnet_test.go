@@ -209,46 +209,5 @@ func TestTransportWithRetryClient(t *testing.T) {
 	if tr.Injected() == 0 {
 		t.Fatal("schedule injected nothing; test proves nothing")
 	}
-	t.Logf("requests=%d injected=%d commits=%d", tr.Requests(), tr.Injected(), commits.Load())
-}
-
-// TestListenerFaults: an aborted connection surfaces as a client-side
-// transport error and never reaches the handler; the retry client rides
-// through.
-func TestListenerFaults(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fln := NewListener(ln, Schedule{Seed: 3, PRefuse: 0.4, MaxFaults: 20, Latency: time.Millisecond})
-	var commits atomic.Int64
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		commits.Add(1)
-		_, _ = w.Write([]byte(`{"ok":true}`))
-	})}
-	go func() { _ = srv.Serve(fln) }()
-	defer srv.Close()
-
-	c := &httpx.Client{
-		HTTP:        &http.Client{Timeout: 5 * time.Second},
-		MaxAttempts: -1,
-		Budget:      30 * time.Second,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond,
-	}
-	url := "http://" + ln.Addr().String()
-	for i := 0; i < 20; i++ {
-		var out struct {
-			OK bool `json:"ok"`
-		}
-		if err := c.GetJSON(context.Background(), url, &out); err != nil || !out.OK {
-			t.Fatalf("call %d: %v", i, err)
-		}
-	}
-	if fln.Injected() == 0 {
-		t.Fatal("listener injected nothing; test proves nothing")
-	}
-	if commits.Load() < 20 {
-		t.Fatalf("only %d commits for 20 successful calls", commits.Load())
-	}
+	t.Logf("injected=%d commits=%d", tr.Injected(), commits.Load())
 }

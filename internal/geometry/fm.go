@@ -53,13 +53,6 @@ func (s *System) Add(a rat.Vec, b rat.R, strict bool) *System {
 // AddGeqZero appends a·y ≥ 0.
 func (s *System) AddGeqZero(a rat.Vec) *System { return s.Add(a, rat.Zero(), false) }
 
-// Clone deep-copies the system.
-func (s *System) Clone() *System {
-	out := &System{D: s.D, Constraints: make([]Constraint, len(s.Constraints))}
-	copy(out.Constraints, s.Constraints)
-	return out
-}
-
 // Feasible decides whether the system has a rational solution and, if so,
 // returns one. The witness satisfies every constraint (including strict
 // ones) exactly.

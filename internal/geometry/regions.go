@@ -108,13 +108,12 @@ type Region struct {
 	Points []vec.V // integer witnesses found by the census, ascending lex
 
 	// cached analysis
-	reccDim    int
-	eventual   bool
-	implicit   []int // indices into cone rows that are implicit equalities
-	coneRows   []rat.Vec
-	analyzed   bool
-	wBasis     []rat.Vec
-	positiveIn rat.Vec // a witness y ∈ recc with y ≥ 1, nil if not eventual
+	reccDim  int
+	eventual bool
+	implicit []int // indices into cone rows that are implicit equalities
+	coneRows []rat.Vec
+	analyzed bool
+	wBasis   []rat.Vec
 }
 
 // Key returns a canonical string for the sign vector.
@@ -168,16 +167,6 @@ func (arr *Arrangement) Census(bound int64) []*Region {
 		out[i] = byKey[k]
 	}
 	return out
-}
-
-// RegionOf returns the region (from a prior census) containing x, or nil.
-func RegionOf(regions []*Region, x vec.V) *Region {
-	for _, r := range regions {
-		if r.Contains(x) {
-			return r
-		}
-	}
-	return nil
 }
 
 // coneConstraintRows returns the rows m of the recession cone description
@@ -248,10 +237,7 @@ func (r *Region) analyze() {
 		e[j] = rat.One()
 		sys.Add(e, rat.One(), false)
 	}
-	if y, ok := sys.Feasible(); ok {
-		r.eventual = true
-		r.positiveIn = y
-	}
+	_, r.eventual = sys.Feasible()
 	r.analyzed = true
 }
 
@@ -269,17 +255,6 @@ func (r *Region) IsDetermined() bool { return r.ReccDim() == r.Arr.D }
 func (r *Region) IsEventual() bool {
 	r.analyze()
 	return r.eventual
-}
-
-// PositiveDirection returns a rational vector y ∈ recc(R) with y ≥ 1
-// componentwise, scaled to integers. Only valid for eventual regions.
-func (r *Region) PositiveDirection() (vec.V, bool) {
-	r.analyze()
-	if !r.eventual {
-		return nil, false
-	}
-	iv, _ := r.positiveIn.ScaleToInt()
-	return iv, true
 }
 
 // WBasis returns a basis of the determined subspace W = span(recc(R)).

@@ -158,7 +158,7 @@ func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
 }
 
 // Raw captures a response verbatim when passed as the out argument of
-// GetJSON/PostJSON (or via the GetRaw/PostRaw helpers): the exact body
+// GetJSON/PostJSON (or via the PostRaw helper): the exact body
 // bytes and the response headers, with no JSON decoding. It exists for
 // the byte-identity consumers — callers that diff a served body against
 // a locally computed one, or read cache markers like X-Cache — so that
@@ -167,14 +167,6 @@ func (c *Client) PostJSON(ctx context.Context, url string, in, out any) error {
 type Raw struct {
 	Body   []byte
 	Header http.Header
-}
-
-// GetRaw fetches url and returns the verbatim response, retrying under
-// the client's policy.
-func (c *Client) GetRaw(ctx context.Context, url string) (Raw, error) {
-	var r Raw
-	err := c.doJSON(ctx, http.MethodGet, url, nil, &r)
-	return r, err
 }
 
 // PostRaw posts in as JSON to url and returns the verbatim response,

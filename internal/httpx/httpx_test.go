@@ -266,7 +266,8 @@ func TestRawStatusError(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := &Client{Rand: noDelay}
-	_, err := c.GetRaw(context.Background(), ts.URL)
+	var raw Raw
+	err := c.GetJSON(context.Background(), ts.URL, &raw)
 	var se *StatusError
 	if !errors.As(err, &se) || se.StatusCode != http.StatusBadRequest {
 		t.Fatalf("err = %v, want 400 StatusError", err)

@@ -5,7 +5,9 @@
 // must not read wall clocks or unseeded randomness, map-iteration order
 // must not leak into output, and every cross-process HTTP call must go
 // through internal/httpx. crnlint machine-checks those invariants so
-// aggressive refactors cannot silently break determinism.
+// aggressive refactors cannot silently break determinism. It also keeps
+// the tree small: an exported internal/ function that nothing calls is a
+// finding unless it reproduces a named paper result.
 //
 // The suite is stdlib-only (go/parser + go/types, with go/importer's
 // source importer for standard-library dependencies); go.mod stays
@@ -54,6 +56,9 @@ type Package struct {
 	Files []*ast.File // non-test files, in lexical filename order
 	Types *types.Package
 	Info  *types.Info
+	// Module is the module the package was loaded with, for analyzers
+	// that need module-wide facts.
+	Module *Module
 }
 
 // Analyzer is one pass of the suite.
@@ -71,6 +76,7 @@ var Analyzers = []*Analyzer{
 	httpxAnalyzer,
 	mapiterAnalyzer,
 	errwrapAnalyzer,
+	unreachedAnalyzer,
 }
 
 // enginePackages are the deterministic compute packages: every verdict

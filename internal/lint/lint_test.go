@@ -199,6 +199,12 @@ import "time"
 func Clock() int64 { return time.Now().UnixNano() }
 `,
 		"internal/sim/s.go": "package sim\n",
+		"cmd/use/main.go": `package main
+
+import "example.com/tmp/internal/reach"
+
+func main() { _ = reach.Clock }
+`,
 	})
 	for _, tc := range []struct {
 		patterns []string

@@ -20,6 +20,8 @@ type Module struct {
 	Dir  string // absolute module root
 	Fset *token.FileSet
 	Pkgs []*Package // every package with non-test files, by import path
+
+	reach *reachSet // computed on the unreached analyzer's first use
 }
 
 var moduleLineRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)
@@ -67,6 +69,9 @@ func LoadModule(dir string) (*Module, error) {
 		}
 	}
 	sort.Slice(mod.Pkgs, func(i, j int) bool { return mod.Pkgs[i].Path < mod.Pkgs[j].Path })
+	for _, p := range mod.Pkgs {
+		p.Module = mod
+	}
 	return mod, nil
 }
 

@@ -1,0 +1,13 @@
+// Command use references every exported internal/ function of this
+// fixture that nothing else calls, so the unreached analyzer stays quiet
+// and the fixture pins only its own analyzer.
+package main
+
+import (
+	"example.com/fix/internal/reach"
+	"example.com/fix/internal/sim"
+)
+
+func main() {
+	_ = []any{reach.Deadline, reach.TimedExplore, reach.TracedExplore, sim.Trial, sim.Step}
+}

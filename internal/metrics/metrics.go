@@ -245,13 +245,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.child(nil, func() child { return &Gauge{} }).(*Gauge)
 }
 
-// Histogram returns the unlabeled histogram with the given name and
-// upper bounds (which must be sorted ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.family(name, help, typeHistogram, nil, checkBuckets(name, buckets))
-	return f.child(nil, func() child { return newHistogram(nil, f.buckets) }).(*Histogram)
-}
-
 func newHistogram(labels []string, upper []float64) *Histogram {
 	h := &Histogram{labels: labels, upper: upper}
 	h.counts = make([]atomic.Uint64, len(upper)+1)
@@ -317,7 +310,7 @@ type HistogramVec struct{ f *family }
 // and label names.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	if len(labels) == 0 {
-		panic(fmt.Sprintf("metrics: HistogramVec %q needs labels (use Histogram)", name))
+		panic(fmt.Sprintf("metrics: HistogramVec %q needs labels", name))
 	}
 	return &HistogramVec{f: r.family(name, help, typeHistogram, labels, checkBuckets(name, buckets))}
 }

@@ -62,7 +62,7 @@ func TestVecSortedDeterministic(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1, 10})
+	h := r.HistogramVec("test_latency_seconds", "Latency.", []float64{0.1, 1, 10}, "op").With("get")
 	for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
 		h.Observe(v)
 	}
@@ -72,12 +72,12 @@ func TestHistogramBuckets(t *testing.T) {
 	got := render(t, r)
 	want := "# HELP test_latency_seconds Latency.\n" +
 		"# TYPE test_latency_seconds histogram\n" +
-		`test_latency_seconds_bucket{le="0.1"} 2` + "\n" +
-		`test_latency_seconds_bucket{le="1"} 3` + "\n" +
-		`test_latency_seconds_bucket{le="10"} 4` + "\n" +
-		`test_latency_seconds_bucket{le="+Inf"} 5` + "\n" +
-		"test_latency_seconds_sum 102.65\n" +
-		"test_latency_seconds_count 5\n"
+		`test_latency_seconds_bucket{op="get",le="0.1"} 2` + "\n" +
+		`test_latency_seconds_bucket{op="get",le="1"} 3` + "\n" +
+		`test_latency_seconds_bucket{op="get",le="10"} 4` + "\n" +
+		`test_latency_seconds_bucket{op="get",le="+Inf"} 5` + "\n" +
+		`test_latency_seconds_sum{op="get"} 102.65` + "\n" +
+		`test_latency_seconds_count{op="get"} 5` + "\n"
 	if got != want {
 		t.Fatalf("render mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
@@ -141,7 +141,7 @@ func TestEmptyFamilyEmitsHeader(t *testing.T) {
 
 func TestObserveSince(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_since_seconds", "Spans.", []float64{1})
+	h := r.HistogramVec("test_since_seconds", "Spans.", []float64{1}, "op").With("span")
 	start := time.Unix(0, 0)
 	h.ObserveSince(start, start.Add(2*time.Second))
 	if got := h.Sum(); got != 2 {

@@ -70,17 +70,8 @@ func Parse(input string) (*crn.CRN, error) {
 	return crn.New(inputs, output, leader, reactions)
 }
 
-// ParseReaction parses a single reaction such as "2X + L -> 3Y".
-func ParseReaction(line string) (crn.Reaction, error) {
-	r, err := parseReaction(line)
-	if err != nil {
-		return crn.Reaction{}, fmt.Errorf("parse: %w", err)
-	}
-	return r, nil
-}
-
-// parseReaction is the unprefixed inner parser: Parse wraps its errors
-// with the line number, ParseReaction with the bare package prefix.
+// parseReaction parses a single reaction such as "2X + L -> 3Y". Its
+// errors are unprefixed: Parse wraps them with the line number.
 func parseReaction(line string) (crn.Reaction, error) {
 	line = strings.ReplaceAll(line, "→", "->")
 	lhs, rhs, ok := strings.Cut(line, "->")
@@ -162,7 +153,3 @@ func validSpeciesName(name string) bool {
 	}
 	return true
 }
-
-// Format renders a CRN in the canonical format accepted by Parse.
-// It is the inverse of Parse up to whitespace and comments.
-func Format(c *crn.CRN) string { return c.String() }

@@ -98,7 +98,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	// Format(Parse(s)) must reparse to the same CRN.
+	// Parse(s).String() must reparse to the same CRN.
 	srcs := []string{
 		"#input X1 X2\n#output Y\nX1 + X2 -> Y\n",
 		"#input X\n#output Y\n#leader L\nL -> 2Y + S0\nS0 + X -> Y + S1\n",
@@ -109,26 +109,26 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c2, err := Parse(Format(c1))
+		c2, err := Parse(c1.String())
 		if err != nil {
-			t.Fatalf("reparse: %v\n%s", err, Format(c1))
+			t.Fatalf("reparse: %v\n%s", err, c1.String())
 		}
-		if Format(c1) != Format(c2) {
-			t.Fatalf("round trip drift:\n%s\nvs\n%s", Format(c1), Format(c2))
+		if c1.String() != c2.String() {
+			t.Fatalf("round trip drift:\n%s\nvs\n%s", c1.String(), c2.String())
 		}
 	}
 }
 
 func TestParseReactionNames(t *testing.T) {
 	// Species with subscripts/primes used by the synthesizer must parse.
-	r, err := ParseReaction("C12 + X1 -> 2Y + C13")
+	r, err := parseReaction("C12 + X1 -> 2Y + C13")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.R("C12") != 1 || r.P("C13") != 1 {
 		t.Errorf("parsed: %v", r)
 	}
-	if _, err := ParseReaction("L -> L0"); err != nil {
+	if _, err := parseReaction("L -> L0"); err != nil {
 		t.Error(err)
 	}
 }
@@ -137,7 +137,7 @@ func TestFormatSynthesizedCRN(t *testing.T) {
 	c := crn.MustNew([]crn.Species{"X"}, "Y", "L", []crn.Reaction{
 		{Reactants: []crn.Term{{Coeff: 1, Sp: "L"}}, Products: []crn.Term{{Coeff: 2, Sp: "Y"}, {Coeff: 1, Sp: "S0"}}},
 	})
-	got, err := Parse(Format(c))
+	got, err := Parse(c.String())
 	if err != nil {
 		t.Fatal(err)
 	}

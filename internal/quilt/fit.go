@@ -1,11 +1,6 @@
 package quilt
 
-import (
-	"fmt"
-
-	"crncompose/internal/rat"
-	"crncompose/internal/vec"
-)
+import "fmt"
 
 // Eval1D is a one-dimensional integer function.
 type Eval1D func(x int64) int64
@@ -51,127 +46,4 @@ func FitEventually1D(f Eval1D, maxN, maxP, horizon int64) (n, p int64, deltas []
 		}
 	}
 	return 0, 0, nil, fmt.Errorf("quilt: no eventually-quilt-affine structure found with n ≤ %d, p ≤ %d", maxN, maxP)
-}
-
-// FromEventually1D converts the (n, p, δ) structure plus the concrete values
-// f(n..n+p-1) into a quilt-affine Func valid for all x ≥ n. The gradient is
-// the mean of the deltas; offsets are fitted per congruence class.
-func FromEventually1D(f Eval1D, n, p int64, deltas []int64) (*Func, error) {
-	if int64(len(deltas)) != p {
-		return nil, fmt.Errorf("quilt: %d deltas for period %d", len(deltas), p)
-	}
-	var sum int64
-	for _, d := range deltas {
-		sum += d
-	}
-	grad := rat.New(sum, p) // slope = (Σδ)/p
-	// B(a) = f(x) - grad·x for any x ≥ n with x ≡ a (mod p).
-	offsets := make([]rat.R, p)
-	for a := int64(0); a < p; a++ {
-		x := n + ((a-n)%p+p)%p
-		offsets[a] = rat.FromInt(f(x)).Sub(grad.MulInt(x))
-	}
-	return New(rat.NewVec(grad), p, offsets)
-}
-
-// FitOnRegion fits a quilt-affine function with the given period to samples
-// of f on the set of integer points produced by points, requiring exact
-// agreement. It solves for a single gradient shared by all congruence
-// classes (Lemma 7.7: on a determined region the gradients must agree) and
-// per-class offsets. Returns an error if the samples are not consistent
-// with any quilt-affine function of that period, or if some congruence class
-// has too few points to pin down the gradient component-wise.
-//
-// points must contain, for each congruence class present, at least d+1
-// points in "general position" along each axis: the fitter uses pairs of
-// same-class points differing in a single coordinate direction scaled by p.
-func FitOnRegion(f func(vec.V) int64, points []vec.V, period int64, dim int) (*Func, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("quilt: no sample points")
-	}
-	byClass := make(map[int64][]vec.V)
-	for _, x := range points {
-		idx := vec.CongruenceIndex(x, period)
-		byClass[idx] = append(byClass[idx], x.Clone())
-	}
-	// Build a least-structure linear system for the gradient: for any two
-	// points x, y in the same class, f(y)-f(x) = ∇g·(y-x).
-	var rows []rat.Vec
-	var rhs []rat.R
-	for _, pts := range byClass {
-		base := pts[0]
-		fb := f(base)
-		for _, y := range pts[1:] {
-			rows = append(rows, rat.VecFromInts(y.Sub(base)))
-			rhs = append(rhs, rat.FromInt(f(y)-fb))
-		}
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("quilt: need at least two points in some congruence class")
-	}
-	grad, okSolve := rat.Mat(rows).Solve(rat.Vec(rhs))
-	if !okSolve {
-		return nil, fmt.Errorf("quilt: samples are not affine within congruence classes")
-	}
-	// The system may be under-determined; verify residuals exactly anyway.
-	for i, row := range rows {
-		if !row.Dot(grad).Eq(rhs[i]) {
-			return nil, fmt.Errorf("quilt: inconsistent samples (row %d)", i)
-		}
-	}
-	// Offsets per class present in the samples; classes not witnessed get
-	// offset consistent with integrality by rounding the gradient part,
-	// which keeps New's validation meaningful while remaining conservative.
-	classes := vec.NumClasses(period, dim)
-	offsets := make([]rat.R, classes)
-	seen := make([]bool, classes)
-	for idx, pts := range byClass {
-		x := pts[0]
-		offsets[idx] = rat.FromInt(f(x)).Sub(grad.DotInt(x))
-		seen[idx] = true
-	}
-	// Fill unseen classes by nearest seen class offset (keeps the function
-	// total; callers that need exactness restrict to witnessed classes).
-	var fallback rat.R
-	haveFallback := false
-	for idx := int64(0); idx < classes; idx++ {
-		if seen[idx] {
-			fallback = offsets[idx]
-			haveFallback = true
-			break
-		}
-	}
-	if !haveFallback {
-		return nil, fmt.Errorf("quilt: no congruence class witnessed")
-	}
-	for idx := int64(0); idx < classes; idx++ {
-		if !seen[idx] {
-			offsets[idx] = fallback
-		}
-	}
-	// Adjust unseen-class offsets so every value is integral: snap
-	// grad·a + B(a) to the nearest integer from below.
-	for idx := int64(0); idx < classes; idx++ {
-		if seen[idx] {
-			continue
-		}
-		a := vec.CongruenceClass(idx, period, dim)
-		v := grad.DotInt(a).Add(offsets[idx])
-		if !v.IsInt() {
-			offsets[idx] = rat.FromInt(v.Floor()).Sub(grad.DotInt(a))
-		}
-	}
-	g, err := New(grad, period, offsets)
-	if err != nil {
-		return nil, fmt.Errorf("quilt: fitted parameters invalid: %w", err)
-	}
-	// Final exactness check on all provided samples.
-	for _, pts := range byClass {
-		for _, x := range pts {
-			if g.Eval(x) != f(x) {
-				return nil, fmt.Errorf("quilt: fit does not reproduce f at %v", x)
-			}
-		}
-	}
-	return g, nil
 }

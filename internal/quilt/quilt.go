@@ -60,18 +60,6 @@ func MustNew(grad rat.Vec, period int64, offsets []rat.R) *Func {
 	return g
 }
 
-// Affine builds the special case of a quilt-affine function with period 1:
-// g(x) = grad·x + off. grad entries and off may be rational as long as the
-// combination is integer on N^d, which for period 1 forces them integral.
-func Affine(grad rat.Vec, off rat.R) (*Func, error) {
-	return New(grad, 1, []rat.R{off})
-}
-
-// Constant returns the constant quilt-affine function on N^d.
-func Constant(d int, c int64) *Func {
-	return MustNew(rat.ZeroVec(d), 1, []rat.R{rat.FromInt(c)})
-}
-
 func (g *Func) validate() error {
 	// Integrality: for every congruence class representative a ∈ [0,p)^d,
 	// g(a) = ∇g·a + B(a) must be an integer. Then periodicity plus
@@ -161,21 +149,6 @@ func (g *Func) Translate(n vec.V) *Func {
 		offsets[idx] = g.grad.DotInt(n).Add(g.Offset(a.Add(n)))
 	}
 	return MustNew(g.grad, g.period, offsets)
-}
-
-// WithPeriod re-expresses g with a larger period q (a multiple of p). The
-// function values are unchanged; the offset table is expanded.
-func (g *Func) WithPeriod(q int64) (*Func, error) {
-	if q < g.period || q%g.period != 0 {
-		return nil, fmt.Errorf("quilt: new period %d is not a multiple of %d", q, g.period)
-	}
-	classes := vec.NumClasses(q, g.dim)
-	offsets := make([]rat.R, classes)
-	for idx := int64(0); idx < classes; idx++ {
-		a := vec.CongruenceClass(idx, q, g.dim)
-		offsets[idx] = g.Offset(a)
-	}
-	return New(g.grad, q, offsets)
 }
 
 // NonnegativeOn reports whether g(x) ≥ 0 for all x ≥ lo, which by

@@ -130,43 +130,15 @@ func TestTranslate(t *testing.T) {
 	})
 }
 
-func TestWithPeriod(t *testing.T) {
-	g := floor3x2(t)
-	h, err := g.WithPeriod(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(h) {
-		t.Fatal("period expansion changed the function")
-	}
-	if _, err := g.WithPeriod(3); err == nil {
-		t.Fatal("non-multiple period accepted")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	g := floor3x2(t)
 	h := floor3x2(t)
 	if !g.Equal(h) {
 		t.Error("identical functions not equal")
 	}
-	k, _ := Affine(rat.NewVec(rat.FromInt(2)), rat.Zero())
+	k := MustNew(rat.NewVec(rat.FromInt(2)), 1, []rat.R{rat.Zero()})
 	if g.Equal(k) {
 		t.Error("distinct functions equal")
-	}
-}
-
-func TestConstantAndAffine(t *testing.T) {
-	c := Constant(2, 7)
-	if c.Eval(vec.New(100, 3)) != 7 {
-		t.Error("constant wrong")
-	}
-	a, err := Affine(rat.NewVec(rat.FromInt(2), rat.FromInt(3)), rat.One())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Eval(vec.New(2, 3)) != 14 {
-		t.Error("affine wrong")
 	}
 }
 
@@ -182,8 +154,8 @@ func TestNonnegativeOn(t *testing.T) {
 }
 
 func TestMinEval(t *testing.T) {
-	g1, _ := Affine(rat.NewVec(rat.One(), rat.Zero()), rat.One()) // x1+1
-	g2, _ := Affine(rat.NewVec(rat.Zero(), rat.One()), rat.One()) // x2+1
+	g1 := MustNew(rat.NewVec(rat.One(), rat.Zero()), 1, []rat.R{rat.One()}) // x1+1
+	g2 := MustNew(rat.NewVec(rat.Zero(), rat.One()), 1, []rat.R{rat.One()}) // x2+1
 	m, err := NewMin(g1, g2)
 	if err != nil {
 		t.Fatal(err)
@@ -234,42 +206,6 @@ func TestFitEventually1D(t *testing.T) {
 func TestFitEventually1DRejectsDecreasing(t *testing.T) {
 	if _, _, _, err := FitEventually1D(func(x int64) int64 { return 10 - min(x, 10) }, 8, 4, 0); err == nil {
 		t.Fatal("decreasing function fit")
-	}
-}
-
-func TestFromEventually1D(t *testing.T) {
-	f := func(x int64) int64 { return 5 * x / 3 }
-	n, p, deltas, err := FitEventually1D(f, 8, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := FromEventually1D(f, n, p, deltas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := n; x < 60; x++ {
-		if g.Eval(vec.New(x)) != f(x) {
-			t.Fatalf("g(%d) = %d ≠ %d", x, g.Eval(vec.New(x)), f(x))
-		}
-	}
-}
-
-func TestFitOnRegion(t *testing.T) {
-	// Fit fig3b from samples and verify round trip.
-	orig := fig3b(t)
-	f := func(x vec.V) int64 { return orig.Eval(x) }
-	pts := vec.GridAll(vec.Zero(2), vec.Const(2, 8))
-	g, err := FitOnRegion(f, pts, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(orig) {
-		t.Fatalf("fit drift:\n%s\nvs\n%s", g, orig)
-	}
-	// Inconsistent samples are rejected.
-	bad := func(x vec.V) int64 { return x[0] * x[0] }
-	if _, err := FitOnRegion(bad, pts, 1, 2); err == nil {
-		t.Fatal("quadratic fit accepted")
 	}
 }
 

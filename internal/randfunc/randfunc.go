@@ -60,6 +60,8 @@ func Nondecreasing(rng *rand.Rand, maxN, maxP, maxDelta int64) *OneDim {
 // and keeps the first that passes an exact superadditivity check on the
 // relevant range. The construction biases candidates toward superadditivity
 // by making the periodic slope at least the largest early increment.
+//
+//crnlint:ignore unreached fuzz harness: the root fuzz_test.go draws its leaderless inputs from it
 func Superadditive(rng *rand.Rand, maxN, maxP, maxDelta int64, checkLimit int64) *OneDim {
 	for {
 		f := Nondecreasing(rng, maxN, maxP, maxDelta)
@@ -88,17 +90,4 @@ func IsSuperadditive(f func(int64) int64, limit int64) bool {
 		}
 	}
 	return true
-}
-
-// SuperadditivityViolation returns a pair (a, b) with f(a)+f(b) > f(a+b)
-// within the limit, or (-1, -1) if none exists (Observation 9.1 witness).
-func SuperadditivityViolation(f func(int64) int64, limit int64) (int64, int64) {
-	for a := int64(0); a <= limit; a++ {
-		for b := a; a+b <= limit; b++ {
-			if f(a)+f(b) > f(a+b) {
-				return a, b
-			}
-		}
-	}
-	return -1, -1
 }

@@ -55,28 +55,12 @@ func BenchmarkMulBigRatAblation(b *testing.B) {
 	}
 }
 
-func BenchmarkGaussianElimination(b *testing.B) {
-	m := NewMat(
-		NewVec(New(2, 1), New(1, 3), New(0, 1), New(1, 2)),
-		NewVec(New(1, 1), New(4, 1), New(1, 5), New(0, 1)),
-		NewVec(New(0, 1), New(2, 7), New(3, 1), New(1, 1)),
-		NewVec(New(1, 2), New(1, 1), New(1, 1), New(2, 3)),
-	)
-	rhs := NewVec(One(), FromInt(2), FromInt(3), New(1, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := m.Solve(rhs); !ok {
-			b.Fatal("unsolvable")
-		}
-	}
-}
-
 func BenchmarkRank(b *testing.B) {
-	m := NewMat(
+	m := Mat{
 		NewVec(FromInt(1), FromInt(2), FromInt(3)),
 		NewVec(FromInt(2), FromInt(4), FromInt(7)),
 		NewVec(FromInt(1), FromInt(1), FromInt(1)),
-	)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if m.Rank() != 3 {

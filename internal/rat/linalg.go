@@ -119,16 +119,6 @@ func (v Vec) IsZero() bool {
 	return true
 }
 
-// Nonnegative reports whether every component is ≥ 0.
-func (v Vec) Nonnegative() bool {
-	for _, r := range v {
-		if r.Sign() < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders v as "(a, b, ...)".
 func (v Vec) String() string {
 	parts := make([]string, len(v))
@@ -136,27 +126,6 @@ func (v Vec) String() string {
 		parts[i] = r.String()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// CommonDenominator returns the least common multiple of all component
-// denominators (1 for the empty vector).
-func (v Vec) CommonDenominator() int64 {
-	l := int64(1)
-	for _, r := range v {
-		l = LCM(l, r.Den())
-	}
-	return l
-}
-
-// ScaleToInt multiplies v by the common denominator and returns the
-// resulting integer vector along with the multiplier used.
-func (v Vec) ScaleToInt() (vec.V, int64) {
-	l := v.CommonDenominator()
-	out := make(vec.V, len(v))
-	for i, r := range v {
-		out[i] = r.MulInt(l).Int()
-	}
-	return out, l
 }
 
 func mustDim(v, w Vec) {
@@ -167,15 +136,6 @@ func mustDim(v, w Vec) {
 
 // Mat is a dense rational matrix (rows × cols), stored row-major as rows.
 type Mat []Vec
-
-// NewMat builds a matrix from rows, cloning each.
-func NewMat(rows ...Vec) Mat {
-	m := make(Mat, len(rows))
-	for i, r := range rows {
-		m[i] = r.Clone()
-	}
-	return m
-}
 
 // Rows and Cols return the dimensions; a 0-row matrix has 0 columns.
 func (m Mat) Rows() int { return len(m) }
@@ -191,15 +151,6 @@ func (m Mat) Clone() Mat {
 	out := make(Mat, len(m))
 	for i, r := range m {
 		out[i] = r.Clone()
-	}
-	return out
-}
-
-// MulVec returns m·v.
-func (m Mat) MulVec(v Vec) Vec {
-	out := make(Vec, len(m))
-	for i, row := range m {
-		out[i] = row.Dot(v)
 	}
 	return out
 }
@@ -235,64 +186,6 @@ func (m Mat) Rank() int {
 		rank++
 	}
 	return rank
-}
-
-// Solve finds one solution x to the linear system m·x = b, returning
-// (x, true) if the system is consistent and (nil, false) otherwise. When the
-// system is under-determined, free variables are set to zero.
-func (m Mat) Solve(b Vec) (Vec, bool) {
-	rows, cols := m.Rows(), m.Cols()
-	if len(b) != rows {
-		panic("rat: Solve dimension mismatch")
-	}
-	// Augmented matrix.
-	a := make(Mat, rows)
-	for i := range a {
-		a[i] = make(Vec, cols+1)
-		copy(a[i], m[i])
-		a[i][cols] = b[i]
-	}
-	pivotCol := make([]int, 0, rows)
-	rank := 0
-	for col := 0; col < cols && rank < rows; col++ {
-		pivot := -1
-		for r := rank; r < rows; r++ {
-			if !a[r][col].IsZero() {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		a[rank], a[pivot] = a[pivot], a[rank]
-		inv := One().Div(a[rank][col])
-		for c := col; c <= cols; c++ {
-			a[rank][c] = a[rank][c].Mul(inv)
-		}
-		for r := 0; r < rows; r++ {
-			if r == rank || a[r][col].IsZero() {
-				continue
-			}
-			factor := a[r][col]
-			for c := col; c <= cols; c++ {
-				a[r][c] = a[r][c].Sub(factor.Mul(a[rank][c]))
-			}
-		}
-		pivotCol = append(pivotCol, col)
-		rank++
-	}
-	// Inconsistency: a zero row with nonzero rhs.
-	for r := rank; r < rows; r++ {
-		if !a[r][cols].IsZero() {
-			return nil, false
-		}
-	}
-	x := ZeroVec(cols)
-	for r, col := range pivotCol {
-		x[col] = a[r][cols]
-	}
-	return x, true
 }
 
 // NullspaceBasis returns a basis of the nullspace {x : m·x = 0}.
@@ -346,46 +239,4 @@ func (m Mat) NullspaceBasis() []Vec {
 		basis = append(basis, x)
 	}
 	return basis
-}
-
-// ProjectOnto projects v orthogonally onto the subspace spanned by basis,
-// using exact Gram–Schmidt. An empty basis yields the zero vector.
-func ProjectOnto(v Vec, basis []Vec) Vec {
-	ortho := orthogonalize(basis)
-	out := ZeroVec(len(v))
-	for _, u := range ortho {
-		uu := u.Dot(u)
-		if uu.IsZero() {
-			continue
-		}
-		coef := v.Dot(u).Div(uu)
-		out = out.Add(u.Scale(coef))
-	}
-	return out
-}
-
-func orthogonalize(basis []Vec) []Vec {
-	var ortho []Vec
-	for _, b := range basis {
-		u := b.Clone()
-		for _, o := range ortho {
-			oo := o.Dot(o)
-			if oo.IsZero() {
-				continue
-			}
-			u = u.Sub(o.Scale(u.Dot(o).Div(oo)))
-		}
-		if !u.IsZero() {
-			ortho = append(ortho, u)
-		}
-	}
-	return ortho
-}
-
-// SpanDim returns the dimension of the span of the given vectors.
-func SpanDim(vs []Vec) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	return Mat(vs).Rank()
 }

@@ -30,25 +30,17 @@ func TestVecOps(t *testing.T) {
 	}
 }
 
-func TestScaleToInt(t *testing.T) {
-	v := NewVec(New(1, 2), New(2, 3))
-	iv, mul := v.ScaleToInt()
-	if mul != 6 || !iv.Eq(vec.New(3, 4)) {
-		t.Errorf("ScaleToInt = %v ×%d", iv, mul)
-	}
-}
-
 func TestRank(t *testing.T) {
 	tests := []struct {
 		name string
 		m    Mat
 		want int
 	}{
-		{"identity", NewMat(rv(1, 0), rv(0, 1)), 2},
-		{"dependent rows", NewMat(rv(1, 2), rv(2, 4)), 1},
-		{"zero", NewMat(rv(0, 0), rv(0, 0)), 0},
-		{"wide", NewMat(rv(1, 0, 1), rv(0, 1, 1)), 2},
-		{"tall", NewMat(rv(1, 1), rv(1, 2), rv(1, 3)), 2},
+		{"identity", Mat{rv(1, 0), rv(0, 1)}, 2},
+		{"dependent rows", Mat{rv(1, 2), rv(2, 4)}, 1},
+		{"zero", Mat{rv(0, 0), rv(0, 0)}, 0},
+		{"wide", Mat{rv(1, 0, 1), rv(0, 1, 1)}, 2},
+		{"tall", Mat{rv(1, 1), rv(1, 2), rv(1, 3)}, 2},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,90 +51,22 @@ func TestRank(t *testing.T) {
 	}
 }
 
-func TestSolve(t *testing.T) {
-	// x + y = 3, x - y = 1 -> x=2, y=1.
-	m := NewMat(rv(1, 1), rv(1, -1))
-	x, ok := m.Solve(rv(3, 1))
-	if !ok || !x.Eq(rv(2, 1)) {
-		t.Fatalf("solve = %s, ok=%v", x, ok)
-	}
-	// Inconsistent: x + y = 1, x + y = 2.
-	if _, ok := NewMat(rv(1, 1), rv(1, 1)).Solve(rv(1, 2)); ok {
-		t.Error("inconsistent system reported solvable")
-	}
-	// Under-determined: one equation, two unknowns; residual must vanish.
-	m2 := NewMat(rv(2, 4))
-	x2, ok := m2.Solve(rv(6))
-	if !ok {
-		t.Fatal("under-determined system reported unsolvable")
-	}
-	if !m2.MulVec(x2)[0].Eq(FromInt(6)) {
-		t.Errorf("residual nonzero: %s", m2.MulVec(x2))
-	}
-}
-
 func TestNullspace(t *testing.T) {
 	// Nullspace of (1, 1, 0; 0, 0, 1) is span{(1,-1,0)}.
-	m := NewMat(rv(1, 1, 0), rv(0, 0, 1))
+	m := Mat{rv(1, 1, 0), rv(0, 0, 1)}
 	basis := m.NullspaceBasis()
 	if len(basis) != 1 {
 		t.Fatalf("nullspace dim = %d, want 1", len(basis))
 	}
 	for _, b := range basis {
-		if !m.MulVec(b).IsZero() {
-			t.Errorf("basis vector %s not in nullspace", b)
+		for _, row := range m {
+			if !row.Dot(b).IsZero() {
+				t.Errorf("basis vector %s not in nullspace", b)
+			}
 		}
 	}
 	// Full-rank square matrix has trivial nullspace.
-	if basis := NewMat(rv(1, 0), rv(0, 1)).NullspaceBasis(); len(basis) != 0 {
+	if basis := (Mat{rv(1, 0), rv(0, 1)}).NullspaceBasis(); len(basis) != 0 {
 		t.Errorf("identity nullspace dim = %d", len(basis))
-	}
-}
-
-func TestProjection(t *testing.T) {
-	// Project (1,1) onto span{(1,0)} = (1,0).
-	got := ProjectOnto(rv(1, 1), []Vec{rv(1, 0)})
-	if !got.Eq(rv(1, 0)) {
-		t.Errorf("projection = %s", got)
-	}
-	// Projection onto the diagonal span{(1,1)}: (2,0) -> (1,1).
-	got = ProjectOnto(rv(2, 0), []Vec{rv(1, 1)})
-	if !got.Eq(rv(1, 1)) {
-		t.Errorf("projection = %s", got)
-	}
-	// Projection onto a 2D span with redundant basis vectors.
-	got = ProjectOnto(rv(5, 7), []Vec{rv(1, 0), rv(2, 0), rv(0, 1)})
-	if !got.Eq(rv(5, 7)) {
-		t.Errorf("projection onto full space = %s", got)
-	}
-	// Empty basis -> zero.
-	if got := ProjectOnto(rv(3, 4), nil); !got.IsZero() {
-		t.Errorf("projection onto empty basis = %s", got)
-	}
-}
-
-func TestProjectionIdempotent(t *testing.T) {
-	basis := []Vec{rv(1, 2, 0), rv(0, 1, 1)}
-	v := NewVec(New(3, 2), New(-1, 3), FromInt(2))
-	p1 := ProjectOnto(v, basis)
-	p2 := ProjectOnto(p1, basis)
-	if !p1.Eq(p2) {
-		t.Errorf("projection not idempotent: %s vs %s", p1, p2)
-	}
-	// Residual is orthogonal to the basis.
-	res := v.Sub(p1)
-	for _, b := range basis {
-		if !res.Dot(b).IsZero() {
-			t.Errorf("residual %s not orthogonal to %s", res, b)
-		}
-	}
-}
-
-func TestSpanDim(t *testing.T) {
-	if got := SpanDim([]Vec{rv(1, 0), rv(0, 1), rv(1, 1)}); got != 2 {
-		t.Errorf("span dim = %d", got)
-	}
-	if got := SpanDim(nil); got != 0 {
-		t.Errorf("empty span dim = %d", got)
 	}
 }

@@ -52,12 +52,6 @@ func (r R) norm() R {
 	return r
 }
 
-// Num returns the numerator (in lowest terms, sign-carrying).
-func (r R) Num() int64 { return r.norm().num }
-
-// Den returns the denominator (always positive).
-func (r R) Den() int64 { return r.norm().den }
-
 // IsZero reports r == 0.
 func (r R) IsZero() bool { return r.norm().num == 0 }
 
@@ -79,16 +73,6 @@ func (r R) Floor() int64 {
 	q := r.num / r.den
 	if r.num%r.den != 0 && r.num < 0 {
 		q--
-	}
-	return q
-}
-
-// Ceil returns ⌈r⌉ as an int64.
-func (r R) Ceil() int64 {
-	r = r.norm()
-	q := r.num / r.den
-	if r.num%r.den != 0 && r.num > 0 {
-		q++
 	}
 	return q
 }
@@ -157,15 +141,6 @@ func (r R) Cmp(s R) int { return r.Sub(s).Sign() }
 
 // Eq reports r == s.
 func (r R) Eq(s R) bool { return r.Cmp(s) == 0 }
-
-// Abs returns |r|.
-func (r R) Abs() R {
-	r = r.norm()
-	if r.num < 0 {
-		return R{-r.num, r.den}
-	}
-	return r
-}
 
 // MulInt returns r * n.
 func (r R) MulInt(n int64) R { return r.Mul(FromInt(n)) }

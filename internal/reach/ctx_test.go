@@ -30,11 +30,19 @@ func settleGoroutines(t *testing.T, before int) {
 	}
 }
 
+// ctxOptions builds the engine options with a cancellation context
+// attached, as CheckGridCtx attaches its own.
+func ctxOptions(ctx context.Context, opts ...Option) Options {
+	o := buildOptions(opts)
+	o.ctx = ctx
+	return o
+}
+
 func TestExploreCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	root := branchyCRN().MustInitialConfig(vec.New(3, 3))
-	g, err := ExploreCtx(ctx, root, WithWorkers(4))
+	g, err := explore(root, ctxOptions(ctx, WithWorkers(4)), nil)
 	if g != nil {
 		t.Fatalf("canceled exploration returned a graph (%d configs)", g.NumConfigs())
 	}
@@ -58,7 +66,7 @@ func TestExploreCtxCancelMidRun(t *testing.T) {
 		// ~15k configs: comfortably past the sequential engine's 1024-head
 		// poll stride and the parallel engines' small-state probe.
 		root := branchyCRN().MustInitialConfig(vec.New(12, 12))
-		g, err := ExploreCtx(ctx, root, WithWorkers(workers), WithMaxConfigs(1<<20), WithProgress(rep))
+		g, err := explore(root, ctxOptions(ctx, WithWorkers(workers), WithMaxConfigs(1<<20), WithProgress(rep)), nil)
 		if g != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: g=%v err=%v, want nil graph and wrapped context.Canceled", workers, g, err)
 		}
@@ -116,10 +124,10 @@ func TestCheckInputCtxCancelAndComplete(t *testing.T) {
 	root := branchyCRN().MustInitialConfig(vec.New(4, 4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CheckInputCtx(ctx, root, 4, WithWorkers(2)); !errors.Is(err, context.Canceled) {
+	if _, err := checkInput(root, 4, ctxOptions(ctx, WithWorkers(2)), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
-	v, err := CheckInputCtx(context.Background(), root, 4, WithWorkers(2))
+	v, err := checkInput(root, 4, ctxOptions(context.Background(), WithWorkers(2)), nil)
 	if err != nil || !v.OK {
 		t.Fatalf("live-context check: v=%+v err=%v", v, err)
 	}

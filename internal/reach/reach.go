@@ -204,15 +204,8 @@ func (g *Graph) Root() crn.Config { return g.Config(0) }
 // field.
 func (g *Graph) Output(id int32) int64 { return unpackCount(g.row(id), g.w, g.outIdx) }
 
-// Succ returns the successor config ids of id (borrowed; do not mutate).
-func (g *Graph) Succ(id int32) []int32 { return g.succ[g.succOff[id]:g.succOff[id+1]] }
-
 // Parent returns the BFS-tree parent of id (-1 for the root).
 func (g *Graph) Parent(id int32) int32 { return g.parent[id] }
-
-// ParentVia returns the reaction index on the BFS tree edge into id (-1 for
-// the root).
-func (g *Graph) ParentVia(id int32) int32 { return g.parentVia[id] }
 
 // Explore enumerates the configurations reachable from root. With a worker
 // budget above 1 (see WithWorkers; the default is runtime.NumCPU) the
@@ -222,17 +215,6 @@ func (g *Graph) ParentVia(id int32) int32 { return g.parentVia[id] }
 func Explore(root crn.Config, opts ...Option) *Graph {
 	g, _ := explore(root, buildOptions(opts), nil) // no ctx attached: cannot fail
 	return g
-}
-
-// ExploreCtx is Explore under a cancellation context. The context is polled
-// only at deterministic points — level barriers on the parallel engine,
-// every cancelCheckHeads heads on the sequential one — so a run that
-// completes returns exactly Explore's graph; a canceled run returns a nil
-// graph and a wrapped ctx.Err(), never a partial graph.
-func ExploreCtx(ctx context.Context, root crn.Config, opts ...Option) (*Graph, error) {
-	o := buildOptions(opts)
-	o.ctx = ctx
-	return explore(root, o, nil)
 }
 
 // explore dispatches to the right engine: the caller's shared steal pool
@@ -514,15 +496,6 @@ type Verdict struct {
 func CheckInput(root crn.Config, want int64, opts ...Option) Verdict {
 	v, _ := checkInput(root, want, buildOptions(opts), nil) // no ctx: cannot fail
 	return v
-}
-
-// CheckInputCtx is CheckInput under a cancellation context: a canceled run
-// returns a zero Verdict and a wrapped ctx.Err(), never a partial verdict,
-// and a run that completes returns exactly CheckInput's verdict.
-func CheckInputCtx(ctx context.Context, root crn.Config, want int64, opts ...Option) (Verdict, error) {
-	o := buildOptions(opts)
-	o.ctx = ctx
-	return checkInput(root, want, o, nil)
 }
 
 // checkInput runs the stable-computation check on the given engine options,

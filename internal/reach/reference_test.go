@@ -14,6 +14,9 @@ import (
 // configurations. They are kept here, outside the engine, as the reference
 // the one pass must agree with.
 
+// succOf returns the successor ids of u, read from the graph's CSR.
+func succOf(g *Graph, u int32) []int32 { return g.succ[g.succOff[u]:g.succOff[u+1]] }
+
 // referencePred derives the predecessor CSR from the successor CSR: count
 // in-degrees, prefix-sum, then fill in source order. One entry per in-edge,
 // not deduplicated.
@@ -29,7 +32,7 @@ func referencePred(g *Graph) (pred, predOff []int32) {
 	pred = make([]int32, len(g.succ))
 	fill := slices.Clone(predOff[:n])
 	for u := 0; u < n; u++ {
-		for _, v := range g.Succ(int32(u)) {
+		for _, v := range succOf(g, int32(u)) {
 			pred[fill[v]] = int32(u)
 			fill[v]++
 		}
@@ -165,7 +168,7 @@ func requireSuccFromRows(t testing.TB, g *Graph) {
 			}
 			want = append(want, v)
 		}
-		if got := g.Succ(u); !slices.Equal(got, want) {
+		if got := succOf(g, u); !slices.Equal(got, want) {
 			t.Fatalf("config %d: Succ = %v, rebuilt from rows %v", u, got, want)
 		}
 	}
@@ -175,6 +178,7 @@ func requireSuccFromRows(t testing.TB, g *Graph) {
 var (
 	RequireVerdictMatchesReference = requireVerdictMatchesReference
 	RequireSuccFromRows            = requireSuccFromRows
+	RequireGraphsIdentical         = requireGraphsIdentical
 )
 
 func TestReferencePredecessorsConsistent(t *testing.T) {
@@ -182,8 +186,8 @@ func TestReferencePredecessorsConsistent(t *testing.T) {
 	pred, predOff := referencePred(g)
 	// Every successor edge appears as a predecessor edge, as often.
 	for u := 0; u < g.NumConfigs(); u++ {
-		for _, v := range g.Succ(int32(u)) {
-			if got, want := countOf(pred[predOff[v]:predOff[v+1]], int32(u)), countOf(g.Succ(int32(u)), v); got != want {
+		for _, v := range succOf(g, int32(u)) {
+			if got, want := countOf(pred[predOff[v]:predOff[v+1]], int32(u)), countOf(succOf(g, int32(u)), v); got != want {
 				t.Fatalf("edge %d→%d: %d times in Pred, %d in Succ", u, v, got, want)
 			}
 		}

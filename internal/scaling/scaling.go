@@ -31,23 +31,6 @@ func Estimate(f Func, z rat.Vec, c int64) float64 {
 	return float64(f(x)) / float64(c)
 }
 
-// Limit estimates f̂(z) with increasing scales and returns the final
-// estimate together with the last increment (a convergence indicator).
-func Limit(f Func, z rat.Vec, scales []int64) (value, lastDelta float64) {
-	if len(scales) == 0 {
-		scales = []int64{64, 256, 1024, 4096}
-	}
-	var prev float64
-	for i, c := range scales {
-		v := Estimate(f, z, c)
-		if i > 0 {
-			lastDelta = v - prev
-		}
-		prev = v
-	}
-	return prev, lastDelta
-}
-
 // ExactOnPositive computes f̂(z) exactly for strictly positive rational z
 // from the eventually-min normal form of f: f̂(z) = min_k ∇g_k·z
 // (equation (4) in the paper — the periodic offsets vanish in the limit).
@@ -72,6 +55,8 @@ func ExactOnPositive(m *quilt.Min, z rat.Vec) (rat.R, error) {
 // CheckSuperadditive verifies f̂(a) + f̂(b) ≤ f̂(a+b) for the exact scaling
 // over a rational grid of strictly positive points, as Theorem 8.2 requires
 // of the continuous class. Returns the first violating pair, or nil.
+//
+// Paper: Theorem 8.2.
 func CheckSuperadditive(m *quilt.Min, gridMax int64) (violation []rat.Vec, err error) {
 	d := m.Dim()
 	var pts []rat.Vec

@@ -64,22 +64,6 @@ func FloorThreeHalves() *Func {
 	)
 }
 
-// FloorDiv returns f(x) = ⌊a·x/b⌋ for positive a, b: quilt-affine with
-// period b.
-func FloorDiv(a, b int64) *Func {
-	pieces := make([]Piece, 0, b)
-	for r := int64(0); r < b; r++ {
-		// On x ≡ r (mod b): ⌊a x / b⌋ = (a x - (a r mod b)) / b.
-		rem := (a * r) % b
-		pieces = append(pieces, Piece{
-			Domain: Mod{A: vec.New(1), B: r, C: b},
-			Grad:   rat.NewVec(rat.New(a, b)),
-			Off:    rat.New(-rem, b),
-		})
-	}
-	return MustNew(1, "floordiv", pieces...)
-}
-
 // Fig3b returns the 2D quilt-affine function of Fig 3b:
 // g(x) = (1,2)·x + B(x mod 3) with B(x) = 0 except
 // B(1,2) = B(2,2) = B(2,1) = -1 (any constant bump preserving
@@ -175,15 +159,5 @@ func Fig4a() *Func {
 		Piece{Domain: d1, Grad: rat.NewVec(rat.One(), rat.One()), Off: rat.Zero()},
 		Piece{Domain: d2, Grad: rat.NewVec(rat.FromInt(2), rat.Zero()), Off: rat.One()},
 		Piece{Domain: d3, Grad: rat.NewVec(rat.Zero(), rat.FromInt(2)), Off: rat.One()},
-	)
-}
-
-// Threshold1D returns the step function f(x) = c·1{x ≥ t}: semilinear,
-// nondecreasing; obliviously-computable with a leader.
-func Threshold1D(t, c int64) *Func {
-	ge := Threshold{A: vec.New(1), B: t}
-	return MustNew(1, "step",
-		Piece{Domain: ge, Grad: rat.ZeroVec(1), Off: rat.FromInt(c)},
-		Piece{Domain: Not{Op: ge}, Grad: rat.ZeroVec(1), Off: rat.Zero()},
 	)
 }

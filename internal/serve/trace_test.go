@@ -231,8 +231,9 @@ func TestTraceDistE2E(t *testing.T) {
 		t.Errorf("worker ring has no httpx.attempt spans in the job trace: %+v", wByName)
 	}
 
-	// The whole cross-process span set exports deterministically.
-	if _, err := trace.ExportJSON(spans); err != nil {
-		t.Fatalf("ExportJSON: %v", err)
+	// The whole cross-process span set exports in the format
+	// /debug/traces serves.
+	if _, err := trace.ExportChromeTrace(spans); err != nil {
+		t.Fatalf("ExportChromeTrace: %v", err)
 	}
 }

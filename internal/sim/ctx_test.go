@@ -35,8 +35,10 @@ func TestSimCtxPreCanceled(t *testing.T) {
 		t.Fatalf("FairRandomCtx err = %v, want wrapped context.Canceled", err)
 	}
 	sched := func(_ crn.Config, applicable []int, _ int64) int { return applicable[0] }
-	if _, err := RunScheduledCtx(ctx, start, sched); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunScheduledCtx err = %v, want wrapped context.Canceled", err)
+	o := buildOptions(nil)
+	o.ctx = ctx
+	if _, err := runScheduled(start, sched, o); !errors.Is(err, context.Canceled) {
+		t.Fatalf("runScheduled err = %v, want wrapped context.Canceled", err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 type Runner func(start crn.Config, opts ...Option) Result
 
 // RunnerCtx is a cancellation-aware single-trial simulation function
-// (GillespieCtx, FairRandomCtx, or a RunScheduledCtx closure).
+// (GillespieCtx or FairRandomCtx).
 type RunnerCtx func(ctx context.Context, start crn.Config, opts ...Option) (Result, error)
 
 // DefaultMethod is the method crnsim and /v1/simulate run when none is given.

@@ -201,14 +201,6 @@ func (cs *compiledSim) propensityAt(counts []int64, ri int) float64 {
 	return propensityOn(cs.reactants[ri], counts)
 }
 
-// propensity returns the mass-action combinatorial count for reaction ri in
-// cur. Duplicate reactant terms naming the same species are merged, so the
-// count is always the true multiset count. It reads the reactant tables
-// memoized on the CRN — nothing is recompiled per call.
-func propensity(cur crn.Config, ri int) float64 {
-	return propensityOn(cur.CRN().ReactantsAt(ri), cur.CountsRef())
-}
-
 // Gillespie runs the exact stochastic simulation algorithm (direct method)
 // from the given configuration until no reaction is applicable, the silence
 // criterion fires, or the step budget is exhausted. All rate constants are
@@ -430,14 +422,6 @@ type Scheduler func(cur crn.Config, applicable []int, step int64) int
 func RunScheduled(start crn.Config, sched Scheduler, opts ...Option) Result {
 	r, _ := runScheduled(start, sched, buildOptions(opts)) // no ctx attached: cannot fail
 	return r
-}
-
-// RunScheduledCtx is RunScheduled under a cancellation context, polled
-// every cancelWindow steps (see GillespieCtx for the semantics).
-func RunScheduledCtx(ctx context.Context, start crn.Config, sched Scheduler, opts ...Option) (Result, error) {
-	o := buildOptions(opts)
-	o.ctx = ctx
-	return runScheduled(start, sched, o)
 }
 
 func runScheduled(start crn.Config, sched Scheduler, o Options) (Result, error) {

@@ -104,11 +104,7 @@ func silentTrapGillespie(t *testing.T) crn.Config {
 		{Reactants: []crn.Term{{Coeff: 1, Sp: "X"}}, Products: []crn.Term{{Coeff: 1, Sp: "X"}}},
 		{Reactants: []crn.Term{{Coeff: 2, Sp: "W"}}, Products: []crn.Term{{Coeff: 2, Sp: "W"}, {Coeff: 1, Sp: "Y"}}},
 	})
-	cfg, err := c.ConfigFromCounts(map[crn.Species]int64{"X": 200, "W": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg
+	return configOf(c, map[crn.Species]int64{"X": 200, "W": 2})
 }
 
 // silentTrapFair is the FairRandom variant: twelve neutral loops dilute the
@@ -125,11 +121,16 @@ func silentTrapFair(t *testing.T) crn.Config {
 	}
 	rs = append(rs, crn.Reaction{Reactants: []crn.Term{{Coeff: 2, Sp: "W"}}, Products: []crn.Term{{Coeff: 2, Sp: "W"}, {Coeff: 1, Sp: "Y"}}})
 	c := crn.MustNew([]crn.Species{"W"}, "Y", "", rs)
-	cfg, err := c.ConfigFromCounts(counts)
-	if err != nil {
-		t.Fatal(err)
+	return configOf(c, counts)
+}
+
+// configOf builds c's configuration holding the given species counts.
+func configOf(c *crn.CRN, counts map[crn.Species]int64) crn.Config {
+	v := make(vec.V, c.NumSpecies())
+	for sp, n := range counts {
+		v[c.Index(sp)] = n
 	}
-	return cfg
+	return c.DenseConfig(v)
 }
 
 func TestSilenceCriterionRequiresOutputNeutralApplicable(t *testing.T) {
@@ -174,12 +175,12 @@ func TestSilenceCriterionRequiresOutputNeutralApplicable(t *testing.T) {
 }
 
 func TestPropensityDoesNotRecompile(t *testing.T) {
-	// propensity() reads the reactant tables memoized on the CRN; after a
+	// propensityOn reads the reactant tables memoized on the CRN; after a
 	// warm-up call it must not allocate (the old implementation recompiled
 	// every reaction row and the dependency graph per invocation).
 	cfg := maxCRN().MustInitialConfig(vec.New(5, 3))
-	propensity(cfg, 0)
-	if n := testing.AllocsPerRun(100, func() { propensity(cfg, 2) }); n != 0 {
+	propensityOn(cfg.CRN().ReactantsAt(0), cfg.CountsRef())
+	if n := testing.AllocsPerRun(100, func() { propensityOn(cfg.CRN().ReactantsAt(2), cfg.CountsRef()) }); n != 0 {
 		t.Errorf("propensity allocates %v times per call, want 0", n)
 	}
 }
@@ -250,13 +251,13 @@ func TestPropensityCombinatorics(t *testing.T) {
 	c := crn.MustNew([]crn.Species{"X"}, "Y", "", []crn.Reaction{
 		{Reactants: []crn.Term{{Coeff: 2, Sp: "X"}}, Products: []crn.Term{{Coeff: 1, Sp: "Y"}}},
 	})
-	if p := propensity(c.MustInitialConfig(vec.New(1)), 0); p != 0 {
+	if p := propensityOn(c.ReactantsAt(0), c.MustInitialConfig(vec.New(1)).CountsRef()); p != 0 {
 		t.Errorf("propensity with 1 copy = %v", p)
 	}
-	if p := propensity(c.MustInitialConfig(vec.New(4)), 0); p != 6 {
+	if p := propensityOn(c.ReactantsAt(0), c.MustInitialConfig(vec.New(4)).CountsRef()); p != 6 {
 		t.Errorf("propensity with 4 copies = %v, want C(4,2)=6", p)
 	}
-	if p := propensity(c.MustInitialConfig(vec.New(3)), 0); p != 3 {
+	if p := propensityOn(c.ReactantsAt(0), c.MustInitialConfig(vec.New(3)).CountsRef()); p != 3 {
 		t.Errorf("propensity with 3 copies = %v, want 3", p)
 	}
 }
@@ -396,10 +397,10 @@ func TestGillespieMergedDuplicateReactantTerms(t *testing.T) {
 	c := crn.MustNew([]crn.Species{"X"}, "Y", "", []crn.Reaction{
 		{Reactants: []crn.Term{{Coeff: 1, Sp: "X"}, {Coeff: 1, Sp: "X"}}, Products: []crn.Term{{Coeff: 1, Sp: "Y"}}},
 	})
-	if p := propensity(c.MustInitialConfig(vec.New(1)), 0); p != 0 {
+	if p := propensityOn(c.ReactantsAt(0), c.MustInitialConfig(vec.New(1)).CountsRef()); p != 0 {
 		t.Errorf("propensity with 1 copy = %v, want 0", p)
 	}
-	if p := propensity(c.MustInitialConfig(vec.New(4)), 0); p != 6 {
+	if p := propensityOn(c.ReactantsAt(0), c.MustInitialConfig(vec.New(4)).CountsRef()); p != 6 {
 		t.Errorf("propensity with 4 copies = %v, want C(4,2) = 6", p)
 	}
 	r := Gillespie(c.MustInitialConfig(vec.New(5)), WithSeed(1))

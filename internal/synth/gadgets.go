@@ -113,6 +113,8 @@ func IndicatorCRN(j int64) *crn.CRN {
 // output-monotonic CRN (no reaction decreases the output count), produce an
 // equivalent output-oblivious CRN by replacing every catalytic use of the
 // output Y with a shadow catalyst Z that is produced alongside every Y.
+//
+// Paper: Observation 2.4.
 func MonotonicToOblivious(c *crn.CRN) (*crn.CRN, error) {
 	if !c.IsOutputMonotonic() {
 		return nil, fmt.Errorf("synth: CRN is not output-monotonic")

@@ -30,19 +30,6 @@ func sortedSpans(spans []SpanData) []SpanData {
 	return out
 }
 
-// ExportJSON renders spans as a deterministic JSON array: canonical span
-// order, sorted attribute keys (encoding/json's map rule), indented, with
-// a trailing newline. Identical span sets yield identical bytes regardless
-// of recording order — the same byte-identity discipline as the metrics
-// exposition.
-func ExportJSON(spans []SpanData) ([]byte, error) {
-	b, err := json.MarshalIndent(sortedSpans(spans), "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("trace: encoding span export: %w", err)
-	}
-	return append(b, '\n'), nil
-}
-
 // chromeEvent is one Chrome trace-event ("X" = complete event with a
 // duration, "M" = metadata). Timestamps and durations are microseconds.
 type chromeEvent struct {
@@ -66,8 +53,8 @@ type chromeDoc struct {
 // the request timeline. Each recording process becomes a "process" row
 // (named by a metadata event) and each trace id a "thread" row within it,
 // so one distributed job reads as aligned tracks across crnserve, the
-// coordinator, and its workers. Deterministic for identical span sets,
-// like ExportJSON.
+// coordinator, and its workers. Identical span sets yield identical bytes
+// regardless of recording order.
 func ExportChromeTrace(spans []SpanData) ([]byte, error) {
 	ordered := sortedSpans(spans)
 	// Assign pids to procs and tids to traces in order of first appearance

@@ -88,7 +88,8 @@ func (sc SpanContext) Traceparent() string {
 }
 
 // ParseTraceparent parses a W3C traceparent header value. Unknown versions
-// are rejected; so are all-zero ids, per the spec.
+// are rejected; so are all-zero ids and ids or flags that are not
+// lowercase hex, per the spec (a parent that breaks them is ignored).
 func ParseTraceparent(s string) (SpanContext, error) {
 	var sc SpanContext
 	if len(s) < 55 {
@@ -103,16 +104,26 @@ func ParseTraceparent(s string) (SpanContext, error) {
 	if len(s) != 55 {
 		return sc, fmt.Errorf("trace: traceparent %q: bad length %d", s, len(s))
 	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
-		return SpanContext{}, fmt.Errorf("trace: traceparent %q: bad trace id: %w", s, err)
+	if !lowerHex(s[3:35]) || !lowerHex(s[36:52]) || !lowerHex(s[53:]) {
+		return sc, fmt.Errorf("trace: traceparent %q: ids and flags must be lowercase hex", s)
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
-		return SpanContext{}, fmt.Errorf("trace: traceparent %q: bad span id: %w", s, err)
-	}
+	// Neither decode can fail: both fields are lowercase hex of even length.
+	_, _ = hex.Decode(sc.TraceID[:], []byte(s[3:35]))
+	_, _ = hex.Decode(sc.SpanID[:], []byte(s[36:52]))
 	if !sc.Valid() {
 		return SpanContext{}, fmt.Errorf("trace: traceparent %q: all-zero id", s)
 	}
 	return sc, nil
+}
+
+// lowerHex reports whether s holds only the digits 0-9 and a-f.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // ctxKey keys the active SpanContext on a context.Context.

