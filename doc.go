@@ -9,14 +9,15 @@
 // implements the full constructive content of the paper:
 //
 //   - internal/vec: exact integer vector arithmetic, the pointwise order,
-//     congruences, and the 64-bit count-vector hash used for interning;
+//     congruences, and the hash-prefix shard selector used for interning;
 //   - internal/crn, internal/parse: the discrete CRN model (with
 //     allocation-free dense-row applicability/apply accessors for the
 //     explorer) and a text format;
 //   - internal/reach: an exhaustive stable-computation model checker
 //     (the literal Section 2.2 definition) built on a configuration arena
 //     of rows packed at the narrowest count width (1, 2, 4 or 8 bytes),
-//     with sharded hash interning and CSR edge storage; one shared
+//     with sharded hash interning, CSR edge storage and one successor
+//     kernel that patches a row and its additive hash in O(|Δ|); one shared
 //     work-stealing pool serves both parallelism levels — workers check
 //     grid inputs while any remain, then migrate into still-running
 //     explorations — with graphs byte-identical to the sequential

@@ -11,8 +11,8 @@ import (
 // interner deduplicates configuration rows for the sequential engine. Rows
 // live contiguously in arena, packed at width w (row.go); slots is an
 // open-addressing hash table mapping row hash to id+1 (0 = empty). Load
-// factor is kept below 3/4. Hashes are taken over the decoded counts, so
-// widening the arena never rehashes the table.
+// factor is kept below 3/4. The row hash (succ.go) is a function of the
+// counts alone, so widening the arena never rehashes the table.
 type interner struct {
 	d      int
 	w      int // bytes per count, shared by every row
@@ -20,29 +20,27 @@ type interner struct {
 	hashes []uint64
 	slots  []int32
 	mask   uint64
-	packed []byte // scratch: the row being interned, packed at w
 }
 
-func newInterner(d int) *interner {
+func newInterner(d, w int) *interner {
 	const initialSlots = 1 << 10
-	return &interner{d: d, w: 1, packed: make([]byte, d), slots: make([]int32, initialSlots), mask: initialSlots - 1}
+	return &interner{d: d, w: w, slots: make([]int32, initialSlots), mask: initialSlots - 1}
 }
 
 func (t *interner) n() int { return len(t.hashes) }
 
 func (t *interner) row(id int) []byte { rb := t.d * t.w; return t.arena[id*rb : (id+1)*rb] }
 
-// lookupOrAdd interns the row counts (packing it into the arena if new, and
-// first widening every row if one of its counts does not fit) and reports
-// whether it was added.
-func (t *interner) lookupOrAdd(counts []int64) (int32, bool) {
-	if !packRow(t.packed, counts, t.w) {
-		w := rowWidth(counts)
-		t.arena = widen(t.arena, t.w, w)
-		t.w, t.packed = w, make([]byte, t.d*w)
-		packRow(t.packed, counts, w)
-	}
-	h := vec.Hash64(counts)
+// widen re-encodes every row at the wider width w.
+func (t *interner) widen(w int) {
+	t.arena = widen(t.arena, t.w, w)
+	t.w = w
+}
+
+// lookupOrAdd interns the row packed (counts packed at the arena's width)
+// with row hash h, appending it to the arena if new, and reports whether it
+// was added.
+func (t *interner) lookupOrAdd(packed []byte, h uint64) (int32, bool) {
 	i := h & t.mask
 	for {
 		s := t.slots[i]
@@ -50,14 +48,14 @@ func (t *interner) lookupOrAdd(counts []int64) (int32, bool) {
 			id := int32(len(t.hashes))
 			t.slots[i] = id + 1
 			t.hashes = append(t.hashes, h)
-			t.arena = append(t.arena, t.packed...)
+			t.arena = append(t.arena, packed...)
 			if len(t.hashes)*4 >= len(t.slots)*3 {
 				t.grow()
 			}
 			return id, true
 		}
 		id := s - 1
-		if t.hashes[id] == h && bytes.Equal(t.row(int(id)), t.packed) {
+		if t.hashes[id] == h && bytes.Equal(t.row(int(id)), packed) {
 			return id, false
 		}
 		i = (i + 1) & t.mask
@@ -218,7 +216,7 @@ func newShardedInterner(d, w int) *shardedInterner {
 func (t *shardedInterner) n() int { return int(t.nextID.Load()) }
 
 // lookupOrAdd interns the row packed (counts packed at the arena's width)
-// with hash h = vec.Hash64(counts), copying it into the arena if new, and
+// with row hash h (succ.go), copying it into the arena if new, and
 // reports whether it was added. Safe for concurrent use; the row is fully
 // written before its entry is published, and probing happens under the
 // same shard lock, so a hit always sees a complete row. The hash does not

@@ -6,7 +6,6 @@ import (
 
 	"crncompose/internal/crn"
 	"crncompose/internal/progress"
-	"crncompose/internal/vec"
 )
 
 // The parallel engine explores one input's state space on many cores while
@@ -99,10 +98,7 @@ func (t *levelTask) unclaimed() bool { return t.next.Load() < int64(len(t.fronti
 // work claims batches of frontier nodes and expands them until the cursor
 // is exhausted. Safe for any number of concurrent callers.
 func (t *levelTask) work() {
-	d := t.in.d
-	cur := make([]int64, d)
-	scratch := make([]int64, d)
-	packed := make([]byte, d*t.w)
+	k := newSuccKernel(t.c, t.maxCount)
 	// Edge records append into a worker-local buffer; per-node slices are
 	// capped views into it. Capacity is topped up between nodes so one
 	// node's edges never straddle a reallocation.
@@ -118,25 +114,25 @@ func (t *levelTask) work() {
 		}
 		end := min(start+t.batch, n)
 		for j := start; j < end && t.need.Load() == 0; j++ {
-			unpackRow(cur, t.in.arena.row(t.frontier[j]), t.w)
+			k.load(t.in.arena.row(t.frontier[j]), t.w)
 			if cap(buf)-len(buf) < t.nR {
 				buf = make([]levelEdge, 0, max(1024, 4*t.nR))
 			}
 			first := len(buf)
 			for ri := 0; ri < t.nR; ri++ {
-				if !t.c.ApplicableAt(cur, ri) {
+				if !k.applicable(ri) {
 					continue
 				}
-				t.c.ApplyInto(scratch, cur, ri)
-				if vec.V(scratch).MaxComponent() > t.maxCount {
+				h, over, need := k.next(ri)
+				if over {
 					t.results[j].overflow = true
 					continue
 				}
-				if !packRow(packed, scratch, t.w) {
-					t.needWidth(int32(rowWidth(scratch)))
+				if need > 0 {
+					t.needWidth(int32(need))
 					continue
 				}
-				pid, _ := t.in.lookupOrAdd(packed, vec.Hash64(scratch))
+				pid, _ := t.in.lookupOrAdd(k.out, h)
 				buf = append(buf, levelEdge{pid: pid, ri: int32(ri)})
 			}
 			t.results[j].edges = buf[first:len(buf):len(buf)]
@@ -242,11 +238,9 @@ func explorePooled(root crn.Config, o Options, pool *stealPool) (*Graph, error) 
 	g := &Graph{CRN: c, Complete: true, d: d, outIdx: c.OutputIndex()}
 	nR := c.NumReactions()
 
-	rootRow := root.CountsRef()
-	in := newShardedInterner(d, rowWidth(rootRow))
-	rootPacked := make([]byte, d*in.arena.w)
-	packRow(rootPacked, rootRow, in.arena.w)
-	in.lookupOrAdd(rootPacked, vec.Hash64(rootRow))
+	rootPacked, w := packRoot(root)
+	in := newShardedInterner(d, w)
+	in.lookupOrAdd(rootPacked, rowHash(root.CountsRef()))
 
 	st := &replayState{
 		canon:   make([]int32, 1, 1024),

@@ -194,7 +194,7 @@ func TestShardedInternerContention(t *testing.T) {
 	var rows [][]int64
 	for x := int64(0); len(rows) < 300; x++ {
 		row := []int64{x, x * 7, x % 5}
-		if vec.HashShard(vec.Hash64(row), shardBits) == 0 {
+		if vec.HashShard(rowHash(row), shardBits) == 0 {
 			rows = append(rows, row)
 		}
 	}
@@ -216,7 +216,7 @@ func TestShardedInternerContention(t *testing.T) {
 			packed := make([]byte, d*w)
 			for _, ri := range order {
 				packRow(packed, rows[ri], w)
-				id, _ := in.lookupOrAdd(packed, vec.Hash64(rows[ri]))
+				id, _ := in.lookupOrAdd(packed, rowHash(rows[ri]))
 				ids[gi][ri] = id
 			}
 		}()

@@ -21,10 +21,13 @@
 // per-configuration allocation entirely. All explored configurations live in
 // a byte arena, one row of d counts per configuration packed at the
 // narrowest width of 1, 2, 4 or 8 bytes per count that holds every row
-// (row.go), deduplicated by a 64-bit hash of the counts with an
-// open-addressing interning table — no string keys, no Config clones. The
-// constructions' counts are tiny, so rows are usually one byte per count;
-// an exploration widens every row the first time a count does not fit. Edges
+// (row.go), deduplicated with an open-addressing interning table keyed by
+// an additive 64-bit hash of the counts — no string keys, no Config
+// clones. The constructions' counts are tiny, so rows are usually one byte
+// per count; an exploration widens every row the first time a count does
+// not fit. A reaction changes few counts, so one successor kernel (succ.go)
+// serves both engines: it builds each successor's packed row and hash by
+// patching only the counts the reaction changes, in O(|Δ|). Edges
 // are stored in CSR form (one flat successor array plus per-node offsets),
 // forward only; the one reaction kept per node is its BFS tree edge's.
 //
@@ -293,15 +296,14 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 	c := root.CRN()
 	d := c.NumSpecies()
 	g := &Graph{CRN: c, Complete: true, d: d, outIdx: c.OutputIndex()}
-	in := newInterner(d)
-
-	in.lookupOrAdd(root.CountsRef())
+	rootPacked, w := packRoot(root)
+	in := newInterner(d, w)
+	in.lookupOrAdd(rootPacked, rowHash(root.CountsRef()))
 	g.parent = append(g.parent, -1)
 	g.parentVia = append(g.parentVia, -1)
 
 	numReactions := c.NumReactions()
-	cur := make([]int64, d)     // the head row, decoded (the arena may move)
-	scratch := make([]int64, d) // candidate successor row
+	k := newSuccKernel(c, o.MaxCount)
 	succOff := make([]int32, 1, 1024)
 	for head := 0; head < in.n(); head++ {
 		if head%cancelCheckHeads == 0 && head > 0 {
@@ -316,17 +318,24 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 			g.Complete = false
 			break
 		}
-		unpackRow(cur, in.row(head), in.w)
+		k.load(in.row(head), in.w)
 		for ri := 0; ri < numReactions; ri++ {
-			if !c.ApplicableAt(cur, ri) {
+			if !k.applicable(ri) {
 				continue
 			}
-			c.ApplyInto(scratch, cur, ri)
-			if vec.V(scratch).MaxComponent() > o.MaxCount {
+			h, over, need := k.next(ri)
+			if over {
 				g.Complete = false
 				continue
 			}
-			nid, added := in.lookupOrAdd(scratch)
+			if need > 0 {
+				// The successor does not fit the arena: widen every row,
+				// reload the head at the new width and build it again.
+				in.widen(need)
+				k.load(in.row(head), in.w)
+				h, _, _ = k.next(ri)
+			}
+			nid, added := in.lookupOrAdd(k.out, h)
 			if added {
 				g.parent = append(g.parent, int32(head))
 				g.parentVia = append(g.parentVia, int32(ri))

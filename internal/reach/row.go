@@ -112,6 +112,29 @@ func unpackCount(src []byte, w, i int) int64 {
 	return int64(binary.LittleEndian.Uint64(src[8*i:]))
 }
 
+// widthLimit returns the largest count a row of width w holds.
+func widthLimit(w int) uint64 {
+	if w == 8 {
+		return 1<<64 - 1
+	}
+	return 1<<(8*w) - 1
+}
+
+// putCount encodes count i of the packed row dst (width w), which must
+// hold x.
+func putCount(dst []byte, w, i int, x int64) {
+	switch w {
+	case 1:
+		dst[i] = byte(x)
+	case 2:
+		binary.LittleEndian.PutUint16(dst[2*i:], uint16(x))
+	case 4:
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(x))
+	default:
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
+	}
+}
+
 // repack re-encodes the packed counts of src from width from into dst at
 // width to, which must hold every count. It serves both widening a store
 // and narrowing a graph's rows to the width they need.

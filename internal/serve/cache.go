@@ -212,14 +212,3 @@ func (rc *resultCache) stats() cacheStats {
 		Inflight:  len(rc.inflight),
 	}
 }
-
-// waitersOn reports how many requests are parked on key's in-flight
-// computation (test observability for the singleflight contract).
-func (rc *resultCache) waitersOn(key string) int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if fl, ok := rc.inflight[key]; ok {
-		return fl.waiters
-	}
-	return 0
-}

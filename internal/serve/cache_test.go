@@ -240,3 +240,14 @@ func TestCheckDefaultHiKey(t *testing.T) {
 		t.Fatalf("request without hi keyed %s, with hi %d keyed %s", implicit.key, hi, explicit.key)
 	}
 }
+
+// waitersOn reports how many requests are parked on key's in-flight
+// computation (observability for the singleflight tests).
+func (rc *resultCache) waitersOn(key string) int {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if fl, ok := rc.inflight[key]; ok {
+		return fl.waiters
+	}
+	return 0
+}

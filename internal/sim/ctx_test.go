@@ -34,12 +34,6 @@ func TestSimCtxPreCanceled(t *testing.T) {
 	if _, err := FairRandomCtx(ctx, start); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FairRandomCtx err = %v, want wrapped context.Canceled", err)
 	}
-	sched := func(_ crn.Config, applicable []int, _ int64) int { return applicable[0] }
-	o := buildOptions(nil)
-	o.ctx = ctx
-	if _, err := runScheduled(start, sched, o); !errors.Is(err, context.Canceled) {
-		t.Fatalf("runScheduled err = %v, want wrapped context.Canceled", err)
-	}
 }
 
 func TestSimCtxCancelMidRun(t *testing.T) {

@@ -62,10 +62,10 @@ type Options struct {
 	ctx context.Context
 }
 
-// cancelWindow is the step stride between cancellation polls and progress
-// posts of every simulator loop: coarse enough to be free next to the
-// per-step propensity work, fine enough that cancellation lands in
-// microseconds.
+// cancelWindow is the step stride between the progress posts of every
+// simulator loop and the random simulators' cancellation polls: coarse
+// enough to be free next to the per-step propensity work, fine enough that
+// cancellation lands in microseconds.
 const cancelWindow = 4096
 
 // ctxErr polls the run's context; nil means "keep going". The returned
@@ -420,30 +420,21 @@ type Scheduler func(cur crn.Config, applicable []int, step int64) int
 
 // RunScheduled drives a simulation with a custom scheduler.
 func RunScheduled(start crn.Config, sched Scheduler, opts ...Option) Result {
-	r, _ := runScheduled(start, sched, buildOptions(opts)) // no ctx attached: cannot fail
-	return r
-}
-
-func runScheduled(start crn.Config, sched Scheduler, o Options) (Result, error) {
+	o := buildOptions(opts)
 	cur := start.Clone()
 	var applicable []int
 	var steps int64
 	for steps < o.MaxSteps {
-		if steps%cancelWindow == 0 {
-			if steps > 0 {
-				progress.Post(o.Progress, "sim", steps, o.MaxSteps)
-			}
-			if err := o.ctxErr(); err != nil {
-				return Result{}, err
-			}
+		if steps%cancelWindow == 0 && steps > 0 {
+			progress.Post(o.Progress, "sim", steps, o.MaxSteps)
 		}
 		applicable = cur.ApplicableReactions(applicable)
 		if len(applicable) == 0 {
-			return Result{Final: cur, Steps: steps, Converged: true}, nil
+			return Result{Final: cur, Steps: steps, Converged: true}
 		}
 		ri := sched(cur, applicable, steps)
 		if ri < 0 {
-			return Result{Final: cur, Steps: steps, Converged: false}, nil
+			return Result{Final: cur, Steps: steps, Converged: false}
 		}
 		found := false
 		for _, a := range applicable {
@@ -458,7 +449,7 @@ func runScheduled(start crn.Config, sched Scheduler, o Options) (Result, error) 
 		cur.ApplyInPlace(ri)
 		steps++
 	}
-	return Result{Final: cur, Steps: steps, Converged: false}, nil
+	return Result{Final: cur, Steps: steps, Converged: false}
 }
 
 // PreferScheduler returns a Scheduler that always fires the applicable

@@ -194,28 +194,7 @@ func (v V) Key() string {
 	return string(b)
 }
 
-// Hash64 returns a 64-bit hash of the components, suitable for hash-based
-// interning of vectors of a fixed dimension. Each component is diffused with
-// a splitmix64-style finalizer and folded in order-dependently, so
-// permutations of the same multiset hash differently. It accepts []int64 so
-// hot paths can hash arena rows without converting to V.
-func Hash64(xs []int64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15) ^ uint64(len(xs))
-	for _, x := range xs {
-		k := uint64(x)
-		k *= 0xbf58476d1ce4e5b9
-		k ^= k >> 31
-		k *= 0x94d049bb133111eb
-		h ^= k
-		h = h*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	}
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return h
-}
-
-// HashShard maps a Hash64 value to a shard index in [0, 1<<bits) using the
+// HashShard maps a 64-bit hash to a shard index in [0, 1<<bits) using the
 // top bits of the hash. Sharded interning tables select their shard with the
 // top bits and probe within the shard with the low bits, so the two are
 // independent and a shard's slots stay uniformly filled.
