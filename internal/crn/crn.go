@@ -293,8 +293,9 @@ func (c *CRN) DeltaAt(ri int) []IdxCoeff {
 // a species in ri's net change. The list is sorted ascending and
 // deduplicated, built lazily once per CRN (the same sync.Once discipline as
 // the species index) and shared — callers must not mutate it. It is the
-// single source of truth for incremental propensity and applicable-set
-// maintenance in the simulator.
+// single source of truth for incremental applicable-set maintenance: the
+// simulator's propensities and applicable set, and the reachability
+// explorer's per-configuration applicable sets (internal/reach).
 func (c *CRN) DependentsAt(ri int) []int32 {
 	c.buildIndex()
 	c.depsOnce.Do(c.buildDependents)

@@ -174,6 +174,13 @@ func TestExploreFig4aParallelIdentical(t *testing.T) {
 	reach.RequireSuccFromRows(t, seq)
 }
 
+// TestExploreFig4aMatchesNaive compares both engines with the naive
+// exploration (explore_reference_test.go) on the Fig 4a construction at
+// x=(0,1).
+func TestExploreFig4aMatchesNaive(t *testing.T) {
+	reach.RequireExploreMatchesNaive(t, fig4aCRN(t).MustInitialConfig(vec.New(0, 1)), reach.WithMaxConfigs(1<<23))
+}
+
 // TestVerdictPassMatchesReferenceFig4a compares the verdict pass with the
 // three-pass reference on the Fig 4a construction at x=(1,1).
 func TestVerdictPassMatchesReferenceFig4a(t *testing.T) {

@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -114,26 +115,35 @@ func (t *levelTask) work() {
 		}
 		end := min(start+t.batch, n)
 		for j := start; j < end && t.need.Load() == 0; j++ {
-			k.load(t.in.arena.row(t.frontier[j]), t.w)
+			u := t.frontier[j]
+			uh, uset := t.in.arena.record(u)
+			k.load(t.in.arena.row(u), t.w, *uh, uset)
 			if cap(buf)-len(buf) < t.nR {
 				buf = make([]levelEdge, 0, max(1024, 4*t.nR))
 			}
 			first := len(buf)
-			for ri := 0; ri < t.nR; ri++ {
-				if !k.applicable(ri) {
-					continue
+			for wi, word := range k.set {
+				for ; word != 0; word &= word - 1 {
+					ri := wi<<6 | bits.TrailingZeros64(word)
+					h, over, need := k.next(ri)
+					if over {
+						t.results[j].overflow = true
+						continue
+					}
+					if need > 0 {
+						t.needWidth(int32(need))
+						continue
+					}
+					pid, added := t.in.lookupOrAdd(k.out, h)
+					if added {
+						// The claimant writes the new row's record outside
+						// the shard lock; the level barrier publishes it.
+						ph, pset := t.in.arena.record(pid)
+						*ph = h
+						k.nextSet(pset, ri)
+					}
+					buf = append(buf, levelEdge{pid: pid, ri: int32(ri)})
 				}
-				h, over, need := k.next(ri)
-				if over {
-					t.results[j].overflow = true
-					continue
-				}
-				if need > 0 {
-					t.needWidth(int32(need))
-					continue
-				}
-				pid, _ := t.in.lookupOrAdd(k.out, h)
-				buf = append(buf, levelEdge{pid: pid, ri: int32(ri)})
 			}
 			t.results[j].edges = buf[first:len(buf):len(buf)]
 		}
@@ -238,9 +248,12 @@ func explorePooled(root crn.Config, o Options, pool *stealPool) (*Graph, error) 
 	g := &Graph{CRN: c, Complete: true, d: d, outIdx: c.OutputIndex()}
 	nR := c.NumReactions()
 
-	rootPacked, w := packRoot(root)
-	in := newShardedInterner(d, w)
-	in.lookupOrAdd(rootPacked, rowHash(root.CountsRef()))
+	rootPacked, w, rootHash, rootSet := packRoot(root)
+	in := newShardedInterner(d, w, len(rootSet))
+	in.lookupOrAdd(rootPacked, rootHash)
+	rh, rset := in.arena.record(0)
+	*rh = rootHash
+	copy(rset, rootSet)
 
 	st := &replayState{
 		canon:   make([]int32, 1, 1024),

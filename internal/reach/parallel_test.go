@@ -202,7 +202,7 @@ func TestShardedInternerContention(t *testing.T) {
 	for _, row := range rows {
 		w = max(w, rowWidth(row))
 	}
-	in := newShardedInterner(d, w)
+	in := newShardedInterner(d, w, 0)
 	const goroutines = 16
 	ids := make([][]int32, goroutines)
 	var wg sync.WaitGroup
@@ -251,17 +251,25 @@ func TestShardedInternerContention(t *testing.T) {
 func TestChunkedArenaRowsStableAcrossGrowth(t *testing.T) {
 	// Rows handed out before growth must remain valid and unchanged after
 	// the directory grows many times over, and every row must decode to
-	// the same counts after each widening.
-	const d = 2
-	a := newChunkedArena(d, 1)
+	// the same counts, and keep its record, after each widening.
+	const d, nw = 2, 2
+	a := newChunkedArena(d, 1, nw)
 	chunkRows := a.mask + 1
 	want := func(id int32) []int64 { return []int64{int64(id) % 256, 255 - int64(id)%256} }
+	wantRec := func(id int32) []uint64 { return []uint64{uint64(id), uint64(id) << 32, ^uint64(id)} }
+	record := func(id int32) []uint64 {
+		h, set := a.record(id)
+		return append([]uint64{*h}, set...)
+	}
 	put := func(id int32) {
 		packed := make([]byte, d*a.w)
 		if !packRow(packed, want(id), a.w) {
 			t.Fatalf("row %d does not fit width %d", id, a.w)
 		}
 		a.write(id, packed)
+		h, set := a.record(id)
+		*h = wantRec(id)[0]
+		copy(set, wantRec(id)[1:])
 	}
 	put(0)
 	held := a.row(0)
@@ -281,13 +289,16 @@ func TestChunkedArenaRowsStableAcrossGrowth(t *testing.T) {
 			if unpackRow(got, a.row(id), a.w); !slices.Equal(got, want(id)) {
 				t.Fatalf("width %d: row %d = %v, want %v", w, id, got, want(id))
 			}
+			if !slices.Equal(record(id), wantRec(id)) {
+				t.Fatalf("width %d: record %d = %v, want %v", w, id, record(id), wantRec(id))
+			}
 		}
 	}
 	// And a wide-row arena must pick a small chunk so tiny explorations of
 	// wide-species CRNs don't allocate megabytes up front.
-	wide := newChunkedArena(200, 8)
-	if rows := int(wide.mask) + 1; rows*200 > 2*targetChunkCounts {
-		t.Fatalf("chunk for d=200 is %d rows (%d counts)", rows, rows*200)
+	wide := newChunkedArena(200, 8, nw)
+	if rows := int(wide.mask) + 1; rows*(200+8+8*nw) > 2*targetChunkBytes {
+		t.Fatalf("chunk for d=200 is %d rows (%d bytes at width 1)", rows, rows*(200+8+8*nw))
 	}
 }
 

@@ -27,7 +27,11 @@
 // per count; an exploration widens every row the first time a count does
 // not fit. A reaction changes few counts, so one successor kernel (succ.go)
 // serves both engines: it builds each successor's packed row and hash by
-// patching only the counts the reaction changes, in O(|Δ|). Edges
+// patching only the counts the reaction changes, in O(|Δ|). Each interned
+// configuration also keeps a discovery record, its hash and its set of
+// applicable reactions, derived from the head that discovered it by
+// re-testing only the reactions the firing can enable or disable
+// (crn.DependentsAt), so a head walks just the reactions that fire. Edges
 // are stored in CSR form (one flat successor array plus per-node offsets),
 // forward only; the one reaction kept per node is its BFS tree edge's.
 //
@@ -53,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 
 	"crncompose/internal/crn"
@@ -296,13 +301,13 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 	c := root.CRN()
 	d := c.NumSpecies()
 	g := &Graph{CRN: c, Complete: true, d: d, outIdx: c.OutputIndex()}
-	rootPacked, w := packRoot(root)
-	in := newInterner(d, w)
-	in.lookupOrAdd(rootPacked, rowHash(root.CountsRef()))
+	rootPacked, w, rootHash, rootSet := packRoot(root)
+	in := newInterner(d, w, len(rootSet))
+	in.lookupOrAdd(rootPacked, rootHash)
+	copy(in.set(0), rootSet)
 	g.parent = append(g.parent, -1)
 	g.parentVia = append(g.parentVia, -1)
 
-	numReactions := c.NumReactions()
 	k := newSuccKernel(c, o.MaxCount)
 	succOff := make([]int32, 1, 1024)
 	for head := 0; head < in.n(); head++ {
@@ -318,29 +323,31 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 			g.Complete = false
 			break
 		}
-		k.load(in.row(head), in.w)
-		for ri := 0; ri < numReactions; ri++ {
-			if !k.applicable(ri) {
-				continue
+		in.dropSets(head)
+		k.load(in.row(head), in.w, in.hashes[head], in.set(head))
+		for wi, word := range k.set {
+			for ; word != 0; word &= word - 1 {
+				ri := wi<<6 | bits.TrailingZeros64(word)
+				h, over, need := k.next(ri)
+				if over {
+					g.Complete = false
+					continue
+				}
+				if need > 0 {
+					// The successor does not fit the arena: widen every row,
+					// reload the head at the new width and build it again.
+					in.widen(need)
+					k.load(in.row(head), in.w, in.hashes[head], in.set(head))
+					h, _, _ = k.next(ri)
+				}
+				nid, added := in.lookupOrAdd(k.out, h)
+				if added {
+					k.nextSet(in.set(int(nid)), ri)
+					g.parent = append(g.parent, int32(head))
+					g.parentVia = append(g.parentVia, int32(ri))
+				}
+				g.succ = append(g.succ, nid)
 			}
-			h, over, need := k.next(ri)
-			if over {
-				g.Complete = false
-				continue
-			}
-			if need > 0 {
-				// The successor does not fit the arena: widen every row,
-				// reload the head at the new width and build it again.
-				in.widen(need)
-				k.load(in.row(head), in.w)
-				h, _, _ = k.next(ri)
-			}
-			nid, added := in.lookupOrAdd(k.out, h)
-			if added {
-				g.parent = append(g.parent, int32(head))
-				g.parentVia = append(g.parentVia, int32(ri))
-			}
-			g.succ = append(g.succ, nid)
 		}
 		succOff = append(succOff, int32(len(g.succ)))
 	}

@@ -179,6 +179,7 @@ var (
 	RequireVerdictMatchesReference = requireVerdictMatchesReference
 	RequireSuccFromRows            = requireSuccFromRows
 	RequireGraphsIdentical         = requireGraphsIdentical
+	RequireExploreMatchesNaive     = requireExploreMatchesNaive
 )
 
 func TestReferencePredecessorsConsistent(t *testing.T) {

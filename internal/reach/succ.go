@@ -6,10 +6,10 @@ import "crncompose/internal/crn"
 // for every reaction applicable at the head row, build the successor's
 // packed row and its hash and decide whether the successor exceeds
 // MaxCount or needs a wider arena. A Lemma 6.2 reaction changes only a few
-// species, so the kernel pays O(d) once per head — decode, hash, count the
-// counts over MaxCount — and O(|Δ|) per successor: it copies the head's
-// packed row and patches only the counts the reaction changes, updating the
-// hash and the over-MaxCount tally as it goes.
+// species, so the kernel pays O(d) once per head — decode, count the counts
+// over MaxCount — and O(|Δ|) per successor: it copies the head's packed row
+// and patches only the counts the reaction changes, updating the hash and
+// the over-MaxCount tally as it goes.
 //
 // The row hash is additive, h = Σᵢ mix(i, xᵢ) mod 2^64, so changing count i
 // from x to y changes h by mix(i, y) − mix(i, x) (incremental state hashing,
@@ -18,6 +18,22 @@ import "crncompose/internal/crn"
 // widening an arena leaves every interned hash valid. The hash only picks
 // table slots and shards; rows are always compared byte for byte, so the
 // choice of hash never changes a graph.
+//
+// The discovery record. Every interned configuration carries its row hash
+// and its applicable set: setWords(nR) = ⌈nR/64⌉ words, bit ri%64 of word
+// ri/64 set when reaction ri can fire. Both are derived when the
+// configuration is first interned: the hash is the one next computed, and
+// the set is the discovering head's with only the reactions
+// crn.DependentsAt(ri) names re-tested against the successor's counts —
+// the dependency-graph update of Gibson & Bruck's next reaction method
+// (J. Phys. Chem. A, 2000). Only the root's record is computed in full. A
+// head reads its hash from its record and walks the set bits in ascending
+// order, which is reaction order, so it touches only the reactions that
+// fire. A record is a function of the counts alone, so it never depends on
+// which head discovered the configuration, on the width, or on the
+// schedule. The sequential engine keeps a set only until its configuration
+// is expanded (interner.dropSets); the pooled engine keeps every record
+// beside its row in the arena's chunks (chunkedArena.record).
 
 // mix is one count's term of the row hash: splitmix64's output function
 // applied to the count offset by a per-species stride.
@@ -37,39 +53,55 @@ func rowHash(counts []int64) uint64 {
 	return h
 }
 
+// setWords is the length of an applicable set for a CRN of nR reactions.
+func setWords(nR int) int { return (nR + 63) / 64 }
+
 // packRoot returns the root's row packed at the narrowest width that holds
-// it, and that width: the width both engines' arenas start at.
-func packRoot(root crn.Config) ([]byte, int) {
-	counts := root.CountsRef()
-	w := rowWidth(counts)
-	packed := make([]byte, len(counts)*w)
+// it, that width — the width both engines' arenas start at — and the root's
+// discovery record, computed in full: its row hash and applicable set.
+func packRoot(root crn.Config) (packed []byte, w int, h uint64, set []uint64) {
+	c, counts := root.CRN(), root.CountsRef()
+	w = rowWidth(counts)
+	packed = make([]byte, len(counts)*w)
 	packRow(packed, counts, w)
-	return packed, w
+	set = make([]uint64, setWords(c.NumReactions()))
+	for ri := range c.NumReactions() {
+		if c.ApplicableAt(counts, ri) {
+			set[ri>>6] |= 1 << (ri & 63)
+		}
+	}
+	return packed, w, rowHash(counts), set
 }
 
 // succKernel expands one head at a time. It is owned by one goroutine.
 type succKernel struct {
 	c        *crn.CRN
 	maxCount int64
-	cur      []int64 // the head's counts
-	h        uint64  // the head's row hash
-	over     int     // how many of the head's counts exceed maxCount
-	w        int     // the width of head and out
-	lim      uint64  // widthLimit(w)
-	head     []byte  // the head's row packed at w
-	out      []byte  // the last successor's row packed at w
+	cur      []int64  // the head's counts
+	h        uint64   // the head's row hash
+	set      []uint64 // the head's applicable set
+	over     int      // how many of the head's counts exceed maxCount
+	w        int      // the width of head and out
+	lim      uint64   // widthLimit(w)
+	head     []byte   // the head's row packed at w
+	out      []byte   // the last successor's row packed at w
 }
 
 func newSuccKernel(c *crn.CRN, maxCount int64) *succKernel {
-	d := c.NumSpecies()
-	return &succKernel{c: c, maxCount: maxCount, cur: make([]int64, d)}
+	return &succKernel{
+		c: c, maxCount: maxCount,
+		cur: make([]int64, c.NumSpecies()),
+		set: make([]uint64, setWords(c.NumReactions())),
+	}
 }
 
-// load makes the packed row (width w) the head: it decodes the row, hashes
-// it and counts its counts over maxCount.
-func (k *succKernel) load(row []byte, w int) {
+// load makes the packed row (width w) with discovery record (h, set) the
+// head: it decodes the row and counts its counts over maxCount.
+func (k *succKernel) load(row []byte, w int, h uint64, set []uint64) {
 	unpackRow(k.cur, row, w)
-	k.h, k.over = rowHash(k.cur), 0
+	k.h = h
+	copy(k.set, set)
+	k.over = 0
 	for _, x := range k.cur {
 		if x > k.maxCount {
 			k.over++
@@ -81,9 +113,6 @@ func (k *succKernel) load(row []byte, w int) {
 	}
 	copy(k.head, row)
 }
-
-// applicable reports whether reaction ri can fire at the head.
-func (k *succKernel) applicable(ri int) bool { return k.c.ApplicableAt(k.cur, ri) }
 
 // next builds the successor of the head under reaction ri, which must be
 // applicable, and returns its row hash. over reports that one of its counts
@@ -113,4 +142,27 @@ func (k *succKernel) next(ri int) (h uint64, over bool, need int) {
 		return h, true, 0
 	}
 	return h, false, need
+}
+
+// nextSet writes into dst the applicable set of the successor under
+// reaction ri: the head's set with only the reactions DependentsAt(ri)
+// names re-tested against the successor's counts. A reaction that consumes
+// no species ri changes is applicable at the successor exactly when it is
+// at the head.
+func (k *succKernel) nextSet(dst []uint64, ri int) {
+	copy(dst, k.set)
+	delta := k.c.DeltaAt(ri)
+	for _, dc := range delta {
+		k.cur[dc.Idx] += dc.Coeff
+	}
+	for _, rj := range k.c.DependentsAt(ri) {
+		if k.c.ApplicableAt(k.cur, int(rj)) {
+			dst[rj>>6] |= 1 << (rj & 63)
+		} else {
+			dst[rj>>6] &^= 1 << (rj & 63)
+		}
+	}
+	for _, dc := range delta {
+		k.cur[dc.Idx] -= dc.Coeff
+	}
 }

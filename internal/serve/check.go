@@ -68,6 +68,9 @@ func resolveCheck(req CheckRequest) (*checkJob, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkCRNSize(c); err != nil {
+		return nil, err
+	}
 	hi := int64(core.DefaultHi)
 	if req.Hi != nil {
 		hi = *req.Hi

@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzResolveCheck pins resolveCheck's admission contract: a request it
-// accepts has a grid of 1..maxGridPoints points and a budget of
-// 1..MaxCheckConfigs configurations, and resolving its canonical form again
-// yields the same content address.
+// accepts has a grid of 1..maxGridPoints points, a budget of
+// 1..MaxCheckConfigs configurations and a CRN within MaxCRNSpecies and
+// MaxCRNReactions, and resolving its canonical form again yields the same
+// content address.
 func FuzzResolveCheck(f *testing.F) {
 	for _, seed := range []struct {
 		crn, fn    string
@@ -49,6 +50,9 @@ func FuzzResolveCheck(f *testing.F) {
 		}
 		if j.cc.MaxConfigs < 1 || j.cc.MaxConfigs > MaxCheckConfigs {
 			t.Fatalf("accepted maxconfigs %d", j.cc.MaxConfigs)
+		}
+		if n, r := j.c.NumSpecies(), j.c.NumReactions(); n > MaxCRNSpecies || r > MaxCRNReactions {
+			t.Fatalf("accepted a CRN of %d species and %d reactions", n, r)
 		}
 		again, err := resolveCheck(CheckRequest{CRN: j.cc.CRN, Func: fn, Lo: lo, Hi: &j.cc.Hi[0], MaxConfigs: j.cc.MaxConfigs})
 		if err != nil {

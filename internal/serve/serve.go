@@ -457,6 +457,38 @@ const (
 // whose overflow would panic a pool goroutine and take the server down.
 const MaxCheckConfigs = 1 << 26
 
+// MaxCRNSpecies and MaxCRNReactions bound the CRN of a /v1/check, /v1/jobs
+// or /v1/simulate request. Every configuration the explorer interns keeps a
+// row of one count per species and an applicable set of one bit per
+// reaction, so these bound a request's memory per configuration. The
+// library's largest construction at crnsynth's defaults, fig3b with 273
+// species and 189 reactions, sits far below both.
+const (
+	MaxCRNSpecies   = 4096
+	MaxCRNReactions = 4096
+)
+
+// checkCRNSize rejects a CRN over MaxCRNSpecies species or MaxCRNReactions
+// reactions. A CRN names at most its roles and one species per reaction
+// term, so only a CRN with more terms than MaxCRNSpecies pays for building
+// its species table here; a cached request's CRN never does.
+func checkCRNSize(c *crn.CRN) error {
+	if n := len(c.Reactions); n > MaxCRNReactions {
+		return fmt.Errorf("crn has %d reactions, more than the per-request bound %d", n, MaxCRNReactions)
+	}
+	names := len(c.Inputs) + 2 // the output and the leader
+	for _, r := range c.Reactions {
+		names += len(r.Reactants) + len(r.Products)
+	}
+	if names <= MaxCRNSpecies {
+		return nil
+	}
+	if n := c.NumSpecies(); n > MaxCRNSpecies {
+		return fmt.Errorf("crn has %d species, more than the per-request bound %d", n, MaxCRNSpecies)
+	}
+	return nil
+}
+
 // MaxRequestBytes bounds every JSON request body; a larger one is answered
 // 400 before it is fully read. The largest library construction
 // (crnsynth -f fig4a) is about 8 KB of CRN text.
@@ -547,6 +579,9 @@ func resolveSimulate(req SimulateRequest) (*simJob, error) {
 	}
 	c, err := parse.Parse(req.CRN)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkCRNSize(c); err != nil {
 		return nil, err
 	}
 	if len(req.X) != c.Dim() {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"crncompose/internal/core"
 	"crncompose/internal/parse"
 	"crncompose/internal/reach"
 	"crncompose/internal/vec"
@@ -314,6 +315,76 @@ func TestCheckMaxConfigsCap(t *testing.T) {
 	atCap := CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi, MaxConfigs: MaxCheckConfigs}
 	if status, _, body := post(t, ts.URL+"/v1/check", atCap); status != http.StatusOK {
 		t.Fatalf("maxconfigs %d: status %d: %s", MaxCheckConfigs, status, body)
+	}
+}
+
+// sizedCRNText returns a CRN text with inputs X1 and X2 and output Y, of
+// exactly species species (at least 3) and reactions reactions (at least
+// 1): one reaction consumes every extra species S0, S1, ..., and the rest
+// repeat X1 + X2 -> Y.
+func sizedCRNText(species, reactions int) string {
+	var b strings.Builder
+	b.WriteString("#input X1 X2\n#output Y\nX1 + X2")
+	for i := range species - 3 {
+		fmt.Fprintf(&b, " + S%d", i)
+	}
+	b.WriteString(" -> Y\n")
+	for range reactions - 1 {
+		b.WriteString("X1 + X2 -> Y\n")
+	}
+	return b.String()
+}
+
+// TestCRNSizeCaps pins the admission bounds on CRN size: one species or
+// reaction past MaxCRNSpecies or MaxCRNReactions is a 400 on /v1/check,
+// /v1/jobs and /v1/simulate, and a CRN at both bounds resolves. The
+// library's constructions stay far below both.
+func TestCRNSizeCaps(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	hi := int64(1)
+	for name, text := range map[string]string{
+		"species":   sizedCRNText(MaxCRNSpecies+1, 1),
+		"reactions": sizedCRNText(3, MaxCRNReactions+1),
+	} {
+		for path, body := range map[string]any{
+			"/v1/check":    CheckRequest{CRN: text, Func: "min", Hi: &hi},
+			"/v1/jobs":     CheckRequest{CRN: text, Func: "min", Hi: &hi},
+			"/v1/simulate": SimulateRequest{CRN: text, X: []int64{1, 1}},
+		} {
+			status, _, resp := post(t, ts.URL+path, body)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s over the %s bound: status %d, want 400: %s", path, name, status, resp)
+			}
+			if !bytes.Contains(resp, []byte(name)) {
+				t.Fatalf("%s: error does not name %s: %s", path, name, resp)
+			}
+		}
+	}
+	atCaps := sizedCRNText(MaxCRNSpecies, MaxCRNReactions)
+	j, err := resolveCheck(CheckRequest{CRN: atCaps, Func: "min", Hi: &hi})
+	if err != nil {
+		t.Fatalf("check at both bounds rejected: %v", err)
+	}
+	if n, r := j.c.NumSpecies(), j.c.NumReactions(); n != MaxCRNSpecies || r != MaxCRNReactions {
+		t.Fatalf("the CRN at both bounds has %d species and %d reactions", n, r)
+	}
+	if _, err := resolveSimulate(SimulateRequest{CRN: atCaps, X: []int64{1, 1}}); err != nil {
+		t.Fatalf("simulation at both bounds rejected: %v", err)
+	}
+	built := 0
+	for _, name := range core.LibraryNames() {
+		f, _ := core.Lookup(name)
+		sys, err := core.Synthesize(context.Background(), f, 0, 0, false, nil)
+		if err != nil {
+			continue // not obliviously computable: nothing to serve
+		}
+		built++
+		if n, r := sys.Net.NumSpecies(), sys.Net.NumReactions(); n > MaxCRNSpecies/8 || r > MaxCRNReactions/8 {
+			t.Errorf("library %s: %d species, %d reactions, within 8x of the bounds", name, n, r)
+		}
+	}
+	if built < 5 {
+		t.Fatalf("only %d library functions synthesized", built)
 	}
 }
 
