@@ -174,7 +174,7 @@ func nsPerOp(r testing.BenchmarkResult) float64 {
 
 // reachSuite measures the state-space explorer on the paper's Fig 4a
 // general construction at x=(1,1) — the canonical single-input workload —
-// across worker counts, plus the two-level grid verifier.
+// plus the grid verifier sequentially and with workers claiming inputs.
 func reachSuite(quick bool) suiteReport {
 	rep := newReport("reach", quick)
 	f := semilinear.Fig4a()
@@ -191,33 +191,33 @@ func reachSuite(quick bool) suiteReport {
 		budget = 1 << 14 // explore a 16k-config prefix only
 	}
 	k := samples(quick)
-	for _, workers := range []int{1, 2, 4, 8} {
-		rec := measure(fmt.Sprintf("explore_fig4a_workers%d", workers), k, func(b *testing.B) {
-			b.ReportAllocs()
-			var configs int
-			for i := 0; i < b.N; i++ {
-				g := reach.Explore(root, reach.WithMaxConfigs(budget), reach.WithWorkers(workers))
-				if g.Complete == quick {
-					b.Fatalf("Complete = %v with budget %d", g.Complete, budget)
-				}
-				configs = g.NumConfigs()
+	// An exploration runs on one goroutine at any worker budget, so one
+	// row covers it.
+	rec := measure("explore_fig4a_workers1", k, func(b *testing.B) {
+		b.ReportAllocs()
+		var configs int
+		for i := 0; i < b.N; i++ {
+			g := reach.Explore(root, reach.WithMaxConfigs(budget), reach.WithWorkers(1))
+			if g.Complete == quick {
+				b.Fatalf("Complete = %v with budget %d", g.Complete, budget)
 			}
-			b.ReportMetric(float64(configs), "configs")
-			b.ReportMetric(float64(configs)/(b.Elapsed().Seconds()/float64(b.N)), "configs/s")
-		})
-		rec.Extra = withExtra(rec.Extra, "bytes_per_config", bytesPerConfig(func() *reach.Graph {
-			return reach.Explore(root, reach.WithMaxConfigs(budget), reach.WithWorkers(workers))
-		}))
-		rep.Benchmarks = append(rep.Benchmarks, rec)
-	}
+			configs = g.NumConfigs()
+		}
+		b.ReportMetric(float64(configs), "configs")
+		b.ReportMetric(float64(configs)/(b.Elapsed().Seconds()/float64(b.N)), "configs/s")
+	})
+	rec.Extra = withExtra(rec.Extra, "bytes_per_config", bytesPerConfig(func() *reach.Graph {
+		return reach.Explore(root, reach.WithMaxConfigs(budget), reach.WithWorkers(1))
+	}))
+	rep.Benchmarks = append(rep.Benchmarks, rec)
 	// The fig4a 2×2 grid is itself the paper-shaped skewed workload: x=(1,1)
-	// explores ~87k configurations while the axis inputs are trivial, so the
-	// pool's tail-latency behavior shows up as the grid's wall-clock ratio
-	// to the large input checked alone at the same total worker budget.
-	aloneFig := measure("checkinput_fig4a_x11_alone_workers0", k, func(b *testing.B) {
+	// explores ~87k configurations while the axis inputs are trivial, so
+	// with workers claiming inputs the grid's wall-clock should be close to
+	// the large input checked alone.
+	aloneFig := measure("checkinput_fig4a_x11_alone", k, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			v := reach.CheckInput(root, f.Eval(vec.New(1, 1)), reach.WithMaxConfigs(budget), reach.WithWorkers(0))
+			v := reach.CheckInput(root, f.Eval(vec.New(1, 1)), reach.WithMaxConfigs(budget))
 			if v.Explored == 0 {
 				b.Fatal("explored nothing")
 			}
@@ -228,11 +228,11 @@ func reachSuite(quick bool) suiteReport {
 	// 890,958 configurations: ten times the (1,1) rows, large enough for
 	// the verdict pass's time and allocation to show.
 	root21 := c.MustInitialConfig(vec.New(2, 1))
-	rep.Benchmarks = append(rep.Benchmarks, measure("checkinput_fig4a_x21_workers0", k, func(b *testing.B) {
+	rep.Benchmarks = append(rep.Benchmarks, measure("checkinput_fig4a_x21", k, func(b *testing.B) {
 		b.ReportAllocs()
 		var explored int
 		for i := 0; i < b.N; i++ {
-			v := reach.CheckInput(root21, f.Eval(vec.New(2, 1)), reach.WithMaxConfigs(budget), reach.WithWorkers(0))
+			v := reach.CheckInput(root21, f.Eval(vec.New(2, 1)), reach.WithMaxConfigs(budget))
 			if !quick && !v.OK {
 				b.Fatalf("Fig 4a (2,1) not verified: %+v", v)
 			}
@@ -283,10 +283,9 @@ func bytesPerConfig(explore func() *reach.Graph) float64 {
 
 // skewGridBenchmarks measures the synthetic 1-large-among-N-small grid
 // (benchcrn.SkewGrid): N trivial inputs plus one input whose state space is
-// 2^m configurations. With the shared work-stealing pool the grid's
-// wall-clock should stay within 1.5× of checking the large input alone at
-// the same total worker budget — workers that finish the trivial inputs
-// migrate into the straggler instead of idling.
+// 2^m configurations. With workers claiming whole inputs the trivial ones
+// run beside the straggler, so the grid's wall-clock at every CPU should
+// stay close to checking the large input alone.
 func skewGridBenchmarks(quick bool, k int) []record {
 	thr, m := int64(20), 16
 	if quick {
@@ -295,10 +294,10 @@ func skewGridBenchmarks(quick bool, k int) []record {
 	skew := benchcrn.SkewGrid(thr, m)
 	skewRoot := skew.MustInitialConfig(vec.New(thr))
 	zero := func(x []int64) int64 { return 0 }
-	alone := measure(fmt.Sprintf("checkinput_skewgrid_m%d_large_alone_workers0", m), k, func(b *testing.B) {
+	alone := measure(fmt.Sprintf("checkinput_skewgrid_m%d_large_alone", m), k, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			v := reach.CheckInput(skewRoot, 0, reach.WithWorkers(0))
+			v := reach.CheckInput(skewRoot, 0)
 			if !v.OK {
 				b.Fatalf("skew large input refuted: %+v", v)
 			}

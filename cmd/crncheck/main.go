@@ -9,21 +9,19 @@
 // workers over HTTP+JSON (internal/dist), reassigns rectangles whose
 // workers die, and merges the results into the exact GridResult a local
 // run would print. -join turns the process into a worker: it fetches the
-// job from the coordinator, checks leased rectangles on the local
-// steal-pool engine, and reports results until the job is done. A worker
+// job from the coordinator, checks leased rectangles locally with
+// reach.CheckGridCtx, and reports results until the job is done. A worker
 // rides out coordinator outages (crashes, checkpoint restarts) for
 // -join-grace before exiting 2 with a coordinator-lost error; a 4xx from
 // the join endpoint fails immediately instead of retrying. With
 // -abort-on-lease-loss a fenced-out worker cancels its in-flight
 // rectangle rather than finishing work it no longer owns.
 //
-// -workers sizes one shared work-stealing pool spanning both parallelism
-// levels: workers check independent grid inputs while any remain, then
-// migrate into the still-running explorations (stealing frontier slices),
-// so skewed grids keep every core busy through the tail. Results — counts,
-// the first failing input, its witness schedule — are byte-identical at
-// every worker count and steal schedule, and (for distributed runs) at any
-// worker-process count, join order, or crash schedule.
+// -workers is how many grid inputs are checked at once; each input's
+// exploration runs on one goroutine. Results — counts, the first failing
+// input, its witness schedule — are byte-identical at every worker count
+// and claim schedule, and (for distributed runs) at any worker-process
+// count, join order, or crash schedule.
 //
 // -json emits the machine-readable GridResult — the same encoding the
 // distributed protocol uses — instead of the human-readable report.
@@ -97,7 +95,7 @@ func run(args []string, out io.Writer) error {
 		lo         = fs.Int64("lo", 0, "grid lower bound per coordinate")
 		hi         = fs.Int64("hi", core.DefaultHi, "grid upper bound per coordinate")
 		maxConfigs = fs.Int("maxconfigs", core.DefaultMaxConfigs, "reachability budget per input")
-		workers    = fs.Int("workers", 0, "size of the shared work-stealing pool: workers check grid inputs concurrently and migrate into still-running explorations as inputs finish (0 = all CPUs, 1 = sequential)")
+		workers    = fs.Int("workers", 0, "how many grid inputs to check at once; each input is explored on one goroutine (0 = all CPUs, 1 = sequential)")
 		jsonOut    = fs.Bool("json", false, "emit the machine-readable GridResult (the distributed protocol's encoding) instead of the human report")
 		timeout    = fs.Duration("timeout", 0, "abort the check after this long (0 = none); a timed-out or interrupted run reports the cancellation, never a partial verdict")
 		progFlag   = fs.Bool("progress", false, "print throttled progress lines (checked inputs) to stderr")

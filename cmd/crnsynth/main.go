@@ -12,8 +12,8 @@
 //
 // Flags -bound and -n tune the classifier census bound and the eventual
 // threshold (smaller n ⇒ smaller CRN, when valid). -verify model-checks the
-// synthesized CRN before emitting it on a shared work-stealing pool of
-// -workers goroutines spanning grid inputs and per-input exploration.
+// synthesized CRN before emitting it, checking up to -workers grid inputs
+// at once.
 //
 // SIGINT/SIGTERM cancel the pipeline cleanly: classification, synthesis,
 // and verification all stop at their next deterministic cancellation point
@@ -53,7 +53,7 @@ func run(args []string, out io.Writer) error {
 		n          = fs.Int64("n", 0, "eventual threshold override (0 = classifier's)")
 		stats      = fs.Bool("stats", false, "print size statistics instead of the CRN")
 		verify     = fs.Int64("verify", -1, "model-check the synthesized CRN on the grid [0,N]^d before emitting it (-1 = off)")
-		workers    = fs.Int("workers", 0, "verification worker pool size; the shared work-stealing pool spans grid inputs and per-input exploration (0 = all CPUs)")
+		workers    = fs.Int("workers", 0, "how many grid inputs -verify checks at once; each input is explored on one goroutine (0 = all CPUs)")
 		maxConfigs = fs.Int("maxconfigs", core.DefaultMaxConfigs, "verification reachability budget per input")
 		traceFile  = fs.String("trace", "", "write the run's spans to this file as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
 	)

@@ -59,9 +59,8 @@ func Branchy() *crn.CRN {
 // every configuration is trivially stable with output 0 and the CRN stably
 // computes f ≡ 0 on the whole grid; CheckGrid still explores each input's
 // full state space. The result is exactly one straggler among trivial
-// inputs — the tail-latency shape the shared work-stealing pool closes
-// (workers that finish the trivial inputs migrate into the straggler's
-// exploration instead of idling at the chunk barrier).
+// inputs: with workers claiming whole inputs, the trivial inputs run
+// beside the straggler, which explores on one goroutine.
 func SkewGrid(threshold int64, m int) *crn.CRN {
 	reactions := make([]crn.Reaction, 0, 2*m+1)
 	unlock := make([]crn.Term, 0, m)

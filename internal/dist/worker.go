@@ -25,11 +25,10 @@ import (
 // case happened. Test with errors.Is.
 var ErrCoordinatorLost = errors.New("dist: coordinator lost")
 
-// Worker joins a coordinator, leases rectangles, checks each one on the
-// local steal-pool engine (reach.CheckGridCtx on the rectangle's bounds),
-// and reports results. Any number of workers may join and
-// leave at any time; a worker that dies mid-rectangle just lets its lease
-// expire.
+// Worker joins a coordinator, leases rectangles, checks each one locally
+// (reach.CheckGridCtx on the rectangle's bounds), and reports results. Any
+// number of workers may join and leave at any time; a worker that dies
+// mid-rectangle just lets its lease expire.
 //
 // All coordinator traffic goes through httpx: transient failures (transport
 // errors, 5xx, dropped responses) are retried with jittered exponential
@@ -40,7 +39,7 @@ type Worker struct {
 	Coordinator string
 	// Name identifies the worker in leases and logs (default host-pid).
 	Name string
-	// Workers sizes the local work-stealing pool per rectangle
+	// Workers is how many of a rectangle's inputs are checked at once
 	// (reach.WithWorkers semantics: 0 = all CPUs, 1 = sequential).
 	Workers int
 	// Resolve maps the job's function name to an evaluator. Required: the

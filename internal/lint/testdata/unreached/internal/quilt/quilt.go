@@ -1,5 +1,6 @@
 // Package quilt pins the unreached analyzer in both directions: every
-// exported function here without a want is reached, tagged or suppressed.
+// function here without a want, exported or not, is reached, tagged,
+// suppressed or an init function.
 package quilt
 
 import "fmt"
@@ -43,4 +44,16 @@ func (f Func) Eval() int { return f.n }
 func (f Func) Period() int { return f.n } // want `quilt\.Func\.Period has no non-test caller`
 
 // Used is called from another package.
-func Used() Func { return Func{n: 5} }
+func Used() Func { return Func{n: five()} }
+
+// five is unexported and called by Used.
+func five() int { return 5 }
+
+// orphan is unexported and has no caller anywhere.
+func orphan() int { return 6 } // want `quilt\.orphan has no non-test caller`
+
+// scale is an unexported method with no caller.
+func (f Func) scale() int { return 2 * f.n } // want `quilt\.Func\.scale has no non-test caller`
+
+// init runs without a caller.
+func init() { _ = five() }

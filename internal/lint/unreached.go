@@ -7,8 +7,9 @@ import (
 	"strings"
 )
 
-// unreachedAnalyzer reports exported functions and methods of internal/
-// packages that no non-test code in the module reaches. Such a function
+// unreachedAnalyzer reports functions and methods of internal/ packages,
+// exported or not, that no non-test code in the module reaches (init
+// functions run without a caller and are never reported). Such a function
 // is either a leftover of an earlier design or a second implementation
 // of a rule that already has one; either way it is code to maintain that
 // nothing runs. A function that reproduces a named paper result stays
@@ -27,7 +28,7 @@ import (
 // the caller.
 var unreachedAnalyzer = &Analyzer{
 	Name:    "unreached",
-	Doc:     "exported functions in internal/ need a non-test caller or a `// Paper: <result>.` tag",
+	Doc:     "functions in internal/ need a non-test caller or a `// Paper: <result>.` tag",
 	Applies: isInternalPath,
 	Run:     runUnreached,
 }
@@ -120,7 +121,7 @@ func runUnreached(p *Package) []Finding {
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() || paperTagged(fd.Doc) {
+			if !ok || fd.Recv == nil && fd.Name.Name == "init" || paperTagged(fd.Doc) {
 				continue
 			}
 			fn, ok := p.Info.Defs[fd.Name].(*types.Func)

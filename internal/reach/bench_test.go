@@ -126,27 +126,11 @@ func BenchmarkExploreFig4a(b *testing.B) {
 	})
 }
 
-func benchExploreFig4aWorkers(b *testing.B, workers int) {
-	c := fig4aCRN(b)
-	root := c.MustInitialConfig(vec.New(1, 1))
-	benchExplore(b, func() int {
-		g := reach.Explore(root, reach.WithMaxConfigs(1<<23), reach.WithWorkers(workers))
-		if !g.Complete {
-			b.Fatal("incomplete")
-		}
-		return g.NumConfigs()
-	})
-}
-
-func BenchmarkExploreFig4aParallel2(b *testing.B) { benchExploreFig4aWorkers(b, 2) }
-func BenchmarkExploreFig4aParallel4(b *testing.B) { benchExploreFig4aWorkers(b, 4) }
-func BenchmarkExploreFig4aParallel8(b *testing.B) { benchExploreFig4aWorkers(b, 8) }
-
-// TestExploreFig4aParallelIdentical pins the tentpole contract on the real
-// workload: the parallel engine's graph on the Fig 4a general construction
-// at x=(1,1) (86,780 configurations) is indistinguishable from the
-// sequential engine's through every accessor, and its edges are exactly
-// the ones its rows rebuild.
+// TestExploreFig4aParallelIdentical pins the worker-count contract on the
+// real workload: the graph of the Fig 4a general construction at x=(1,1)
+// (86,780 configurations) at 8 workers is indistinguishable from the one
+// at 1 through every accessor, and its edges are exactly the ones its rows
+// rebuild.
 func TestExploreFig4aParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig4a exploration skipped in -short")
@@ -174,7 +158,7 @@ func TestExploreFig4aParallelIdentical(t *testing.T) {
 	reach.RequireSuccFromRows(t, seq)
 }
 
-// TestExploreFig4aMatchesNaive compares both engines with the naive
+// TestExploreFig4aMatchesNaive compares the explorer with the naive
 // exploration (explore_reference_test.go) on the Fig 4a construction at
 // x=(0,1).
 func TestExploreFig4aMatchesNaive(t *testing.T) {
@@ -239,12 +223,11 @@ func BenchmarkCheckGridFig4aSequential(b *testing.B) { benchCheckGrid(b, 1) }
 
 func BenchmarkCheckGridFig4aParallel(b *testing.B) { benchCheckGrid(b, 0) }
 
-// BenchmarkCheckGridSkew measures the tail-latency shape the shared
-// work-stealing pool targets: a grid of one 2^14-configuration straggler
-// among 20 trivial inputs (benchcrn.SkewGrid), against checking the
-// straggler alone at the same total worker budget. With the pool, grid and
-// alone should be within ~1.5× of each other on multi-core hardware;
-// the old static outer × inner split left the tail on a single worker.
+// BenchmarkCheckGridSkew measures a grid of one 2^14-configuration
+// straggler among 20 trivial inputs (benchcrn.SkewGrid), sequentially and
+// at every CPU, against checking the straggler alone. With workers
+// claiming whole inputs, the trivial inputs run beside the straggler, so
+// the parallel grid should cost about the straggler alone.
 func BenchmarkCheckGridSkew(b *testing.B) {
 	const thr, m = 20, 14
 	skew := benchcrn.SkewGrid(thr, m)
@@ -258,7 +241,7 @@ func BenchmarkCheckGridSkew(b *testing.B) {
 			}
 		}
 	})
-	b.Run("grid-pool", func(b *testing.B) {
+	b.Run("grid-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := reach.CheckGrid(skew, zero, []int64{0}, []int64{thr}, reach.WithWorkers(runtime.NumCPU()))
 			if err != nil || !res.OK() {

@@ -14,7 +14,7 @@ import (
 
 // settleGoroutines polls until the goroutine count returns to at most the
 // before snapshot (plus the runtime's own background slack) or the deadline
-// passes. The engines must leave zero workers behind on every path,
+// passes. The grid workers must leave no goroutine behind on every path,
 // including cancellation.
 func settleGoroutines(t *testing.T, before int) {
 	t.Helper()
@@ -42,7 +42,7 @@ func TestExploreCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	root := branchyCRN().MustInitialConfig(vec.New(3, 3))
-	g, err := explore(root, ctxOptions(ctx, WithWorkers(4)), nil)
+	g, err := explore(root, ctxOptions(ctx, WithWorkers(4)))
 	if g != nil {
 		t.Fatalf("canceled exploration returned a graph (%d configs)", g.NumConfigs())
 	}
@@ -52,9 +52,10 @@ func TestExploreCtxPreCanceled(t *testing.T) {
 }
 
 func TestExploreCtxCancelMidRun(t *testing.T) {
-	// The reporter fires at level barriers on the calling goroutine; the
-	// cancel it triggers is observed at the next barrier, so the run always
-	// stops mid-exploration, deterministically, with no timing involved.
+	// The reporter fires every cancelCheckHeads heads on the calling
+	// goroutine; the cancel it triggers is observed at the same poll, so the
+	// run always stops mid-exploration, deterministically, with no timing
+	// involved.
 	for _, workers := range []int{1, 4} {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
@@ -63,10 +64,10 @@ func TestExploreCtxCancelMidRun(t *testing.T) {
 			events++
 			cancel()
 		})
-		// ~15k configs: comfortably past the sequential engine's 1024-head
-		// poll stride and the parallel engines' small-state probe.
+		// ~15k configs: comfortably past the explorer's 1024-head poll
+		// stride.
 		root := branchyCRN().MustInitialConfig(vec.New(12, 12))
-		g, err := explore(root, ctxOptions(ctx, WithWorkers(workers), WithMaxConfigs(1<<20), WithProgress(rep)), nil)
+		g, err := explore(root, ctxOptions(ctx, WithWorkers(workers), WithMaxConfigs(1<<20), WithProgress(rep)))
 		if g != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: g=%v err=%v, want nil graph and wrapped context.Canceled", workers, g, err)
 		}
@@ -124,10 +125,10 @@ func TestCheckInputCtxCancelAndComplete(t *testing.T) {
 	root := branchyCRN().MustInitialConfig(vec.New(4, 4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := checkInput(root, 4, ctxOptions(ctx, WithWorkers(2)), nil); !errors.Is(err, context.Canceled) {
+	if _, err := checkInput(root, 4, ctxOptions(ctx, WithWorkers(2))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
-	v, err := checkInput(root, 4, ctxOptions(context.Background(), WithWorkers(2)), nil)
+	v, err := checkInput(root, 4, ctxOptions(context.Background(), WithWorkers(2)))
 	if err != nil || !v.OK {
 		t.Fatalf("live-context check: v=%+v err=%v", v, err)
 	}

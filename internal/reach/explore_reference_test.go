@@ -8,13 +8,12 @@ import (
 	"crncompose/internal/vec"
 )
 
-// Both engines take each head's applicable reactions and hash from its
-// discovery record (succ.go), and the sequential engine is the oracle of
-// every byte-identity test. The naive exploration here shares neither: it
+// The explorer takes each head's applicable reactions and hash from its
+// discovery record (succ.go). The naive exploration here shares neither: it
 // is the Section 2.2 graph built the plain way, a FIFO BFS over string
 // keys that tests ApplicableAt on every reaction at every head.
 
-// naiveGraph is the reference exploration's result, in the engines' id
+// naiveGraph is the reference exploration's result, in the explorer's id
 // order.
 type naiveGraph struct {
 	rows              []vec.V
@@ -24,7 +23,7 @@ type naiveGraph struct {
 }
 
 // naiveExplore explores from root under the budgets of o the way the
-// engines define: heads in FIFO order, each head's reactions in index
+// explorer defines: heads in FIFO order, each head's reactions in index
 // order, a successor with a count over MaxCount skipped (the graph is then
 // incomplete), and the exploration stopped before the first head that
 // finds more than MaxConfigs configurations interned.
@@ -71,13 +70,11 @@ func naiveExplore(root crn.Config, o Options) naiveGraph {
 	return ng
 }
 
-// requireExploreMatchesNaive explores root with opts at workers 1 and 2,
-// with the small probe off so 2 workers run the pooled engine, and requires
-// both graphs to equal the naive exploration: rows in id order, Complete,
-// the CSR edges and the BFS tree.
+// requireExploreMatchesNaive explores root with opts at workers 1 and 2
+// and requires both graphs to equal the naive exploration: rows in id
+// order, Complete, the CSR edges and the BFS tree.
 func requireExploreMatchesNaive(t *testing.T, root crn.Config, opts ...Option) {
 	t.Helper()
-	withoutSmallProbe(t)
 	want := naiveExplore(root, buildOptions(opts))
 	for _, workers := range []int{1, 2} {
 		g := Explore(root, append(slices.Clone(opts), WithWorkers(workers))...)

@@ -8,24 +8,23 @@ import (
 	"time"
 
 	"crncompose/internal/crn"
-	"crncompose/internal/vec"
 )
 
-// withStealJitter installs a jitter hook that sleeps a pseudo-random few
-// microseconds at every pool claim point — job claims, steal attempts, and
-// frontier batch claims — so repeated runs exercise genuinely different
-// steal schedules. The hook is derived from an atomic counter, so it is
-// race-free however many pool workers call it.
-func withStealJitter(t *testing.T, seed uint64, f func()) {
+// withClaimJitter installs a jitter hook that sleeps a pseudo-random few
+// microseconds before every grid worker's input claim, so repeated runs
+// hand the inputs to workers in genuinely different schedules. The hook is
+// derived from an atomic counter, so it is race-free however many grid
+// workers call it.
+func withClaimJitter(t *testing.T, seed uint64, f func()) {
 	t.Helper()
 	var ctr atomic.Uint64
-	testStealJitter = func() {
+	testClaimJitter = func() {
 		n := ctr.Add(1) + seed
 		// SplitMix-style scramble; sleep 0–16µs.
 		n = (n ^ (n >> 30)) * 0xBF58476D1CE4E5B9
 		time.Sleep(time.Duration((n>>33)%16) * time.Microsecond)
 	}
-	defer func() { testStealJitter = nil }()
+	defer func() { testClaimJitter = nil }()
 	f()
 }
 
@@ -34,22 +33,22 @@ func withStealJitter(t *testing.T, seed uint64, f func()) {
 func requireGridResultsIdentical(t *testing.T, seq, par GridResult) {
 	t.Helper()
 	if seq.Checked != par.Checked || seq.Inconclusive != par.Inconclusive || seq.Explored != par.Explored {
-		t.Fatalf("counts differ: sequential %d/%d/%d, pool %d/%d/%d",
+		t.Fatalf("counts differ: sequential %d/%d/%d, parallel %d/%d/%d",
 			seq.Checked, seq.Inconclusive, seq.Explored, par.Checked, par.Inconclusive, par.Explored)
 	}
 	if (seq.Failure == nil) != (par.Failure == nil) {
-		t.Fatalf("failure presence differs: sequential %v, pool %v", seq.Failure, par.Failure)
+		t.Fatalf("failure presence differs: sequential %v, parallel %v", seq.Failure, par.Failure)
 	}
 	if seq.Failure == nil {
 		return
 	}
 	sf, pf := seq.Failure, par.Failure
 	if fmt.Sprint(sf.Input) != fmt.Sprint(pf.Input) || sf.Want != pf.Want {
-		t.Fatalf("failure input differs: sequential %v want %d, pool %v want %d", sf.Input, sf.Want, pf.Input, pf.Want)
+		t.Fatalf("failure input differs: sequential %v want %d, parallel %v want %d", sf.Input, sf.Want, pf.Input, pf.Want)
 	}
 	sv, pv := sf.Verdict, pf.Verdict
 	if sv.OK != pv.OK || sv.Inconclusive != pv.Inconclusive || sv.Explored != pv.Explored {
-		t.Fatalf("failure verdict differs: sequential %+v, pool %+v", sv, pv)
+		t.Fatalf("failure verdict differs: sequential %+v, parallel %+v", sv, pv)
 	}
 	if (sv.Err == nil) != (pv.Err == nil) || (sv.Err != nil && sv.Err.Error() != pv.Err.Error()) {
 		t.Fatalf("failure error differs: %v vs %v", sv.Err, pv.Err)
@@ -60,13 +59,13 @@ func requireGridResultsIdentical(t *testing.T, seq, par GridResult) {
 	if sv.Witness != nil {
 		if fmt.Sprint(sv.Witness.Reactions) != fmt.Sprint(pv.Witness.Reactions) ||
 			sv.Witness.Start.Key() != pv.Witness.Start.Key() {
-			t.Fatalf("witness differs:\nsequential %v\npool       %v", sv.Witness, pv.Witness)
+			t.Fatalf("witness differs:\nsequential %v\nparallel   %v", sv.Witness, pv.Witness)
 		}
 	}
 }
 
 // gridCase is one CheckGrid scenario replayed across worker counts and
-// steal schedules.
+// claim schedules.
 type gridCase struct {
 	name string
 	c    *crn.CRN
@@ -80,13 +79,13 @@ func stealCases() []gridCase {
 	minF := func(x []int64) int64 { return min(x[0], x[1]) }
 	return []gridCase{
 		// All-OK skewed grid: the (8,8) corner's state space dwarfs the
-		// axis inputs, small inputs drain first, and finished workers must
-		// migrate into the big explorations instead of idling. 81 inputs
-		// also spans two enumeration chunks.
+		// axis inputs, so small inputs finish out of grid order while a
+		// large one is still running. 81 inputs also spans two enumeration
+		// chunks.
 		{"skew-ok", maxCRN(), func(x []int64) int64 { return max(x[0], x[1]) },
 			[]int64{0, 0}, []int64{8, 8}, nil},
 		// Mid-chunk failure: f is wrong at (3,1); every worker count and
-		// steal schedule must report exactly that input with the same
+		// claim schedule must report exactly that input with the same
 		// witness, and identical counts for the prefix.
 		{"mid-chunk-failure", minCRN(), func(x []int64) int64 {
 			if x[0] == 3 && x[1] == 1 {
@@ -105,7 +104,7 @@ func stealCases() []gridCase {
 		// MaxConfigs truncation: every x ≥ 1 input blows the budget
 		// mid-level (the grower's BFS levels get wide) and must be counted
 		// inconclusive — with identical Explored totals at any schedule,
-		// which pins the exact truncation boundary under stealing.
+		// which pins the exact truncation boundary under any schedule.
 		{"truncation", growerCRN(), func(x []int64) int64 { return 0 },
 			[]int64{0}, []int64{6}, []Option{WithMaxConfigs(2000)}},
 	}
@@ -120,7 +119,7 @@ func TestCheckGridStealScheduleByteIdentical(t *testing.T) {
 			}
 			for _, workers := range []int{2, 3, 8} {
 				for jitterSeed := uint64(0); jitterSeed < 3; jitterSeed++ {
-					withStealJitter(t, jitterSeed, func() {
+					withClaimJitter(t, jitterSeed, func() {
 						par, err := CheckGrid(tc.c, tc.f, tc.lo, tc.hi, append([]Option{WithWorkers(workers)}, tc.opts...)...)
 						if err != nil {
 							t.Fatal(err)
@@ -133,44 +132,11 @@ func TestCheckGridStealScheduleByteIdentical(t *testing.T) {
 	}
 }
 
-// TestExploreStealScheduleByteIdentical pins the byte-identical-Graph
-// contract for standalone explorations under randomized helper schedules:
-// helpers join and leave levels at jittered moments, yet every array the
-// engine produces matches the sequential engine's.
-func TestExploreStealScheduleByteIdentical(t *testing.T) {
-	withoutSmallProbe(t)
-	root := branchyCRN().MustInitialConfig(vec.New(6, 6))
-	seq := Explore(root, WithWorkers(1))
-	for _, workers := range []int{2, 4, 8} {
-		for jitterSeed := uint64(0); jitterSeed < 3; jitterSeed++ {
-			withStealJitter(t, jitterSeed, func() {
-				requireGraphsIdentical(t, seq, Explore(root, WithWorkers(workers)))
-			})
-		}
-	}
-	// And under a budget that truncates mid-level.
-	seqCut := Explore(root, WithWorkers(1), WithMaxConfigs(500))
-	withStealJitter(t, 7, func() {
-		requireGraphsIdentical(t, seqCut, Explore(root, WithWorkers(8), WithMaxConfigs(500)))
-	})
-	// Row widening mid-level: stolen slices that hit a too-wide successor
-	// void the level, and the re-expansion must land on the same graph.
-	for _, wc := range widenCases() {
-		seq := Explore(wc.root, append([]Option{WithWorkers(1)}, wc.opts...)...)
-		for _, workers := range []int{2, 3, 8} {
-			withStealJitter(t, uint64(workers), func() {
-				requireGraphsIdentical(t, seq, Explore(wc.root, append([]Option{WithWorkers(workers)}, wc.opts...)...))
-			})
-		}
-	}
-}
-
-// TestStealPoolDrainTerminates exercises the pool lifecycle edges: a chunk
-// with fewer jobs than workers, a single-job chunk (all remaining workers
-// must migrate into it), and an empty chunk.
+// TestStealPoolDrainTerminates exercises the grid workers' lifecycle edges:
+// a single-job chunk with more workers than jobs, and an empty chunk.
 func TestStealPoolDrainTerminates(t *testing.T) {
-	// Single large input, many workers: the owner publishes levels and the
-	// other workers must all drain into them and exit cleanly.
+	// Single large input, many workers: one worker claims it and the others
+	// find nothing to claim and exit cleanly.
 	res, err := CheckGrid(branchyCRN(), func(x []int64) int64 { return 0 },
 		[]int64{5, 5}, []int64{5, 5}, WithWorkers(8), WithMaxCount(3), WithMaxConfigs(1<<20))
 	if err != nil || !res.OK() || res.Checked != 1 {
@@ -194,13 +160,13 @@ func TestCheckGridStealMatchesSequentialStringOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withStealJitter(t, 11, func() {
+	withClaimJitter(t, 11, func() {
 		par, err := CheckGrid(minCRN(), f, []int64{0, 0}, []int64{4, 4}, WithWorkers(6))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if seq.String() != par.String() {
-			t.Fatalf("String differs:\nsequential %s\npool       %s", seq, par)
+			t.Fatalf("String differs:\nsequential %s\nparallel   %s", seq, par)
 		}
 		if !strings.Contains(par.String(), "FAIL") {
 			t.Fatalf("expected failure, got %s", par)

@@ -25,31 +25,27 @@
 // an additive 64-bit hash of the counts — no string keys, no Config
 // clones. The constructions' counts are tiny, so rows are usually one byte
 // per count; an exploration widens every row the first time a count does
-// not fit. A reaction changes few counts, so one successor kernel (succ.go)
-// serves both engines: it builds each successor's packed row and hash by
-// patching only the counts the reaction changes, in O(|Δ|). Each interned
-// configuration also keeps a discovery record, its hash and its set of
-// applicable reactions, derived from the head that discovered it by
-// re-testing only the reactions the firing can enable or disable
-// (crn.DependentsAt), so a head walks just the reactions that fire. Edges
-// are stored in CSR form (one flat successor array plus per-node offsets),
-// forward only; the one reaction kept per node is its BFS tree edge's.
+// not fit. A reaction changes few counts, so the successor kernel (succ.go)
+// builds each successor's packed row and hash by patching only the counts
+// the reaction changes, in O(|Δ|). Each interned configuration also keeps
+// a discovery record, its hash and its set of applicable reactions,
+// derived from the head that discovered it by re-testing only the
+// reactions the firing can enable or disable (crn.DependentsAt), so a head
+// walks just the reactions that fire. Edges are stored in CSR form (one
+// flat successor array plus per-node offsets), forward only; the one
+// reaction kept per node is its BFS tree edge's.
 //
-// Parallelism exists at both levels under one worker budget (WithWorkers,
-// default runtime.NumCPU) served by a single shared work-stealing pool
-// (pool.go). CheckGrid's workers claim whole grid inputs while any remain —
-// the embarrassingly parallel outer level — and, as inputs run dry, migrate
-// into the still-running explorations by stealing frontier slices of the
-// level being expanded, so a skewed grid (one huge input among many small
-// ones) keeps every core busy through the tail. A single input's exploration
-// runs level-synchronized parallel BFS: the intern table is sharded by hash
-// prefix so workers dedup without a global lock, the arena grows in
-// fixed-size chunks so readers never see a moved backing array, and a
-// per-level renumbering pass (see parallel.go) makes the resulting Graph
-// byte-identical to the sequential engine's at any worker count and any
-// steal schedule. Failure reporting is therefore fully deterministic: the
-// reported failure is always the first failing input in grid order, with
-// the same witness trace at any worker count.
+// The arena grows in fixed-size chunks (intern.go), so growth never copies
+// a row or a record, and each intern-table slot carries a 32-bit tag of its
+// row's hash, so a probe reads a row only when the tags match.
+//
+// Parallelism is across grid inputs (grid.go): CheckGrid's worker budget
+// (WithWorkers, default runtime.NumCPU) runs that many goroutines, each
+// claiming whole inputs while any remain. One input's exploration always
+// runs sequentially on the worker that claimed it, so a Graph is the same
+// at every worker count by construction. Failure reporting is fully
+// deterministic too: the reported failure is always the first failing
+// input in grid order, with the same witness trace at any worker count.
 package reach
 
 import (
@@ -72,20 +68,18 @@ type Options struct {
 	// MaxCount caps any single species count; exceeding it marks the run
 	// inconclusive (the CRN may have unbounded reachable counts).
 	MaxCount int64
-	// Workers is the total goroutine budget, served by one shared
-	// work-stealing pool. CheckGrid's workers check independent grid inputs
-	// while any remain and then migrate into still-running explorations,
-	// stealing frontier slices, so the budget is never oversubscribed and
-	// never idles at a chunk barrier. A bare Explore/CheckInput spends the
-	// whole budget on one state space. Values < 1 mean runtime.NumCPU();
-	// 1 forces the sequential engine. Results are byte-identical at every
-	// setting and every steal schedule.
+	// Workers is CheckGrid's goroutine budget: that many workers claim
+	// independent grid inputs, and each input is explored sequentially by
+	// the worker that claimed it. Explore and CheckInput explore one input
+	// and ignore it. Values < 1 mean runtime.NumCPU(); 1 checks the grid
+	// on one goroutine. Results are byte-identical at every setting and
+	// every claim schedule.
 	Workers int
 	// Progress, when non-nil, receives progress events from the calling
 	// goroutine at the engine's deterministic barrier points: "reach.grid"
-	// after every grid chunk, "reach.explore" at level barriers (parallel)
-	// or every cancelCheckHeads heads (sequential) of a standalone
-	// exploration. Attaching a Reporter never changes any computed result.
+	// after every grid chunk, "reach.explore" every cancelCheckHeads heads
+	// of a standalone exploration. Attaching a Reporter never changes any
+	// computed result.
 	Progress progress.Reporter
 
 	// ctx is the run's cancellation context, attached only by the *Ctx
@@ -112,7 +106,7 @@ func (o *Options) ctxErr() error {
 	}
 }
 
-// cancelCheckHeads is the head-count stride between the sequential engine's
+// cancelCheckHeads is the head-count stride between the explorer's
 // cancellation polls and progress posts. Coarse enough that the poll is
 // free, fine enough that cancellation lands within a bounded slice of
 // exploration work.
@@ -127,10 +121,9 @@ func WithMaxConfigs(n int) Option { return func(o *Options) { o.MaxConfigs = n }
 // WithMaxCount sets the per-species count cap.
 func WithMaxCount(n int64) Option { return func(o *Options) { o.MaxCount = n } }
 
-// WithWorkers sets the total worker budget of the shared work-stealing pool
-// serving grid-level and exploration-level parallelism (see
-// Options.Workers). n < 1 selects runtime.NumCPU(); n == 1 forces fully
-// sequential checking.
+// WithWorkers sets how many grid inputs CheckGrid checks at once (see
+// Options.Workers); one input's exploration is always sequential. n < 1
+// selects runtime.NumCPU(); n == 1 forces fully sequential checking.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
 // WithProgress attaches a progress.Reporter to the run (see
@@ -215,116 +208,56 @@ func (g *Graph) Output(id int32) int64 { return unpackCount(g.row(id), g.w, g.ou
 // Parent returns the BFS-tree parent of id (-1 for the root).
 func (g *Graph) Parent(id int32) int32 { return g.parent[id] }
 
-// Explore enumerates the configurations reachable from root. With a worker
-// budget above 1 (see WithWorkers; the default is runtime.NumCPU) the
-// exploration runs on the parallel level-synchronized engine; the resulting
-// Graph is byte-identical to the sequential engine's, so verdicts, witness
-// traces, and ids never depend on the worker count.
+// Explore enumerates the configurations reachable from root. An
+// exploration always runs on one goroutine, whatever the worker budget
+// (WithWorkers parallelizes CheckGrid across inputs), so the Graph, and
+// with it verdicts, witness traces and ids, never depends on the worker
+// count.
 func Explore(root crn.Config, opts ...Option) *Graph {
-	g, _ := explore(root, buildOptions(opts), nil) // no ctx attached: cannot fail
+	g, _ := explore(root, buildOptions(opts)) // no ctx attached: cannot fail
 	return g
 }
 
-// explore dispatches to the right engine: the caller's shared steal pool
-// when one is attached (grid checking), a private pool when the budget
-// allows (standalone parallel exploration), the sequential engine otherwise.
+// explore is the explorer: a FIFO BFS interning rows into a chunked arena
+// (intern.go), widened as soon as a row needs it. Every interned row is a
+// row of the graph, so the arena's width is the graph's; the rows are
+// copied once, at the end, into the Graph's flat arena. Cancellation is
+// polled on entry and every cancelCheckHeads heads — a deterministic
+// boundary, so every completed run is identical to an uncancellable one.
 // A non-nil error is always a cancellation (wrapped ctx.Err()) and comes
 // with a nil graph.
-func explore(root crn.Config, o Options, pool *stealPool) (*Graph, error) {
+func explore(root crn.Config, o Options) (*Graph, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	if o.Workers > 1 || pool != nil {
-		// Trivial state spaces (grid axis points, dead ends, small roots)
-		// are probed sequentially first so they skip the parallel engines'
-		// fixed setup — sharded interner, arena chunk, helper goroutines.
-		// The probe is bounded (smallProbeBudget heads), so it runs without
-		// cancellation polls of its own.
-		if g := exploreSmallProbe(root, o); g != nil {
-			return g, nil
-		}
-	}
-	switch {
-	case pool != nil:
-		return explorePooled(root, o, pool)
-	case o.Workers > 1:
-		return exploreParallel(root, o)
-	default:
-		return exploreSeq(root, o)
-	}
-}
-
-// smallProbeBudget bounds the sequential probe run before a parallel or
-// pooled exploration. Re-exploring this many configurations on a probe miss
-// costs microseconds, while a probe hit saves the parallel engines' fixed
-// setup (128 shard tables plus the first arena chunk) for every trivial
-// input. A variable so the engine byte-identity tests can force the
-// renumbering engine onto small graphs; 0 disables the probe.
-var smallProbeBudget = 512
-
-// exploreSmallProbe runs the sequential engine under the probe budget and
-// returns its graph when that budget was not the binding constraint — the
-// sequential head loop stops only when the interned count exceeds the
-// budget, so a result with NumConfigs ≤ probe is exactly the graph any
-// engine would produce under o (including MaxCount skips, which don't stop
-// enumeration). Returns nil when the state space outgrew the probe and a
-// parallel engine should take over; byte-identity between the engines makes
-// the substitution invisible.
-func exploreSmallProbe(root crn.Config, o Options) *Graph {
-	if smallProbeBudget <= 0 {
-		return nil
-	}
-	// The probe is bounded work (at most the probe budget plus one head),
-	// so it runs without cancellation polls: the caller checked the context
-	// on entry, and the probe finishes faster than a poll stride anyway.
-	p := o
-	p.ctx = nil
-	if o.MaxConfigs <= smallProbeBudget {
-		g, _ := exploreSeq(root, p) // the probe budget is the real budget
-		return g
-	}
-	p.MaxConfigs = smallProbeBudget
-	if g, _ := exploreSeq(root, p); g.NumConfigs() <= smallProbeBudget {
-		return g
-	}
-	return nil
-}
-
-// exploreSeq is the single-threaded engine: a FIFO BFS interning rows into
-// one flat append-grown arena, widened in place as soon as a row needs it.
-// Every interned row is a row of the graph, so the arena's width is the
-// graph's. It defines the canonical id order the parallel engine
-// reproduces. Cancellation is polled every cancelCheckHeads heads — a
-// deterministic boundary, so every completed run is identical to an
-// uncancellable one.
-func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 	c := root.CRN()
 	d := c.NumSpecies()
 	g := &Graph{CRN: c, Complete: true, d: d, outIdx: c.OutputIndex()}
 	rootPacked, w, rootHash, rootSet := packRoot(root)
 	in := newInterner(d, w, len(rootSet))
 	in.lookupOrAdd(rootPacked, rootHash)
-	copy(in.set(0), rootSet)
+	_, rset := in.record(0)
+	copy(rset, rootSet)
 	g.parent = append(g.parent, -1)
 	g.parentVia = append(g.parentVia, -1)
 
 	k := newSuccKernel(c, o.MaxCount)
 	succOff := make([]int32, 1, 1024)
-	for head := 0; head < in.n(); head++ {
+	for head := int32(0); int(head) < in.n; head++ {
 		if head%cancelCheckHeads == 0 && head > 0 {
 			// Post before polling so a cancellation triggered by the
 			// reporter itself is honored at this barrier, not the next.
-			progress.Post(o.Progress, "reach.explore", int64(in.n()), 0)
+			progress.Post(o.Progress, "reach.explore", int64(in.n), 0)
 			if err := o.ctxErr(); err != nil {
 				return nil, err
 			}
 		}
-		if in.n() > o.MaxConfigs {
+		if in.n > o.MaxConfigs {
 			g.Complete = false
 			break
 		}
-		in.dropSets(head)
-		k.load(in.row(head), in.w, in.hashes[head], in.set(head))
+		hh, hset := in.record(head)
+		k.load(in.row(head), in.w, *hh, hset)
 		for wi, word := range k.set {
 			for ; word != 0; word &= word - 1 {
 				ri := wi<<6 | bits.TrailingZeros64(word)
@@ -337,13 +270,14 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 					// The successor does not fit the arena: widen every row,
 					// reload the head at the new width and build it again.
 					in.widen(need)
-					k.load(in.row(head), in.w, in.hashes[head], in.set(head))
+					k.load(in.row(head), in.w, *hh, hset)
 					h, _, _ = k.next(ri)
 				}
 				nid, added := in.lookupOrAdd(k.out, h)
 				if added {
-					k.nextSet(in.set(int(nid)), ri)
-					g.parent = append(g.parent, int32(head))
+					_, set := in.record(nid)
+					k.nextSet(set, ri)
+					g.parent = append(g.parent, head)
 					g.parentVia = append(g.parentVia, int32(ri))
 				}
 				g.succ = append(g.succ, nid)
@@ -353,12 +287,16 @@ func exploreSeq(root crn.Config, o Options) (*Graph, error) {
 	}
 	// Close the offset table over nodes that were discovered but never
 	// expanded (budget exhaustion leaves a frontier).
-	n := in.n()
-	for len(succOff) < n+1 {
+	for len(succOff) < in.n+1 {
 		succOff = append(succOff, int32(len(g.succ)))
 	}
-	g.arena, g.w = in.arena, in.w
 	g.succOff = succOff
+	g.w = in.w
+	rb := d * g.w
+	g.arena = make([]byte, 0, in.n*rb)
+	for _, chunk := range in.chunks {
+		g.arena = append(g.arena, chunk.rows[:min(len(chunk.rows), in.n*rb-len(g.arena))]...)
+	}
 	return g, nil
 }
 
@@ -510,15 +448,15 @@ type Verdict struct {
 // given initial configuration. It implements the literal Section 2.2
 // definition on the bounded reachability graph.
 func CheckInput(root crn.Config, want int64, opts ...Option) Verdict {
-	v, _ := checkInput(root, want, buildOptions(opts), nil) // no ctx: cannot fail
+	v, _ := checkInput(root, want, buildOptions(opts)) // no ctx: cannot fail
 	return v
 }
 
-// checkInput runs the stable-computation check on the given engine options,
-// exploring on the caller's shared steal pool when one is attached. A
-// non-nil error is always a cancellation and comes with a zero Verdict.
-func checkInput(root crn.Config, want int64, o Options, pool *stealPool) (Verdict, error) {
-	g, err := explore(root, o, pool)
+// checkInput runs the stable-computation check on the given engine
+// options. A non-nil error is always a cancellation and comes with a zero
+// Verdict.
+func checkInput(root crn.Config, want int64, o Options) (Verdict, error) {
+	g, err := explore(root, o)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -588,10 +526,9 @@ type gridJob struct {
 // GridPoints rejects — wrong arity, an empty axis (hi < lo), more points
 // than int64 holds — is an error, and nothing is checked.
 //
-// Independent inputs are checked concurrently on a shared work-stealing
-// pool (see WithWorkers): workers claim whole inputs while any remain, then
-// migrate into the still-running explorations instead of idling, so skewed
-// grids keep every worker busy through the tail. The grid is enumerated
+// Independent inputs are checked concurrently (see WithWorkers): workers
+// claim whole inputs while any remain, and each explores its input
+// sequentially. The grid is enumerated
 // lazily in bounded chunks, so memory stays O(workers) regardless of grid
 // size and a failure in an early chunk stops the run without evaluating f on
 // the rest of the grid. f is only invoked from the calling goroutine, so it
@@ -603,7 +540,7 @@ func CheckGrid(c *crn.CRN, f Func, lo, hi []int64, opts ...Option) (GridResult, 
 }
 
 // CheckGridCtx is CheckGrid under a cancellation context. The context is
-// polled only at grid-chunk boundaries and at the engines' own barrier
+// polled only at grid-chunk boundaries and at the explorer's own barrier
 // points, so a run that completes returns exactly CheckGrid's result at any
 // worker count; a canceled run returns a zero GridResult and a wrapped
 // ctx.Err(), never partial counts. Grid validation is CheckGrid's: an empty
@@ -667,8 +604,8 @@ func checkGrid(c *crn.CRN, f Func, lo, hi []int64, o Options) (GridResult, error
 	chunkSize := max(64, 8*o.Workers)
 	for {
 		// The chunk boundary is the grid check's deterministic cancellation
-		// point: a canceled run stops here (or inside a worker's own level
-		// barrier) and reports no partial counts.
+		// point: a canceled run stops here (or at a worker's own poll inside
+		// an exploration) and reports no partial counts.
 		if err := o.ctxErr(); err != nil {
 			return GridResult{}, err
 		}

@@ -283,7 +283,8 @@ func TestCheckGridParallelMatchesSequential(t *testing.T) {
 				workers, par.Checked, par.Explored, seq.Checked, seq.Explored)
 		}
 	}
-	// And on an all-OK grid the totals must be independent of the pool size.
+	// And on an all-OK grid the totals must be independent of the worker
+	// count.
 	want := func(x []int64) int64 { return min(x[0], x[1]) }
 	seqOK, err := CheckGrid(minCRN(), want, []int64{0, 0}, []int64{5, 5}, WithWorkers(1))
 	if err != nil {

@@ -135,38 +135,17 @@ func putCount(dst []byte, w, i int, x int64) {
 	}
 }
 
-// repack re-encodes the packed counts of src from width from into dst at
-// width to, which must hold every count. It serves both widening a store
-// and narrowing a graph's rows to the width they need.
-func repack(dst, src []byte, from, to int) {
-	if from == to {
-		copy(dst, src)
-		return
-	}
-	var buf [64]int64
-	for n := len(src) / from; n > 0; {
-		k := min(n, len(buf))
-		unpackRow(buf[:k], src, from)
-		packRow(dst, buf[:k], to)
-		src, dst = src[k*from:], dst[k*to:]
-		n -= k
-	}
-}
-
 // widen returns the packed counts src (width from) re-encoded at the wider
 // width to, in a new slice.
 func widen(src []byte, from, to int) []byte {
 	dst := make([]byte, len(src)/from*to)
-	repack(dst, src, from, to)
-	return dst
-}
-
-// packedWidth returns the narrowest width that holds every count of the
-// packed counts src (width w).
-func packedWidth(src []byte, w int) int {
-	var bits uint64
-	for i := 0; i < len(src)/w; i++ {
-		bits |= uint64(unpackCount(src, w, i))
+	var buf [64]int64
+	for n, in, out := len(src)/from, src, dst; n > 0; {
+		k := min(n, len(buf))
+		unpackRow(buf[:k], in, from)
+		packRow(out, buf[:k], to)
+		in, out = in[k*from:], out[k*to:]
+		n -= k
 	}
-	return widthFor(bits)
+	return dst
 }

@@ -2,10 +2,10 @@ package reach
 
 import "crncompose/internal/crn"
 
-// The successor kernel. Both engines expand a configuration the same way:
-// for every reaction applicable at the head row, build the successor's
-// packed row and its hash and decide whether the successor exceeds
-// MaxCount or needs a wider arena. A Lemma 6.2 reaction changes only a few
+// The successor kernel. The explorer expands a configuration this way: for
+// every reaction applicable at the head row, build the successor's packed
+// row and its hash and decide whether the successor exceeds MaxCount or
+// needs a wider arena. A Lemma 6.2 reaction changes only a few
 // species, so the kernel pays O(d) once per head — decode, count the counts
 // over MaxCount — and O(|Δ|) per successor: it copies the head's packed row
 // and patches only the counts the reaction changes, updating the hash and
@@ -16,8 +16,8 @@ import "crncompose/internal/crn"
 // as in Zobrist 1970 and SPIN's incremental hashing, Nguyen & Ruys 2008).
 // It is a function of the counts alone, never of the packed width, so
 // widening an arena leaves every interned hash valid. The hash only picks
-// table slots and shards; rows are always compared byte for byte, so the
-// choice of hash never changes a graph.
+// table slots and their tags; rows are always compared byte for byte, so
+// the choice of hash never changes a graph.
 //
 // The discovery record. Every interned configuration carries its row hash
 // and its applicable set: setWords(nR) = ⌈nR/64⌉ words, bit ri%64 of word
@@ -30,10 +30,8 @@ import "crncompose/internal/crn"
 // head reads its hash from its record and walks the set bits in ascending
 // order, which is reaction order, so it touches only the reactions that
 // fire. A record is a function of the counts alone, so it never depends on
-// which head discovered the configuration, on the width, or on the
-// schedule. The sequential engine keeps a set only until its configuration
-// is expanded (interner.dropSets); the pooled engine keeps every record
-// beside its row in the arena's chunks (chunkedArena.record).
+// which head discovered the configuration or on the width. Every record
+// lives beside its row in the arena's chunks (chunkedArena.record).
 
 // mix is one count's term of the row hash: splitmix64's output function
 // applied to the count offset by a per-species stride.
@@ -57,7 +55,7 @@ func rowHash(counts []int64) uint64 {
 func setWords(nR int) int { return (nR + 63) / 64 }
 
 // packRoot returns the root's row packed at the narrowest width that holds
-// it, that width — the width both engines' arenas start at — and the root's
+// it, that width — the width the arena starts at — and the root's
 // discovery record, computed in full: its row hash and applicable set.
 func packRoot(root crn.Config) (packed []byte, w int, h uint64, set []uint64) {
 	c, counts := root.CRN(), root.CountsRef()

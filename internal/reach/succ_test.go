@@ -136,20 +136,21 @@ func FuzzSuccessor(f *testing.F) {
 	})
 }
 
-// TestRowHashSpreadsShards requires the row hash of rows that differ only
-// in small counts — the rows an exploration interns — to fill most shards
-// of the sharded interner and most slots of a small table.
-func TestRowHashSpreadsShards(t *testing.T) {
+// TestRowHashSpreadsTags requires the row hashes of rows that differ only
+// in small counts — the rows an exploration interns — to carry distinct
+// intern-slot tags, so a probe that misses almost never reads a row, and
+// to fill most slots of a small table.
+func TestRowHashSpreadsTags(t *testing.T) {
 	const rows, slotBits = 2000, 10
-	shards := make(map[uint64]bool)
+	tags := make(map[uint64]bool)
 	slots := make(map[uint64]bool)
 	for x := int64(0); x < rows; x++ {
 		h := rowHash([]int64{x % 7, x / 7 % 5, 0, x / 35, 1})
-		shards[vec.HashShard(h, shardBits)] = true
+		tags[h&slotTag] = true
 		slots[h&(1<<slotBits-1)] = true
 	}
-	if len(shards) < numShards*3/4 {
-		t.Errorf("%d rows hit only %d/%d shards", rows, len(shards), numShards)
+	if len(tags) != rows {
+		t.Errorf("%d rows carry only %d distinct tags", rows, len(tags))
 	}
 	if len(slots) < (1<<slotBits)*3/4 {
 		t.Errorf("%d rows hit only %d/%d slots", rows, len(slots), 1<<slotBits)

@@ -3,9 +3,7 @@ package reach
 import (
 	"bytes"
 	"fmt"
-	"math/rand/v2"
 	"slices"
-	"sync"
 	"testing"
 
 	"crncompose/internal/benchcrn"
@@ -14,8 +12,14 @@ import (
 	"crncompose/internal/vec"
 )
 
-// requireGraphsIdentical asserts byte-identity of every array the engines
-// produce — the contract that makes verdicts and witness replay independent
+// The worker budget parallelizes CheckGrid across inputs and never reaches
+// an exploration, so a graph is the same at every worker count by
+// construction. The tests here pin that contract from the outside: every
+// array a graph holds, and every verdict and witness, at worker counts
+// from 1 to 12.
+
+// requireGraphsIdentical asserts byte-identity of every array two graphs
+// hold — the contract that makes verdicts and witness replay independent
 // of the worker count.
 func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 	t.Helper()
@@ -43,24 +47,13 @@ func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 	}
 }
 
-// withoutSmallProbe disables the sequential small-state-space probe for the
-// duration of the test, forcing the renumbering engine to run even on small
-// graphs — which is the whole point of the byte-identity tests below.
-func withoutSmallProbe(t *testing.T) {
-	t.Helper()
-	old := smallProbeBudget
-	smallProbeBudget = 0
-	t.Cleanup(func() { smallProbeBudget = old })
-}
-
 // branchyCRN (benchcrn.Branchy) has interleaving independent reactions, so
-// BFS levels get wide enough to exercise multi-worker expansion and
-// cross-parent rediscovery; it also stably computes max(x1, x2), which the
-// steal-schedule grid tests (pool_test.go) rely on.
+// BFS levels get wide and configurations are rediscovered from many
+// parents; it also stably computes max(x1, x2), which the steal-schedule
+// grid tests (grid_test.go) rely on.
 func branchyCRN() *crn.CRN { return benchcrn.Branchy() }
 
 func TestExploreParallelByteIdentical(t *testing.T) {
-	withoutSmallProbe(t)
 	cases := []struct {
 		name string
 		root crn.Config
@@ -116,8 +109,8 @@ func widenCases() []widenCase {
 		{"widen-1-2-4", burstCRN().MustInitialConfig(vec.New(70)), nil, 4},
 		// The root alone needs two bytes per count.
 		{"wide-root", growerCRN().MustInitialConfig(vec.New(300)), []Option{WithMaxCount(1 << 20), WithMaxConfigs(5000)}, 2},
-		// The only row needing two bytes is interned in the cut level and
-		// dropped by the cut: the graph's width comes from its own rows.
+		// The only row needing two bytes lies past the cut: the graph's
+		// width comes from its own rows.
 		{"widen-then-cut", cutWideCRN().MustInitialConfig(vec.New(255, 1, 1)), []Option{WithMaxConfigs(3)}, 1},
 	}
 }
@@ -131,7 +124,7 @@ func growerCRN() *crn.CRN {
 
 // burstCRN turns each A into 1000 X or 1000 Y, so from A=70 its BFS
 // crosses a count of 255 at level 1 and 65,535 at level 66, over ~2.6k
-// configurations with levels wide enough to publish for stealing.
+// configurations.
 func burstCRN() *crn.CRN {
 	return crn.MustNew([]crn.Species{"A"}, "Y", "", []crn.Reaction{
 		{Reactants: []crn.Term{{Coeff: 1, Sp: "A"}}, Products: []crn.Term{{Coeff: 1000, Sp: "X"}}},
@@ -142,8 +135,8 @@ func burstCRN() *crn.CRN {
 // cutWideCRN, from the input (X, A, B) = (255, 1, 1), has level
 // 1 = {a: A→C, b: B→D}; level 2 holds c (from a and b, all counts ≤ 255)
 // and, from b only, w with X = 256. A budget of 3 expands a and cuts
-// before b, so the sequential engine never interns w while the pooled one
-// interns and then drops it.
+// before b, so the explorer never interns w and the graph stays at one
+// byte per count.
 func cutWideCRN() *crn.CRN {
 	return crn.MustNew([]crn.Species{"X", "A", "B"}, "Y", "", []crn.Reaction{
 		{Reactants: []crn.Term{{Coeff: 1, Sp: "A"}}, Products: []crn.Term{{Coeff: 1, Sp: "C"}}},
@@ -153,7 +146,6 @@ func cutWideCRN() *crn.CRN {
 }
 
 func TestCheckInputParallelWitnessIdentical(t *testing.T) {
-	withoutSmallProbe(t)
 	// A refuted check must report the identical error and witness trace at
 	// any worker count (the witness is extracted from graph ids, so this is
 	// the end-to-end consequence of byte-identity).
@@ -186,72 +178,10 @@ func TestCheckInputParallelWitnessIdentical(t *testing.T) {
 	}
 }
 
-func TestShardedInternerContention(t *testing.T) {
-	// Stress one shard: rows picked so their hashes all land in shard 0, so
-	// every goroutine fights over a single shard lock while interning both
-	// duplicate and fresh rows. Ids must come out consistent and dense.
-	const d = 3
-	var rows [][]int64
-	for x := int64(0); len(rows) < 300; x++ {
-		row := []int64{x, x * 7, x % 5}
-		if vec.HashShard(rowHash(row), shardBits) == 0 {
-			rows = append(rows, row)
-		}
-	}
-	w := 1
-	for _, row := range rows {
-		w = max(w, rowWidth(row))
-	}
-	in := newShardedInterner(d, w, 0)
-	const goroutines = 16
-	ids := make([][]int32, goroutines)
-	var wg sync.WaitGroup
-	for gi := 0; gi < goroutines; gi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each goroutine interns every row in its own order.
-			order := rand.New(rand.NewPCG(uint64(gi), 7)).Perm(len(rows))
-			ids[gi] = make([]int32, len(rows))
-			packed := make([]byte, d*w)
-			for _, ri := range order {
-				packRow(packed, rows[ri], w)
-				id, _ := in.lookupOrAdd(packed, rowHash(rows[ri]))
-				ids[gi][ri] = id
-			}
-		}()
-	}
-	wg.Wait()
-	if in.n() != len(rows) {
-		t.Fatalf("interned %d rows, want %d", in.n(), len(rows))
-	}
-	seen := make(map[int32]bool)
-	got := make([]int64, d)
-	for ri := range rows {
-		id := ids[0][ri]
-		if seen[id] {
-			t.Fatalf("row %d shares id %d with another row", ri, id)
-		}
-		seen[id] = true
-		if id < 0 || int(id) >= len(rows) {
-			t.Fatalf("row %d: id %d out of dense range", ri, id)
-		}
-		unpackRow(got, in.arena.row(id), w)
-		if !slices.Equal(got, rows[ri]) {
-			t.Fatalf("row %d: arena holds %v, want %v", ri, got, rows[ri])
-		}
-		for gi := 1; gi < goroutines; gi++ {
-			if ids[gi][ri] != id {
-				t.Fatalf("row %d: goroutine %d got id %d, goroutine 0 got %d", ri, gi, ids[gi][ri], id)
-			}
-		}
-	}
-}
-
 func TestChunkedArenaRowsStableAcrossGrowth(t *testing.T) {
 	// Rows handed out before growth must remain valid and unchanged after
-	// the directory grows many times over, and every row must decode to
-	// the same counts, and keep its record, after each widening.
+	// the arena adds chunks, and every row must decode to the same counts,
+	// and keep its record, after each widening.
 	const d, nw = 2, 2
 	a := newChunkedArena(d, 1, nw)
 	chunkRows := a.mask + 1
@@ -303,7 +233,6 @@ func TestChunkedArenaRowsStableAcrossGrowth(t *testing.T) {
 }
 
 func TestExploreWorkerSweepAgainstBaseline(t *testing.T) {
-	withoutSmallProbe(t)
 	// Cross-check a mid-size graph across a sweep of worker counts, and
 	// rebuild its edges from its rows.
 	root := branchyCRN().MustInitialConfig(vec.New(4, 6))
@@ -317,8 +246,8 @@ func TestExploreWorkerSweepAgainstBaseline(t *testing.T) {
 
 func TestCheckGridPoolWidthExtremes(t *testing.T) {
 	// A one-input grid with a large worker budget must still verify
-	// correctly (every pool worker migrates into the single exploration),
-	// as must a grid wide enough that workers stay on whole inputs.
+	// correctly (all but one worker find no input to claim), as must a
+	// grid wide enough that every worker claims inputs.
 	for _, bounds := range [][2]int64{{0, 0}, {0, 3}} {
 		res, err := CheckGrid(minCRN(), func(x []int64) int64 { return min(x[0], x[1]) },
 			[]int64{bounds[0], bounds[0]}, []int64{bounds[1], bounds[1]}, WithWorkers(8))
@@ -333,7 +262,6 @@ func TestCheckGridPoolWidthExtremes(t *testing.T) {
 }
 
 func TestExploreParallelLargeGridEquivalence(t *testing.T) {
-	withoutSmallProbe(t)
 	if testing.Short() {
 		t.Skip("large equivalence sweep skipped in -short")
 	}
@@ -349,10 +277,9 @@ func TestExploreParallelLargeGridEquivalence(t *testing.T) {
 }
 
 func TestExploreBudgetSweepByteIdentical(t *testing.T) {
-	withoutSmallProbe(t)
 	// Every budget value from 0 to the full graph size must cut at the same
-	// boundary in both engines — this pins the exact mid-level truncation
-	// semantics, not just the easy full-graph case.
+	// boundary at every worker count — this pins the exact mid-level
+	// truncation semantics, not just the easy full-graph case.
 	root := branchyCRN().MustInitialConfig(vec.New(3, 3))
 	full := Explore(root, WithWorkers(1))
 	n := full.NumConfigs()

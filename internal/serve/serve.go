@@ -27,7 +27,7 @@
 // identical requests are deduplicated in flight: N simultaneous submissions
 // of the same check cost exactly one engine run. Because every engine in
 // this module is deterministic — byte-identical GridResults at any worker
-// count, steal schedule, or process count (PR 2–4), seeded simulation —
+// count, claim schedule, or process count, seeded simulation —
 // replaying cached bytes is indistinguishable from recomputing them; the
 // cache is a correctness-preserving optimization, not an approximation.
 //
@@ -44,8 +44,8 @@
 // path under the server-owned worker budget. Larger grids become jobs
 // (202 + job id), each run off the request path under its own cancellable
 // context by an internal/dist coordinator. By default the coordinator
-// never listens and the server checks the rectangles on the local
-// steal-pool engine, up to Config.MaxJobs jobs at once. With
+// never listens and the server checks the rectangles itself, up to
+// Config.MaxJobs jobs at once. With
 // Config.DistCoordinator set it listens there and external
 // `crncheck -join` workers compute the rectangles, one job at a time. A
 // dist handoff that cannot start, or stalls past Config.CoordinatorGrace

@@ -172,7 +172,7 @@ func (e Event) Logf(format string, args ...any) {
 // where units grow by the increase of the run's Done per stage, so
 // concurrent runs sum instead of overwriting one another. Engines only post
 // events: the clock is the layer's, passed to Seam.Progress. Safe for
-// concurrent use — a steal-pool engine posts from every worker goroutine.
+// concurrent use — concurrent runs post from their own goroutines.
 type Progress struct {
 	s        *Seam
 	clock    func() time.Time

@@ -194,17 +194,6 @@ func (v V) Key() string {
 	return string(b)
 }
 
-// HashShard maps a 64-bit hash to a shard index in [0, 1<<bits) using the
-// top bits of the hash. Sharded interning tables select their shard with the
-// top bits and probe within the shard with the low bits, so the two are
-// independent and a shard's slots stay uniformly filled.
-func HashShard(h uint64, bits uint) uint64 {
-	if bits == 0 {
-		return 0
-	}
-	return h >> (64 - bits)
-}
-
 func mustSameDim(v, w V) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d", len(v), len(w)))

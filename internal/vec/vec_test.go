@@ -169,32 +169,3 @@ func TestStringFormat(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
-
-// splitmix64 is splitmix64's output function, a well-mixed 64-bit hash.
-func splitmix64(k uint64) uint64 {
-	k = (k ^ k>>30) * 0xbf58476d1ce4e5b9
-	k = (k ^ k>>27) * 0x94d049bb133111eb
-	return k ^ k>>31
-}
-
-func TestHashShard(t *testing.T) {
-	// Shard selection uses the top bits, probe position the low bits: the
-	// shard index must always be in range, 0 bits must collapse to shard 0,
-	// and a spread of well-mixed hashes must touch many shards.
-	if HashShard(0xFFFFFFFFFFFFFFFF, 0) != 0 {
-		t.Error("0 bits must map to shard 0")
-	}
-	const bits = 7
-	seen := make(map[uint64]bool)
-	for x := int64(0); x < 2000; x++ {
-		h := splitmix64(uint64(x))
-		s := HashShard(h, bits)
-		if s >= 1<<bits {
-			t.Fatalf("shard %d out of range for %d bits", s, bits)
-		}
-		seen[s] = true
-	}
-	if len(seen) < (1<<bits)*3/4 {
-		t.Errorf("2000 hashes hit only %d/%d shards — top bits poorly mixed", len(seen), 1<<bits)
-	}
-}
