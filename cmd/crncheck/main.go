@@ -13,9 +13,7 @@
 // reach.CheckGridCtx, and reports results until the job is done. A worker
 // rides out coordinator outages (crashes, checkpoint restarts) for
 // -join-grace before exiting 2 with a coordinator-lost error; a 4xx from
-// the join endpoint fails immediately instead of retrying. With
-// -abort-on-lease-loss a fenced-out worker cancels its in-flight
-// rectangle rather than finishing work it no longer owns.
+// the join endpoint fails immediately instead of retrying.
 //
 // -workers is how many grid inputs are checked at once; each input's
 // exploration runs on one goroutine. Results — counts, the first failing
@@ -103,7 +101,6 @@ func run(args []string, out io.Writer) error {
 		coordAddr  = fs.String("coordinator", "", "run as distributed coordinator listening on this host:port; workers join with -join")
 		joinAddr   = fs.String("join", "", "run as distributed worker against the coordinator at this host:port")
 		joinGrace  = fs.Duration("join-grace", 15*time.Second, "worker: keep retrying an unreachable coordinator this long (surviving restarts) before exiting with a coordinator-lost error")
-		abortLease = fs.Bool("abort-on-lease-loss", false, "worker: cancel the in-flight rectangle when the coordinator reports the lease lost (fenced out) instead of finishing and posting a duplicate")
 		shards     = fs.Int("shards", 0, "coordinator: number of grid rectangles to lease out (0 = 16; more shards than workers keeps the tail balanced)")
 		lease      = fs.Duration("lease", dist.DefaultLeaseTTL, "coordinator: lease TTL before a silent worker's rectangle is reassigned")
 		checkpoint = fs.String("checkpoint", "", "coordinator: checkpoint file; completed rectangles are saved after each result and resumed on restart")
@@ -152,7 +149,7 @@ func run(args []string, out io.Writer) error {
 		defer cancel()
 	}
 	if *joinAddr != "" {
-		return runWorker(ctx, *joinAddr, *workers, *joinGrace, *abortLease, tr)
+		return runWorker(ctx, *joinAddr, *workers, *joinGrace, tr)
 	}
 	if *crnPath == "" || *fname == "" {
 		return fmt.Errorf("need both -crn and -f (or -join addr)")
@@ -250,15 +247,14 @@ func stderrLogf(format string, args ...any) {
 // canceled (a canceled worker abandons its lease without reporting). The
 // function library is resolved locally (core.Resolve), so worker and
 // coordinator binaries must agree on it.
-func runWorker(ctx context.Context, addr string, workers int, grace time.Duration, abortOnLeaseLoss bool, tr *trace.Tracer) error {
+func runWorker(ctx context.Context, addr string, workers int, grace time.Duration, tr *trace.Tracer) error {
 	w := &dist.Worker{
-		Coordinator:      addr,
-		Workers:          workers,
-		Grace:            grace,
-		AbortOnLeaseLoss: abortOnLeaseLoss,
-		Tracer:           tr,
-		Resolve:          core.Resolve,
-		Logf:             stderrLogf,
+		Coordinator: addr,
+		Workers:     workers,
+		Grace:       grace,
+		Tracer:      tr,
+		Resolve:     core.Resolve,
+		Logf:        stderrLogf,
 	}
 	return w.Run(ctx)
 }

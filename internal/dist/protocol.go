@@ -55,9 +55,9 @@
 //   - every mutating endpoint is idempotent (duplicate lease, renew, and
 //     result requests converge), so a response dropped after commit is
 //     repaired by the retry, not double-applied;
-//   - a renew answering OK=false means the lease was reassigned; with
-//     Worker.AbortOnLeaseLoss the fenced-out worker cancels the in-flight
-//     rectangle instead of finishing work it no longer owns.
+//   - a renew answering OK=false means the lease was reassigned; the
+//     fenced-out worker logs the loss, finishes the rectangle and posts its
+//     result, which the coordinator accepts as a harmless duplicate.
 //
 // # Instrumentation
 //

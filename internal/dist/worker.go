@@ -65,13 +65,6 @@ type Worker struct {
 	// with ErrCoordinatorLost (default 15s). Long enough to ride out a
 	// coordinator checkpoint-restart.
 	Grace time.Duration
-	// AbortOnLeaseLoss makes the worker cancel the in-flight rectangle
-	// check when a heartbeat renewal answers that the lease is gone, so a
-	// fenced-out worker stops burning CPU on a rectangle another worker now
-	// owns. Off by default: computing to completion and reporting a
-	// duplicate is harmless (the coordinator is idempotent) and finishes
-	// faster when the loss was a coordinator restart rather than a fence.
-	AbortOnLeaseLoss bool
 	// Client, when non-nil, overrides the HTTP client.
 	Client *http.Client
 	// Logf, when non-nil, receives progress lines, the coordinator
@@ -259,23 +252,13 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 	// worker's interleaved output greps apart by rectangle and joins against
 	// /debug/traces on the coordinator.
 	logf := rectEv.Logf
-	// rctx is what the engine runs under; with AbortOnLeaseLoss the
-	// heartbeat cancels it when the coordinator says the lease is gone. It
-	// also carries the rectangle span so the heartbeat's renew attempts
-	// trace as its children.
-	rctx, rcancel := trace.ContextWith(ctx, rectEv.Context()), context.CancelFunc(func() {})
-	if w.AbortOnLeaseLoss {
-		rctx, rcancel = context.WithCancel(rctx)
-	}
-	defer rcancel()
+	// rctx carries the rectangle span, so the heartbeat's renew attempts
+	// and the result post trace as its children.
+	rctx := trace.ContextWith(ctx, rectEv.Context())
 	stop := make(chan struct{})
 	var hb sync.WaitGroup
 	if ttl > 0 {
 		hb.Add(1)
-		// hbctx parents the renew attempts under the rectangle span without
-		// inheriting rctx's AbortOnLeaseLoss cancelation: the renew that
-		// discovers the loss must itself complete.
-		hbctx := trace.ContextWith(ctx, rectEv.Context())
 		go func() {
 			defer hb.Done()
 			renewC := &httpx.Client{
@@ -300,7 +283,7 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 					return
 				case <-t.C:
 					var rr RenewResponse
-					err := renewC.PostJSON(hbctx, base+"/renew", RenewRequest{Worker: name, RectID: rect.ID}, &rr)
+					err := renewC.PostJSON(rctx, base+"/renew", RenewRequest{Worker: name, RectID: rect.ID}, &rr)
 					switch {
 					case err != nil:
 						failures++
@@ -309,11 +292,6 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 							nextLog *= 2
 						}
 					case !rr.OK:
-						if w.AbortOnLeaseLoss {
-							logf("worker %s: lost lease on rect %d; aborting in-flight check", name, rect.ID)
-							rcancel()
-							return
-						}
 						logf("worker %s: lost lease on rect %d (still computing; duplicate result is harmless)", name, rect.ID)
 						failures, nextLog = 0, 1
 					default:
@@ -337,13 +315,6 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 	if ctx.Err() != nil {
 		rectEv.End(time.Now(), "canceled")
 		return ctx.Err()
-	}
-	if rctx.Err() != nil {
-		// Fenced out with AbortOnLeaseLoss: the rectangle belongs to another
-		// worker now, so abandon it and go lease the next one.
-		rectEv.End(time.Now(), "fenced")
-		logf("worker %s: abandoned rect %d after lease loss", name, rect.ID)
-		return nil
 	}
 	rectEv.End(time.Now(), reach.Outcome(res, rerr), trace.Int("checked", int64(res.Checked)))
 
@@ -384,7 +355,7 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 		Seam:        seam,
 	}
 	var ack ResultResponse
-	if err := resultC.PostJSON(trace.ContextWith(ctx, rectEv.Context()), base+"/result", req, &ack); err != nil {
+	if err := resultC.PostJSON(rctx, base+"/result", req, &ack); err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}

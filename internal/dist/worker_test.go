@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"crncompose/internal/core"
-	"crncompose/internal/reach"
 	"crncompose/internal/trace"
 )
 
@@ -25,10 +24,8 @@ type fakeCoordinator struct {
 	t        *testing.T
 	job      JobSpec
 	onLease  func(n int64) LeaseResponse
-	onRenew  func() RenewResponse
 	jobHits  atomic.Int64
 	leases   atomic.Int64
-	results  atomic.Int64
 	jobErr   func(n int64) int // non-zero = respond with this status instead
 	abortAll bool              // abort every /lease at the transport level
 }
@@ -52,11 +49,7 @@ func (fc *fakeCoordinator) handler() http.Handler {
 		}
 		fakeWrite(fc.t, w, fc.onLease(n))
 	})
-	mux.HandleFunc("/renew", func(w http.ResponseWriter, r *http.Request) {
-		fakeWrite(fc.t, w, fc.onRenew())
-	})
 	mux.HandleFunc("/result", func(w http.ResponseWriter, r *http.Request) {
-		fc.results.Add(1)
 		fakeWrite(fc.t, w, ResultResponse{OK: true})
 	})
 	return mux
@@ -172,67 +165,6 @@ func TestWorkerCoordinatorLost(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < grace {
 		t.Fatalf("gave up after %s, before the %s grace window", elapsed, grace)
-	}
-}
-
-// TestWorkerAbortOnLeaseLoss: with AbortOnLeaseLoss set, a renew answering
-// OK=false cancels the in-flight rectangle — the fenced-out worker neither
-// finishes the enumeration nor posts a result for a rectangle it no longer
-// owns.
-func TestWorkerAbortOnLeaseLoss(t *testing.T) {
-	var evals atomic.Int64
-	slowMin := func(x []int64) int64 {
-		evals.Add(1)
-		time.Sleep(5 * time.Millisecond)
-		return min(x[0], x[1])
-	}
-	fc := &fakeCoordinator{
-		t:   t,
-		job: testJob(),
-		onLease: func(n int64) LeaseResponse {
-			if n == 1 {
-				// 256 grid points = 4 engine chunks of 64: the engine polls
-				// cancellation at chunk boundaries, so the abort can land
-				// after chunk 1 instead of after the whole rectangle.
-				return LeaseResponse{
-					Rect:      &Rect{ID: 0, Lo: []int64{0, 0}, Hi: []int64{15, 15}},
-					TTLMillis: 30,
-				}
-			}
-			return LeaseResponse{Done: true}
-		},
-		onRenew: func() RenewResponse { return RenewResponse{OK: false} },
-	}
-	ts := httptest.NewServer(fc.handler())
-	defer ts.Close()
-
-	w := &Worker{
-		Coordinator: ts.URL,
-		Workers:     1,
-		Resolve: func(name string) (reach.Func, error) {
-			if name != "min" {
-				return nil, fmt.Errorf("unknown function %q", name)
-			}
-			return slowMin, nil
-		},
-		Poll:             2 * time.Millisecond,
-		LongPoll:         -1,
-		AbortOnLeaseLoss: true,
-		Logf:             t.Logf,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := w.Run(ctx); err != nil {
-		t.Fatalf("aborted worker must keep serving, got %v", err)
-	}
-	// Chunk 1 alone takes 64 × ≥5ms ≫ the ~10ms heartbeat that learns of
-	// the loss, so the cancellation check before chunk 2 must stop the
-	// enumeration; a full 256-point run means the abort never happened.
-	if n := evals.Load(); n >= 256 {
-		t.Fatalf("worker evaluated all %d grid points despite lease loss", n)
-	}
-	if n := fc.results.Load(); n != 0 {
-		t.Fatalf("fenced-out worker posted %d results, want 0", n)
 	}
 }
 

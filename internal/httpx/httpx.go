@@ -10,8 +10,8 @@
 //   - a retry budget: MaxAttempts bounds the attempt count, Budget bounds
 //     the total wall-clock time spent retrying, and the context bounds
 //     everything — whichever trips first ends the call;
-//   - per-attempt timeouts (AttemptTimeout), so one hung connection costs
-//     one attempt, not the whole budget;
+//   - per-attempt timeouts (the HTTP client's Timeout, 30s by default), so
+//     one hung connection costs one attempt, not the whole budget;
 //   - non-retryable classification: a 4xx response is the server saying
 //     the request itself is wrong (unknown endpoint, protocol mismatch,
 //     malformed body) — retrying it can only burn the budget, so the call
@@ -38,7 +38,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -52,9 +51,9 @@ const (
 	DefaultMaxDelay    = 2 * time.Second
 )
 
-// defaultHTTP is the shared transport used when Client.HTTP is nil. The
-// 30-second timeout is a last-resort cap per attempt; callers who care set
-// AttemptTimeout themselves.
+// defaultHTTP is the shared transport used when Client.HTTP is nil. Its
+// 30-second timeout caps each attempt; callers who need a tighter cap pass
+// their own HTTP client.
 var defaultHTTP = &http.Client{Timeout: 30 * time.Second}
 
 // Client is a retrying JSON-over-HTTP client. The zero value works; fields
@@ -73,10 +72,6 @@ type Client struct {
 	// DefaultBaseDelay/DefaultMaxDelay.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// AttemptTimeout, when positive, caps each attempt (a per-attempt
-	// context deadline); a timed-out attempt is retryable. Zero relies on
-	// HTTP's own Timeout.
-	AttemptTimeout time.Duration
 	// Budget, when positive, caps the total wall-clock time the call may
 	// spend across attempts and backoff sleeps, measured from the first
 	// attempt. The call never starts a sleep it cannot finish inside the
@@ -206,10 +201,11 @@ func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, ou
 			trace.Int("attempt", int64(attempt+1)))
 		err := c.attempt(ctx, httpc, method, url, body, out, ev.Context())
 		elapsed := time.Since(attemptStart)
+		var status []trace.Attr
 		if code := StatusCode(err); code != 0 {
-			ev.SetAttr("status", strconv.Itoa(code))
+			status = []trace.Attr{trace.Int("status", int64(code))}
 		}
-		ev.End(attemptStart.Add(elapsed), attemptOutcome(err))
+		ev.End(attemptStart.Add(elapsed), attemptOutcome(err), status...)
 		if err == nil {
 			return nil
 		}
@@ -256,17 +252,11 @@ func attemptOutcome(err error) string {
 // attempt performs one request/response cycle. A valid sc is sent as the
 // W3C traceparent header so the server joins the caller's trace.
 func (c *Client) attempt(ctx context.Context, httpc *http.Client, method, url string, body []byte, out any, sc trace.SpanContext) error {
-	actx := ctx
-	if c.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.AttemptTimeout)
-		defer cancel()
-	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return err
 	}

@@ -149,7 +149,7 @@ func TestContextCancelDuringRetries(t *testing.T) {
 }
 
 // TestAttemptTimeoutIsRetryable: a hung attempt costs one attempt, not the
-// call — the per-attempt deadline fires, the next attempt succeeds.
+// call — the HTTP client's timeout fires, the next attempt succeeds.
 func TestAttemptTimeoutIsRetryable(t *testing.T) {
 	var hits atomic.Int64
 	release := make(chan struct{})
@@ -165,7 +165,7 @@ func TestAttemptTimeoutIsRetryable(t *testing.T) {
 		_, _ = w.Write([]byte(`{"ok":true}`))
 	}))
 	defer ts.Close()
-	c := &Client{MaxAttempts: 3, AttemptTimeout: 50 * time.Millisecond, Rand: noDelay}
+	c := &Client{HTTP: &http.Client{Timeout: 50 * time.Millisecond}, MaxAttempts: 3, Rand: noDelay}
 	var out struct {
 		OK bool `json:"ok"`
 	}

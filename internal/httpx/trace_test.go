@@ -43,7 +43,7 @@ func TestTraceparentPropagationAndAttemptSpans(t *testing.T) {
 	defer srv.Close()
 
 	tr := trace.New(trace.Options{Proc: "test", Rand: counterRand()})
-	root := tr.StartSpan(at(0), "root", trace.SpanContext{})
+	root := trace.NewSeam(tr, nil, nil).Start(at(0), "root", trace.SpanContext{})
 
 	var logs []string
 	c := &Client{
@@ -57,7 +57,7 @@ func TestTraceparentPropagationAndAttemptSpans(t *testing.T) {
 	if err := c.PostJSON(ctx, srv.URL, struct{}{}, &out); err != nil {
 		t.Fatalf("PostJSON: %v", err)
 	}
-	root.End(at(10))
+	root.End(at(10), "ok")
 
 	if len(gotParents) != 3 {
 		t.Fatalf("server saw %d attempts, want 3", len(gotParents))
@@ -120,7 +120,7 @@ func TestGiveUpLogCarriesTraceID(t *testing.T) {
 	defer srv.Close()
 
 	tr := trace.New(trace.Options{Proc: "test", Rand: counterRand()})
-	root := tr.StartSpan(at(0), "root", trace.SpanContext{})
+	root := trace.NewSeam(tr, nil, nil).Start(at(0), "root", trace.SpanContext{})
 	var logs []string
 	c := &Client{
 		MaxAttempts: 2,
@@ -157,7 +157,7 @@ func TestNoTracerStillPropagates(t *testing.T) {
 	defer srv.Close()
 
 	tr := trace.New(trace.Options{Proc: "test", Rand: counterRand()})
-	root := tr.StartSpan(at(0), "root", trace.SpanContext{})
+	root := trace.NewSeam(tr, nil, nil).Start(at(0), "root", trace.SpanContext{})
 	c := &Client{MaxAttempts: 1}
 	var out struct{}
 	if err := c.GetJSON(trace.ContextWith(context.Background(), root.Context()), srv.URL, &out); err != nil {

@@ -84,7 +84,8 @@ var Analyzers = []*Analyzer{
 // and errwrap analyzers apply to exactly this set; mapiter additionally
 // covers internal/dist, whose merged results carry the same byte-identity
 // promise. internal/trace is in the set even though it is not an engine:
-// its whole API takes caller-owned instants (StartSpan(now)/End(now)), and
+// its whole API takes caller-owned instants (Seam.Start(now) and
+// Event.End(now)), and
 // keeping it here guarantees the package itself never grows a clock read —
 // so an engine can never launder time.Now through a span.
 var enginePackages = []string{

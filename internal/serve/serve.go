@@ -285,11 +285,12 @@ func (s *Server) cacheDo(ctx context.Context, op, key string, compute func() (ca
 	case cacheDedup:
 		name = "serve.singleflight.park"
 	}
-	ev := s.seam.Start(start, name, trace.FromContext(ctx), trace.String("op", op))
+	var errAttr []trace.Attr
 	if err != nil {
-		ev.SetAttr("error", err.Error())
+		errAttr = []trace.Attr{trace.String("error", err.Error())}
 	}
-	ev.End(time.Now(), trace.Outcome(err))
+	s.seam.Start(start, name, trace.FromContext(ctx), trace.String("op", op)).
+		End(time.Now(), trace.Outcome(err), errAttr...)
 	return val, source, err
 }
 

@@ -34,15 +34,11 @@ type tracesDoc struct {
 // /debug/pprof on -debug-addr), not the public API.
 func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		spans := t.Snapshot()
+		var spans []SpanData
 		if id := r.URL.Query().Get("trace"); id != "" {
-			filtered := spans[:0]
-			for _, d := range spans {
-				if d.TraceID == id {
-					filtered = append(filtered, d)
-				}
-			}
-			spans = filtered
+			spans = t.TraceSpans(id)
+		} else {
+			spans = t.Snapshot()
 		}
 		if r.URL.Query().Get("format") == "chrome" {
 			b, err := ExportChromeTrace(spans)

@@ -93,24 +93,29 @@ func (s *Seam) Logf(format string, args ...any) {
 // Event is one instrumented operation, open from Seam.Start until End. The
 // zero Event is valid and records nothing.
 type Event struct {
-	s     *Seam
-	sp    *Span
-	sc    SpanContext
-	name  string
-	start time.Time
+	s      *Seam
+	sc     SpanContext
+	parent SpanID // the span's parent id when traced; zero for a root
+	name   string
+	start  time.Time
+	attrs  []Attr // Start's attrs, copied when traced
 }
 
-// Start opens the event name at now under parent. When traced, it starts a
-// span with attrs; untraced, the event still carries parent, so its Context
-// keeps propagating the caller's trace and its Logf keeps stamping it.
+// Start opens the event name at now under parent. When traced, the event
+// draws its own span context — in parent's trace, or in a new trace with
+// no parent id when parent is invalid — and keeps a copy of attrs for its
+// span. Untraced, the event carries parent, so its Context keeps
+// propagating the caller's trace and its Logf keeps stamping it.
 func (s *Seam) Start(now time.Time, name string, parent SpanContext, attrs ...Attr) Event {
 	if s == nil {
 		return Event{sc: parent}
 	}
 	e := Event{s: s, sc: parent, name: name, start: now}
 	if s.tr != nil {
-		e.sp = s.tr.StartSpan(now, name, parent, attrs...)
-		e.sc = e.sp.Context()
+		e.sc, e.parent = s.tr.newContext(parent)
+		// Room for one End attribute and the outcome, so End appends in
+		// place.
+		e.attrs = append(make([]Attr, 0, len(attrs)+2), attrs...)
 	}
 	return e
 }
@@ -118,19 +123,23 @@ func (s *Seam) Start(now time.Time, name string, parent SpanContext, attrs ...At
 // Context returns the event's span context, or its parent's when untraced.
 func (e Event) Context() SpanContext { return e.sc }
 
-// SetAttr sets one span attribute (a no-op when untraced).
-func (e Event) SetAttr(key, value string) { e.sp.SetAttr(key, value) }
-
-// End finishes the event at now: the span, when traced, ends with attrs and
-// an "outcome" attribute, and crn_span_duration_seconds{name,outcome}
-// observes now - start when the seam has a registry. Outcomes are short
-// fixed words ("ok", "error", "hit", ...), never free text. End once.
+// End finishes the event at now. When traced, it records the span into the
+// tracer's ring with Start's attrs, then attrs, then an "outcome"
+// attribute; where a key repeats, the later value is the one exported.
+// crn_span_duration_seconds{name,outcome} observes now - start when the
+// seam has a registry. Outcomes are short fixed words ("ok", "error",
+// "hit", ...), never free text. End once: a second End would record the
+// span again over the attributes of the first.
 func (e Event) End(now time.Time, outcome string, attrs ...Attr) {
 	if e.s == nil {
 		return
 	}
-	if e.sp != nil {
-		e.sp.End(now, append(attrs, String("outcome", outcome))...)
+	if t := e.s.tr; t != nil {
+		t.record(span{
+			sc: e.sc, parent: e.parent, name: e.name, proc: t.proc,
+			start: e.start.UnixNano(), end: now.UnixNano(),
+			attrs: append(append(e.attrs, attrs...), String("outcome", outcome)),
+		})
 	}
 	if e.s.dur != nil {
 		e.s.dur.With(e.name, outcome).ObserveSince(e.start, now)

@@ -3,14 +3,19 @@
 // of finished spans, and deterministic export (sorted JSON, Chrome
 // trace-event JSON loadable in Perfetto).
 //
+// The ring holds finished spans by value, with binary ids. They are
+// rendered as SpanData, with hex ids and an attribute map, only where they
+// leave the process: Snapshot, TraceSpans, GET /debug/traces, the Chrome
+// export, and the spans a dist worker ships with a result.
+//
 // # Caller-owned clocks
 //
 // Like internal/metrics, this package never reads a clock: every instant —
-// StartSpan's start, End's end — is passed in by the caller. That keeps the
-// crnlint determinism analyzer meaningful for the engine packages (this
-// package is itself in the engine set): an engine cannot launder time.Now
-// through a span without the reference appearing at its own call site,
-// where the analyzer flags it. Engines never trace themselves; the serving
+// Seam.Start's start, Event.End's end — is passed in by the caller. That
+// keeps the crnlint determinism analyzer meaningful for the engine packages
+// (this package is itself in the engine set): an engine cannot launder
+// time.Now through a span without the reference appearing at its own call
+// site, where the analyzer flags it. Engines never trace themselves; the serving
 // layers (httpx, serve, dist, the CLIs) own both the spans and the clocks,
 // and engine work shows up as spans via the progress adapter
 // (Seam.Progress), whose clock is injected by those layers too.
@@ -20,7 +25,8 @@
 // A layer instruments an event with one call: Seam.Start opens it, and its
 // End records the span, observes crn_span_duration_seconds{name,outcome}
 // and closes it, while its Logf stamps the event's log lines with the trace
-// and span ids. Event names come from the fixed SpanNames list.
+// and span ids. Event names come from the fixed SpanNames list. An Event is
+// the only span type: there is no separate in-flight span object.
 //
 // # Propagation
 //
@@ -33,9 +39,11 @@
 //
 // # Nil safety
 //
-// A nil *Tracer is "tracing disabled": StartSpan returns a nil *Span, and
-// every *Span method is a no-op on nil, so call sites never guard. This is
-// the same contract the metrics layer uses for nil registries.
+// A nil *Tracer is "tracing disabled": a Seam built on it records no
+// spans, though its events still carry their parent's context, and every
+// *Tracer method is a no-op or returns nothing on nil. A nil *Seam and the
+// zero Event record nothing either, so call sites never guard. This is the
+// same contract the metrics layer uses for nil registries.
 package trace
 
 import (
@@ -46,7 +54,6 @@ import (
 	"math/rand/v2"
 	"strconv"
 	"sync"
-	"time"
 
 	"crncompose/internal/metrics"
 )
@@ -104,16 +111,29 @@ func ParseTraceparent(s string) (SpanContext, error) {
 	if len(s) != 55 {
 		return sc, fmt.Errorf("trace: traceparent %q: bad length %d", s, len(s))
 	}
-	if !lowerHex(s[3:35]) || !lowerHex(s[36:52]) || !lowerHex(s[53:]) {
-		return sc, fmt.Errorf("trace: traceparent %q: ids and flags must be lowercase hex", s)
+	if !lowerHex(s[53:]) {
+		return sc, fmt.Errorf("trace: traceparent %q: flags must be lowercase hex", s)
 	}
-	// Neither decode can fail: both fields are lowercase hex of even length.
-	_, _ = hex.Decode(sc.TraceID[:], []byte(s[3:35]))
-	_, _ = hex.Decode(sc.SpanID[:], []byte(s[36:52]))
-	if !sc.Valid() {
-		return SpanContext{}, fmt.Errorf("trace: traceparent %q: all-zero id", s)
+	if !decodeID(sc.TraceID[:], s[3:35]) || !decodeID(sc.SpanID[:], s[36:52]) {
+		return SpanContext{}, fmt.Errorf("trace: traceparent %q: ids must be lowercase hex and not all zero", s)
 	}
 	return sc, nil
+}
+
+// decodeID decodes the hex id s into id, reporting whether s follows the
+// W3C rule for ids: exactly 2·len(id) lowercase hex digits, not all zero.
+func decodeID(id []byte, s string) bool {
+	if len(s) != 2*len(id) || !lowerHex(s) {
+		return false
+	}
+	// Cannot fail: s is lowercase hex of even length.
+	_, _ = hex.Decode(id, []byte(s))
+	for _, b := range id {
+		if b != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // lowerHex reports whether s holds only the digits 0-9 and a-f.
@@ -157,10 +177,11 @@ func Int(k string, v int64) Attr { return Attr{Key: k, Value: strconv.FormatInt(
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: strconv.FormatBool(v)} }
 
-// SpanData is one finished span — the ring buffer's element and the wire
-// form shipped between processes (dist workers attach theirs to result
-// reports). Attrs serializes with sorted keys (encoding/json's map rule),
-// so identical span sets encode to identical bytes.
+// SpanData is one finished span in the form it leaves the process in:
+// GET /debug/traces, the Chrome export, and the spans dist workers ship
+// with their result reports. Attrs serializes with sorted keys
+// (encoding/json's map rule), so identical span sets encode to identical
+// bytes.
 type SpanData struct {
 	TraceID string            `json:"trace_id"`
 	SpanID  string            `json:"span_id"`
@@ -170,6 +191,39 @@ type SpanData struct {
 	Start   int64             `json:"start_unix_nano"`
 	End     int64             `json:"end_unix_nano"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
+}
+
+// span is one finished span as the ring holds it: binary ids, Unix-nano
+// instants, and the attributes in the order they were set.
+type span struct {
+	sc         SpanContext
+	parent     SpanID // zero for a trace's root span
+	name, proc string
+	start, end int64
+	attrs      []Attr
+}
+
+// data renders s as SpanData: hex ids, no parent id for a root span, and
+// the attributes as a map in which a later key overrides an earlier one.
+func (s *span) data() SpanData {
+	d := SpanData{
+		TraceID: s.sc.TraceID.String(),
+		SpanID:  s.sc.SpanID.String(),
+		Name:    s.name,
+		Proc:    s.proc,
+		Start:   s.start,
+		End:     s.end,
+	}
+	if s.parent != (SpanID{}) {
+		d.Parent = s.parent.String()
+	}
+	if len(s.attrs) > 0 {
+		d.Attrs = make(map[string]string, len(s.attrs))
+		for _, a := range s.attrs {
+			d.Attrs[a.Key] = a.Value
+		}
+	}
+	return d
 }
 
 // Options configures a Tracer.
@@ -192,12 +246,14 @@ type Tracer struct {
 
 	mu       sync.Mutex
 	rnd      func() uint64
-	buf      []SpanData
+	buf      []span
 	start    int // index of the oldest element
 	n        int // elements in the ring
 	recorded uint64
 	dropped  uint64
-	onSpan   func(dropped bool)
+	// spans and evicted count recorded and dropped on the registry
+	// CountSpans was given; nil until it is called.
+	spans, evicted *metrics.Counter
 }
 
 // New builds a Tracer.
@@ -215,22 +271,8 @@ func New(o Options) *Tracer {
 	return &Tracer{
 		proc: o.Proc,
 		rnd:  rnd,
-		buf:  make([]SpanData, capacity),
+		buf:  make([]span, capacity),
 	}
-}
-
-// SetOnSpan installs the hook called (under the tracer's lock — keep it
-// cheap) once per recorded span, with dropped reporting whether recording
-// it evicted an older span. It replaces any previous hook, so a component
-// re-homing a shared tracer onto the same metrics counters does not double
-// count. Nil clears the hook.
-func (t *Tracer) SetOnSpan(hook func(dropped bool)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.onSpan = hook
-	t.mu.Unlock()
 }
 
 // CountSpans surfaces the tracer's recording activity on reg:
@@ -240,23 +282,19 @@ func (t *Tracer) SetOnSpan(hook func(dropped bool)) {
 //	    older span (the ring overflowed; old traces may be incomplete)
 //
 // Call it once, in the process that owns the tracer (crnserve's serve.New,
-// crncheck -coordinator): it installs the SetOnSpan hook, which replaces any
-// previous one, so a second call re-points the counts at another registry.
-// Nil-safe on both the tracer and reg.
+// crncheck -coordinator). A second call re-points the counts at another
+// registry instead of counting twice. Nil-safe on both the tracer and reg.
 func (t *Tracer) CountSpans(reg *metrics.Registry) {
 	if t == nil || reg == nil {
 		return
 	}
 	spans := reg.Counter("crn_trace_spans_total",
 		"Spans recorded into the trace ring buffer.")
-	dropped := reg.Counter("crn_trace_spans_dropped_total",
+	evicted := reg.Counter("crn_trace_spans_dropped_total",
 		"Span recordings that evicted an older span (ring overflow).")
-	t.SetOnSpan(func(evicted bool) {
-		spans.Inc()
-		if evicted {
-			dropped.Inc()
-		}
-	})
+	t.mu.Lock()
+	t.spans, t.evicted = spans, evicted
+	t.mu.Unlock()
 }
 
 // Stats returns how many spans were ever recorded and how many of those
@@ -270,16 +308,6 @@ func (t *Tracer) Stats() (recorded, dropped uint64) {
 	return t.recorded, t.dropped
 }
 
-// newSpanID draws a nonzero span id. Caller holds t.mu.
-func (t *Tracer) newSpanIDLocked() SpanID {
-	var id SpanID
-	putUint64(id[:], t.rnd())
-	if id == (SpanID{}) {
-		id[7] = 1
-	}
-	return id
-}
-
 // putUint64 writes v big-endian into b[:8].
 func putUint64(b []byte, v uint64) {
 	for i := 7; i >= 0; i-- {
@@ -288,152 +316,104 @@ func putUint64(b []byte, v uint64) {
 	}
 }
 
-// StartSpan opens a span named name starting at now. An invalid parent
-// starts a new trace (fresh trace id); a valid one continues it. The span
-// is not recorded until End. Nil-safe: a nil tracer returns a nil span.
-func (t *Tracer) StartSpan(now time.Time, name string, parent SpanContext, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	sp := &Span{t: t, name: name, start: now}
+// newContext draws the context of a span started under parent. A valid
+// parent is continued: same trace, and parent's span id as the parent id.
+// An invalid one starts a new trace, and the span has no parent id.
+func (t *Tracer) newContext(parent SpanContext) (sc SpanContext, parentID SpanID) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if parent.Valid() {
-		sp.sc.TraceID = parent.TraceID
-		sp.parent = parent.SpanID
+		sc.TraceID, parentID = parent.TraceID, parent.SpanID
 	} else {
-		putUint64(sp.sc.TraceID[:8], t.rnd())
-		putUint64(sp.sc.TraceID[8:], t.rnd())
-		if sp.sc.TraceID == (TraceID{}) {
-			sp.sc.TraceID[15] = 1
+		putUint64(sc.TraceID[:8], t.rnd())
+		putUint64(sc.TraceID[8:], t.rnd())
+		if sc.TraceID == (TraceID{}) {
+			sc.TraceID[15] = 1
 		}
 	}
-	sp.sc.SpanID = t.newSpanIDLocked()
-	t.mu.Unlock()
-	for _, a := range attrs {
-		sp.SetAttr(a.Key, a.Value)
+	putUint64(sc.SpanID[:], t.rnd())
+	if sc.SpanID == (SpanID{}) {
+		sc.SpanID[7] = 1
 	}
-	return sp
+	return sc, parentID
 }
 
-// Record inserts an externally produced finished span (e.g. one shipped
-// from a dist worker) into the ring. Nil-safe.
+// record inserts one finished span into the ring, evicting the oldest when
+// the ring is full.
+func (t *Tracer) record(s span) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	evicted := t.n == len(t.buf)
+	if evicted {
+		t.buf[t.start] = s
+		t.start = (t.start + 1) % len(t.buf)
+		t.dropped++
+	} else {
+		t.buf[(t.start+t.n)%len(t.buf)] = s
+		t.n++
+	}
+	t.recorded++
+	if t.spans != nil {
+		t.spans.Inc()
+		if evicted {
+			t.evicted.Inc()
+		}
+	}
+}
+
+// Record inserts a finished span another process produced (one a dist
+// worker shipped with its result) into the ring. The span is input from
+// outside the process: its ids are decoded by ParseTraceparent's rules,
+// and a span whose trace, span or (non-empty) parent id breaks them is
+// dropped. Nil-safe.
 func (t *Tracer) Record(d SpanData) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	dropped := false
-	if t.n == len(t.buf) {
-		t.buf[t.start] = d
-		t.start = (t.start + 1) % len(t.buf)
-		t.dropped++
-		dropped = true
-	} else {
-		t.buf[(t.start+t.n)%len(t.buf)] = d
-		t.n++
+	s := span{name: d.Name, proc: d.Proc, start: d.Start, end: d.End}
+	if !decodeID(s.sc.TraceID[:], d.TraceID) || !decodeID(s.sc.SpanID[:], d.SpanID) ||
+		d.Parent != "" && !decodeID(s.parent[:], d.Parent) {
+		return
 	}
-	t.recorded++
-	if t.onSpan != nil {
-		t.onSpan(dropped)
+	for _, k := range sortedKeys(d.Attrs) {
+		s.attrs = append(s.attrs, Attr{Key: k, Value: d.Attrs[k]})
 	}
+	t.record(s)
 }
 
-// Snapshot copies the ring's spans, oldest first.
-func (t *Tracer) Snapshot() []SpanData {
+// Snapshot renders the ring's spans, oldest first.
+func (t *Tracer) Snapshot() []SpanData { return t.render(nil) }
+
+// TraceSpans renders the ring's spans belonging to the hex trace id,
+// oldest first — how a dist worker collects the spans it ships with a
+// result report, and how GET /debug/traces?trace= filters. An id that is
+// not a valid trace id matches nothing.
+func (t *Tracer) TraceSpans(traceID string) []SpanData {
+	var id TraceID
+	if !decodeID(id[:], traceID) {
+		return nil
+	}
+	return t.render(&id)
+}
+
+// render renders the ring's spans, oldest first: all of them, or only
+// trace's when trace is non-nil. The spans are copied under the lock and
+// rendered outside it, so recording never waits on an export.
+func (t *Tracer) render(trace *TraceID) []SpanData {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanData, 0, t.n)
+	kept := make([]span, 0, t.n)
 	for i := 0; i < t.n; i++ {
-		out = append(out, t.buf[(t.start+i)%len(t.buf)])
+		if s := &t.buf[(t.start+i)%len(t.buf)]; trace == nil || s.sc.TraceID == *trace {
+			kept = append(kept, *s)
+		}
 	}
-	return out
-}
-
-// TraceSpans returns the ring's spans belonging to the hex trace id,
-// oldest first — how a dist worker collects the spans it ships with a
-// result report.
-func (t *Tracer) TraceSpans(traceID string) []SpanData {
+	t.mu.Unlock()
 	var out []SpanData
-	for _, d := range t.Snapshot() {
-		if d.TraceID == traceID {
-			out = append(out, d)
-		}
+	for i := range kept {
+		out = append(out, kept[i].data())
 	}
 	return out
-}
-
-// Span is one in-flight operation. Methods are safe for concurrent use
-// and no-ops on a nil receiver (tracing disabled).
-type Span struct {
-	t      *Tracer
-	sc     SpanContext
-	parent SpanID
-	name   string
-	start  time.Time
-
-	mu    sync.Mutex
-	ended bool
-	attrs map[string]string
-}
-
-// Context returns the span's propagation context (zero when sp is nil).
-func (sp *Span) Context() SpanContext {
-	if sp == nil {
-		return SpanContext{}
-	}
-	return sp.sc
-}
-
-// SetAttr sets one attribute; calls after End are ignored.
-func (sp *Span) SetAttr(key, value string) {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.ended {
-		return
-	}
-	if sp.attrs == nil {
-		sp.attrs = make(map[string]string)
-	}
-	sp.attrs[key] = value
-}
-
-// End finishes the span at now, attaches any final attrs, and records it
-// in the tracer's ring. Only the first End takes effect.
-func (sp *Span) End(now time.Time, attrs ...Attr) {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	if sp.ended {
-		sp.mu.Unlock()
-		return
-	}
-	for _, a := range attrs {
-		if sp.attrs == nil {
-			sp.attrs = make(map[string]string)
-		}
-		sp.attrs[a.Key] = a.Value
-	}
-	sp.ended = true
-	d := SpanData{
-		TraceID: sp.sc.TraceID.String(),
-		SpanID:  sp.sc.SpanID.String(),
-		Name:    sp.name,
-		Proc:    sp.t.proc,
-		Start:   sp.start.UnixNano(),
-		End:     now.UnixNano(),
-		Attrs:   sp.attrs,
-	}
-	if sp.parent != (SpanID{}) {
-		d.Parent = sp.parent.String()
-	}
-	sp.mu.Unlock()
-	sp.t.Record(d)
 }

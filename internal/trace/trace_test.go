@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -26,8 +27,7 @@ func testTracer(capacity int) *Tracer {
 func at(ms int64) time.Time { return time.Unix(0, ms*int64(time.Millisecond)) }
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	tr := testTracer(16)
-	sp := tr.StartSpan(at(1), "root", SpanContext{})
+	sp := NewSeam(testTracer(16), nil, nil).Start(at(1), "root", SpanContext{})
 	hdr := sp.Context().Traceparent()
 	if len(hdr) != 55 || !strings.HasPrefix(hdr, "00-") || !strings.HasSuffix(hdr, "-01") {
 		t.Fatalf("bad traceparent %q", hdr)
@@ -64,11 +64,12 @@ func TestParseTraceparentRejects(t *testing.T) {
 
 func TestSpanLifecycleAndLinkage(t *testing.T) {
 	tr := testTracer(16)
-	root := tr.StartSpan(at(10), "root", SpanContext{}, String("kind", "server"))
-	child := tr.StartSpan(at(20), "child", root.Context())
-	child.End(at(30), Int("items", 3))
-	root.End(at(40))
-	root.End(at(99)) // second End is a no-op
+	s := NewSeam(tr, nil, nil)
+	root := s.Start(at(10), "root", SpanContext{}, String("kind", "server"))
+	// End's attribute overrides Start's under the same key.
+	child := s.Start(at(20), "child", root.Context(), String("items", "0"))
+	child.End(at(30), "ok", Int("items", 3))
+	root.End(at(40), "ok")
 	spans := tr.Snapshot()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
@@ -89,8 +90,8 @@ func TestSpanLifecycleAndLinkage(t *testing.T) {
 	if c.Start != at(20).UnixNano() || c.End != at(30).UnixNano() {
 		t.Fatalf("child instants %d..%d", c.Start, c.End)
 	}
-	if r.End != at(40).UnixNano() {
-		t.Fatalf("second End overwrote the first: end=%d", r.End)
+	if r.Start != at(10).UnixNano() || r.End != at(40).UnixNano() {
+		t.Fatalf("root instants %d..%d", r.Start, r.End)
 	}
 	if c.Attrs["items"] != "3" || r.Attrs["kind"] != "server" || r.Proc != "test" {
 		t.Fatalf("attrs/proc not recorded: %+v / %+v", c, r)
@@ -99,37 +100,32 @@ func TestSpanLifecycleAndLinkage(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	sp := tr.StartSpan(at(1), "x", SpanContext{})
-	if sp != nil {
-		t.Fatal("nil tracer must return nil span")
-	}
-	sp.SetAttr("k", "v")
-	sp.End(at(2))
-	if sp.Context().Valid() {
-		t.Fatal("nil span context must be invalid")
+	ev := NewSeam(tr, nil, nil).Start(at(1), "x", SpanContext{})
+	ev.End(at(2), "ok")
+	if ev.Context().Valid() {
+		t.Fatal("an event on a nil tracer must have an invalid context")
 	}
 	tr.Record(SpanData{})
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer snapshot = %v", got)
 	}
+	if got := tr.TraceSpans(ev.Context().TraceID.String()); got != nil {
+		t.Fatalf("nil tracer trace spans = %v", got)
+	}
 	if rec, drop := tr.Stats(); rec != 0 || drop != 0 {
 		t.Fatal("nil tracer stats must be zero")
 	}
-	tr.SetOnSpan(func(bool) {})
+	tr.CountSpans(metrics.NewRegistry())
+	testTracer(16).CountSpans(nil)
 }
 
 func TestRingEviction(t *testing.T) {
 	tr := testTracer(4)
-	var hookTotal, hookDropped int
-	tr.SetOnSpan(func(dropped bool) {
-		hookTotal++
-		if dropped {
-			hookDropped++
-		}
-	})
+	reg := metrics.NewRegistry()
+	tr.CountSpans(reg)
+	s := NewSeam(tr, nil, nil)
 	for i := 0; i < 10; i++ {
-		sp := tr.StartSpan(at(int64(i)), "s", SpanContext{}, Int("i", int64(i)))
-		sp.End(at(int64(i) + 1))
+		s.Start(at(int64(i)), "s", SpanContext{}, Int("i", int64(i))).End(at(int64(i)+1), "ok")
 	}
 	spans := tr.Snapshot()
 	if len(spans) != 4 {
@@ -144,8 +140,11 @@ func TestRingEviction(t *testing.T) {
 	if rec != 10 || drop != 6 {
 		t.Fatalf("stats = (%d, %d), want (10, 6)", rec, drop)
 	}
-	if hookTotal != 10 || hookDropped != 6 {
-		t.Fatalf("hook saw (%d, %d), want (10, 6)", hookTotal, hookDropped)
+	got := render(t, reg)
+	for _, want := range []string{"crn_trace_spans_total 10\n", "crn_trace_spans_dropped_total 6\n"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("missing %q in:\n%s", want, got)
+		}
 	}
 }
 
@@ -198,10 +197,10 @@ func TestExportChromeTrace(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	tr := testTracer(16)
-	r1 := tr.StartSpan(at(1), "one", SpanContext{})
-	r1.End(at(2))
-	r2 := tr.StartSpan(at(3), "two", SpanContext{})
-	r2.End(at(4))
+	s := NewSeam(tr, nil, nil)
+	r1 := s.Start(at(1), "one", SpanContext{})
+	r1.End(at(2), "ok")
+	s.Start(at(3), "two", SpanContext{}).End(at(4), "ok")
 
 	get := func(url string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -236,13 +235,82 @@ func TestHandler(t *testing.T) {
 
 func TestTraceSpans(t *testing.T) {
 	tr := testTracer(16)
-	a := tr.StartSpan(at(1), "a", SpanContext{})
-	a.End(at(2))
-	b := tr.StartSpan(at(3), "b", SpanContext{})
-	b.End(at(4))
+	s := NewSeam(tr, nil, nil)
+	a := s.Start(at(1), "a", SpanContext{})
+	a.End(at(2), "ok")
+	s.Start(at(3), "b", SpanContext{}).End(at(4), "ok")
 	got := tr.TraceSpans(a.Context().TraceID.String())
 	if len(got) != 1 || got[0].Name != "a" {
 		t.Fatalf("TraceSpans = %+v", got)
+	}
+}
+
+// TestRecordRoundTrip: the spans a worker tracer renders with TraceSpans,
+// shipped as JSON and recorded on a second tracer, render back as the
+// identical SpanData there.
+func TestRecordRoundTrip(t *testing.T) {
+	worker := testTracer(16)
+	s := NewSeam(worker, nil, nil)
+	rect := s.Start(at(1), "dist.rect", SpanContext{}, Int("rect", 3), String("worker", "w1"))
+	s.Start(at(2), "httpx.attempt", rect.Context()).End(at(3), "ok", String("status", "200"))
+	rect.End(at(4), "ok", Int("checked", 9))
+	s.Start(at(5), "other", SpanContext{}).End(at(6), "ok")
+	shipped := worker.TraceSpans(rect.Context().TraceID.String())
+	if len(shipped) != 2 {
+		t.Fatalf("worker rendered %d spans, want 2: %+v", len(shipped), shipped)
+	}
+	b, err := json.Marshal(shipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire []SpanData
+	if err := json.Unmarshal(b, &wire); err != nil {
+		t.Fatal(err)
+	}
+	coord := New(Options{Proc: "coordinator"})
+	for _, d := range wire {
+		coord.Record(d)
+	}
+	if got := coord.TraceSpans(rect.Context().TraceID.String()); !reflect.DeepEqual(got, shipped) {
+		t.Fatalf("recorded spans render as\n%+v\nwant\n%+v", got, shipped)
+	}
+}
+
+// TestRecordDropsMalformed: a shipped span whose trace, span or parent id
+// breaks ParseTraceparent's rules is dropped, not recorded or panicked on.
+func TestRecordDropsMalformed(t *testing.T) {
+	good := SpanData{
+		TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7",
+		Parent: "00f067aa0ba902b8", Name: "dist.rect", Proc: "worker", Start: 1, End: 2,
+	}
+	bad := []func(d *SpanData){
+		func(d *SpanData) { d.TraceID = strings.ToUpper(d.TraceID) },
+		func(d *SpanData) { d.TraceID = d.TraceID[:30] },
+		func(d *SpanData) { d.TraceID = "" },
+		func(d *SpanData) { d.TraceID = strings.Repeat("0", 32) },
+		func(d *SpanData) { d.SpanID = "00f067aa0ba902bx" },
+		func(d *SpanData) { d.SpanID = d.SpanID + "00" },
+		func(d *SpanData) { d.SpanID = strings.Repeat("0", 16) },
+		func(d *SpanData) { d.Parent = strings.ToUpper("00f067aa0ba902bf") },
+		func(d *SpanData) { d.Parent = "00f067aa" },
+		func(d *SpanData) { d.Parent = "00f067aa0ba902g8" },
+		func(d *SpanData) { d.Parent = strings.Repeat("0", 16) },
+	}
+	tr := testTracer(16)
+	for i, mutate := range bad {
+		d := good
+		mutate(&d)
+		tr.Record(d)
+		if rec, _ := tr.Stats(); rec != 0 {
+			t.Fatalf("case %d: recorded malformed span %+v", i, d)
+		}
+	}
+	root := good
+	root.Parent = ""
+	tr.Record(good)
+	tr.Record(root)
+	if got := tr.Snapshot(); !reflect.DeepEqual(got, []SpanData{good, root}) {
+		t.Fatalf("well-formed spans render as %+v", got)
 	}
 }
 
@@ -327,8 +395,7 @@ func TestSeamEnd(t *testing.T) {
 }
 
 func TestContextPlumbing(t *testing.T) {
-	tr := testTracer(16)
-	sp := tr.StartSpan(at(1), "op", SpanContext{})
+	sp := NewSeam(testTracer(16), nil, nil).Start(at(1), "op", SpanContext{})
 	ctx := ContextWith(t.Context(), sp.Context())
 	if got := FromContext(ctx); got != sp.Context() {
 		t.Fatalf("FromContext = %+v, want %+v", got, sp.Context())
@@ -340,7 +407,7 @@ func TestContextPlumbing(t *testing.T) {
 
 func TestProgressReporter(t *testing.T) {
 	tr := testTracer(16)
-	parent := tr.StartSpan(at(1), "job", SpanContext{})
+	parent := NewSeam(tr, nil, nil).Start(at(1), "job", SpanContext{})
 	clockNow := at(5)
 	var lines []string
 	s := NewSeam(tr, nil, func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) })
