@@ -261,8 +261,38 @@ func reachSuite(quick bool) suiteReport {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, rec)
 	}
+	rep.Benchmarks = append(rep.Benchmarks, branchyGridBenchmarks(k)...)
 	rep.Benchmarks = append(rep.Benchmarks, skewGridBenchmarks(quick, k)...)
 	return rep
+}
+
+// branchyGridBenchmarks measures the Branchy [0,10]^2 grid (benchcrn.Branchy
+// computes max): 121 inputs of one CRN, 107,393 configurations, the shape
+// of _perfbench's check-cold and jobs-local grids. Each worker explores
+// every input it claims in one reused workspace, so alloc_bytes_per_config
+// (bytes allocated per op over configurations explored) counts the
+// buffers the largest inputs grow, not a fresh exploration per input.
+func branchyGridBenchmarks(k int) []record {
+	c := benchcrn.Branchy()
+	f := func(x []int64) int64 { return max(x[0], x[1]) }
+	var out []record
+	for _, workers := range []int{1, 0} {
+		var explored int
+		rec := measure(fmt.Sprintf("checkgrid_branchy_0_10_workers%d", workers), k, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := reach.CheckGrid(c, f, []int64{0, 0}, []int64{10, 10}, reach.WithWorkers(workers))
+				if err != nil || !res.OK() {
+					b.Fatalf("%v %v", err, res)
+				}
+				explored = res.Explored
+			}
+			b.ReportMetric(float64(explored), "configs")
+		})
+		rec.Extra = withExtra(rec.Extra, "alloc_bytes_per_config", float64(rec.BytesPerOp)/float64(explored))
+		out = append(out, rec)
+	}
+	return out
 }
 
 // bytesPerConfig is the heap a live Graph retains per configuration: the

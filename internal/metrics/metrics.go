@@ -127,30 +127,40 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// childKey joins label values unambiguously (values may contain any
-// bytes, so a plain join would collide).
-func childKey(values []string) string {
-	var b strings.Builder
-	for _, v := range values {
-		b.WriteString(strconv.Quote(v))
-	}
-	return b.String()
-}
-
-func (f *family) child(values []string, make func() child) child {
+// child returns the child for the given label values, creating it on
+// first use. Its key joins the quoted values, so values holding any bytes
+// never collide. The key is built in a stack buffer, and indexing the map
+// with string(key) does not copy it, so a hit allocates nothing.
+func (f *family) child(values []string) child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %q expects %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
-	key := childKey(values)
+	var buf [128]byte
+	key := buf[:0]
+	for _, v := range values {
+		key = strconv.AppendQuote(key, v)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	if c, ok := f.children[string(key)]; ok {
 		return c
 	}
-	c := make()
-	f.children[key] = c
+	c := f.newChild(append([]string(nil), values...))
+	f.children[string(key)] = c
 	return c
+}
+
+// newChild returns a new child of the family's type with the given label
+// values.
+func (f *family) newChild(labels []string) child {
+	switch f.typ {
+	case typeCounter:
+		return &Counter{labels: labels}
+	case typeGauge:
+		return &Gauge{labels: labels}
+	}
+	return newHistogram(labels, f.buckets)
 }
 
 // Counter is a monotonically increasing counter.
@@ -235,14 +245,12 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // Counter returns the unlabeled counter with the given name,
 // registering the family on first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.family(name, help, typeCounter, nil, nil)
-	return f.child(nil, func() child { return &Counter{} }).(*Counter)
+	return r.family(name, help, typeCounter, nil, nil).child(nil).(*Counter)
 }
 
 // Gauge returns the unlabeled gauge with the given name.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, typeGauge, nil, nil)
-	return f.child(nil, func() child { return &Gauge{} }).(*Gauge)
+	return r.family(name, help, typeGauge, nil, nil).child(nil).(*Gauge)
 }
 
 func newHistogram(labels []string, upper []float64) *Histogram {
@@ -280,9 +288,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the counter for the given label values, creating it on
 // first use.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.child(values, func() child {
-		return &Counter{labels: append([]string(nil), values...)}
-	}).(*Counter)
+	return v.f.child(values).(*Counter)
 }
 
 // GaugeVec is a family of gauges partitioned by label values.
@@ -298,9 +304,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() child {
-		return &Gauge{labels: append([]string(nil), values...)}
-	}).(*Gauge)
+	return v.f.child(values).(*Gauge)
 }
 
 // HistogramVec is a family of histograms partitioned by label values.
@@ -317,9 +321,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.child(values, func() child {
-		return newHistogram(append([]string(nil), values...), v.f.buckets)
-	}).(*Histogram)
+	return v.f.child(values).(*Histogram)
 }
 
 // WriteText renders every family in the Prometheus text exposition

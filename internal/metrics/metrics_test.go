@@ -201,3 +201,22 @@ func TestConcurrentHotPath(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 8000", n)
 	}
 }
+
+// TestVecWithHitAllocs pins that looking up an existing child allocates
+// nothing: the serve and trace seams call With on every event.
+func TestVecWithHitAllocs(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("c_total", "c", "a", "b")
+	gv := r.GaugeVec("g", "g", "a")
+	hv := r.HistogramVec("h_seconds", "h", DefBuckets, "span", "outcome")
+	for name, with := range map[string]func(){
+		"CounterVec":   func() { cv.With("x", `q"uote`).Inc() },
+		"GaugeVec":     func() { gv.With("y").Inc() },
+		"HistogramVec": func() { hv.With("serve.cache.lookup", "hit").Observe(0.001) },
+	} {
+		with() // the miss creates the child
+		if got := testing.AllocsPerRun(100, with); got != 0 {
+			t.Errorf("%s.With hit: %v allocations, want 0", name, got)
+		}
+	}
+}

@@ -42,7 +42,7 @@ func TestExploreCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	root := branchyCRN().MustInitialConfig(vec.New(3, 3))
-	g, err := explore(root, ctxOptions(ctx, WithWorkers(4)))
+	g, err := explore(newWorkspace(root.CRN()), root, ctxOptions(ctx, WithWorkers(4)))
 	if g != nil {
 		t.Fatalf("canceled exploration returned a graph (%d configs)", g.NumConfigs())
 	}
@@ -67,7 +67,8 @@ func TestExploreCtxCancelMidRun(t *testing.T) {
 		// ~15k configs: comfortably past the explorer's 1024-head poll
 		// stride.
 		root := branchyCRN().MustInitialConfig(vec.New(12, 12))
-		g, err := explore(root, ctxOptions(ctx, WithWorkers(workers), WithMaxConfigs(1<<20), WithProgress(rep)))
+		g, err := explore(newWorkspace(root.CRN()), root,
+			ctxOptions(ctx, WithWorkers(workers), WithMaxConfigs(1<<20), WithProgress(rep)))
 		if g != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: g=%v err=%v, want nil graph and wrapped context.Canceled", workers, g, err)
 		}
@@ -125,10 +126,11 @@ func TestCheckInputCtxCancelAndComplete(t *testing.T) {
 	root := branchyCRN().MustInitialConfig(vec.New(4, 4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := checkInput(root, 4, ctxOptions(ctx, WithWorkers(2))); !errors.Is(err, context.Canceled) {
+	ws := newWorkspace(root.CRN())
+	if _, err := checkInput(ws, root, 4, ctxOptions(ctx, WithWorkers(2))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
-	v, err := checkInput(root, 4, ctxOptions(context.Background(), WithWorkers(2)))
+	v, err := checkInput(ws, root, 4, ctxOptions(context.Background(), WithWorkers(2)))
 	if err != nil || !v.OK {
 		t.Fatalf("live-context check: v=%+v err=%v", v, err)
 	}

@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -70,34 +71,50 @@ func naiveExplore(root crn.Config, o Options) naiveGraph {
 	return ng
 }
 
-// requireExploreMatchesNaive explores root with opts at workers 1 and 2
-// and requires both graphs to equal the naive exploration: rows in id
-// order, Complete, the CSR edges and the BFS tree.
+// requireExploreMatchesNaive explores root with opts at workers 1 and 2,
+// and once more in a workspace that other explorations have used
+// (usedWorkspace), and requires every graph to equal the naive
+// exploration: rows in id order, Complete, the CSR edges and the BFS tree.
 func requireExploreMatchesNaive(t *testing.T, root crn.Config, opts ...Option) {
 	t.Helper()
-	want := naiveExplore(root, buildOptions(opts))
+	o := buildOptions(opts)
+	want := naiveExplore(root, o)
 	for _, workers := range []int{1, 2} {
 		g := Explore(root, append(slices.Clone(opts), WithWorkers(workers))...)
-		if g.Complete != want.complete {
-			t.Fatalf("workers=%d: Complete = %v, naive %v", workers, g.Complete, want.complete)
+		requireGraphMatchesNaive(t, fmt.Sprintf("workers=%d", workers), g, want)
+	}
+	ws, larger := usedWorkspace(t, root, o)
+	if larger <= len(want.rows) {
+		t.Fatalf("the larger exploration found %d configurations, this one %d", larger, len(want.rows))
+	}
+	g, err := explore(ws, root, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireGraphMatchesNaive(t, "used workspace", g, want)
+}
+
+func requireGraphMatchesNaive(t *testing.T, label string, g *Graph, want naiveGraph) {
+	t.Helper()
+	if g.Complete != want.complete {
+		t.Fatalf("%s: Complete = %v, naive %v", label, g.Complete, want.complete)
+	}
+	if g.NumConfigs() != len(want.rows) {
+		t.Fatalf("%s: %d configurations, naive %d", label, g.NumConfigs(), len(want.rows))
+	}
+	for id, row := range want.rows {
+		if got := g.Counts(int32(id)); !slices.Equal(got, row) {
+			t.Fatalf("%s: configuration %d is %v, naive %v", label, id, got, row)
 		}
-		if g.NumConfigs() != len(want.rows) {
-			t.Fatalf("workers=%d: %d configurations, naive %d", workers, g.NumConfigs(), len(want.rows))
-		}
-		for id, row := range want.rows {
-			if got := g.Counts(int32(id)); !slices.Equal(got, row) {
-				t.Fatalf("workers=%d: configuration %d is %v, naive %v", workers, id, got, row)
-			}
-		}
-		for name, pair := range map[string][2][]int32{
-			"succ":      {g.succ, want.succ},
-			"succOff":   {g.succOff, want.succOff},
-			"parent":    {g.parent, want.parent},
-			"parentVia": {g.parentVia, want.parentVia},
-		} {
-			if !slices.Equal(pair[0], pair[1]) {
-				t.Fatalf("workers=%d: %s differs:\nengine %v\nnaive  %v", workers, name, pair[0], pair[1])
-			}
+	}
+	for name, pair := range map[string][2][]int32{
+		"succ":      {g.succ, want.succ},
+		"succOff":   {g.succOff, want.succOff},
+		"parent":    {g.parent, want.parent},
+		"parentVia": {g.parentVia, want.parentVia},
+	} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Fatalf("%s: %s differs:\nengine %v\nnaive  %v", label, name, pair[0], pair[1])
 		}
 	}
 }

@@ -19,7 +19,8 @@ var testClaimJitter func()
 // Up to o.Workers goroutines claim whole inputs from one atomic cursor,
 // and each input is explored sequentially by the worker that claimed it,
 // so the schedule decides only who checks an input, never its verdict.
-func runGridJobs(jobs []gridJob, o Options) ([]Verdict, error) {
+// Worker k explores every input it claims in wss[k].
+func runGridJobs(jobs []gridJob, o Options, wss []*workspace) ([]Verdict, error) {
 	verdicts := make([]Verdict, len(jobs))
 	// failMin is the smallest job index known to have failed; jobs after it
 	// can be skipped since aggregation never reads past the first failure.
@@ -34,11 +35,11 @@ func runGridJobs(jobs []gridJob, o Options) ([]Verdict, error) {
 	// call even on the error path.
 	var ferr firstError
 	var wg sync.WaitGroup
-	for range min(o.Workers, len(jobs)) {
+	for k := range min(o.Workers, len(jobs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gridWorker(jobs, verdicts, o, &next, &failMin, &ferr)
+			gridWorker(wss[k], jobs, verdicts, o, &next, &failMin, &ferr)
 		}()
 	}
 	wg.Wait()
@@ -68,7 +69,7 @@ func (e *firstError) get() error {
 	return e.err
 }
 
-func gridWorker(jobs []gridJob, verdicts []Verdict, o Options, next, failMin *atomic.Int64, ferr *firstError) {
+func gridWorker(ws *workspace, jobs []gridJob, verdicts []Verdict, o Options, next, failMin *atomic.Int64, ferr *firstError) {
 	for {
 		if testClaimJitter != nil {
 			testClaimJitter()
@@ -80,7 +81,7 @@ func gridWorker(jobs []gridJob, verdicts []Verdict, o Options, next, failMin *at
 		if i > failMin.Load() {
 			continue
 		}
-		v, err := checkInput(jobs[i].root, jobs[i].want, o)
+		v, err := checkInput(ws, jobs[i].root, jobs[i].want, o)
 		if err != nil {
 			// Cancellation: stop claiming. Workers still exploring see the
 			// same canceled context at their next poll, so leaving the

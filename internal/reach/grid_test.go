@@ -144,7 +144,7 @@ func TestStealPoolDrainTerminates(t *testing.T) {
 	}
 	// Empty job list (lo > hi still yields exactly one probe — the odometer
 	// semantics — so use runGridJobs directly for the empty case).
-	if v, _ := runGridJobs(nil, Options{Workers: 8}); len(v) != 0 {
+	if v, _ := runGridJobs(nil, Options{Workers: 8}, nil); len(v) != 0 {
 		t.Fatalf("empty chunk returned %d verdicts", len(v))
 	}
 }

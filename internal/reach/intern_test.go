@@ -5,8 +5,47 @@ import (
 	"testing"
 )
 
-// TestInternerCollisions drives lookupOrAdd with hashes the test chooses
-// instead of rowHash, so rows collide in each way a slot can:
+// newInterner returns an empty interner for rows of d counts at width w
+// and applicable sets of nw words, as a workspace holds one.
+func newInterner(d, w, nw int) *interner {
+	t := &interner{chunkedArena: *newChunkedArena(d, w, nw)}
+	t.reset(w)
+	return t
+}
+
+// untableHash inverts tableHash: it undoes each xor-shift and multiplies by
+// each multiplier's inverse mod 2^64.
+func untableHash(h uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for k := s; k < 64; k += s {
+			x ^= y >> k
+		}
+		return x
+	}
+	inverse := func(m uint64) uint64 {
+		x := m // correct to 3 bits for odd m; each Newton step doubles that
+		for range 5 {
+			x *= 2 - m*x
+		}
+		return x
+	}
+	h = unshift(h, 31) * inverse(0x94d049bb133111eb)
+	h = unshift(h, 27) * inverse(0xbf58476d1ce4e5b9)
+	return unshift(h, 30)
+}
+
+func TestUntableHash(t *testing.T) {
+	for _, h := range []uint64{0, 1, 7, 0x5eed << 32, 1<<64 - 1, 0x9e3779b97f4a7c15} {
+		if got := tableHash(untableHash(h)); got != h {
+			t.Fatalf("tableHash(untableHash(%#x)) = %#x", h, got)
+		}
+	}
+}
+
+// TestInternerCollisions drives lookupOrAdd with row hashes whose table
+// hashes the test chooses (through untableHash), so rows collide in each
+// way a slot can:
 //   - distinct rows with the identical full hash;
 //   - hashes with equal tags and different low bits;
 //   - hashes with the same home slot in every table size and different tags.
@@ -26,11 +65,11 @@ func TestInternerCollisions(t *testing.T) {
 	hash := func(i int) uint64 {
 		switch i % 3 {
 		case 0:
-			return tag | 7 // the identical full hash
+			return untableHash(tag | 7) // the identical full hash
 		case 1:
-			return tag | uint64(i)<<8 // the same tag, other low bits
+			return untableHash(tag | uint64(i)<<8) // the same tag, other low bits
 		}
-		return uint64(i)<<40 | 7 // the same home slot, other tags
+		return untableHash(uint64(i)<<40 | 7) // the same home slot, other tags
 	}
 	in := newInterner(d, 1, 1)
 	slots := len(in.slots)

@@ -22,12 +22,13 @@
 // a byte arena, one row of d counts per configuration packed at the
 // narrowest width of 1, 2, 4 or 8 bytes per count that holds every row
 // (row.go), deduplicated with an open-addressing interning table keyed by
-// an additive 64-bit hash of the counts — no string keys, no Config
+// a linear 64-bit hash of the counts — no string keys, no Config
 // clones. The constructions' counts are tiny, so rows are usually one byte
 // per count; an exploration widens every row the first time a count does
 // not fit. A reaction changes few counts, so the successor kernel (succ.go)
-// builds each successor's packed row and hash by patching only the counts
-// the reaction changes, in O(|Δ|). Each interned configuration also keeps
+// builds each successor's packed row by patching only the counts the
+// reaction changes, in O(|Δ|), and its hash by adding the reaction's
+// precomputed hash change. Each interned configuration also keeps
 // a discovery record, its hash and its set of applicable reactions,
 // derived from the head that discovered it by re-testing only the
 // reactions the firing can enable or disable (crn.DependentsAt), so a head
@@ -37,7 +38,17 @@
 //
 // The arena grows in fixed-size chunks (intern.go), so growth never copies
 // a row or a record, and each intern-table slot carries a 32-bit tag of its
-// row's hash, so a probe reads a row only when the tags match.
+// row's hash, so a probe reads a row only when the tags match. The Graph
+// reads its rows from the arena's chunks; nothing copies them out.
+//
+// An exploration runs in a workspace that owns all of its buffers: the
+// intern table and arena chunks, the CSR and BFS-tree arrays, the
+// successor kernel and the verdict pass's arrays. CheckGrid gives each
+// worker one workspace for the whole call, and each exploration resets it
+// and writes into the capacity the earlier ones left, so a grid of many
+// inputs of one CRN allocates only when an input outgrows every earlier
+// one, and its workspaces die with the call. Explore and CheckInput run
+// the same path in a fresh workspace.
 //
 // Parallelism is across grid inputs (grid.go): CheckGrid's worker budget
 // (WithWorkers, default runtime.NumCPU) runs that many goroutines, each
@@ -155,19 +166,18 @@ func buildOptions(opts []Option) Options {
 var ErrBudget = errors.New("reach: exploration budget exhausted")
 
 // Graph is the reachable configuration graph from a root configuration.
-// Configuration counts are stored row-wise in a flat arena, packed at the
-// narrowest width that holds every row of the graph, and edges in CSR
-// (compressed sparse row) form; use the accessor methods, which decode rows
-// into memory the caller owns. Config id 0 is the root.
+// Configuration counts are stored row-wise in the exploration's arena
+// chunks, packed at the narrowest width that holds every row of the
+// graph, and edges in CSR (compressed sparse row) form; use the accessor
+// methods, which decode rows into memory the caller owns. Config id 0 is
+// the root.
 type Graph struct {
 	CRN *crn.CRN
 	// Complete is false if the budget was exhausted (the graph is a prefix).
 	Complete bool
 
-	d      int    // species per configuration (counts per arena row)
-	w      int    // bytes per count (1, 2, 4 or 8)
-	outIdx int    // dense index of the output species
-	arena  []byte // n rows of d counts packed at width w
+	rowChunks     // n rows of d counts packed at width w, in the arena's chunks
+	outIdx    int // dense index of the output species
 
 	succ    []int32 // successor config ids, grouped by source node in reaction order
 	succOff []int32 // len n+1; node u's out-edges are succ[succOff[u]:succOff[u+1]]
@@ -180,12 +190,6 @@ type Graph struct {
 
 // NumConfigs returns the number of explored configurations.
 func (g *Graph) NumConfigs() int { return len(g.parent) }
-
-// row returns the packed row of configuration id.
-func (g *Graph) row(id int32) []byte {
-	rb := g.d * g.w
-	return g.arena[int(id)*rb : (int(id)+1)*rb]
-}
 
 // Counts decodes the count row of configuration id into a new row the
 // caller owns.
@@ -214,35 +218,65 @@ func (g *Graph) Parent(id int32) int32 { return g.parent[id] }
 // with it verdicts, witness traces and ids, never depends on the worker
 // count.
 func Explore(root crn.Config, opts ...Option) *Graph {
-	g, _ := explore(root, buildOptions(opts)) // no ctx attached: cannot fail
+	o := buildOptions(opts)
+	g, _ := explore(newWorkspace(root.CRN()), root, o) // no ctx attached: cannot fail
 	return g
 }
 
-// explore is the explorer: a FIFO BFS interning rows into a chunked arena
-// (intern.go), widened as soon as a row needs it. Every interned row is a
-// row of the graph, so the arena's width is the graph's; the rows are
-// copied once, at the end, into the Graph's flat arena. Cancellation is
-// polled on entry and every cancelCheckHeads heads — a deterministic
-// boundary, so every completed run is identical to an uncancellable one.
-// A non-nil error is always a cancellation (wrapped ctx.Err()) and comes
-// with a nil graph.
-func explore(root crn.Config, o Options) (*Graph, error) {
+// workspace owns the buffers of one exploration and its verdict pass: the
+// interner's table and arena chunks, the CSR and BFS-tree arrays, the
+// successor kernel, and condense's arrays and stacks. Each exploration in
+// a workspace resets them and reuses their capacity, so a grid worker
+// that checks many inputs of one CRN allocates only when an input
+// outgrows every earlier one. A Graph explored in a workspace, and a
+// condensation computed in it, share its buffers and are valid only until
+// the workspace's next exploration. A workspace serves one CRN and one
+// goroutine at a time; CheckGrid makes one per worker and drops them when
+// it returns.
+type workspace struct {
+	in interner
+	k  *succKernel
+
+	succ, succOff, parent, parentVia []int32
+
+	rindex []int32
+	lo, hi []int64
+	can    []bool
+	call   []sccFrame
+	open   []int32
+}
+
+func newWorkspace(c *crn.CRN) *workspace {
+	return &workspace{
+		in: interner{chunkedArena: *newChunkedArena(c.NumSpecies(), 1, setWords(c.NumReactions()))},
+		k:  newSuccKernel(c),
+	}
+}
+
+// explore is the explorer: a FIFO BFS interning rows into ws's chunked
+// arena (intern.go), widened as soon as a row needs it. Every interned row
+// is a row of the graph, so the arena's width is the graph's, and the
+// Graph reads its rows from the arena's chunks. Cancellation is polled on
+// entry and every cancelCheckHeads heads — a deterministic boundary, so
+// every completed run is identical to an uncancellable one. A non-nil
+// error is always a cancellation (wrapped ctx.Err()) and comes with a nil
+// graph.
+func explore(ws *workspace, root crn.Config, o Options) (*Graph, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
 	c := root.CRN()
-	d := c.NumSpecies()
-	g := &Graph{CRN: c, Complete: true, d: d, outIdx: c.OutputIndex()}
+	g := &Graph{CRN: c, Complete: true, outIdx: c.OutputIndex()}
 	rootPacked, w, rootHash, rootSet := packRoot(root)
-	in := newInterner(d, w, len(rootSet))
+	in, k := &ws.in, ws.k
+	in.reset(w)
+	k.maxCount = o.MaxCount
 	in.lookupOrAdd(rootPacked, rootHash)
 	_, rset := in.record(0)
 	copy(rset, rootSet)
-	g.parent = append(g.parent, -1)
-	g.parentVia = append(g.parentVia, -1)
+	succ, succOff := ws.succ[:0], append(ws.succOff[:0], 0)
+	parent, parentVia := append(ws.parent[:0], -1), append(ws.parentVia[:0], -1)
 
-	k := newSuccKernel(c, o.MaxCount)
-	succOff := make([]int32, 1, 1024)
 	for head := int32(0); int(head) < in.n; head++ {
 		if head%cancelCheckHeads == 0 && head > 0 {
 			// Post before polling so a cancellation triggered by the
@@ -277,26 +311,22 @@ func explore(root crn.Config, o Options) (*Graph, error) {
 				if added {
 					_, set := in.record(nid)
 					k.nextSet(set, ri)
-					g.parent = append(g.parent, head)
-					g.parentVia = append(g.parentVia, int32(ri))
+					parent = append(parent, head)
+					parentVia = append(parentVia, int32(ri))
 				}
-				g.succ = append(g.succ, nid)
+				succ = append(succ, nid)
 			}
 		}
-		succOff = append(succOff, int32(len(g.succ)))
+		succOff = append(succOff, int32(len(succ)))
 	}
 	// Close the offset table over nodes that were discovered but never
 	// expanded (budget exhaustion leaves a frontier).
 	for len(succOff) < in.n+1 {
-		succOff = append(succOff, int32(len(g.succ)))
+		succOff = append(succOff, int32(len(succ)))
 	}
-	g.succOff = succOff
-	g.w = in.w
-	rb := d * g.w
-	g.arena = make([]byte, 0, in.n*rb)
-	for _, chunk := range in.chunks {
-		g.arena = append(g.arena, chunk.rows[:min(len(chunk.rows), in.n*rb-len(g.arena))]...)
-	}
+	g.rowChunks = in.rowChunks
+	g.succ, g.succOff, g.parent, g.parentVia = succ, succOff, parent, parentVia
+	ws.succ, ws.succOff, ws.parent, ws.parentVia = succ, succOff, parent, parentVia
 	return g, nil
 }
 
@@ -331,36 +361,36 @@ type condensation struct {
 // over its members' outputs and its successor components' bounds, and it
 // can reach a correct stable configuration if it is one (bounds equal to
 // want) or a successor component can. Every configuration is reachable from
-// the root, so one search from id 0 visits the whole graph.
-func (g *Graph) condense(want int64) condensation {
+// the root, so one search from id 0 visits the whole graph. The pass runs
+// in ws's arrays and stacks, and the condensation it returns holds them
+// until ws's next pass.
+func (g *Graph) condense(want int64, ws *workspace) condensation {
 	n := g.NumConfigs()
 	// rindex[v] is 0 until v is visited, then the least visit index v is
 	// known to reach while its component is open, then -1 minus its
 	// component's root once that is complete.
-	rindex := make([]int32, n)
+	ws.rindex = zeroed(ws.rindex, n)
+	rindex := ws.rindex
 	// lo[v], hi[v] and can[v] start at v's own output and take in each
 	// complete component v has an edge to. A node that is not its
 	// component's root hands them to its parent, which is in the same
 	// component, so at the root they cover the component.
-	cd := condensation{lo: make([]int64, n), hi: make([]int64, n), can: make([]bool, n)}
+	ws.lo, ws.hi, ws.can = zeroed(ws.lo, n), zeroed(ws.hi, n), zeroed(ws.can, n)
+	cd := condensation{lo: ws.lo, hi: ws.hi, can: ws.can}
 	lo, hi, can := cd.lo, cd.hi, cd.can
 	for v := range lo {
 		lo[v] = g.Output(int32(v))
 		hi[v] = lo[v]
 	}
-	type frame struct {
-		v, e int32 // the node and its next out-edge
-		root bool  // no out-edge has led below v's own visit index
-	}
-	var call []frame
-	var open []int32 // finished nodes whose component is still open
+	call := ws.call[:0]
+	open := ws.open[:0] // finished nodes whose component is still open
 	succ, succOff := g.succ, g.succOff
 	index := int32(0)
 	for next := int32(0); ; {
 		if next >= 0 {
 			index++
 			rindex[next] = index
-			call = append(call, frame{v: next, e: succOff[next], root: true})
+			call = append(call, sccFrame{v: next, e: succOff[next], root: true})
 		}
 		f := &call[len(call)-1]
 		v := f.v
@@ -407,8 +437,15 @@ func (g *Graph) condense(want int64) condensation {
 	for v, r := range rindex {
 		rindex[v] = -r - 1
 	}
+	ws.call, ws.open = call, open
 	cd.root = rindex
 	return cd
+}
+
+// sccFrame is one call of condense's iterative depth-first search.
+type sccFrame struct {
+	v, e int32 // the node and its next out-edge
+	root bool  // no out-edge has led below v's own visit index
 }
 
 // StableIDs returns the ids of the stable configurations in g: those whose
@@ -416,7 +453,7 @@ func (g *Graph) condense(want int64) condensation {
 // off the verdict pass (condense). Only meaningful when g.Complete
 // (otherwise it is an under-approximation computed on the explored prefix).
 func (g *Graph) StableIDs() []int32 {
-	cd := g.condense(-1) // outputs are never negative: no component is correct
+	cd := g.condense(-1, new(workspace)) // outputs are never negative: no component is correct
 	var out []int32
 	for v, r := range cd.root {
 		if cd.lo[r] == cd.hi[r] {
@@ -448,15 +485,17 @@ type Verdict struct {
 // given initial configuration. It implements the literal Section 2.2
 // definition on the bounded reachability graph.
 func CheckInput(root crn.Config, want int64, opts ...Option) Verdict {
-	v, _ := checkInput(root, want, buildOptions(opts)) // no ctx: cannot fail
+	o := buildOptions(opts)
+	v, _ := checkInput(newWorkspace(root.CRN()), root, want, o) // no ctx: cannot fail
 	return v
 }
 
 // checkInput runs the stable-computation check on the given engine
-// options. A non-nil error is always a cancellation and comes with a zero
+// options, exploring and condensing in ws. The Verdict shares no memory
+// with ws. A non-nil error is always a cancellation and comes with a zero
 // Verdict.
-func checkInput(root crn.Config, want int64, o Options) (Verdict, error) {
-	g, err := explore(root, o)
+func checkInput(ws *workspace, root crn.Config, want int64, o Options) (Verdict, error) {
+	g, err := explore(ws, root, o)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -469,7 +508,7 @@ func checkInput(root crn.Config, want int64, o Options) (Verdict, error) {
 	if err := o.ctxErr(); err != nil {
 		return Verdict{}, err
 	}
-	cd := g.condense(want)
+	cd := g.condense(want, ws)
 	n := g.NumConfigs()
 	if !cd.can[0] { // id 0, where the search starts, roots its component
 		// Every configuration is reachable from the root, so a root that
@@ -602,6 +641,11 @@ func checkGrid(c *crn.CRN, f Func, lo, hi []int64, o Options) (GridResult, error
 	io := o
 	io.Progress = nil
 	chunkSize := max(64, 8*o.Workers)
+	// Worker k explores in workspace k in every chunk.
+	wss := make([]*workspace, o.Workers)
+	for k := range wss {
+		wss[k] = newWorkspace(c)
+	}
 	for {
 		// The chunk boundary is the grid check's deterministic cancellation
 		// point: a canceled run stops here (or at a worker's own poll inside
@@ -610,7 +654,7 @@ func checkGrid(c *crn.CRN, f Func, lo, hi []int64, o Options) (GridResult, error
 			return GridResult{}, err
 		}
 		jobs := nextChunk(chunkSize)
-		verdicts, err := runGridJobs(jobs, io)
+		verdicts, err := runGridJobs(jobs, io, wss)
 		if err != nil {
 			return GridResult{}, err
 		}

@@ -118,8 +118,9 @@ func verdictWants(g *Graph) []int64 {
 func requireVerdictMatchesReference(t testing.TB, g *Graph) {
 	t.Helper()
 	var stableIDs []int32
+	ws := new(workspace) // every want's pass reuses the last one's arrays
 	for _, want := range verdictWants(g) {
-		cd := g.condense(want)
+		cd := g.condense(want, ws)
 		stable, can := referenceVerdict(g, want)
 		stableIDs = stableIDs[:0]
 		for v, r := range cd.root {

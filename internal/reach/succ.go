@@ -8,16 +8,21 @@ import "crncompose/internal/crn"
 // needs a wider arena. A Lemma 6.2 reaction changes only a few
 // species, so the kernel pays O(d) once per head — decode, count the counts
 // over MaxCount — and O(|Δ|) per successor: it copies the head's packed row
-// and patches only the counts the reaction changes, updating the hash and
-// the over-MaxCount tally as it goes.
+// and patches only the counts the reaction changes, updating the
+// over-MaxCount tally as it goes, and O(1) for the successor's hash.
 //
-// The row hash is additive, h = Σᵢ mix(i, xᵢ) mod 2^64, so changing count i
-// from x to y changes h by mix(i, y) − mix(i, x) (incremental state hashing,
-// as in Zobrist 1970 and SPIN's incremental hashing, Nguyen & Ruys 2008).
-// It is a function of the counts alone, never of the packed width, so
-// widening an arena leaves every interned hash valid. The hash only picks
-// table slots and their tags; rows are always compared byte for byte, so
-// the choice of hash never changes a graph.
+// The row hash is linear, h = Σᵢ xᵢ·stride(i) mod 2^64, with stride(i) an
+// odd pseudo-random word per species, so reaction ri changes h by the same
+// Δh = Σ Δᵢ·stride(i) at every head: the kernel computes it once per
+// reaction, and a successor's hash is the head's plus one word
+// (incremental state hashing, as in Zobrist 1970 and SPIN's incremental
+// hashing, Nguyen & Ruys 2008). The hash is a function of the counts
+// alone, never of the packed width, so widening an arena leaves every
+// interned hash valid. Rows one reaction apart have hashes in arithmetic
+// progression, so the intern table takes slots and tags from
+// tableHash(h), splitmix64's finalizer, a bijection that scatters them.
+// The hash only picks table slots and their tags; rows are always compared
+// byte for byte, so the choice of hash never changes a graph.
 //
 // The discovery record. Every interned configuration carries its row hash
 // and its applicable set: setWords(nR) = ⌈nR/64⌉ words, bit ri%64 of word
@@ -33,20 +38,22 @@ import "crncompose/internal/crn"
 // which head discovered the configuration or on the width. Every record
 // lives beside its row in the arena's chunks (chunkedArena.record).
 
-// mix is one count's term of the row hash: splitmix64's output function
-// applied to the count offset by a per-species stride.
-func mix(i int, x int64) uint64 {
-	k := uint64(x) + uint64(i+1)*0x9e3779b97f4a7c15
-	k = (k ^ k>>30) * 0xbf58476d1ce4e5b9
-	k = (k ^ k>>27) * 0x94d049bb133111eb
-	return k ^ k>>31
+// tableHash is splitmix64's finalizer: the intern table's slot and tag of
+// a row with row hash h.
+func tableHash(h uint64) uint64 {
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
+
+// stride is species i's coefficient in the row hash.
+func stride(i int) uint64 { return tableHash(uint64(i+1)*0x9e3779b97f4a7c15) | 1 }
 
 // rowHash returns the hash of a whole row of counts.
 func rowHash(counts []int64) uint64 {
 	var h uint64
 	for i, x := range counts {
-		h += mix(i, x)
+		h += uint64(x) * stride(i)
 	}
 	return h
 }
@@ -71,10 +78,12 @@ func packRoot(root crn.Config) (packed []byte, w int, h uint64, set []uint64) {
 	return packed, w, rowHash(counts), set
 }
 
-// succKernel expands one head at a time. It is owned by one goroutine.
+// succKernel expands one head at a time. It is owned by one goroutine,
+// and serves every exploration of its workspace.
 type succKernel struct {
 	c        *crn.CRN
 	maxCount int64
+	dh       []uint64 // dh[ri] is what reaction ri adds to a row hash
 	cur      []int64  // the head's counts
 	h        uint64   // the head's row hash
 	set      []uint64 // the head's applicable set
@@ -85,12 +94,20 @@ type succKernel struct {
 	out      []byte   // the last successor's row packed at w
 }
 
-func newSuccKernel(c *crn.CRN, maxCount int64) *succKernel {
-	return &succKernel{
-		c: c, maxCount: maxCount,
+// newSuccKernel returns a kernel for c; its caller sets maxCount.
+func newSuccKernel(c *crn.CRN) *succKernel {
+	k := &succKernel{
+		c:   c,
+		dh:  make([]uint64, c.NumReactions()),
 		cur: make([]int64, c.NumSpecies()),
 		set: make([]uint64, setWords(c.NumReactions())),
 	}
+	for ri := range k.dh {
+		for _, dc := range c.DeltaAt(ri) {
+			k.dh[ri] += uint64(dc.Coeff) * stride(dc.Idx)
+		}
+	}
+	return k
 }
 
 // load makes the packed row (width w) with discovery record (h, set) the
@@ -107,7 +124,7 @@ func (k *succKernel) load(row []byte, w int, h uint64, set []uint64) {
 	}
 	if k.w != w {
 		k.w, k.lim = w, widthLimit(w)
-		k.head, k.out = make([]byte, len(row)), make([]byte, len(row))
+		k.head, k.out = zeroed(k.head, len(row)), zeroed(k.out, len(row))
 	}
 	copy(k.head, row)
 }
@@ -119,11 +136,10 @@ func (k *succKernel) load(row []byte, w int, h uint64, set []uint64) {
 // Over is reported before need, so a successor that is both is only over.
 func (k *succKernel) next(ri int) (h uint64, over bool, need int) {
 	copy(k.out, k.head)
-	h, nover := k.h, k.over
+	h, nover := k.h+k.dh[ri], k.over
 	for _, dc := range k.c.DeltaAt(ri) {
 		i, x := dc.Idx, k.cur[dc.Idx]
 		y := x + dc.Coeff
-		h += mix(i, y) - mix(i, x)
 		if x > k.maxCount {
 			nover--
 		}

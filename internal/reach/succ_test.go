@@ -38,7 +38,8 @@ func requireSuccessorMatchesRecompute(t *testing.T, c *crn.CRN, counts []int64, 
 	if _, _, h, set := packRoot(c.DenseConfig(counts)); h != rowHash(counts) || !slices.Equal(set, headSet) {
 		t.Fatalf("head %v: root record %#x %x, recomputed %#x %x", counts, h, set, rowHash(counts), headSet)
 	}
-	k := newSuccKernel(c, maxCount)
+	k := newSuccKernel(c)
+	k.maxCount = maxCount
 	k.load(head, w, rowHash(counts), headSet)
 	var walked, want []int
 	for ri := range c.NumReactions() {
@@ -136,16 +137,16 @@ func FuzzSuccessor(f *testing.F) {
 	})
 }
 
-// TestRowHashSpreadsTags requires the row hashes of rows that differ only
-// in small counts — the rows an exploration interns — to carry distinct
-// intern-slot tags, so a probe that misses almost never reads a row, and
-// to fill most slots of a small table.
+// TestRowHashSpreadsTags requires the table hashes of rows that differ
+// only in small counts — the rows an exploration interns — to carry
+// distinct intern-slot tags, so a probe that misses almost never reads a
+// row, and to fill most slots of a small table.
 func TestRowHashSpreadsTags(t *testing.T) {
 	const rows, slotBits = 2000, 10
 	tags := make(map[uint64]bool)
 	slots := make(map[uint64]bool)
 	for x := int64(0); x < rows; x++ {
-		h := rowHash([]int64{x % 7, x / 7 % 5, 0, x / 35, 1})
+		h := tableHash(rowHash([]int64{x % 7, x / 7 % 5, 0, x / 35, 1}))
 		tags[h&slotTag] = true
 		slots[h&(1<<slotBits-1)] = true
 	}

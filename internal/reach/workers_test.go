@@ -42,8 +42,10 @@ func requireGraphsIdentical(t *testing.T, seq, par *Graph) {
 	if seq.w != par.w {
 		t.Fatalf("row width: sequential %d, parallel %d", seq.w, par.w)
 	}
-	if !bytes.Equal(seq.arena, par.arena) {
-		t.Fatalf("arena differs (%d vs %d rows)", seq.NumConfigs(), par.NumConfigs())
+	for id := range int32(seq.NumConfigs()) {
+		if !bytes.Equal(seq.row(id), par.row(id)) {
+			t.Fatalf("row %d differs: sequential %x, parallel %x", id, seq.row(id), par.row(id))
+		}
 	}
 }
 

@@ -29,9 +29,9 @@ func BenchmarkRequestSpanPair(b *testing.B) {
 
 // TestSeamAllocs pins what one request/lookup pair allocates. Traced, that
 // is each event's attribute copy and Int's decimal string: the ring takes
-// finished spans by value. Untraced with a registry, it is the
-// crn_span_duration_seconds child lookups, as many as before spans were
-// recorded by value.
+// finished spans by value. Untraced with a registry, it is Int's decimal
+// string alone: the crn_span_duration_seconds child lookups allocate
+// nothing on a hit.
 func TestSeamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -43,7 +43,7 @@ func TestSeamAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"traced", NewSeam(New(Options{Proc: "test"}), nil, nil), 3},
-		{"untraced with a registry", NewSeam(nil, metrics.NewRegistry(), nil), 11},
+		{"untraced with a registry", NewSeam(nil, metrics.NewRegistry(), nil), 1},
 	} {
 		if got := testing.AllocsPerRun(200, func() { requestSpanPair(c.s, clock) }); got > c.max {
 			t.Errorf("%s pair: %v allocations, want at most %v", c.name, got, c.max)
