@@ -139,8 +139,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "crncheck: pprof on %s/debug/pprof/, traces on %s/debug/traces\n", da, da)
 	}
 	// SIGINT/SIGTERM cancel the run: engines unwind at their next
-	// deterministic cancellation point (level barrier / grid chunk) and
-	// return a wrapped context error instead of a partial verdict.
+	// deterministic cancellation point (every 1024 explored heads, every
+	// grid chunk) and return a wrapped context error instead of a partial
+	// verdict.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {

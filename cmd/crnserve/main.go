@@ -33,14 +33,15 @@
 //	-max-jobs n         admission budget: local async jobs executing
 //	                    concurrently, each under its own cancellable context
 //	                    (default 2); dist-mode jobs run one at a time
-//	-job-ttl d          how long terminal jobs stay in the job table before
-//	                    the janitor removes them; done results remain
-//	                    reachable via the response cache (default 15m,
-//	                    negative disables expiry)
+//	-job-ttl d          how long terminal jobs stay in the job table: each
+//	                    job's entry is removed this long after it finishes;
+//	                    done results remain reachable via the response
+//	                    cache (default 15m, negative disables expiry)
 //	-drain-timeout d    graceful-shutdown budget: on SIGINT/SIGTERM the
-//	                    server stops admitting (readyz flips to 503), lets
-//	                    in-flight jobs finish within this budget, cancels
-//	                    the rest, and exits 0 (default 30s)
+//	                    server stops admitting (readyz, new jobs and
+//	                    /v1/check grids past -sync-grid answer 503), lets
+//	                    queued and running jobs finish within this budget,
+//	                    cancels the rest, and exits 0 (default 30s)
 //	-debug-addr addr    serve net/http/pprof profiles and the span recorder
 //	                    (GET /debug/traces; ?format=chrome for a
 //	                    Perfetto-loadable trace) on a separate listener

@@ -8,23 +8,23 @@
 // which is exactly the class composable by concatenation. This module
 // implements the full constructive content of the paper:
 //
-//   - internal/vec: exact integer vector arithmetic, the pointwise order,
-//     congruences, and the hash-prefix shard selector used for interning;
+//   - internal/vec: exact integer vector arithmetic, the pointwise order
+//     and congruences;
 //   - internal/crn, internal/parse: the discrete CRN model (with
 //     allocation-free dense-row applicability/apply accessors for the
 //     explorer) and a text format;
 //   - internal/reach: an exhaustive stable-computation model checker
 //     (the literal Section 2.2 definition) built on a configuration arena
 //     of rows packed at the narrowest count width (1, 2, 4 or 8 bytes),
-//     with sharded hash interning, CSR edge storage and one successor
-//     kernel that patches a row and its additive hash in O(|Δ|); one shared
-//     work-stealing pool serves both parallelism levels — workers check
-//     grid inputs while any remain, then migrate into still-running
-//     explorations — with graphs byte-identical to the sequential
-//     engine's at any worker count and steal schedule; CheckGridCtx
-//     cancels at deterministic points (level barriers, grid-chunk
-//     boundaries) and returns a wrapped context error, never a partial
-//     verdict;
+//     interned in an open-addressing table whose slots carry a tag of
+//     the row's hash, with CSR edge storage and one successor kernel that
+//     patches a row and its additive hash in O(|Δ|); each input is
+//     explored sequentially by one goroutine, and CheckGrid's workers
+//     claim whole inputs, each reusing one workspace (table, arena, edge
+//     and verdict arrays) across its inputs, so results are byte-identical
+//     at any worker count; CheckGridCtx cancels at deterministic points
+//     (every 1024 explored heads and every grid chunk) and returns a
+//     wrapped context error, never a partial verdict;
 //   - internal/dist: the distributed grid checker — a coordinator that
 //     shards CheckGrid into grid-order rectangles leased to workers over
 //     HTTP+JSON, with expired leases reassigned (a killed worker never
@@ -39,10 +39,10 @@
 //     indistinguishable from recomputation), in-flight deduplication of
 //     identical concurrent requests, and asynchronous grid jobs — every
 //     one scheduled and merged by an internal/dist coordinator, which
-//     either never listens (the server checks the rectangles on its local
-//     steal pool, concurrently under an admission budget) or hands them to
-//     external workers, cancellable via DELETE, and drained gracefully on
-//     SIGTERM; /v1/check bodies are byte-identical to crncheck -json; a
+//     either never listens (the server checks the rectangles itself, each
+//     job one goroutine that waits for one of its admission slots) or
+//     hands them to external workers, cancellable via DELETE, and drained
+//     gracefully on SIGTERM; /v1/check bodies are byte-identical to crncheck -json; a
 //     dist handoff that cannot start or stalls past a grace window
 //     degrades and finishes locally on the same coordinator, keeping the
 //     rectangles workers completed — same bytes, marked "degraded" in the
@@ -84,14 +84,15 @@
 //     machine-check the invariants behind the byte-identity guarantees:
 //     no wall clocks or package-global randomness in engine packages
 //     (determinism), no HTTP outside internal/httpx (httpx), no
-//     map-iteration order leaking into output (mapiter), and
+//     map-iteration order leaking into output (mapiter),
 //     package-prefixed %w-wrapped errors at engine entry points
-//     (errwrap); findings are suppressible only by an inline
+//     (errwrap), and no internal function that no non-test code calls
+//     (unreached); findings are suppressible only by an inline
 //     //crnlint:ignore directive with a reason, and CI requires the
 //     tree to lint clean;
 //   - internal/progress: the progress.Reporter seam every long-running
-//     engine reports through (checked grid inputs, explored levels,
-//     simulation steps, synthesized modules) — the hook the seam's
+//     engine reports through (checked grid inputs, explored
+//     configurations, simulation steps, synthesized modules) — the hook the seam's
 //     progress adapter (stage events, crn_progress_*, crncheck -progress
 //     lines) attaches to;
 //     the stage strings and their Done/Total semantics are pinned by

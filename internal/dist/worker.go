@@ -226,7 +226,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		}
-		if err := w.checkRect(ctx, seam, client, base, name, grace, c, f, rect, lr, opts); err != nil {
+		if err := w.checkRect(ctx, seam, client, base, name, poll, grace, c, f, rect, lr, opts); err != nil {
 			return err
 		}
 	}
@@ -235,7 +235,9 @@ func (w *Worker) Run(ctx context.Context) error {
 // checkRect runs one leased rectangle with a heartbeat renewing the lease,
 // then reports the result. A result that cannot be delivered within Grace is
 // dropped: the lease expires and the rectangle is recomputed elsewhere.
-func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.Client, base, name string, grace time.Duration, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
+// poll is Run's resolved Poll, the first retry delay of the renew and
+// result calls.
+func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.Client, base, name string, poll, grace time.Duration, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
 	ttl := time.Duration(lr.TTLMillis) * time.Millisecond
 	// The lease response's traceparent stitches this rectangle into the
 	// trace that submitted the job: the rectangle-compute span is a child of
@@ -264,7 +266,7 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 			renewC := &httpx.Client{
 				HTTP:        client,
 				MaxAttempts: 2,
-				BaseDelay:   w.pollInterval(),
+				BaseDelay:   poll,
 				MaxDelay:    max(ttl/3, time.Millisecond),
 				Seam:        seam,
 			}
@@ -350,7 +352,7 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 		HTTP:        client,
 		MaxAttempts: -1,
 		Budget:      grace,
-		BaseDelay:   w.pollInterval(),
+		BaseDelay:   poll,
 		MaxDelay:    time.Second,
 		Seam:        seam,
 	}
@@ -362,13 +364,6 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 		logf("worker %s: dropping result for rect %d (%v); lease will expire", name, rect.ID, err)
 	}
 	return nil
-}
-
-func (w *Worker) pollInterval() time.Duration {
-	if w.Poll > 0 {
-		return w.Poll
-	}
-	return 50 * time.Millisecond
 }
 
 // sleepCtx sleeps for d or until ctx is done.

@@ -1,6 +1,6 @@
 // Package httpx is the retry client every cross-process HTTP call in this
-// module goes through (the dist worker's join/lease/renew/result calls, the
-// serve plane's distributed handoff). It exists so failure handling is in
+// module goes through (the dist worker's join/lease/renew/result calls). It
+// exists so failure handling is in
 // one place with one policy instead of per-call-site ad hoc loops:
 //
 //   - exponential backoff with full jitter between attempts (each delay is

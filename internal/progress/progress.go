@@ -1,9 +1,9 @@
 // Package progress defines the lightweight progress-reporting seam shared
 // by the long-running engines (reach, sim, classify, synth). Engines post
 // Events only at the same deterministic points where they poll their
-// context — level barriers, grid-chunk boundaries, simulation step windows
-// — so attaching a Reporter never perturbs the computed result, only
-// observes it. A nil Reporter is always legal and means "don't report";
+// context — every 1024 heads of a reach exploration, grid-chunk
+// boundaries, simulation step windows — so attaching a Reporter never
+// perturbs the computed result, only observes it. A nil Reporter is always legal and means "don't report";
 // call sites go through Post so they never have to nil-check.
 package progress
 

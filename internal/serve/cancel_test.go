@@ -205,23 +205,26 @@ func TestDrainAwaitsJobs(t *testing.T) {
 // result bodies stay reachable through the response cache — while
 // non-terminal jobs are immune.
 func TestJobTTLGC(t *testing.T) {
-	s, ts := newTestServer(t, Config{Shards: 1})
+	const ttl = 2 * time.Second
+	s, ts := newTestServer(t, Config{Shards: 1, JobTTL: ttl})
 	js := submitJob(t, ts.URL, 3)
 	if final := awaitJob(t, ts.URL, js.ID); final.State != jobDone {
 		t.Fatalf("job: %+v", final)
 	}
 
-	// A second job held mid-run: running jobs must survive any sweep.
+	// A second job held mid-run: running jobs must survive any expiry.
 	started, release := blockJobs(s)
 	defer close(release)
 	js2 := submitJob(t, ts.URL, 4)
 	awaitStart(t, started)
 
-	ttl := DefaultJobTTL
-	if n := s.jobs.gc(time.Now(), ttl); n != 0 {
+	if n := 2 - tableLen(s); n != 0 {
 		t.Fatalf("fresh jobs swept: %d", n)
 	}
-	if n := s.jobs.gc(time.Now().Add(ttl+time.Second), ttl); n != 1 {
+	for deadline := time.Now().Add(ttl + 10*time.Second); s.jobs.get(js.ID) != nil && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := 2 - tableLen(s); n != 1 {
 		t.Fatalf("expired sweep removed %d jobs, want 1 (the done one)", n)
 	}
 	if s.jobs.get(js.ID) != nil {
@@ -240,6 +243,116 @@ func TestJobTTLGC(t *testing.T) {
 	}
 	if status != http.StatusAccepted || js3.State != jobDone || js3.ID != js.ID {
 		t.Fatalf("post-expiry submit: %d %+v", status, js3)
+	}
+}
+
+func tableLen(s *Server) int {
+	s.jobs.mu.Lock()
+	defer s.jobs.mu.Unlock()
+	return len(s.jobs.jobs)
+}
+
+// awaitState waits up to d for job id to read state want.
+func awaitState(t *testing.T, s *Server, id, want string, d time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for {
+		st := s.jobs.status(s.jobs.get(id))
+		if st.State == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %.12s… reads %q after %s, want %q", id, st.State, d, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDeleteQueuedJob: DELETE of a job waiting behind the admission budget
+// cancels it at once, without waiting for a slot to free.
+func TestDeleteQueuedJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxJobs: 1, Shards: 2})
+	started, release := blockJobs(s)
+	defer close(release)
+	submitJob(t, ts.URL, 3)
+	awaitStart(t, started)
+	js := submitJob(t, ts.URL, 4)
+	if js.State != jobQueued {
+		t.Fatalf("second job under MaxJobs 1: %+v", js)
+	}
+	if status, body := del(t, ts.URL+"/v1/jobs/"+js.ID); status != http.StatusOK {
+		t.Fatalf("delete queued: %d %s", status, body)
+	}
+	awaitState(t, s, js.ID, jobCanceled, time.Second)
+}
+
+// TestQueuedJobCanceledAtStop: a job still waiting for admission when the
+// server stops — at Drain's deadline or at Shutdown — ends canceled, as
+// does the running job ahead of it, instead of staying queued for good.
+func TestQueuedJobCanceledAtStop(t *testing.T) {
+	for name, stop := range map[string]func(*Server){
+		"drain_deadline": func(s *Server) {
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			_ = s.Drain(ctx)
+		},
+		"shutdown": func(s *Server) { _ = s.Shutdown(context.Background()) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{MaxJobs: 1, Shards: 2})
+			started, release := blockJobs(s)
+			running := submitJob(t, ts.URL, 3)
+			awaitStart(t, started)
+			queued := submitJob(t, ts.URL, 4)
+			stopped := make(chan struct{})
+			go func() { stop(s); close(stopped) }()
+			awaitState(t, s, queued.ID, jobCanceled, 5*time.Second)
+			close(release)
+			select {
+			case <-stopped:
+			case <-time.After(10 * time.Second):
+				t.Fatal("stop did not return")
+			}
+			awaitState(t, s, running.ID, jobCanceled, 10*time.Second)
+		})
+	}
+}
+
+// TestDrainRejectsLargeCheck: during a drain a /v1/check too large for the
+// synchronous path answers 503, as POST /v1/jobs does, and creates no job.
+func TestDrainRejectsLargeCheck(t *testing.T) {
+	s, ts := newTestServer(t, Config{SyncGridLimit: 4, Shards: 2})
+	started, release := blockJobs(s)
+	submitJob(t, ts.URL, 2)
+	awaitStart(t, started)
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(context.Background()) }()
+	for deadline := time.Now().Add(5 * time.Second); !s.draining.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatal("drain never began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	req := CheckRequest{CRN: minCRNText, Func: "min", Hi: ptrInt64(3)} // 16 points
+	if status, _, body := post(t, ts.URL+"/v1/check", req); status != http.StatusServiceUnavailable {
+		t.Fatalf("large check during drain: %d %s", status, body)
+	}
+	j, err := resolveCheck(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.jobs.get(j.key) != nil {
+		t.Fatal("large check during drain created a job")
+	}
+	close(release)
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain did not return")
 	}
 }
 

@@ -153,7 +153,7 @@ func (s *Server) checkGrid(ctx context.Context, j *checkJob, lo, hi []int64, par
 // response is 202 with the job's status document; poll GET /v1/jobs/{id}
 // and fetch the identical body from GET /v1/jobs/{id}/result. A large
 // request whose result is already cached is served synchronously from the
-// cache.
+// cache; one that is not is answered 503 while the server drains.
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req CheckRequest
 	if !readJSON(w, r, &req) {
@@ -177,9 +177,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.points > s.cfg.SyncGridLimit {
-		jb := s.jobs.getOrCreate(j, s, sc)
-		w.Header().Set("Location", "/v1/jobs/"+jb.id)
-		writeJSON(w, http.StatusAccepted, s.jobs.status(jb))
+		s.acceptJob(w, j, sc)
 		return
 	}
 	val, source, err := s.cacheDo(r.Context(), "check", j.key, func() (cached, error) {

@@ -23,10 +23,12 @@ import (
 //
 // Up to Config.MaxJobs jobs execute concurrently — distinct content
 // addresses are independent computations, and a server with spare worker
-// budget can overlap them — with further submissions queuing in order.
-// Every job runs under its own context (derived from the server's):
-// DELETE /v1/jobs/{id} cancels it, and the engine unwinds at its next
-// rectangle/chunk boundary, leaving the job in the terminal "canceled"
+// budget can overlap them. Each job is one goroutine that waits for an
+// admission slot or its own cancellation, then runs; near-simultaneous
+// submissions may be admitted in either order. Every job runs under its
+// own context (derived from the server's): DELETE /v1/jobs/{id} cancels it.
+// A queued job then leaves the queue at once; a running one unwinds at the
+// engine's next cancellation point. Either lands in the terminal "canceled"
 // state with no partial result.
 //
 // Every job runs through a dist.Coordinator, the one rectangle scheduler and
@@ -35,10 +37,10 @@ import (
 // workers lease them. Progress is the coordinator's count of completed
 // rectangles, read when the status is.
 //
-// Terminal jobs (done, failed, canceled) are garbage-collected from the
-// table after Config.JobTTL. A done job's body survives in the response
-// cache under the same key, so its result remains reachable: re-submitting
-// yields a fresh pre-completed job instantly.
+// Every terminal transition (done, failed, canceled) arms a timer that
+// removes the job's table entry after Config.JobTTL. A done job's body
+// survives in the response cache under the same key, so its result remains
+// reachable: re-submitting yields a fresh pre-completed job instantly.
 
 // Job states.
 const (
@@ -74,7 +76,7 @@ type JobStatus struct {
 }
 
 // asyncJob is one grid job. Mutable fields are guarded by the owning
-// jobTable's mutex; done closes when the job reaches a terminal state.
+// jobTable's mutex.
 type asyncJob struct {
 	id    string
 	check *checkJob
@@ -85,10 +87,10 @@ type asyncJob struct {
 	cancel context.CancelFunc
 
 	// parent is the span context of the submitting request (zero when that
-	// request was untraced) and submittedAt the admission instant — together
+	// request was untraced) and submittedAt the submission instant — together
 	// they let the runner open a serve.job event that covers queue wait plus
 	// execution, in the submitter's trace. ev is that open event; it is set
-	// by runJob before execution and read only on the runner goroutine.
+	// by runJob after admission and read only on the job's goroutine.
 	parent      trace.SpanContext
 	submittedAt time.Time
 	ev          trace.Event
@@ -102,114 +104,110 @@ type asyncJob struct {
 	state          string
 	rects          int
 	rectsDone      int
-	body           []byte    // finished /v1/check body (state == jobDone)
-	errMsg         string    // state == jobFailed or jobCanceled
-	degraded       bool      // dist handoff fell back to local execution
-	degradedReason string    // why (degraded only)
-	finishedAt     time.Time // when the job reached a terminal state (for GC)
-
-	done chan struct{}
+	body           []byte      // finished /v1/check body (state == jobDone)
+	errMsg         string      // state == jobFailed or jobCanceled
+	degraded       bool        // dist handoff fell back to local execution
+	degradedReason string      // why (degraded only)
+	expiry         *time.Timer // removes the table entry JobTTL after the terminal transition
 }
 
-// jobTable owns every submitted job and the execution queue.
+// maxQueuedJobs bounds the jobs waiting for an admission slot; a submission
+// beyond it fails with "job queue full".
+const maxQueuedJobs = 256
+
+// jobTable owns every submitted job.
 type jobTable struct {
-	mu    sync.Mutex
-	jobs  map[string]*asyncJob
-	queue chan *asyncJob
-	now   func() time.Time // injectable for TTL tests
+	mu     sync.Mutex
+	jobs   map[string]*asyncJob
+	queued int // jobs whose goroutine waits for an admission slot
 }
 
 func newJobTable() *jobTable {
-	return &jobTable{
-		jobs:  make(map[string]*asyncJob),
-		queue: make(chan *asyncJob, 256),
-		now:   time.Now,
-	}
+	return &jobTable{jobs: make(map[string]*asyncJob)}
 }
 
-// getOrCreate returns the job for j's content address, creating and
-// enqueueing it if new. A request whose result is already cached gets a
-// pre-completed job, so submitting a job for a finished computation is
-// instantaneous at any later time. A previously failed or canceled job is
-// replaced by a fresh submission — failures (a full queue, a coordinator
-// that could not bind, an enumeration error) and cancellations must not
-// poison the content address for the server's lifetime.
+// getOrCreate returns the job for j's content address, creating it and
+// starting its goroutine if new. It returns nil while the server drains:
+// admission is closed, and reading the flag under the table lock orders
+// every jobWG.Add before Drain's Wait. A request whose result is already
+// cached gets a pre-completed job, so submitting a job for a finished
+// computation is instantaneous at any later time. A previously failed or
+// canceled job is replaced by a fresh submission — failures (a full queue,
+// a coordinator that could not bind, an enumeration error) and
+// cancellations must not poison the content address for the server's
+// lifetime.
 func (jt *jobTable) getOrCreate(j *checkJob, s *Server, parent trace.SpanContext) *asyncJob {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	if jb, ok := jt.jobs[j.key]; ok && jb.state != jobFailed && jb.state != jobCanceled {
-		// Identical re-submissions attach to the existing job; the first
-		// submitter's trace keeps it.
-		return jb
+	if s.draining.Load() {
+		return nil
 	}
-	jb := &asyncJob{
-		id: j.key, check: j, state: jobQueued, done: make(chan struct{}),
-		parent: parent, submittedAt: jt.now(),
+	if old, ok := jt.jobs[j.key]; ok {
+		if old.state != jobFailed && old.state != jobCanceled {
+			// Identical re-submissions attach to the existing job; the first
+			// submitter's trace keeps it.
+			return old
+		}
+		jt.dropLocked(old)
 	}
+	jb := &asyncJob{id: j.key, check: j, parent: parent, submittedAt: time.Now()}
 	base := s.baseCtx
 	if base == nil { // bare Server in table-level tests
 		base = context.Background()
 	}
 	jb.ctx, jb.cancel = context.WithCancel(base)
+	jt.jobs[j.key] = jb
 	s.met.submitted()
 	if val, ok := s.cache.get(j.key); ok {
-		jb.state = jobDone
 		jb.body = val.body
-		jb.finishedAt = jt.now()
-		jb.cancel()
-		close(jb.done)
-		jt.jobs[j.key] = jb
-		s.met.jobTransition("", jobDone)
+		s.finishLocked(jb, jobDone, "")
 		return jb
 	}
-	select {
-	case jt.queue <- jb:
-		s.met.jobTransition("", jobQueued)
-	default:
-		jb.state = jobFailed
-		jb.errMsg = "job queue full"
-		jb.finishedAt = jt.now()
-		jb.cancel()
-		close(jb.done)
-		s.met.jobTransition("", jobFailed)
+	if jt.queued >= maxQueuedJobs {
+		s.finishLocked(jb, jobFailed, "job queue full")
+		return jb
 	}
-	jt.jobs[j.key] = jb
+	s.met.jobTransition("", jobQueued)
+	jb.state = jobQueued
+	jt.queued++
+	s.jobWG.Add(1)
+	go s.runJob(jb)
 	return jb
+}
+
+// finishLocked moves jb to a terminal state, releases its context and,
+// when Config.JobTTL is positive, arms the timer that expires its table
+// entry. It is the one terminal transition; callers hold the table lock.
+func (s *Server) finishLocked(jb *asyncJob, state, errMsg string) {
+	s.met.jobTransition(jb.state, state)
+	jb.state, jb.errMsg = state, errMsg
+	jb.cancel()
+	if ttl := s.cfg.JobTTL; ttl > 0 {
+		jb.expiry = time.AfterFunc(ttl, func() {
+			s.jobs.mu.Lock()
+			defer s.jobs.mu.Unlock()
+			s.jobs.dropLocked(jb)
+		})
+	}
+}
+
+// dropLocked removes jb's table entry, if the entry is still jb, and stops
+// its expiry timer, whose closure would otherwise keep a deleted or replaced
+// job alive until JobTTL. Done bodies stay in the response cache; only the
+// table entry goes.
+func (jt *jobTable) dropLocked(jb *asyncJob) {
+	if jt.jobs[jb.id] == jb {
+		delete(jt.jobs, jb.id)
+	}
+	if jb.expiry != nil {
+		jb.expiry.Stop()
+	}
 }
 
 func (jt *jobTable) get(id string) *asyncJob {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
 	return jt.jobs[id]
-}
-
-// allTerminal reports whether every job in the table is in a terminal
-// state — the drain loop's exit condition.
-func (jt *jobTable) allTerminal() bool {
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	for _, jb := range jt.jobs {
-		if !terminalState(jb.state) {
-			return false
-		}
-	}
-	return true
-}
-
-// gc removes terminal jobs whose finishedAt is at least ttl old and
-// returns how many were dropped. Done jobs' bodies stay in the response
-// cache; only the table entry expires.
-func (jt *jobTable) gc(now time.Time, ttl time.Duration) int {
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	n := 0
-	for id, jb := range jt.jobs {
-		if terminalState(jb.state) && !jb.finishedAt.IsZero() && now.Sub(jb.finishedAt) >= ttl {
-			delete(jt.jobs, id)
-			n++
-		}
-	}
-	return n
 }
 
 // statusDoc snapshots the job for clients.
@@ -238,71 +236,27 @@ func (jt *jobTable) status(jb *asyncJob) JobStatus {
 	return jb.statusDoc()
 }
 
-// gcJobs is the job-table janitor goroutine: it expires terminal jobs
-// older than Config.JobTTL until the server shuts down.
-func (s *Server) gcJobs() {
-	interval := s.cfg.JobTTL / 4
-	if interval < time.Second {
-		interval = time.Second
-	}
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if n := s.jobs.gc(s.jobs.now(), s.cfg.JobTTL); n > 0 {
-				s.seam.Logf("job gc: expired %d terminal job(s)", n)
-			}
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// runJobs is the server's job dispatcher goroutine: it admits queued jobs
-// into runner goroutines under the MaxJobs budget until the server shuts
-// down. Each runner is tracked on jobWG so Drain can await them. In dist
-// mode every job's coordinator binds the one DistCoordinator address, so
-// jobs run one at a time there and MaxJobs applies to local mode only.
-func (s *Server) runJobs() {
-	n := s.cfg.MaxJobs
-	if s.cfg.DistCoordinator != "" {
-		n = 1
-	}
-	sem := make(chan struct{}, n)
-	for {
-		select {
-		case jb := <-s.jobs.queue:
-			select {
-			case sem <- struct{}{}:
-			case <-s.baseCtx.Done():
-				return
-			}
-			s.jobWG.Add(1)
-			go func() {
-				defer s.jobWG.Done()
-				defer func() { <-sem }()
-				s.runJob(jb)
-			}()
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// runJob executes one job to a terminal state and publishes its body to the
-// response cache. A job canceled before or during execution lands in
-// "canceled" with no partial result. A dist-mode job's coordinator closes
-// only after the terminal state is published: its linger for polling
-// workers does not delay the job, but it does hold the dispatcher slot, so
-// the next dist-mode job binds the address only once the listener is gone.
+// runJob is the job's goroutine, counted in jobWG: it waits for an
+// admission slot or the job's cancellation, executes the job to a terminal
+// state and publishes its body to the response cache. A job canceled before
+// or during execution lands in "canceled" with no partial result. A
+// dist-mode job's coordinator closes only after the terminal state is
+// published: its linger for polling workers does not delay the job, but
+// the job holds its slot until then, so the next dist-mode job binds the
+// address only once the listener is gone.
 func (s *Server) runJob(jb *asyncJob) {
-	// The serve.job event opens at the admission instant, so it covers queue
-	// wait plus execution; the admission child makes the wait visible on its
-	// own. Both live in the submitting request's trace (jb.parent).
+	defer s.jobWG.Done()
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	case <-jb.ctx.Done():
+	}
+	s.jobs.mu.Lock()
+	s.jobs.queued--
+	s.jobs.mu.Unlock()
+	// The serve.job event opens at the submission instant, so it covers
+	// queue wait plus execution; the admission child makes the wait visible
+	// on its own. Both live in the submitting request's trace (jb.parent).
 	runStart := time.Now()
 	jb.ev = s.seam.Start(jb.submittedAt, "serve.job", jb.parent,
 		trace.String("job", jb.id[:min(12, len(jb.id))]))
@@ -314,7 +268,6 @@ func (s *Server) runJob(jb *asyncJob) {
 		body, err = s.execute(jb)
 	}
 	s.jobs.mu.Lock()
-	from := jb.state
 	co := jb.co
 	if co != nil {
 		jb.rectsDone, jb.rects = co.Progress()
@@ -322,24 +275,18 @@ func (s *Server) runJob(jb *asyncJob) {
 	}
 	switch {
 	case err != nil && jb.ctx.Err() != nil:
-		jb.state = jobCanceled
-		jb.errMsg = err.Error()
+		s.finishLocked(jb, jobCanceled, err.Error())
 	case err != nil:
-		jb.state = jobFailed
-		jb.errMsg = err.Error()
+		s.finishLocked(jb, jobFailed, err.Error())
 	default:
-		jb.state = jobDone
 		jb.body = body
 		s.cache.put(jb.id, cached{status: http.StatusOK, contentType: contentTypeJSON, body: body})
+		s.finishLocked(jb, jobDone, "")
 	}
-	s.met.jobTransition(from, jb.state)
-	jb.finishedAt = s.jobs.now()
 	terminal := jb.state
 	degraded := jb.degraded
 	s.jobs.mu.Unlock()
 	jb.ev.End(time.Now(), terminal, trace.Bool("degraded", degraded))
-	jb.cancel()
-	close(jb.done)
 	jb.ev.Logf("job %.12s…: %s", jb.id, terminal)
 	if co != nil {
 		co.Close()
@@ -470,10 +417,6 @@ func (s *Server) runDist(jb *asyncJob, co *dist.Coordinator) (reach.GridResult, 
 // status URL). Identical submissions — concurrent or later — share one job.
 // A draining server admits nothing and answers 503.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	}
 	var req CheckRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -484,7 +427,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	s.acceptJob(w, j, sc)
+}
+
+// acceptJob answers a job submission, from POST /v1/jobs or a large
+// /v1/check: 202 with the status document of the job for j's content
+// address, or 503 while the server drains.
+func (s *Server) acceptJob(w http.ResponseWriter, j *checkJob, sc trace.SpanContext) {
 	jb := s.jobs.getOrCreate(j, s, sc)
+	if jb == nil {
+		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+		return
+	}
 	w.Header().Set("Location", "/v1/jobs/"+jb.id)
 	writeJSON(w, http.StatusAccepted, s.jobs.status(jb))
 }
@@ -500,9 +454,10 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobDelete serves DELETE /v1/jobs/{id}. Deleting a queued or
-// running job cancels its context — the engine unwinds at its next
-// rectangle/chunk boundary and the job transitions to "canceled" — and
-// answers 200 with the (possibly not yet terminal) status document.
+// running job cancels its context — a queued job leaves the queue at once,
+// a running one unwinds at the engine's next cancellation point, and the
+// job transitions to "canceled" — and answers 200 with the (possibly not
+// yet terminal) status document.
 // Deleting a terminal job removes it from the table and answers 200; a
 // done job's result body remains reachable through the response cache.
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
@@ -514,7 +469,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobs.mu.Lock()
 	if terminalState(jb.state) {
-		delete(s.jobs.jobs, id)
+		s.jobs.dropLocked(jb)
 		st := jb.statusDoc()
 		s.jobs.mu.Unlock()
 		writeJSON(w, http.StatusOK, st)

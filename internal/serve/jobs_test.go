@@ -167,7 +167,9 @@ func TestJobDistBackend(t *testing.T) {
 
 // TestFailedJobRetried: a failed job must not poison its content address —
 // the next identical submission gets a fresh job, while done jobs are
-// reused. Exercised at the table level (no runner) so states can be forced.
+// reused. Exercised at the table level so states can be forced: a bare
+// Server has no admission slots, so each job's goroutine stays queued and
+// never races the forced states.
 func TestFailedJobRetried(t *testing.T) {
 	s := &Server{cfg: Config{CacheMax: 4}, cache: newResultCache(4), jobs: newJobTable()}
 	j, err := resolveCheck(CheckRequest{CRN: minCRNText, Func: "min"})

@@ -110,15 +110,18 @@ type Config struct {
 	// 202 with an async job. 0 means DefaultSyncGridLimit.
 	SyncGridLimit int64
 	// MaxJobs is the admission budget for concurrently executing local
-	// async jobs (0 = DefaultMaxJobs). Submissions beyond it queue; each
-	// running job still gets the full Workers budget. With DistCoordinator
-	// set jobs run one at a time: each one's coordinator binds that address.
+	// async jobs (0 = DefaultMaxJobs): each job's goroutine waits for one
+	// of MaxJobs slots, and up to 256 jobs wait at once (a submission past
+	// them fails "job queue full"). Each running job still gets the full
+	// Workers budget. With DistCoordinator set jobs run one at a time: each
+	// one's coordinator binds that address.
 	MaxJobs int
 	// JobTTL bounds how long a terminal (done/failed/canceled) job stays in
-	// the job table before the janitor removes it (0 = DefaultJobTTL,
-	// negative disables expiry). A done job's result body remains reachable
-	// through the response cache after the table entry expires: re-submitting
-	// the same request yields a fresh pre-completed job instantly.
+	// the job table: the terminal transition arms a timer that removes the
+	// entry after JobTTL (0 = DefaultJobTTL, negative disables expiry). A
+	// done job's result body remains reachable through the response cache
+	// after the table entry expires: re-submitting the same request yields
+	// a fresh pre-completed job instantly.
 	JobTTL time.Duration
 	// DistCoordinator, when nonempty, is the host:port each async job's
 	// coordinator listens on for external workers (`crncheck -join`).
@@ -172,12 +175,15 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	// draining is set by Drain: /readyz answers 503 and new job submissions
-	// are rejected while in-flight jobs run to completion.
+	// draining is set by Drain, under the job table's lock: /readyz answers
+	// 503 and new job submissions are rejected while in-flight jobs run to
+	// completion.
 	draining atomic.Bool
-	// jobWG tracks every job-runner goroutine, so drain/shutdown can await
-	// them after the dispatcher exits.
+	// jobWG counts every job's goroutine, queued or running, so Drain can
+	// await them.
 	jobWG sync.WaitGroup
+	// slots is the job admission semaphore: MaxJobs slots, one in dist mode.
+	slots chan struct{}
 
 	// testComputed, when non-nil, observes every real engine computation
 	// (cache misses only) with the operation name — how tests count that N
@@ -188,7 +194,7 @@ type Server struct {
 	ln  net.Listener
 }
 
-// New builds a Server and starts its job runner.
+// New builds a Server.
 func New(cfg Config) *Server {
 	switch {
 	case cfg.CacheMax == 0:
@@ -221,10 +227,11 @@ func New(cfg Config) *Server {
 	s.cache.register(cfg.Metrics)
 	cfg.Tracer.CountSpans(cfg.Metrics)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
-	go s.runJobs()
-	if cfg.JobTTL > 0 {
-		go s.gcJobs()
+	slots := cfg.MaxJobs
+	if cfg.DistCoordinator != "" {
+		slots = 1 // every job's coordinator binds the one address
 	}
+	s.slots = make(chan struct{}, slots)
 	return s
 }
 
@@ -681,9 +688,10 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Shutdown stops the HTTP server and the job runner immediately: running
-// jobs are canceled (they unwind at their next chunk boundary) rather than
-// awaited. For a clean exit that lets in-flight jobs finish, use Drain.
+// Shutdown stops the HTTP server and cancels every job immediately: queued
+// jobs end canceled at once, running ones unwind at their next chunk
+// boundary, and none is awaited. For a clean exit that lets in-flight jobs
+// finish, use Drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancel()
 	if s.srv == nil {
@@ -692,35 +700,32 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srv.Shutdown(ctx)
 }
 
-// Drain is graceful shutdown: stop admitting jobs (/readyz flips to 503 and
-// POST /v1/jobs answers 503), let queued and running jobs finish, then stop
-// the HTTP server. If ctx expires first, the remaining jobs are canceled —
-// they transition to "canceled" at their next cancellation point — and the
-// runners are given a short bounded grace to unwind. Drain always returns
-// nil after a best-effort stop so callers can exit 0 on SIGTERM.
+// Drain is graceful shutdown: stop admitting jobs (/readyz flips to 503,
+// and POST /v1/jobs and a /v1/check too large to answer synchronously
+// answer 503), let queued and running jobs finish, then stop the HTTP
+// server. If ctx expires first, the remaining jobs are canceled — queued
+// ones at once, running ones at their next cancellation point — and their
+// goroutines are given a short bounded grace to unwind. Drain always
+// returns nil after a best-effort stop so callers can exit 0 on SIGTERM.
 func (s *Server) Drain(ctx context.Context) error {
+	s.jobs.mu.Lock()
 	s.draining.Store(true)
+	s.jobs.mu.Unlock()
 	s.seam.Logf("drain: admission closed; awaiting jobs")
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-wait:
-	for !s.jobs.allTerminal() {
-		select {
-		case <-ctx.Done():
-			s.seam.Logf("drain: deadline reached; canceling remaining jobs")
-			s.cancel()
-			break wait
-		case <-tick.C:
-		}
-	}
-	// Await the runner goroutines (bounded: a canceled engine returns within
-	// one chunk/level of work, but never hold the process hostage).
-	runnersDone := make(chan struct{})
-	go func() { s.jobWG.Wait(); close(runnersDone) }()
+	jobsDone := make(chan struct{})
+	go func() { s.jobWG.Wait(); close(jobsDone) }()
 	select {
-	case <-runnersDone:
-	case <-time.After(5 * time.Second):
-		s.seam.Logf("drain: job runners still unwinding at exit")
+	case <-jobsDone:
+	case <-ctx.Done():
+		s.seam.Logf("drain: deadline reached; canceling remaining jobs")
+		s.cancel()
+		// Bounded: a canceled engine returns within one chunk of work, but
+		// never hold the process hostage.
+		select {
+		case <-jobsDone:
+		case <-time.After(5 * time.Second):
+			s.seam.Logf("drain: job runners still unwinding at exit")
+		}
 	}
 	s.cancel()
 	if s.srv != nil {
