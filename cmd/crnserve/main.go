@@ -18,9 +18,8 @@
 //	-dist-coordinator addr
 //	                    run async jobs through an internal/dist coordinator
 //	                    on this host:port — external workers join with
-//	                    `crncheck -join addr` and compute the rectangles
-//	-shards n           rectangles per job: progress (and, in dist mode,
-//	                    lease) granularity (0 = 16)
+//	                    `crncheck -join addr` and compute its 16 rectangles.
+//	                    Without it a job is one grid check here
 //	-lease d            dist-mode lease TTL before a silent worker's
 //	                    rectangle is reassigned (default 30s)
 //	-coordinator-grace d
@@ -99,7 +98,6 @@ func run(args []string, out io.Writer, ctx context.Context) error {
 		cacheMax  = fs.Int("cache-max", serve.DefaultCacheMax, "result-cache capacity in entries, LRU-evicted beyond it (-1 disables caching)")
 		syncGrid  = fs.Int64("sync-grid", serve.DefaultSyncGridLimit, "largest grid (input points) checked synchronously; larger checks become async jobs")
 		distCoord = fs.String("dist-coordinator", "", "run async jobs through a dist coordinator on this host:port (workers join with `crncheck -join`)")
-		shards    = fs.Int("shards", 0, "rectangles per async job: progress and lease granularity (0 = 16)")
 		lease     = fs.Duration("lease", dist.DefaultLeaseTTL, "dist-mode lease TTL before a silent worker's rectangle is reassigned")
 		coGrace   = fs.Duration("coordinator-grace", serve.DefaultCoordinatorGrace, "dist-mode degradation watchdog: if a handoff cannot start, or no rectangle completes for this long, the job finishes locally, keeping completed rectangles, marked degraded (negative disables the fallback)")
 		maxJobs   = fs.Int("max-jobs", serve.DefaultMaxJobs, "local async jobs executing concurrently (admission budget); dist-mode jobs run one at a time")
@@ -124,7 +122,6 @@ func run(args []string, out io.Writer, ctx context.Context) error {
 		CacheMax:         *cacheMax,
 		SyncGridLimit:    *syncGrid,
 		DistCoordinator:  *distCoord,
-		Shards:           *shards,
 		LeaseTTL:         *lease,
 		CoordinatorGrace: *coGrace,
 		MaxJobs:          *maxJobs,

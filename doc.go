@@ -37,12 +37,12 @@
 //     pipeline with a content-addressed result cache (SHA-256 of the
 //     canonical request; the engines' determinism makes replayed bytes
 //     indistinguishable from recomputation), in-flight deduplication of
-//     identical concurrent requests, and asynchronous grid jobs — every
-//     one scheduled and merged by an internal/dist coordinator, which
-//     either never listens (the server checks the rectangles itself, each
-//     job one goroutine that waits for one of its admission slots) or
-//     hands them to external workers, cancellable via DELETE, and drained
-//     gracefully on SIGTERM; /v1/check bodies are byte-identical to crncheck -json; a
+//     identical concurrent requests, and asynchronous grid jobs — each
+//     one goroutine that waits for one of the server's admission slots,
+//     then checks its whole grid itself or, in dist mode, hands its
+//     rectangles to external workers through an internal/dist
+//     coordinator — cancellable via DELETE, and drained gracefully on
+//     SIGTERM; /v1/check bodies are byte-identical to crncheck -json; a
 //     dist handoff that cannot start or stalls past a grace window
 //     degrades and finishes locally on the same coordinator, keeping the
 //     rectangles workers completed — same bytes, marked "degraded" in the

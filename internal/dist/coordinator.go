@@ -296,7 +296,7 @@ func (co *Coordinator) leaseWait(ctx context.Context, worker string, wait time.D
 
 // Progress reports how many rectangles have completed out of the total —
 // the unit async job progress is surfaced in: internal/serve reads it for
-// every job's status. Completed rectangles stay completed, so done never
+// a dist job's status. Completed rectangles stay completed, so done never
 // decreases, across a degradation to RunLocal included.
 func (co *Coordinator) Progress() (done, total int) {
 	co.mu.Lock()
@@ -398,8 +398,7 @@ const localWorker = "local"
 // RunLocal checks the rectangles in this process until the run finishes and
 // returns the merged result — what Wait returns when workers do the work.
 // check is called once per rectangle with ctx; a serving process calls
-// RunLocal on a coordinator that never listens, or after Shutdown to finish
-// a handoff whose workers were lost.
+// RunLocal after Shutdown to finish a handoff whose workers were lost.
 //
 // Rectangles go through the same lease table and the same record-and-merge
 // path as POST /lease and POST /result, so rectangles already completed —

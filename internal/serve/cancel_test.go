@@ -63,7 +63,7 @@ func del(t *testing.T, url string) (int, []byte) {
 // no partial result — and DELETE on the now-terminal job removes it from
 // the table.
 func TestJobDelete(t *testing.T) {
-	s, ts := newTestServer(t, Config{Shards: 4})
+	s, ts := newTestServer(t, Config{})
 	started, release := blockJobs(s)
 	js := submitJob(t, ts.URL, 3)
 	awaitStart(t, started)
@@ -103,7 +103,7 @@ func TestJobDelete(t *testing.T) {
 // TestJobsConcurrent: under -max-jobs 2 two distinct jobs run at the same
 // time while a third queues behind the admission budget.
 func TestJobsConcurrent(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxJobs: 2, Shards: 2})
+	s, ts := newTestServer(t, Config{MaxJobs: 2})
 	started, release := blockJobs(s)
 	submitJob(t, ts.URL, 3)
 	js2 := submitJob(t, ts.URL, 4)
@@ -128,7 +128,7 @@ func TestJobsConcurrent(t *testing.T) {
 // job still running at the drain deadline is canceled and Drain returns
 // nil — the SIGTERM-to-exit-0 path.
 func TestDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{Shards: 2})
+	s, ts := newTestServer(t, Config{})
 	if status, _ := get(t, ts.URL+"/readyz"); status != http.StatusOK {
 		t.Fatalf("readyz before drain: %d", status)
 	}
@@ -179,7 +179,7 @@ func TestDrain(t *testing.T) {
 // TestDrainAwaitsJobs: with no deadline pressure, drain waits for the
 // running job to finish normally — nothing is canceled.
 func TestDrainAwaitsJobs(t *testing.T) {
-	s, ts := newTestServer(t, Config{Shards: 2})
+	s, ts := newTestServer(t, Config{})
 	started, release := blockJobs(s)
 	js := submitJob(t, ts.URL, 3)
 	awaitStart(t, started)
@@ -206,7 +206,7 @@ func TestDrainAwaitsJobs(t *testing.T) {
 // non-terminal jobs are immune.
 func TestJobTTLGC(t *testing.T) {
 	const ttl = 2 * time.Second
-	s, ts := newTestServer(t, Config{Shards: 1, JobTTL: ttl})
+	s, ts := newTestServer(t, Config{JobTTL: ttl})
 	js := submitJob(t, ts.URL, 3)
 	if final := awaitJob(t, ts.URL, js.ID); final.State != jobDone {
 		t.Fatalf("job: %+v", final)
@@ -271,7 +271,7 @@ func awaitState(t *testing.T, s *Server, id, want string, d time.Duration) {
 // TestDeleteQueuedJob: DELETE of a job waiting behind the admission budget
 // cancels it at once, without waiting for a slot to free.
 func TestDeleteQueuedJob(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxJobs: 1, Shards: 2})
+	s, ts := newTestServer(t, Config{MaxJobs: 1})
 	started, release := blockJobs(s)
 	defer close(release)
 	submitJob(t, ts.URL, 3)
@@ -299,7 +299,7 @@ func TestQueuedJobCanceledAtStop(t *testing.T) {
 		"shutdown": func(s *Server) { _ = s.Shutdown(context.Background()) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{MaxJobs: 1, Shards: 2})
+			s, ts := newTestServer(t, Config{MaxJobs: 1})
 			started, release := blockJobs(s)
 			running := submitJob(t, ts.URL, 3)
 			awaitStart(t, started)
@@ -321,7 +321,7 @@ func TestQueuedJobCanceledAtStop(t *testing.T) {
 // TestDrainRejectsLargeCheck: during a drain a /v1/check too large for the
 // synchronous path answers 503, as POST /v1/jobs does, and creates no job.
 func TestDrainRejectsLargeCheck(t *testing.T) {
-	s, ts := newTestServer(t, Config{SyncGridLimit: 4, Shards: 2})
+	s, ts := newTestServer(t, Config{SyncGridLimit: 4})
 	started, release := blockJobs(s)
 	submitJob(t, ts.URL, 2)
 	awaitStart(t, started)

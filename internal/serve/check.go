@@ -126,8 +126,8 @@ func (s *Server) resolve(sc trace.SpanContext, req CheckRequest) (*checkJob, err
 // checkGrid is the server's one grid runner: it checks j's rectangle
 // lo ≤ x ≤ hi on the in-process engine under j's budgets and the server's
 // worker budget, tracing engine stage events as children of parent. The
-// synchronous /v1/check path runs the whole grid through it, and a local
-// job each of its rectangles.
+// synchronous /v1/check path and a local job run their whole grid through
+// it, and a degraded dist job each rectangle it finishes in-process.
 func (s *Server) checkGrid(ctx context.Context, j *checkJob, lo, hi []int64, parent trace.SpanContext) (reach.GridResult, error) {
 	prog := s.seam.Progress(time.Now, parent, 0)
 	res, err := reach.CheckGridCtx(ctx, j.c, j.f, lo, hi,

@@ -33,7 +33,6 @@ func TestJobDegradeAtSubmit(t *testing.T) {
 	}
 	defer ln.Close()
 	_, ts := newTestServer(t, Config{
-		Shards:          4,
 		DistCoordinator: ln.Addr().String(), // occupied: Start must fail
 	})
 	hi := int64(3)
@@ -42,7 +41,7 @@ func TestJobDegradeAtSubmit(t *testing.T) {
 	if final.State != jobDone || !final.Degraded || final.DegradedReason == "" {
 		t.Fatalf("degraded-at-submit job: %+v", final)
 	}
-	if final.Rects != 4 || final.RectsDone != 4 {
+	if final.Rects != dist.DefaultShards || final.RectsDone != dist.DefaultShards { // hi 3: 16 points
 		t.Fatalf("local fallback progress: %+v", final)
 	}
 	_, result := get(t, ts.URL+"/v1/jobs/"+js.ID+"/result")
@@ -56,14 +55,13 @@ func TestJobDegradeAtSubmit(t *testing.T) {
 // handoff and the job completes locally, degraded, byte-identical.
 func TestJobDegradeMidJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Shards:           3,
 		DistCoordinator:  freeAddr(t),
 		CoordinatorGrace: 500 * time.Millisecond,
 	})
 	hi := int64(3)
 	js := submitJob(t, ts.URL, hi)
 	final := awaitJob(t, ts.URL, js.ID)
-	if final.State != jobDone || !final.Degraded {
+	if final.State != jobDone || !final.Degraded || final.Rects != dist.DefaultShards || final.RectsDone != dist.DefaultShards {
 		t.Fatalf("degraded-mid-job job: %+v", final)
 	}
 	_, result := get(t, ts.URL+"/v1/jobs/"+js.ID+"/result")
@@ -81,7 +79,6 @@ func TestJobDegradeMidJob(t *testing.T) {
 func TestJobDistWorkerKilledMidRect(t *testing.T) {
 	addr := freeAddr(t)
 	_, ts := newTestServer(t, Config{
-		Shards:          4,
 		DistCoordinator: addr,
 		LeaseTTL:        300 * time.Millisecond, // killed worker's rect reassigns quickly
 		// Default CoordinatorGrace (10s) stays ahead of the ~300ms
@@ -112,7 +109,7 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 	hi := int64(3)
 	js := submitJob(t, ts.URL, hi)
 	final := awaitJob(t, ts.URL, js.ID)
-	if final.State != jobDone || final.Rects != 4 || final.RectsDone != 4 {
+	if final.State != jobDone || final.Rects != dist.DefaultShards || final.RectsDone != dist.DefaultShards {
 		t.Fatalf("dist job under worker kill: %+v", final)
 	}
 	if final.Degraded {
@@ -140,11 +137,10 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 // never below k), exactly total−k rectangles run locally (one serve.rect
 // span each), and the body is the exact crncheck -json bytes.
 func TestJobDegradeKeepsCompletedRects(t *testing.T) {
-	const shards, k = 4, 2
+	const shards, k = dist.DefaultShards, 2 // hi 3: 16 points, one rectangle each
 	tr := trace.New(trace.Options{Proc: "serve-test"})
 	addr := freeAddr(t)
 	_, ts := newTestServer(t, Config{
-		Shards:           shards,
 		DistCoordinator:  addr,
 		LeaseTTL:         time.Minute, // the dead worker's lease outlives the watchdog
 		CoordinatorGrace: time.Second,
@@ -232,7 +228,6 @@ func TestJobDegradeKeepsCompletedRects(t *testing.T) {
 func TestJobDistConcurrentJobs(t *testing.T) {
 	addr := freeAddr(t)
 	_, ts := newTestServer(t, Config{
-		Shards:          2,
 		DistCoordinator: addr,
 		LeaseTTL:        5 * time.Second,
 		MaxJobs:         2,

@@ -31,11 +31,10 @@ import (
 // engine's next cancellation point. Either lands in the terminal "canceled"
 // state with no partial result.
 //
-// Every job runs through a dist.Coordinator, the one rectangle scheduler and
-// grid-order merge: locally its rectangles are leased to this process
-// (RunLocal) and the coordinator never listens; in dist mode external
-// workers lease them. Progress is the coordinator's count of completed
-// rectangles, read when the status is.
+// A local job is one checkGrid over its whole grid, as a synchronous check
+// is. Only a dist-mode job builds a dist.Coordinator, whose external workers
+// lease the grid's rectangles; its progress is the coordinator's count of
+// completed rectangles, read when the status is.
 //
 // Every terminal transition (done, failed, canceled) arms a timer that
 // removes the job's table entry after Config.JobTTL. A done job's body
@@ -61,7 +60,10 @@ func terminalState(state string) bool {
 }
 
 // JobStatus is the status document of GET /v1/jobs/{id} (and the 202 body
-// of submissions). Progress is counted in completed grid rectangles.
+// of submissions). Progress is counted in completed grid rectangles. A grid
+// is one rectangle unless a dist coordinator splits it: every local job,
+// and every job answered from the cache, reports rects 1, with rects_done 1
+// once it is done; a dist job reports its coordinator's rectangles.
 // Degraded is set when a dist handoff fell back to local execution
 // (DegradedReason says why); the result body is byte-identical either way,
 // so degradation is an operational signal, not a correctness one.
@@ -95,7 +97,7 @@ type asyncJob struct {
 	submittedAt time.Time
 	ev          trace.Event
 
-	// co schedules and merges the job's rectangles while it runs; status
+	// co schedules and merges a dist job's rectangles while it runs; status
 	// reads progress from it. At the terminal transition its final count
 	// moves to rects/rectsDone and co is dropped, so a finished job does
 	// not hold its coordinator for JobTTL. The table lock is taken before
@@ -218,6 +220,12 @@ func (jb *asyncJob) statusDoc() JobStatus {
 	if jb.co != nil {
 		done, total = jb.co.Progress()
 	}
+	if total == 0 { // no dist coordinator split the grid: it is one rectangle
+		total = 1
+		if jb.state == jobDone {
+			done = 1
+		}
+	}
 	return JobStatus{
 		ID:             jb.id,
 		State:          jb.state,
@@ -293,49 +301,22 @@ func (s *Server) runJob(jb *asyncJob) {
 	}
 }
 
-// execute runs the job's grid through a dist.Coordinator and returns the
-// finished body, byte-identical to the synchronous CheckGrid body (the dist
-// subsystem's pinned invariant). Without Config.DistCoordinator the
-// coordinator never listens and this process checks every rectangle
-// (RunLocal); with it, external workers do (runDist).
+// execute runs the job's grid and returns the finished body, byte-identical
+// to the synchronous /v1/check body: locally as one checkGrid under the
+// job's context, so a DELETE lands within one chunk of work, and in dist
+// mode through runDist.
 func (s *Server) execute(jb *asyncJob) ([]byte, error) {
-	cc := jb.check.cc
-	cfg := dist.CoordinatorConfig{
-		CRN:        jb.check.c,
-		Func:       cc.Func,
-		Lo:         cc.Lo,
-		Hi:         cc.Hi,
-		MaxConfigs: cc.MaxConfigs,
-		MaxCount:   cc.MaxCount,
-		Shards:     s.cfg.Shards,
-		LeaseTTL:   s.cfg.LeaseTTL,
-	}
-	if s.cfg.DistCoordinator != "" {
-		// A listening coordinator logs, scrapes and traces with this server;
-		// its dist.job span parents under serve.job, so /debug/traces here
-		// shows one trace from the submitting request through the workers'
-		// rectangle spans (shipped back with their results). A local one
-		// keeps a private registry: concurrent local jobs would overwrite
-		// each other's crn_dist_rects gauges.
-		cfg.Logf = s.cfg.Logf
-		cfg.Metrics = s.cfg.Metrics
-		cfg.Tracer = s.cfg.Tracer
-		cfg.TraceContext = jb.ev.Context()
-	}
-	co, err := dist.NewCoordinator(cfg)
-	if err != nil {
-		return nil, err
-	}
 	s.jobs.mu.Lock()
 	s.met.jobTransition(jb.state, jobRunning)
 	jb.state = jobRunning
-	jb.co = co
 	s.jobs.mu.Unlock()
 	var res reach.GridResult
+	var err error
 	if s.cfg.DistCoordinator != "" {
-		res, err = s.runDist(jb, co)
+		res, err = s.runDist(jb)
 	} else {
-		res, err = co.RunLocal(jb.ctx, s.rectChecker(jb))
+		cc := jb.check.cc
+		res, err = s.checkGrid(jb.ctx, jb.check, cc.Lo, cc.Hi, jb.ev.Context())
 	}
 	if err != nil {
 		return nil, err
@@ -343,33 +324,43 @@ func (s *Server) execute(jb *asyncJob) ([]byte, error) {
 	return reach.MarshalGridResultIndent(res)
 }
 
-// rectChecker returns the job's in-process rectangle check: checkGrid on
-// the rectangle, under a serve.rect event in the job's trace. The check runs
-// under the job's context, so a DELETE lands within one chunk of work.
-func (s *Server) rectChecker(jb *asyncJob) func(context.Context, dist.Rect) (reach.GridResult, error) {
-	return func(ctx context.Context, r dist.Rect) (reach.GridResult, error) {
-		ev := s.seam.Start(time.Now(), "serve.rect", jb.ev.Context(),
-			trace.Int("rect", int64(r.ID)))
-		res, err := s.checkGrid(ctx, jb.check, r.Lo, r.Hi, ev.Context())
-		ev.End(time.Now(), reach.Outcome(res, err))
-		return res, err
-	}
-}
-
-// runDist starts co on Config.DistCoordinator, where external workers
-// (`crncheck -join addr`) compute the rectangles, and waits for the merged
-// result under the job's context: a DELETE cancels the wait, and runJob
-// then closes the coordinator, letting workers see the job disappear and
-// exit.
+// runDist starts a coordinator for the job on Config.DistCoordinator. It
+// splits the grid into dist.DefaultShards rectangles (one per point on a
+// smaller grid) for external workers (`crncheck -join addr`), and logs,
+// scrapes and traces with this server: its dist.job span parents under
+// serve.job. runDist waits for the merged result under the job's context: a
+// DELETE cancels the wait, and runJob then closes the coordinator, letting
+// workers see the job disappear and exit.
 //
 // Two failures degrade instead of failing the job (unless CoordinatorGrace
 // is negative): the coordinator cannot start on the address, or no
 // rectangle completes for CoordinatorGrace — its workers are dead, wedged,
 // or never joined. Degrading shuts the listener and finishes the run in
 // this process on the same coordinator, keeping every rectangle workers
-// completed; the status carries a degraded marker and the body is the
-// bytes a healthy handoff would have produced.
-func (s *Server) runDist(jb *asyncJob, co *dist.Coordinator) (reach.GridResult, error) {
+// completed and checking each other one under a serve.rect event; the
+// status carries a degraded marker and the body is the bytes a healthy
+// handoff would have produced.
+func (s *Server) runDist(jb *asyncJob) (reach.GridResult, error) {
+	cc := jb.check.cc
+	co, err := dist.NewCoordinator(dist.CoordinatorConfig{
+		CRN:          jb.check.c,
+		Func:         cc.Func,
+		Lo:           cc.Lo,
+		Hi:           cc.Hi,
+		MaxConfigs:   cc.MaxConfigs,
+		MaxCount:     cc.MaxCount,
+		LeaseTTL:     s.cfg.LeaseTTL,
+		Logf:         s.cfg.Logf,
+		Metrics:      s.cfg.Metrics,
+		Tracer:       s.cfg.Tracer,
+		TraceContext: jb.ev.Context(),
+	})
+	if err != nil {
+		return reach.GridResult{}, err
+	}
+	s.jobs.mu.Lock()
+	jb.co = co
+	s.jobs.mu.Unlock()
 	addr, grace := s.cfg.DistCoordinator, s.cfg.CoordinatorGrace
 	degrade := func(reason string) (reach.GridResult, error) {
 		jb.ev.Logf("job %.12s…: degraded, finishing locally: %s", jb.id, reason)
@@ -380,7 +371,13 @@ func (s *Server) runDist(jb *asyncJob, co *dist.Coordinator) (reach.GridResult, 
 		s.jobs.mu.Unlock()
 		ev := s.seam.Start(time.Now(), "serve.degrade", jb.ev.Context(),
 			trace.String("reason", reason))
-		res, err := co.RunLocal(jb.ctx, s.rectChecker(jb))
+		res, err := co.RunLocal(jb.ctx, func(ctx context.Context, r dist.Rect) (reach.GridResult, error) {
+			rev := s.seam.Start(time.Now(), "serve.rect", jb.ev.Context(),
+				trace.Int("rect", int64(r.ID)))
+			res, err := s.checkGrid(ctx, jb.check, r.Lo, r.Hi, rev.Context())
+			rev.End(time.Now(), reach.Outcome(res, err))
+			return res, err
+		})
 		ev.End(time.Now(), reach.Outcome(res, err))
 		return res, err
 	}

@@ -21,9 +21,9 @@ import (
 
 // TestJobSubmitDedupAndProgress: POST /v1/jobs always runs asynchronously,
 // identical submissions share one job (the id is the content address), and
-// progress is reported in completed rectangles.
+// progress is reported in completed rectangles: a local job's grid is one.
 func TestJobSubmitDedupAndProgress(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shards: 4})
+	_, ts := newTestServer(t, Config{})
 	hi := int64(3)
 	req := CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi}
 	status, _, body := post(t, ts.URL+"/v1/jobs", req)
@@ -46,7 +46,7 @@ func TestJobSubmitDedupAndProgress(t *testing.T) {
 		t.Fatalf("identical submissions got different jobs: %s vs %s", js2.ID, js.ID)
 	}
 	final := awaitJob(t, ts.URL, js.ID)
-	if final.State != jobDone || final.Rects != 4 || final.RectsDone != 4 {
+	if final.State != jobDone || final.Rects != 1 || final.RectsDone != 1 {
 		t.Fatalf("final status: %+v", final)
 	}
 	_, result := get(t, ts.URL+"/v1/jobs/"+js.ID+"/result")
@@ -67,7 +67,7 @@ func TestJobSubmitDedupAndProgress(t *testing.T) {
 // TestJobRefutedGrid: an async job over a refuted grid completes with the
 // failing body (verification failure is a result, not a job error).
 func TestJobRefutedGrid(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shards: 5})
+	_, ts := newTestServer(t, Config{})
 	hi := int64(2)
 	status, _, body := post(t, ts.URL+"/v1/jobs", CheckRequest{CRN: sumCRNText, Func: "min", Hi: &hi})
 	if status != http.StatusAccepted {
@@ -119,7 +119,6 @@ func TestJobUnknownAndUnfinished(t *testing.T) {
 func TestJobDistBackend(t *testing.T) {
 	addr := freeAddr(t)
 	_, ts := newTestServer(t, Config{
-		Shards:          3,
 		DistCoordinator: addr,
 		LeaseTTL:        5 * time.Second,
 	})
@@ -147,8 +146,8 @@ func TestJobDistBackend(t *testing.T) {
 	if err := json.Unmarshal(body, &js); err != nil {
 		t.Fatal(err)
 	}
-	final := awaitJob(t, ts.URL, js.ID)
-	if final.State != jobDone || final.Rects != 3 || final.RectsDone != 3 {
+	final := awaitJob(t, ts.URL, js.ID) // hi 3: 16 points, one rectangle each
+	if final.State != jobDone || final.Rects != dist.DefaultShards || final.RectsDone != dist.DefaultShards {
 		t.Fatalf("dist job: %+v", final)
 	}
 	_, result := get(t, ts.URL+"/v1/jobs/"+js.ID+"/result")
@@ -257,7 +256,6 @@ func freeAddr(t *testing.T) string {
 func TestJobDistDoneBeforeLinger(t *testing.T) {
 	addr := freeAddr(t)
 	s, ts := newTestServer(t, Config{
-		Shards:           2,
 		DistCoordinator:  addr,
 		LeaseTTL:         5 * time.Second,
 		CoordinatorGrace: time.Minute,
@@ -294,8 +292,12 @@ func TestJobDistDoneBeforeLinger(t *testing.T) {
 	if _, err := br.ReadByte(); err == nil {
 		t.Fatal("coordinator wrote on an idle connection")
 	}
-	if st := s.jobs.status(s.jobs.get(js.ID)); st.State != jobDone {
+	st := s.jobs.status(s.jobs.get(js.ID))
+	if st.State != jobDone {
 		t.Fatalf("coordinator closed while the job was %q; done must be published first", st.State)
+	}
+	if st.Rects != dist.DefaultShards || st.RectsDone != dist.DefaultShards { // hi 3: 16 points
+		t.Fatalf("dist job progress: %+v", st)
 	}
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker: %v", err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -182,12 +183,12 @@ func TestStatsJSONKeys(t *testing.T) {
 }
 
 // TestMetricsSpanCountsLocalJobs: the span counters are hooked once, by the
-// server that owns the tracer. Every job runs through a coordinator with a
-// private registry, and none of them may re-point the hook, so after two
-// local jobs /metrics' crn_trace_spans_total is what the tracer recorded.
+// server that owns the tracer, and no job may re-point the hook, so after
+// two local jobs /metrics' crn_trace_spans_total is what the tracer
+// recorded.
 func TestMetricsSpanCountsLocalJobs(t *testing.T) {
 	tr := trace.New(trace.Options{Proc: "serve-test"})
-	_, ts := newTestServer(t, Config{Shards: 2, Tracer: tr})
+	_, ts := newTestServer(t, Config{Tracer: tr})
 	for _, hi := range []int64{3, 4} {
 		if final := awaitJob(t, ts.URL, submitJob(t, ts.URL, hi).ID); final.State != jobDone {
 			t.Fatalf("job hi=%d: %+v", hi, final)
@@ -212,12 +213,13 @@ func TestMetricsSpanCountsLocalJobs(t *testing.T) {
 
 // TestSeamNameSet pins crn_span_duration_seconds' name label to the one
 // documented list, trace.SpanNames, the way internal/progress pins stage
-// names: after a sync check, a simulation, a local job, a coordinator with
-// one worker and an httpx retry, all on one registry, every name observed
-// is on the list, so label cardinality stays bounded.
+// names: after a sync check, a simulation, a local job, a dist job that
+// degrades to checking its rectangles in-process, a coordinator with one
+// worker and an httpx retry, all on one registry, every name observed is on
+// the list, so label cardinality stays bounded.
 func TestSeamNameSet(t *testing.T) {
 	reg := metrics.NewRegistry()
-	_, ts := newTestServer(t, Config{Metrics: reg, Shards: 2, Tracer: trace.New(trace.Options{Proc: "serve-test"})})
+	_, ts := newTestServer(t, Config{Metrics: reg, Tracer: trace.New(trace.Options{Proc: "serve-test"})})
 	hi := int64(1)
 	if status, _, body := post(t, ts.URL+"/v1/check", CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi}); status != http.StatusOK {
 		t.Fatalf("sync check: %d %s", status, body)
@@ -227,6 +229,15 @@ func TestSeamNameSet(t *testing.T) {
 	}
 	if final := awaitJob(t, ts.URL, submitJob(t, ts.URL, 3).ID); final.State != jobDone {
 		t.Fatalf("local job: %+v", final)
+	}
+	occupied, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer occupied.Close()
+	_, dts := newTestServer(t, Config{Metrics: reg, DistCoordinator: occupied.Addr().String()})
+	if final := awaitJob(t, dts.URL, submitJob(t, dts.URL, 3).ID); final.State != jobDone || !final.Degraded {
+		t.Fatalf("degraded dist job: %+v", final)
 	}
 
 	minCRN, err := parse.Parse(minCRNText)
@@ -287,7 +298,7 @@ func TestSeamNameSet(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"serve.request", "serve.resolve", "serve.cache.lookup", "serve.compute", "serve.job", "serve.rect",
+		"serve.request", "serve.resolve", "serve.cache.lookup", "serve.compute", "serve.job", "serve.rect", "serve.degrade",
 		"dist.job", "dist.lease", "dist.merge", "httpx.attempt", "reach.grid",
 	} {
 		if !seen[want] {

@@ -43,11 +43,11 @@
 // Grids of at most Config.SyncGridLimit points are checked on the request
 // path under the server-owned worker budget. Larger grids become jobs
 // (202 + job id), each run off the request path under its own cancellable
-// context by an internal/dist coordinator. By default the coordinator
-// never listens and the server checks the rectangles itself, up to
-// Config.MaxJobs jobs at once. With
-// Config.DistCoordinator set it listens there and external
-// `crncheck -join` workers compute the rectangles, one job at a time. A
+// context. By default the server checks a job's whole grid itself, as one
+// grid check, up to Config.MaxJobs jobs at once. With
+// Config.DistCoordinator set each job gets an internal/dist coordinator
+// that listens there and splits the grid into rectangles, which external
+// `crncheck -join` workers compute, one job at a time. A
 // dist handoff that cannot start, or stalls past Config.CoordinatorGrace
 // with workers dead or absent, degrades instead of failing: the job
 // finishes locally on the same coordinator, keeping the rectangles workers
@@ -59,7 +59,7 @@
 // # Instrumentation
 //
 // Every serve event — a /v1/* request, its cache lookup or computation, a
-// job, its queue wait and rectangles, a degradation, each engine run's
+// job, its queue wait, a degradation and its rectangles, each engine run's
 // stages — is one call on the server's trace.Seam: it records the span
 // (Config.Tracer), observes crn_span_duration_seconds{name,outcome}
 // (Config.Metrics) and stamps the event's log lines (Config.Logf) with its
@@ -124,12 +124,10 @@ type Config struct {
 	// a fresh pre-completed job instantly.
 	JobTTL time.Duration
 	// DistCoordinator, when nonempty, is the host:port each async job's
-	// coordinator listens on for external workers (`crncheck -join`).
-	// Empty checks the rectangles on the local engine.
+	// coordinator listens on for external workers (`crncheck -join`),
+	// which compute its dist.DefaultShards rectangles. Empty checks each
+	// job's grid on the local engine.
 	DistCoordinator string
-	// Shards is the rectangle count jobs are split into (0 = 16): the
-	// progress and lease granularity, and what a degraded job keeps.
-	Shards int
 	// LeaseTTL is the dist coordinator's lease TTL (dist mode only).
 	LeaseTTL time.Duration
 	// CoordinatorGrace governs graceful degradation of the dist handoff: if
@@ -137,8 +135,8 @@ type Config struct {
 	// completes for this long mid-job (workers dead or never joined), the
 	// listener shuts and the job finishes locally on the same coordinator —
 	// keeping the rectangles workers completed, byte-identical body — and
-	// its status carries a degraded marker instead of failing. Must exceed the worst-case time
-	// a single rectangle takes under the configured shard count. 0 means
+	// its status carries a degraded marker instead of failing. Must exceed
+	// the worst-case time a single one of those rectangles takes. 0 means
 	// DefaultCoordinatorGrace; negative disables degradation (a failed
 	// handoff fails the job).
 	CoordinatorGrace time.Duration

@@ -412,7 +412,7 @@ func TestHealthzAndStats(t *testing.T) {
 // a job that completes to the exact synchronous body, after which /v1/check
 // serves it as a plain cache hit.
 func TestCheckLargeGridGoesAsync(t *testing.T) {
-	_, ts := newTestServer(t, Config{SyncGridLimit: 4, Shards: 3})
+	_, ts := newTestServer(t, Config{SyncGridLimit: 4})
 	hi := int64(2) // 9 points > 4
 	status, _, body := post(t, ts.URL+"/v1/check", CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi})
 	if status != http.StatusAccepted {
@@ -423,8 +423,8 @@ func TestCheckLargeGridGoesAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := awaitJob(t, ts.URL, js.ID)
-	if final.State != jobDone || final.Rects != 3 || final.RectsDone != 3 {
-		t.Fatalf("job did not complete all rectangles: %+v", final)
+	if final.State != jobDone || final.Rects != 1 || final.RectsDone != 1 {
+		t.Fatalf("local job did not complete its one rectangle: %+v", final)
 	}
 	_, result := get(t, ts.URL+"/v1/jobs/"+js.ID+"/result")
 	want := wantCheckBody(t, minCRNText, minEval, hi)

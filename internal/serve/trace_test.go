@@ -123,6 +123,59 @@ func TestTraceSyncCheck(t *testing.T) {
 	}
 }
 
+// TestTraceLocalJob: a local job is one grid check. Its trace holds one
+// reach.grid span, parented under serve.job, and no serve.rect span; its
+// status reports the grid as one rectangle — rects_done 0 while queued, 1
+// once done — and so does the pre-completed job a later identical
+// submission gets from the cache.
+func TestTraceLocalJob(t *testing.T) {
+	tr := trace.New(trace.Options{Proc: "serve-test"})
+	s, ts := newTestServer(t, Config{Tracer: tr})
+	// Hold the job's goroutine just before it runs, so it is observably
+	// unfinished.
+	release := make(chan struct{})
+	s.testComputed = func(string) { <-release }
+	hi := int64(3)
+	req := CheckRequest{CRN: minCRNText, Func: "min", Hi: &hi}
+	status, body := postTraced(t, ts.URL+"/v1/jobs", req)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", status, body)
+	}
+	var js JobStatus
+	if err := json.Unmarshal(body, &js); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.jobs.status(s.jobs.get(js.ID)); st.State != jobQueued || st.Rects != 1 || st.RectsDone != 0 {
+		t.Fatalf("unfinished local job: %+v", st)
+	}
+	close(release)
+	if final := awaitJob(t, ts.URL, js.ID); final.State != jobDone || final.Rects != 1 || final.RectsDone != 1 {
+		t.Fatalf("finished local job: %+v", final)
+	}
+
+	byName := spansByName(tr.TraceSpans(clientTraceID))
+	if n := len(byName["serve.rect"]); n != 0 {
+		t.Errorf("local job recorded %d serve.rect spans, want none", n)
+	}
+	jobs, grids := byName["serve.job"], byName["reach.grid"]
+	if len(jobs) != 1 || len(grids) != 1 || grids[0].Parent != jobs[0].SpanID {
+		t.Fatalf("want one reach.grid span under the one serve.job span; got serve.job %+v, reach.grid %+v", jobs, grids)
+	}
+
+	// Drop the done job's table entry: the next identical submission gets a
+	// pre-completed job from the response cache, one rectangle, done.
+	if status, body := del(t, ts.URL+"/v1/jobs/"+js.ID); status != http.StatusOK {
+		t.Fatalf("delete done job: %d %s", status, body)
+	}
+	status, body = postTraced(t, ts.URL+"/v1/jobs", req)
+	if err := json.Unmarshal(body, &js); err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusAccepted || js.State != jobDone || js.Rects != 1 || js.RectsDone != 1 {
+		t.Fatalf("cached pre-completed job: %d %+v", status, js)
+	}
+}
+
 // TestTraceDistE2E is the acceptance scenario: one grid job submitted via
 // /v1/jobs on a server in dist mode, computed by a real dist.Worker in a
 // separate tracer (a stand-in for a separate process), produces ONE trace id
@@ -136,7 +189,6 @@ func TestTraceDistE2E(t *testing.T) {
 	workerTr := trace.New(trace.Options{Proc: "crncheck-worker"})
 	addr := freeAddr(t)
 	_, ts := newTestServer(t, Config{
-		Shards:          2,
 		DistCoordinator: addr,
 		LeaseTTL:        5 * time.Second,
 		Tracer:          serverTr,
@@ -166,7 +218,9 @@ func TestTraceDistE2E(t *testing.T) {
 	if err := json.Unmarshal(body, &js); err != nil {
 		t.Fatal(err)
 	}
-	if final := awaitJob(t, ts.URL, js.ID); final.State != jobDone {
+	// hi 2: 9 points, fewer than dist.DefaultShards, so one rectangle each.
+	const rects = 9
+	if final := awaitJob(t, ts.URL, js.ID); final.State != jobDone || final.Rects != rects || final.RectsDone != rects {
 		t.Fatalf("dist job: %+v", final)
 	}
 	select {
@@ -205,8 +259,8 @@ func TestTraceDistE2E(t *testing.T) {
 		}
 		leaseIDs[d.SpanID] = true
 	}
-	if got := len(byName["dist.rect"]); got != 2 {
-		t.Errorf("want 2 shipped dist.rect spans (one per rectangle), got %d", got)
+	if got := len(byName["dist.rect"]); got != rects {
+		t.Errorf("want %d shipped dist.rect spans (one per rectangle), got %d", rects, got)
 	}
 	for _, d := range byName["dist.rect"] {
 		if !leaseIDs[d.Parent] {

@@ -22,7 +22,8 @@ import (
 //	serve.compute            the request that ran the engine
 //	serve.job                an async job, admission to terminal state
 //	serve.job.admission      an async job's queue wait
-//	serve.rect               one job rectangle checked in-process
+//	serve.rect               one rectangle a degraded dist job checks
+//	                         in-process
 //	serve.degrade            a dist handoff finishing locally
 //	dist.job                 a coordinator run, construction to merge
 //	dist.lease               one lease, grant to result (ok), expiry or loss
