@@ -11,9 +11,11 @@
 // run would print. -join turns the process into a worker: it fetches the
 // job from the coordinator, checks leased rectangles locally with
 // reach.CheckGridCtx, and reports results until the job is done. A worker
-// rides out coordinator outages (crashes, checkpoint restarts) for
-// -join-grace before exiting 2 with a coordinator-lost error; a 4xx from
-// the join endpoint fails immediately instead of retrying.
+// keeps retrying a coordinator it cannot reach for -join-grace, both to
+// join (a worker may start before its coordinator) and once joined (riding
+// out crashes and checkpoint restarts). A join that runs out exits 1; a
+// joined worker that runs out exits 2 with a coordinator-lost error. A 4xx
+// from the join endpoint fails immediately instead of retrying.
 //
 // -workers is how many grid inputs are checked at once; each input's
 // exploration runs on one goroutine. Results — counts, the first failing
@@ -100,7 +102,7 @@ func run(args []string, out io.Writer) error {
 
 		coordAddr  = fs.String("coordinator", "", "run as distributed coordinator listening on this host:port; workers join with -join")
 		joinAddr   = fs.String("join", "", "run as distributed worker against the coordinator at this host:port")
-		joinGrace  = fs.Duration("join-grace", 15*time.Second, "worker: keep retrying an unreachable coordinator this long (surviving restarts) before exiting with a coordinator-lost error")
+		joinGrace  = fs.Duration("join-grace", 15*time.Second, "worker: keep retrying an unreachable coordinator this long, to join it and, once joined, to survive its restarts; a joined worker that runs out exits with a coordinator-lost error")
 		shards     = fs.Int("shards", 0, "coordinator: number of grid rectangles to lease out (0 = 16; more shards than workers keeps the tail balanced)")
 		lease      = fs.Duration("lease", dist.DefaultLeaseTTL, "coordinator: lease TTL before a silent worker's rectangle is reassigned")
 		checkpoint = fs.String("checkpoint", "", "coordinator: checkpoint file; completed rectangles are saved after each result and resumed on restart")

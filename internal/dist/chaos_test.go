@@ -86,8 +86,6 @@ func runChaos(t *testing.T, c *crn.CRN, lo, hi []int64, shape string, seed uint6
 			Name:        fmt.Sprintf("chaos-%d", i),
 			Workers:     2,
 			Resolve:     core.Resolve,
-			Poll:        5 * time.Millisecond,
-			LongPoll:    200 * time.Millisecond,
 			Grace:       30 * time.Second, // ride out every injected outage
 			Client:      &http.Client{Transport: tr, Timeout: 10 * time.Second},
 			Logf:        t.Logf,
@@ -213,8 +211,6 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 			Name:        fmt.Sprintf("restart-%d", i),
 			Workers:     2,
 			Resolve:     core.Resolve,
-			Poll:        5 * time.Millisecond,
-			LongPoll:    100 * time.Millisecond,
 			Grace:       30 * time.Second, // must span the restart outage
 			Client:      &http.Client{Transport: faultnet.NewTransport(nil, sched), Timeout: 10 * time.Second},
 			Logf:        t.Logf,

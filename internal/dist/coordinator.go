@@ -88,7 +88,7 @@ type rectState struct {
 	attempts int         // times leased (for /status observability)
 	lease    trace.Event // open dist.lease event (status == rectLeased)
 	result   reach.GridResult
-	raw      json.RawMessage // wire form of result, for the checkpoint file
+	raw      json.RawMessage // wire form of result, kept only for a checkpoint file
 	errMsg   string          // deterministic enumeration error, if any
 }
 
@@ -360,9 +360,10 @@ func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 
 // recordLocked marks rectangle id done — the one record path, shared by
 // worker reports (POST /result) and RunLocal — and finishes the run once
-// that settles it. raw is res in wire form, for the checkpoint file; spans
-// are the finished spans the reporting worker shipped, which join the
-// coordinator's ring so /debug/traces here shows the cross-process trace.
+// that settles it. raw is res in wire form, kept for the checkpoint file
+// only when one is configured; spans are the finished spans the reporting
+// worker shipped, which join the coordinator's ring so /debug/traces here
+// shows the cross-process trace.
 // Caller holds co.mu and has checked the rectangle is not done yet.
 func (co *Coordinator) recordLocked(id int, worker string, res reach.GridResult, raw json.RawMessage, errMsg string, spans []trace.SpanData) {
 	st := &co.states[id]
@@ -380,11 +381,11 @@ func (co *Coordinator) recordLocked(id int, worker string, res reach.GridResult,
 	st.status = rectDone
 	st.worker = worker
 	st.result = res
-	st.raw = raw
 	st.errMsg = errMsg
 	co.syncRectsLocked()
 	lease.Logf("result: rect %d from %s: %v", id, worker, res)
 	if co.cfg.Checkpoint != "" {
+		st.raw = raw
 		if err := co.saveCheckpointLocked(); err != nil {
 			co.seam.Logf("checkpoint: %v", err)
 		}

@@ -346,6 +346,30 @@ func TestResultValidation(t *testing.T) {
 	}
 }
 
+// TestResultRawOnlyWithCheckpoint: a POST /result keeps the rectangle's
+// wire JSON only when a checkpoint file will be written from it.
+func TestResultRawOnlyWithCheckpoint(t *testing.T) {
+	for _, cp := range []string{"", filepath.Join(t.TempDir(), "ckpt.json")} {
+		co := newTestCoordinator(t, nil, 2, cp)
+		body, err := json.Marshal(localRectResult(t, minCRN(), minFunc, co.rects[0], "w"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		co.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/result", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("checkpoint %q: /result answered %d: %s", cp, rec.Code, rec.Body)
+		}
+		st := &co.states[0]
+		if st.status != rectDone {
+			t.Fatalf("checkpoint %q: rect 0 not recorded", cp)
+		}
+		if kept := st.raw != nil; kept != (cp != "") {
+			t.Fatalf("checkpoint %q: raw kept = %v", cp, kept)
+		}
+	}
+}
+
 // assertSameAsLocal marshals merged and the local single-process CheckGrid
 // result and requires byte identity (and identical String renderings).
 func assertSameAsLocal(t *testing.T, merged reach.GridResult, mergedErr error, c *crn.CRN, f reach.Func, lo, hi []int64) {

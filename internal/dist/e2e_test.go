@@ -45,7 +45,6 @@ func runDistributed(t *testing.T, c *crn.CRN, lo, hi []int64, shards, workers in
 			Name:        string(rune('A' + i)),
 			Workers:     2,
 			Resolve:     core.Resolve,
-			Poll:        10 * time.Millisecond,
 			Logf:        t.Logf,
 		}
 		if i == 0 && killFirstLease {
@@ -115,7 +114,7 @@ func TestWorkerRejectsWrongProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Shutdown(context.Background())
-	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, JoinTimeout: 2 * time.Second}
+	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, Grace: 2 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := w.Run(ctx); err == nil {
@@ -137,7 +136,7 @@ func TestWorkerUnknownFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Shutdown(context.Background())
-	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, JoinTimeout: 2 * time.Second}
+	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, Grace: 2 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := w.Run(ctx); err == nil {

@@ -43,15 +43,17 @@
 // Every worker→coordinator request may be refused, time out, answer 5xx,
 // stall, or be dropped after the coordinator committed its effect — the
 // failure modes internal/faultnet injects deterministically in the chaos
-// suite. The worker rides them out through internal/httpx retry budgets:
+// suite. The worker rides them out on one internal/httpx retry budget,
+// Worker.Grace, for every join, lease and result call:
 //
 //   - transport errors, 5xx, and truncated bodies retry with full-jitter
 //     exponential backoff; a 4xx is the coordinator rejecting the request
 //     itself and fails fast (a misaddressed -join must not spin for the
-//     whole JoinTimeout);
+//     whole Grace);
 //   - a coordinator that stays unreachable after a successful join is
-//     tolerated for Worker.Grace — long enough to span a checkpoint
-//     restart — then surfaces as ErrCoordinatorLost, never a silent nil;
+//     tolerated for Grace — long enough to span a checkpoint restart —
+//     then surfaces as ErrCoordinatorLost, never a silent nil; one that
+//     cannot be reached to join within Grace is a plain join error;
 //   - every mutating endpoint is idempotent (duplicate lease, renew, and
 //     result requests converge), so a response dropped after commit is
 //     repaired by the retry, not double-applied;

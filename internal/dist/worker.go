@@ -25,6 +25,13 @@ import (
 // case happened. Test with errors.Is.
 var ErrCoordinatorLost = errors.New("dist: coordinator lost")
 
+// longPoll is the lease long-poll window: /lease requests ask the
+// coordinator to park them up to this long when no rectangle is free
+// (answered early as soon as one frees up or the job finishes), instead of
+// the worker polling. It sits comfortably inside the HTTP client's 30s
+// timeout; the coordinator additionally clamps it to its lease TTL.
+const longPoll = 10 * time.Second
+
 // Worker joins a coordinator, leases rectangles, checks each one locally
 // (reach.CheckGridCtx on the rectangle's bounds), and reports results. Any
 // number of workers may join and leave at any time; a worker that dies
@@ -45,25 +52,12 @@ type Worker struct {
 	// Resolve maps the job's function name to an evaluator. Required: the
 	// coordinator ships only the name, never code.
 	Resolve func(name string) (reach.Func, error)
-	// Poll is the base backoff delay for failed coordinator requests, and
-	// the fallback sleep after a lease poll that came back empty without
-	// being parked (default 50ms).
-	Poll time.Duration
-	// LongPoll is the lease long-poll window: /lease requests ask the
-	// coordinator to park them up to this long when no rectangle is free
-	// (answered early as soon as one frees up or the job finishes), instead
-	// of the worker polling every Poll interval. Default 10s — comfortably
-	// inside the HTTP client's 30s timeout; the coordinator additionally
-	// clamps the window to its lease TTL. Negative disables long-polling.
-	LongPoll time.Duration
-	// JoinTimeout bounds the initial retry loop fetching the job, so a
-	// worker started slightly before its coordinator still joins
-	// (default 15s).
-	JoinTimeout time.Duration
-	// Grace bounds how long a joined worker keeps retrying an unreachable
-	// coordinator — across lease polls and result posts — before giving up
-	// with ErrCoordinatorLost (default 15s). Long enough to ride out a
-	// coordinator checkpoint-restart.
+	// Grace bounds how long each join, lease and result call keeps
+	// retrying a coordinator it cannot reach (default 15s): long enough to
+	// ride out a coordinator checkpoint-restart, or to join a coordinator
+	// started after the worker. A join that runs out of Grace fails with a
+	// plain error, a lease with ErrCoordinatorLost; an undelivered result is
+	// dropped and its lease expires.
 	Grace time.Duration
 	// Client, when non-nil, overrides the HTTP client.
 	Client *http.Client
@@ -98,21 +92,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	poll := w.Poll
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	longPoll := w.LongPoll
-	switch {
-	case longPoll == 0:
-		longPoll = 10 * time.Second
-	case longPoll < 0:
-		longPoll = 0
-	}
-	joinTimeout := w.JoinTimeout
-	if joinTimeout <= 0 {
-		joinTimeout = 15 * time.Second
-	}
 	grace := w.Grace
 	if grace <= 0 {
 		grace = 15 * time.Second
@@ -124,25 +103,25 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	seam := trace.NewSeam(w.Tracer, nil, w.Logf)
 
-	// Join: fetch the job, retrying transient failures for up to JoinTimeout
-	// so worker/coordinator start order does not matter. A 4xx answer is the
-	// coordinator (or whatever is listening there) rejecting the request
-	// itself — retrying cannot help, so httpx fails it on the first attempt.
-	joinC := &httpx.Client{
+	// One client serves join, lease and result: each call retries transient
+	// failures for up to Grace, so worker/coordinator start order does not
+	// matter and a coordinator checkpoint-restart shorter than Grace is
+	// survived. A 4xx answer is the coordinator (or whatever is listening
+	// there) rejecting the request itself — retrying cannot help, so httpx
+	// fails it on the first attempt.
+	coord := &httpx.Client{
 		HTTP:        client,
 		MaxAttempts: -1,
-		Budget:      joinTimeout,
-		BaseDelay:   poll,
+		Budget:      grace,
 		MaxDelay:    time.Second,
 		Seam:        seam,
 	}
 	var job JobSpec
-	if err := joinC.GetJSON(ctx, base+"/job", &job); err != nil {
+	if err := coord.GetJSON(ctx, base+"/job", &job); err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		var se *httpx.StatusError
-		if errors.As(err, &se) && !httpx.Retryable(err) {
+		if !httpx.Retryable(err) {
 			return fmt.Errorf("dist: joining %s: coordinator rejected the request (not retrying): %w", base, err)
 		}
 		return fmt.Errorf("dist: joining %s: %w", base, err)
@@ -165,45 +144,20 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	seam.Logf("worker %s: joined %s (%s on %d rects)", name, base, job.Func, job.Rects)
 
-	// Each /lease call retries transient failures briefly on its own; the
-	// loop below tracks how long the coordinator has been continuously
-	// unreachable and gives up with ErrCoordinatorLost only past Grace, so
-	// a coordinator checkpoint-restart shorter than Grace is survived.
-	leaseC := &httpx.Client{
-		HTTP:        client,
-		MaxAttempts: 3,
-		BaseDelay:   poll,
-		MaxDelay:    time.Second,
-		Seam:        seam,
-	}
-	var downSince time.Time
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		polledAt := time.Now()
 		var lr LeaseResponse
-		if err := leaseC.PostJSON(ctx, base+"/lease", LeaseRequest{Worker: name, WaitMillis: longPoll.Milliseconds()}, &lr); err != nil {
+		if err := coord.PostJSON(ctx, base+"/lease", LeaseRequest{Worker: name, WaitMillis: longPoll.Milliseconds()}, &lr); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			var se *httpx.StatusError
-			if errors.As(err, &se) && !httpx.Retryable(err) {
+			if !httpx.Retryable(err) {
 				return fmt.Errorf("dist: leasing from %s: %w", base, err)
 			}
-			if downSince.IsZero() {
-				downSince = polledAt
-				seam.Logf("worker %s: coordinator unreachable (%v); retrying for up to %s", name, err, grace)
-			}
-			if time.Since(downSince) >= grace {
-				return fmt.Errorf("dist: worker %s: coordinator %s unreachable for %s (last error: %v): %w", name, base, grace, err, ErrCoordinatorLost)
-			}
-			sleepCtx(ctx, poll)
-			continue
-		}
-		if !downSince.IsZero() {
-			seam.Logf("worker %s: coordinator reachable again after %s", name, time.Since(downSince).Round(time.Millisecond))
-			downSince = time.Time{}
+			return fmt.Errorf("dist: worker %s: coordinator %s unreachable for %s (last error: %v): %w", name, base, grace, err, ErrCoordinatorLost)
 		}
 		switch {
 		case lr.Done:
@@ -212,11 +166,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		case lr.Rect == nil:
 			// An empty answer after a full long-poll window can be retried
 			// immediately — the coordinator just parked us for the window.
-			// One that came back early (long-poll off, or a coordinator that
-			// ignored/clamped the window) falls back to interval polling so
-			// the loop never runs hot.
-			if time.Since(polledAt) < longPoll/2 || longPoll == 0 {
-				sleepCtx(ctx, poll)
+			// One that came back early (a coordinator that clamped the
+			// window to a short TTL) sleeps the base delay first, so the
+			// loop never runs hot.
+			if time.Since(polledAt) < longPoll/2 {
+				sleepCtx(ctx, httpx.DefaultBaseDelay)
 			}
 			continue
 		}
@@ -226,18 +180,17 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		}
-		if err := w.checkRect(ctx, seam, client, base, name, poll, grace, c, f, rect, lr, opts); err != nil {
+		if err := w.checkRect(ctx, seam, coord, base, name, c, f, rect, lr, opts); err != nil {
 			return err
 		}
 	}
 }
 
 // checkRect runs one leased rectangle with a heartbeat renewing the lease,
-// then reports the result. A result that cannot be delivered within Grace is
-// dropped: the lease expires and the rectangle is recomputed elsewhere.
-// poll is Run's resolved Poll, the first retry delay of the renew and
-// result calls.
-func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.Client, base, name string, poll, grace time.Duration, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
+// then reports the result through coord, Run's coordinator client. A result
+// that cannot be delivered within Grace is dropped: the lease expires and
+// the rectangle is recomputed elsewhere.
+func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.Client, base, name string, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
 	ttl := time.Duration(lr.TTLMillis) * time.Millisecond
 	// The lease response's traceparent stitches this rectangle into the
 	// trace that submitted the job: the rectangle-compute span is a child of
@@ -263,10 +216,11 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 		hb.Add(1)
 		go func() {
 			defer hb.Done()
+			// A renew never outlasts a heartbeat: two attempts, backing
+			// off at most TTL/3.
 			renewC := &httpx.Client{
-				HTTP:        client,
+				HTTP:        coord.HTTP,
 				MaxAttempts: 2,
-				BaseDelay:   poll,
 				MaxDelay:    max(ttl/3, time.Millisecond),
 				Seam:        seam,
 			}
@@ -348,16 +302,8 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, client *http.C
 	// the post may be retried freely — including after a dropped-response
 	// fault where the coordinator committed the result but the worker never
 	// saw the ack.
-	resultC := &httpx.Client{
-		HTTP:        client,
-		MaxAttempts: -1,
-		Budget:      grace,
-		BaseDelay:   poll,
-		MaxDelay:    time.Second,
-		Seam:        seam,
-	}
 	var ack ResultResponse
-	if err := resultC.PostJSON(rctx, base+"/result", req, &ack); err != nil {
+	if err := coord.PostJSON(rctx, base+"/result", req, &ack); err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}

@@ -78,7 +78,7 @@ func testJob() JobSpec {
 
 // TestWorkerJoin4xxFailsFast: a 4xx on /job is the listener rejecting the
 // request itself (wrong endpoint, future protocol served as an error) — the
-// worker must fail on the first attempt, not retry for the full JoinTimeout.
+// worker must fail on the first attempt, not retry for the full Grace.
 func TestWorkerJoin4xxFailsFast(t *testing.T) {
 	fc := &fakeCoordinator{t: t, jobErr: func(int64) int { return http.StatusNotFound }}
 	ts := httptest.NewServer(fc.handler())
@@ -87,8 +87,7 @@ func TestWorkerJoin4xxFailsFast(t *testing.T) {
 	w := &Worker{
 		Coordinator: ts.URL,
 		Resolve:     core.Resolve,
-		Poll:        5 * time.Millisecond,
-		JoinTimeout: 30 * time.Second, // must NOT be waited out
+		Grace:       30 * time.Second, // must NOT be waited out
 		Logf:        t.Logf,
 	}
 	start := time.Now()
@@ -108,7 +107,7 @@ func TestWorkerJoin4xxFailsFast(t *testing.T) {
 }
 
 // TestWorkerJoinRetriesTransient: 5xx answers during startup races are
-// transient — the worker keeps retrying inside JoinTimeout and joins once
+// transient — the worker keeps retrying inside Grace and joins once
 // the coordinator recovers.
 func TestWorkerJoinRetriesTransient(t *testing.T) {
 	fc := &fakeCoordinator{
@@ -128,9 +127,7 @@ func TestWorkerJoinRetriesTransient(t *testing.T) {
 	w := &Worker{
 		Coordinator: ts.URL,
 		Resolve:     core.Resolve,
-		Poll:        time.Millisecond,
-		JoinTimeout: 30 * time.Second,
-		LongPoll:    -1,
+		Grace:       30 * time.Second,
 		Logf:        t.Logf,
 	}
 	if err := w.Run(context.Background()); err != nil {
@@ -153,8 +150,6 @@ func TestWorkerCoordinatorLost(t *testing.T) {
 	w := &Worker{
 		Coordinator: ts.URL,
 		Resolve:     core.Resolve,
-		Poll:        5 * time.Millisecond,
-		LongPoll:    -1,
 		Grace:       grace,
 		Logf:        t.Logf,
 	}
@@ -201,7 +196,6 @@ func TestWorkerRetryLogStamped(t *testing.T) {
 		Name:        "W",
 		Workers:     1,
 		Resolve:     core.Resolve,
-		Poll:        time.Millisecond,
 		Tracer:      trace.New(trace.Options{Proc: "worker"}),
 		Logf: func(format string, args ...any) {
 			mu.Lock()

@@ -72,10 +72,12 @@ type Client struct {
 	// DefaultBaseDelay/DefaultMaxDelay.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Budget, when positive, caps the total wall-clock time the call may
-	// spend across attempts and backoff sleeps, measured from the first
-	// attempt. The call never starts a sleep it cannot finish inside the
-	// budget; the last transient error is returned wrapped.
+	// Budget, when positive, is how long the call keeps retrying transient
+	// failures, measured from the first attempt. A backoff that would
+	// overrun it is cut to end at the deadline, where one last attempt
+	// runs, so the call gives up no earlier than Budget (and no later than
+	// Budget plus one attempt); the last transient error is returned
+	// wrapped.
 	Budget time.Duration
 	// Rand draws jitter: a uniform int64 in [0, n). Nil uses math/rand/v2.
 	// Injectable so tests can pin backoff schedules.
@@ -224,10 +226,16 @@ func (c *Client) doJSON(ctx context.Context, method, url string, body []byte, ou
 			return fmt.Errorf("httpx: %s %s failed after %d attempts: %w", method, url, attempt+1, lastErr)
 		}
 		d := c.backoff(attempt)
-		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
-			ev.Logf("httpx: %s %s giving up, retry budget %s exhausted after %d attempts (last attempt took %s, status %d): %v",
-				method, url, c.Budget, attempt+1, elapsed, StatusCode(lastErr), lastErr)
-			return fmt.Errorf("httpx: %s %s: retry budget %s exhausted after %d attempts: %w", method, url, c.Budget, attempt+1, lastErr)
+		if !deadline.IsZero() {
+			left := time.Until(deadline)
+			if left <= 0 {
+				ev.Logf("httpx: %s %s giving up, retry budget %s exhausted after %d attempts (last attempt took %s, status %d): %v",
+					method, url, c.Budget, attempt+1, elapsed, StatusCode(lastErr), lastErr)
+				return fmt.Errorf("httpx: %s %s: retry budget %s exhausted after %d attempts: %w", method, url, c.Budget, attempt+1, lastErr)
+			}
+			// A backoff that would overrun the budget ends at the deadline
+			// instead, where one last attempt runs.
+			d = min(d, left)
 		}
 		ev.Logf("httpx: %s %s attempt %d failed in %s: %v (retrying in %s)", method, url, attempt+1, elapsed, err, d)
 		if !sleepCtx(ctx, d) {

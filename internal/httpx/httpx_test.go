@@ -129,6 +129,39 @@ func TestBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestBudgetNotCutShort: a budgeted call against a server that is always
+// down gives up no earlier than Budget. With 40ms delays and a 100ms
+// budget, attempts run at about 0, 40 and 80ms; the next full backoff would
+// end past the deadline, so it is cut to end there and one last attempt
+// runs at the deadline before the call gives up.
+func TestBudgetNotCutShort(t *testing.T) {
+	var lastHit atomic.Int64 // UnixNano of the latest attempt
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lastHit.Store(time.Now().UnixNano())
+		http.Error(w, "always down", http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+	const budget = 100 * time.Millisecond
+	c := &Client{
+		MaxAttempts: -1,
+		Budget:      budget,
+		BaseDelay:   40 * time.Millisecond,
+		MaxDelay:    40 * time.Millisecond,
+		Rand:        func(n int64) int64 { return n - 1 }, // full delay every time
+	}
+	start := time.Now()
+	err := c.GetJSON(context.Background(), ts.URL, new(struct{}))
+	if StatusCode(err) != http.StatusServiceUnavailable {
+		t.Fatalf("err = %v, want the last 503 wrapped", err)
+	}
+	if elapsed := time.Since(start); elapsed < budget {
+		t.Fatalf("gave up after %s, before the %s budget", elapsed, budget)
+	}
+	if at := time.Duration(lastHit.Load() - start.UnixNano()); at < budget {
+		t.Fatalf("last attempt at %s, want one at the %s deadline", at, budget)
+	}
+}
+
 // TestContextCancelDuringRetries: canceling the context ends the loop
 // immediately with a context error.
 func TestContextCancelDuringRetries(t *testing.T) {

@@ -95,9 +95,7 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 			Name:        fmt.Sprintf("worker-%d", i),
 			Workers:     1,
 			Resolve:     core.Resolve,
-			Poll:        10 * time.Millisecond,
-			LongPoll:    200 * time.Millisecond,
-			JoinTimeout: 30 * time.Second,
+			Grace:       30 * time.Second,
 			Logf:        t.Logf,
 		}
 		if i == 0 {
@@ -155,9 +153,7 @@ func TestJobDegradeKeepsCompletedRects(t *testing.T) {
 		Name:        "mortal",
 		Workers:     1,
 		Resolve:     core.Resolve,
-		Poll:        10 * time.Millisecond,
-		LongPoll:    200 * time.Millisecond,
-		JoinTimeout: 30 * time.Second,
+		Grace:       30 * time.Second,
 		LeaseHook: func(dist.Rect) error {
 			if leases.Add(1) > k {
 				return killed
@@ -246,9 +242,7 @@ func TestJobDistConcurrentJobs(t *testing.T) {
 					Name:        fmt.Sprintf("worker-%d", i),
 					Workers:     1,
 					Resolve:     core.Resolve,
-					Poll:        10 * time.Millisecond,
-					LongPoll:    200 * time.Millisecond,
-					JoinTimeout: 30 * time.Second,
+					Grace:       30 * time.Second,
 				}
 				_ = w.Run(ctx)
 			}

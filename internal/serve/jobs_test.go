@@ -131,8 +131,7 @@ func TestJobDistBackend(t *testing.T) {
 			Name:        "test-worker",
 			Workers:     1,
 			Resolve:     core.Resolve,
-			JoinTimeout: 30 * time.Second,
-			LongPoll:    200 * time.Millisecond,
+			Grace:       30 * time.Second,
 		}
 		workerDone <- w.Run(ctx)
 	}()
@@ -286,7 +285,7 @@ func TestJobDistDoneBeforeLinger(t *testing.T) {
 	defer cancel()
 	workerDone := make(chan error, 1)
 	go func() {
-		w := &dist.Worker{Coordinator: addr, Name: "w", Workers: 1, Resolve: core.Resolve, LongPoll: 200 * time.Millisecond}
+		w := &dist.Worker{Coordinator: addr, Name: "w", Workers: 1, Resolve: core.Resolve}
 		workerDone <- w.Run(ctx)
 	}()
 	if _, err := br.ReadByte(); err == nil {

@@ -202,8 +202,7 @@ func TestTraceDistE2E(t *testing.T) {
 			Name:        "trace-worker",
 			Workers:     1,
 			Resolve:     core.Resolve,
-			JoinTimeout: 30 * time.Second,
-			LongPoll:    200 * time.Millisecond,
+			Grace:       30 * time.Second,
 			Tracer:      workerTr,
 		}
 		workerDone <- w.Run(ctx)

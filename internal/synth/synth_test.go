@@ -333,13 +333,13 @@ func TestGeneralConstructionFig4a(t *testing.T) {
 		t.Fatal("general construction must be output-oblivious")
 	}
 	// Model-check small inputs exhaustively. The full 3×3 grid explores
-	// ~10.4M configurations (about 40 s on 2 CPUs with the packed-row
-	// parallel engine; the old string-keyed explorer exceeded the 10-minute
-	// test timeout on it), so -short verifies the 2×2 grid, which stays
-	// well inside CI budgets even single-core.
-	hi := []int64{1, 1}
+	// ~10.4M configurations (about 7 s and 2 GB peak on 2 CPUs), so -short
+	// verifies the 2×2 grid, which stays well inside CI budgets even
+	// single-core. Every -short input is decided; at full size input (2,2)
+	// exceeds the 1<<23 budget and is the one inconclusive input.
+	hi, undecided := []int64{1, 1}, 0
 	if !testing.Short() {
-		hi = []int64{2, 2}
+		hi, undecided = []int64{2, 2}, 1
 	}
 	gr, err := reach.CheckGrid(c, func(x []int64) int64 { return f.Eval(vec.New(x...)) },
 		[]int64{0, 0}, hi,
@@ -349,6 +349,9 @@ func TestGeneralConstructionFig4a(t *testing.T) {
 	}
 	if !gr.OK() {
 		t.Fatal(gr)
+	}
+	if gr.Inconclusive != undecided {
+		t.Fatalf("%d inconclusive inputs, want %d: %v", gr.Inconclusive, undecided, gr)
 	}
 	t.Logf("fig4a CRN: %d species, %d reactions; %d configs explored over %d inputs",
 		c.NumSpecies(), len(c.Reactions), gr.Explored, gr.Checked)
