@@ -20,15 +20,9 @@
 //	                    on this host:port — external workers join with
 //	                    `crncheck -join addr` and compute its 16 rectangles.
 //	                    Without it a job is one grid check here
-//	-lease d            dist-mode lease TTL before a silent worker's
-//	                    rectangle is reassigned (default 30s)
-//	-coordinator-grace d
-//	                    dist-mode degradation watchdog: if the handoff cannot
-//	                    start (address taken) or no rectangle completes for
-//	                    this long (all workers lost), the job finishes
-//	                    locally, keeping the rectangles workers completed,
-//	                    and is marked "degraded" — same bytes (default 10s;
-//	                    negative fails the job instead)
+//	-lease d            dist-mode lease TTL: a worker silent this long loses
+//	                    its rectangle, and a job that no worker reaches this
+//	                    long finishes locally, marked "degraded" (default 30s)
 //	-max-jobs n         admission budget: local async jobs executing
 //	                    concurrently, each under its own cancellable context
 //	                    (default 2); dist-mode jobs run one at a time
@@ -98,8 +92,7 @@ func run(args []string, out io.Writer, ctx context.Context) error {
 		cacheMax  = fs.Int("cache-max", serve.DefaultCacheMax, "result-cache capacity in entries, LRU-evicted beyond it (-1 disables caching)")
 		syncGrid  = fs.Int64("sync-grid", serve.DefaultSyncGridLimit, "largest grid (input points) checked synchronously; larger checks become async jobs")
 		distCoord = fs.String("dist-coordinator", "", "run async jobs through a dist coordinator on this host:port (workers join with `crncheck -join`)")
-		lease     = fs.Duration("lease", dist.DefaultLeaseTTL, "dist-mode lease TTL before a silent worker's rectangle is reassigned")
-		coGrace   = fs.Duration("coordinator-grace", serve.DefaultCoordinatorGrace, "dist-mode degradation watchdog: if a handoff cannot start, or no rectangle completes for this long, the job finishes locally, keeping completed rectangles, marked degraded (negative disables the fallback)")
+		lease     = fs.Duration("lease", dist.DefaultLeaseTTL, "dist-mode lease TTL: a worker silent this long loses its rectangle, and a job no worker reaches for this long finishes locally, keeping completed rectangles, marked degraded")
 		maxJobs   = fs.Int("max-jobs", serve.DefaultMaxJobs, "local async jobs executing concurrently (admission budget); dist-mode jobs run one at a time")
 		jobTTL    = fs.Duration("job-ttl", serve.DefaultJobTTL, "terminal-job lifetime in the job table (negative disables expiry; done results stay cached)")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: in-flight jobs get this long to finish on SIGINT/SIGTERM before being canceled")
@@ -118,15 +111,14 @@ func run(args []string, out io.Writer, ctx context.Context) error {
 		fmt.Fprintf(os.Stderr, "crnserve: pprof on %s/debug/pprof/, traces on %s/debug/traces\n", da, da)
 	}
 	s := serve.New(serve.Config{
-		Workers:          *workers,
-		CacheMax:         *cacheMax,
-		SyncGridLimit:    *syncGrid,
-		DistCoordinator:  *distCoord,
-		LeaseTTL:         *lease,
-		CoordinatorGrace: *coGrace,
-		MaxJobs:          *maxJobs,
-		JobTTL:           *jobTTL,
-		Tracer:           tr,
+		Workers:         *workers,
+		CacheMax:        *cacheMax,
+		SyncGridLimit:   *syncGrid,
+		DistCoordinator: *distCoord,
+		LeaseTTL:        *lease,
+		MaxJobs:         *maxJobs,
+		JobTTL:          *jobTTL,
+		Tracer:          tr,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "crnserve: "+format+"\n", args...)
 		},

@@ -43,10 +43,10 @@
 //     rectangles to external workers through an internal/dist
 //     coordinator — cancellable via DELETE, and drained gracefully on
 //     SIGTERM; /v1/check bodies are byte-identical to crncheck -json; a
-//     dist handoff that cannot start or stalls past a grace window
-//     degrades and finishes locally on the same coordinator, keeping the
-//     rectangles workers completed — same bytes, marked "degraded" in the
-//     job status;
+//     dist handoff that cannot start, or that no worker reaches for one
+//     lease TTL, degrades and finishes locally on the same coordinator,
+//     keeping the rectangles workers completed — same bytes, marked
+//     "degraded" in the job status;
 //   - internal/httpx: the one retrying HTTP client every cross-process
 //     call in dist and serve goes through — full-jitter exponential
 //     backoff, per-attempt timeouts, a wall-clock retry budget, and the

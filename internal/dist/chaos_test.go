@@ -72,14 +72,15 @@ func runChaos(t *testing.T, c *crn.CRN, lo, hi []int64, shape string, seed uint6
 	if err := co.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer co.Shutdown(context.Background())
+	inner := http.DefaultTransport.(*http.Transport).Clone()
+	defer shutdownChaos(co, inner)
 	addr := co.Addr().String()
 
 	const workers = 2
 	transports := make([]*faultnet.Transport, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		tr := faultnet.NewTransport(nil, chaosSchedule(seed+uint64(i)*1000, shape))
+		tr := faultnet.NewTransport(inner, chaosSchedule(seed+uint64(i)*1000, shape))
 		transports[i] = tr
 		w := &Worker{
 			Coordinator: addr,
@@ -106,6 +107,16 @@ func runChaos(t *testing.T, c *crn.CRN, lo, hi []int64, shape string, seed uint6
 		injected += tr.Injected()
 	}
 	return merged, mergedErr, injected
+}
+
+// shutdownChaos shuts co down once its workers are gone. It first closes
+// the idle connections of the workers' transport: http.Server.Shutdown
+// waits up to 5 s for a connection a client dialed but never used.
+func shutdownChaos(co *Coordinator, workers *http.Transport) {
+	workers.CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_ = co.Shutdown(ctx)
 }
 
 // settleChaosGoroutines polls until the goroutine count returns to the
@@ -200,6 +211,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 	addr := co1.Addr().String()
 
 	const workers = 2
+	inner := http.DefaultTransport.(*http.Transport).Clone()
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		sched := faultnet.Schedule{
@@ -212,7 +224,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 			Workers:     2,
 			Resolve:     core.Resolve,
 			Grace:       30 * time.Second, // must span the restart outage
-			Client:      &http.Client{Transport: faultnet.NewTransport(nil, sched), Timeout: 10 * time.Second},
+			Client:      &http.Client{Transport: faultnet.NewTransport(inner, sched), Timeout: 10 * time.Second},
 			Logf:        t.Logf,
 		}
 		wg.Add(1)
@@ -261,7 +273,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 	merged, mergedErr := co2.Wait(ctx)
 	cancel()
 	wg.Wait()
-	_ = co2.Shutdown(context.Background()) // before the leak check: its accept loop counts
+	shutdownChaos(co2, inner) // before the leak check: its accept loop counts
 	assertSameAsLocal(t, merged, mergedErr, minCRN(), minFunc, []int64{0, 0}, []int64{4, 4})
 	if !merged.OK() || merged.Checked != 25 {
 		t.Fatalf("merged = %v", merged)

@@ -2,8 +2,6 @@ package dist
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,7 +83,7 @@ type rectState struct {
 	status   rectStatus
 	worker   string      // current lease holder (status == rectLeased)
 	deadline time.Time   // lease expiry (status == rectLeased)
-	attempts int         // times leased (for /status observability)
+	attempts int         // times leased (the dist.lease attempt attribute)
 	lease    trace.Event // open dist.lease event (status == rectLeased)
 	result   reach.GridResult
 	raw      json.RawMessage // wire form of result, kept only for a checkpoint file
@@ -99,7 +97,7 @@ type rectState struct {
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	job    JobSpec
-	jobSum string // sha256 of the JobSpec JSON; checkpoint compatibility key
+	jobSum string // jobSum(job): checkpoint key, named by every worker request
 	rects  []Rect
 	ttl    time.Duration
 	now    func() time.Time // injectable for lease tests
@@ -111,6 +109,8 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	states    []rectState
+	contact   time.Time // last worker contact (Start, before any); see Silence
+	parked    int       // /lease long-polls parked now: contact while they last
 	finished  bool
 	merged    reach.GridResult
 	mergedErr error
@@ -165,16 +165,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		MaxCount:   cfg.MaxCount,
 		Rects:      len(rects),
 	}
-	jb, err := json.Marshal(job)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(jb)
 	met := newDistMetrics(cfg.Metrics)
 	co := &Coordinator{
 		cfg:       cfg,
 		job:       job,
-		jobSum:    hex.EncodeToString(sum[:]),
+		jobSum:    jobSum(job),
 		rects:     rects,
 		ttl:       cfg.LeaseTTL,
 		now:       time.Now,
@@ -258,6 +253,8 @@ func (co *Coordinator) leaseWait(ctx context.Context, worker string, wait time.D
 	if wait <= 0 || !resp.Wait {
 		return resp
 	}
+	co.touch(1) // a parked request is contact while it lasts, up to a whole TTL
+	defer co.touch(-1)
 	deadline := co.now().Add(wait)
 	for {
 		// Sleep until the earliest outstanding lease deadline (the soonest a
@@ -302,6 +299,37 @@ func (co *Coordinator) Progress() (done, total int) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return co.countLocked()[rectDone], len(co.states)
+}
+
+// Silence reports how long no worker has reached the coordinator (since
+// Start before any): zero while a /lease long-poll is parked.
+func (co *Coordinator) Silence() time.Duration {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if co.parked > 0 {
+		return 0
+	}
+	return co.now().Sub(co.contact)
+}
+
+// touch stamps the contact Silence counts from and adds parked to co.parked.
+func (co *Coordinator) touch(parked int) {
+	co.mu.Lock()
+	co.parked += parked
+	co.contact = co.now()
+	co.mu.Unlock()
+}
+
+// reached admits a worker request naming job and stamps its contact. A
+// request naming another job — from a worker left over from an earlier job
+// on this address — is answered 409 and is no contact.
+func (co *Coordinator) reached(w http.ResponseWriter, job string) bool {
+	if job != co.jobSum {
+		http.Error(w, fmt.Sprintf("dist: request names job %.12s, this coordinator runs job %.12s", job, co.jobSum), http.StatusConflict)
+		return false
+	}
+	co.touch(0)
+	return true
 }
 
 // countLocked tallies the lease table by status, indexed by rectStatus.
@@ -540,18 +568,19 @@ func (co *Coordinator) mergeLocked() (reach.GridResult, error) {
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /job", func(w http.ResponseWriter, r *http.Request) {
+		co.touch(0)
 		writeJSON(w, co.job)
 	})
 	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if !readJSON(w, r, &req, maxControlBytes) {
+		if !readJSON(w, r, &req, maxControlBytes) || !co.reached(w, req.Job) {
 			return
 		}
 		writeJSON(w, co.leaseWait(r.Context(), req.Worker, time.Duration(req.WaitMillis)*time.Millisecond))
 	})
 	mux.HandleFunc("POST /renew", func(w http.ResponseWriter, r *http.Request) {
 		var req RenewRequest
-		if !readJSON(w, r, &req, maxControlBytes) {
+		if !readJSON(w, r, &req, maxControlBytes) || !co.reached(w, req.Job) {
 			return
 		}
 		writeJSON(w, co.renew(req.Worker, req.RectID))
@@ -560,7 +589,7 @@ func (co *Coordinator) Handler() http.Handler {
 		var req ResultRequest
 		// Uncapped: a result carries its rectangle's failure witness,
 		// whose size grows with the schedule it replays.
-		if !readJSON(w, r, &req, 0) {
+		if !readJSON(w, r, &req, 0) || !co.reached(w, req.Job) {
 			return
 		}
 		resp, err := co.result(req)
@@ -570,28 +599,11 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		writeJSON(w, resp)
 	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, co.status())
-	})
 	mux.Handle("GET /metrics", co.met.reg.Handler())
 	if co.cfg.Tracer != nil {
 		mux.Handle("GET /debug/traces", co.cfg.Tracer.Handler())
 	}
 	return mux
-}
-
-// status is a point-in-time observability snapshot for GET /status.
-func (co *Coordinator) status() map[string]any {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	n := co.countLocked()
-	return map[string]any{
-		"rects":    len(co.states),
-		"pending":  n[rectPending],
-		"leased":   n[rectLeased],
-		"done":     n[rectDone],
-		"finished": co.finished,
-	}
 }
 
 // Start listens on addr (host:port; port 0 picks a free one — see Addr) and
@@ -601,6 +613,7 @@ func (co *Coordinator) Start(addr string) error {
 	if err != nil {
 		return err
 	}
+	co.touch(0)
 	co.ln = ln
 	co.srv = &http.Server{Handler: co.Handler()}
 	go func() { _ = co.srv.Serve(ln) }()

@@ -197,8 +197,11 @@ func TestMergeStopsAtFirstFailingRect(t *testing.T) {
 	}
 	// Rect 3 is decided but rect 2 is still missing, so the run must not be
 	// finished yet: the true first failure could be (and is) in rect 2.
-	if st := co.status(); st["finished"] != false {
-		t.Fatalf("finished early: %v", st)
+	co.mu.Lock()
+	finished := co.finished
+	co.mu.Unlock()
+	if finished {
+		t.Fatal("finished early")
 	}
 	r := localRectResult(t, minCRN(), badHigh, rects[2], "w")
 	if resp, err := co.result(r); err != nil || !resp.OK {
@@ -232,8 +235,8 @@ func TestCheckpointResume(t *testing.T) {
 
 	// Same job: rects 0 and 2 restored, first lease hands out rect 1.
 	co2 := newTestCoordinator(t, nil, 4, cp)
-	if st := co2.status(); st["done"] != 2 {
-		t.Fatalf("resumed status %v, want done=2", st)
+	if done, _ := co2.Progress(); done != 2 {
+		t.Fatalf("resumed %d done rects, want done=2", done)
 	}
 	if l := co2.lease("w"); l.Rect == nil || l.Rect.ID != 1 {
 		t.Fatalf("first lease after resume: %+v", l)
@@ -261,8 +264,8 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := co3.status(); st["done"] != 0 {
-		t.Fatalf("mismatched checkpoint not ignored: %v", st)
+	if done, _ := co3.Progress(); done != 0 {
+		t.Fatalf("mismatched checkpoint not ignored: %d done rects", done)
 	}
 }
 
@@ -351,7 +354,9 @@ func TestResultValidation(t *testing.T) {
 func TestResultRawOnlyWithCheckpoint(t *testing.T) {
 	for _, cp := range []string{"", filepath.Join(t.TempDir(), "ckpt.json")} {
 		co := newTestCoordinator(t, nil, 2, cp)
-		body, err := json.Marshal(localRectResult(t, minCRN(), minFunc, co.rects[0], "w"))
+		req := localRectResult(t, minCRN(), minFunc, co.rects[0], "w")
+		req.Job = co.jobSum
+		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,12 +424,76 @@ func TestControlBodiesCapped(t *testing.T) {
 			t.Fatalf("oversized %s answered %d, want 400", path, resp.StatusCode)
 		}
 	}
-	resp := post("/lease", []byte(`{"worker":"A"}`))
+	resp := post("/lease", []byte(`{"worker":"A","job":"`+co.jobSum+`"}`))
 	var la LeaseResponse
 	if err := json.NewDecoder(resp.Body).Decode(&la); err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK || la.Rect == nil {
 		t.Fatalf("lease after oversized bodies: %d %+v", resp.StatusCode, la)
+	}
+}
+
+// TestSilence: a coordinator is silent from Start until a worker request
+// naming its job arrives. Requests naming another job are answered 409,
+// leave the lease table alone and are no contact; a parked /lease
+// long-poll holds the silence at zero while it lasts.
+func TestSilence(t *testing.T) {
+	clock := newFakeClock(3)
+	co := newTestCoordinator(t, clock, 1, "")
+	if err := co.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer co.Shutdown(context.Background())
+	clock.advance(5 * time.Second)
+	if s := co.Silence(); s < 5*time.Second {
+		t.Fatalf("silence %v after 5s without a worker", s)
+	}
+	h := co.Handler()
+	post := func(path, job string) int {
+		rec := httptest.NewRecorder()
+		body := `{"worker":"A","job":"` + job + `","result":{}}`
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	for _, path := range []string{"/lease", "/renew", "/result"} {
+		if code := post(path, "another-job"); code != http.StatusConflict {
+			t.Fatalf("%s naming another job answered %d, want 409", path, code)
+		}
+	}
+	if s := co.Silence(); s < 5*time.Second {
+		t.Fatalf("another job's requests counted as contact: silence %v", s)
+	}
+	if l := co.lease("A"); l.Rect == nil || l.Rect.ID != 0 {
+		t.Fatalf("rect 0 after another job's lease request: %+v", l)
+	}
+	if code := post("/renew", co.jobSum); code != http.StatusOK {
+		t.Fatalf("renew naming this job answered %d", code)
+	}
+	if s := co.Silence(); s >= time.Second {
+		t.Fatalf("silence %v right after a renew", s)
+	}
+
+	// On a wall-clock coordinator (the park's timers run on it) whose one
+	// rectangle A holds, B parks: contact for as long as it waits.
+	co = newTestCoordinator(t, nil, 1, "")
+	if l := co.lease("A"); l.Rect == nil {
+		t.Fatalf("A's lease: %+v", l)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	parked := make(chan LeaseResponse, 1)
+	go func() { parked <- co.leaseWait(ctx, "B", time.Hour) }()
+	for deadline := time.Now().Add(5 * time.Second); co.Silence() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("parked long-poll is no contact: silence %v", co.Silence())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if l := <-parked; !l.Wait {
+		t.Fatalf("canceled park answered %+v, want Wait", l)
+	}
+	if s := co.Silence(); s >= time.Second {
+		t.Fatalf("silence %v right after the park ended", s)
 	}
 }

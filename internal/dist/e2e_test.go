@@ -143,3 +143,76 @@ func TestWorkerUnknownFunction(t *testing.T) {
 		t.Fatal("unknown function accepted")
 	}
 }
+
+// TestLeftoverWorkerCannotJoinNextJob: one address serves job A, then job
+// B. Worker W1 is held in its lease of A's rectangle 5 past the lease TTL,
+// so W2 finishes A, and W1 is let go only once B listens on the address.
+// W1's late result and its next lease name job A: B answers both 409, so
+// W1's Run ends with an error, and B, finished by a fresh worker, merges to
+// the exact local bytes of its own grid.
+func TestLeftoverWorkerCannotJoinNextJob(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	newCo := func(hi int64) *Coordinator {
+		co, err := NewCoordinator(CoordinatorConfig{
+			CRN: minCRN(), Func: "min",
+			Lo: []int64{0, 0}, Hi: []int64{hi, hi},
+			LeaseTTL: 300 * time.Millisecond,
+			Logf:     t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return co
+	}
+	worker := func(name, addr string) *Worker {
+		return &Worker{Coordinator: addr, Name: name, Workers: 1, Resolve: core.Resolve, Grace: 5 * time.Second, Logf: t.Logf}
+	}
+
+	coA := newCo(3) // 16 one-point rectangles
+	if err := coA.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := coA.Addr().String()
+	held, release := make(chan struct{}), make(chan struct{})
+	w1 := worker("W1", addr)
+	w1.LeaseHook = func(r Rect) error {
+		if r.ID == 5 {
+			close(held)
+			<-release
+		}
+		return nil
+	}
+	w1Err := make(chan error, 1)
+	go func() { w1Err <- w1.Run(ctx) }()
+	<-held
+	if err := worker("W2", addr).Run(ctx); err != nil {
+		t.Fatalf("W2 on job A: %v", err)
+	}
+	if _, err := coA.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	coA.Close()
+
+	coB := newCo(4)
+	for attempt := 0; ; attempt++ {
+		err := coB.Start(addr)
+		if err == nil {
+			break
+		}
+		if attempt > 100 {
+			t.Fatalf("starting job B on %s: %v", addr, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	defer coB.Shutdown(context.Background())
+	close(release)
+	if err := <-w1Err; err == nil {
+		t.Fatal("a worker of job A ran on job B's coordinator to a clean finish")
+	}
+	if err := worker("W3", addr).Run(ctx); err != nil {
+		t.Fatalf("W3 on job B: %v", err)
+	}
+	merged, err := coB.Wait(ctx)
+	assertSameAsLocal(t, merged, err, minCRN(), minFunc, []int64{0, 0}, []int64{4, 4})
+}

@@ -34,6 +34,13 @@
 //	POST /renew   RenewRequest → RenewResponse (heartbeat; false = lease lost)
 //	POST /result  ResultRequest → ResultResponse (a rectangle's GridResult)
 //
+// Lease, renew and result requests name their job by the hex SHA-256 of its
+// JobSpec JSON (jobSum, the key the checkpoint file carries), which the
+// worker computes from the JobSpec it joined with. A coordinator answers a
+// request naming another job with 409 Conflict: one address serves one job
+// after another (crnserve's dist mode), and a worker left over from an
+// earlier job must not lease, or report into, the next one.
+//
 // Workers resolve the function name themselves (the coordinator never ships
 // code), so coordinator and workers must agree on the function library —
 // cmd/crncheck wires both sides to core.Resolve.
@@ -59,7 +66,10 @@
 //     repaired by the retry, not double-applied;
 //   - a renew answering OK=false means the lease was reassigned; the
 //     fenced-out worker logs the loss, finishes the rectangle and posts its
-//     result, which the coordinator accepts as a harmless duplicate.
+//     result, which the coordinator accepts as a harmless duplicate;
+//   - a 409 means the coordinator on the address now runs another job: a
+//     lease answered 409 ends Worker.Run with an error, and a result
+//     answered 409 is dropped like any other rejected result.
 //
 // # Instrumentation
 //
@@ -74,6 +84,8 @@
 package dist
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 
 	"crncompose/internal/trace"
@@ -81,7 +93,7 @@ import (
 
 // ProtocolVersion is bumped on any incompatible change to the wire types or
 // the checkpoint format. Workers reject jobs with a different version.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // JobSpec describes the grid-checking job to a joining worker. MaxConfigs
 // and MaxCount are part of the job, not worker configuration: verdicts
@@ -95,6 +107,17 @@ type JobSpec struct {
 	MaxConfigs int     `json:"maxconfigs"`
 	MaxCount   int64   `json:"maxcount"`
 	Rects      int     `json:"rects"` // how many rectangles the grid was split into
+}
+
+// jobSum is a job's identity: the hex SHA-256 of its JobSpec JSON. The
+// coordinator keys its checkpoint file on it, and a worker names the job it
+// joined by it in every lease, renew and result request. JobSpec holds only
+// strings and integers, so the encoding cannot fail, and a decoded JobSpec
+// re-encodes to the coordinator's bytes.
+func jobSum(job JobSpec) string {
+	b, _ := json.Marshal(job)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Rect is one axis-aligned shard of the grid: all inputs lo ≤ x ≤ hi.
@@ -115,6 +138,7 @@ type Rect struct {
 // break.
 type LeaseRequest struct {
 	Worker     string `json:"worker"`
+	Job        string `json:"job"` // jobSum of the JobSpec the worker joined
 	WaitMillis int64  `json:"wait_ms,omitempty"`
 }
 
@@ -139,6 +163,7 @@ type LeaseResponse struct {
 // RenewRequest extends a lease while a long rectangle is being checked.
 type RenewRequest struct {
 	Worker string `json:"worker"`
+	Job    string `json:"job"`
 	RectID int    `json:"rect_id"`
 }
 
@@ -163,6 +188,7 @@ type RenewResponse struct {
 // the coordinator records at most maxShippedSpans per report.
 type ResultRequest struct {
 	Worker string           `json:"worker"`
+	Job    string           `json:"job"`
 	RectID int              `json:"rect_id"`
 	Result json.RawMessage  `json:"result,omitempty"`
 	Err    string           `json:"err,omitempty"`

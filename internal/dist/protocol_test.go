@@ -51,7 +51,7 @@ func goldenResult(t *testing.T) ResultRequest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ResultRequest{Worker: "w1", RectID: 2, Result: raw}
+	return ResultRequest{Worker: "w1", Job: jobSum(goldenJobSpec()), RectID: 2, Result: raw}
 }
 
 func checkGolden(t *testing.T, name string, v any) []byte {
@@ -108,7 +108,7 @@ func TestProtocolGoldenFiles(t *testing.T) {
 	if err := json.Unmarshal(b, &res2); err != nil {
 		t.Fatal(err)
 	}
-	if res2.Worker != res.Worker || res2.RectID != res.RectID {
+	if res2.Worker != res.Worker || res2.Job != res.Job || res2.RectID != res.RectID {
 		t.Fatalf("ResultRequest round trip: %+v vs %+v", res2, res)
 	}
 	// The embedded GridResult must decode and re-encode to identical bytes.

@@ -129,6 +129,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if job.Version != ProtocolVersion {
 		return fmt.Errorf("dist: coordinator speaks protocol %d, this worker %d", job.Version, ProtocolVersion)
 	}
+	sum := jobSum(job) // names the job in every later request
 	c, err := parse.Parse(job.CRN)
 	if err != nil {
 		return fmt.Errorf("dist: parsing job CRN: %w", err)
@@ -150,11 +151,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		polledAt := time.Now()
 		var lr LeaseResponse
-		if err := coord.PostJSON(ctx, base+"/lease", LeaseRequest{Worker: name, WaitMillis: longPoll.Milliseconds()}, &lr); err != nil {
+		if err := coord.PostJSON(ctx, base+"/lease", LeaseRequest{Worker: name, Job: sum, WaitMillis: longPoll.Milliseconds()}, &lr); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if !httpx.Retryable(err) {
+			if !httpx.Retryable(err) { // a 4xx, such as 409: the address now serves another job
 				return fmt.Errorf("dist: leasing from %s: %w", base, err)
 			}
 			return fmt.Errorf("dist: worker %s: coordinator %s unreachable for %s (last error: %v): %w", name, base, grace, err, ErrCoordinatorLost)
@@ -180,17 +181,18 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		}
-		if err := w.checkRect(ctx, seam, coord, base, name, c, f, rect, lr, opts); err != nil {
+		if err := w.checkRect(ctx, seam, coord, base, name, sum, c, f, rect, lr, opts); err != nil {
 			return err
 		}
 	}
 }
 
 // checkRect runs one leased rectangle with a heartbeat renewing the lease,
-// then reports the result through coord, Run's coordinator client. A result
-// that cannot be delivered within Grace is dropped: the lease expires and
-// the rectangle is recomputed elsewhere.
-func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.Client, base, name string, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
+// then reports the result through coord, Run's coordinator client; every
+// request names job. A result that cannot be delivered within Grace, or
+// that the coordinator rejects, is dropped: the lease expires and the
+// rectangle is recomputed elsewhere.
+func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.Client, base, name, job string, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
 	ttl := time.Duration(lr.TTLMillis) * time.Millisecond
 	// The lease response's traceparent stitches this rectangle into the
 	// trace that submitted the job: the rectangle-compute span is a child of
@@ -239,7 +241,7 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.C
 					return
 				case <-t.C:
 					var rr RenewResponse
-					err := renewC.PostJSON(rctx, base+"/renew", RenewRequest{Worker: name, RectID: rect.ID}, &rr)
+					err := renewC.PostJSON(rctx, base+"/renew", RenewRequest{Worker: name, Job: job, RectID: rect.ID}, &rr)
 					switch {
 					case err != nil:
 						failures++
@@ -274,7 +276,7 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.C
 	}
 	rectEv.End(time.Now(), reach.Outcome(res, rerr), trace.Int("checked", int64(res.Checked)))
 
-	req := ResultRequest{Worker: name, RectID: rect.ID}
+	req := ResultRequest{Worker: name, Job: job, RectID: rect.ID}
 	raw, err := json.Marshal(res)
 	if err != nil {
 		return fmt.Errorf("dist: encoding rect %d result: %w", rect.ID, err)

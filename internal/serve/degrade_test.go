@@ -15,6 +15,7 @@ import (
 
 	"crncompose/internal/core"
 	"crncompose/internal/dist"
+	"crncompose/internal/reach"
 	"crncompose/internal/trace"
 )
 
@@ -51,12 +52,12 @@ func TestJobDegradeAtSubmit(t *testing.T) {
 }
 
 // TestJobDegradeMidJob: the coordinator starts but no worker ever joins, so
-// no rectangle completes within CoordinatorGrace — the watchdog abandons the
-// handoff and the job completes locally, degraded, byte-identical.
+// no worker reaches it within LeaseTTL — the watchdog abandons the handoff
+// and the job completes locally, degraded, byte-identical.
 func TestJobDegradeMidJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		DistCoordinator:  freeAddr(t),
-		CoordinatorGrace: 500 * time.Millisecond,
+		DistCoordinator: freeAddr(t),
+		LeaseTTL:        500 * time.Millisecond,
 	})
 	hi := int64(3)
 	js := submitJob(t, ts.URL, hi)
@@ -81,8 +82,9 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		DistCoordinator: addr,
 		LeaseTTL:        300 * time.Millisecond, // killed worker's rect reassigns quickly
-		// Default CoordinatorGrace (10s) stays ahead of the ~300ms
-		// reassignment stall, so the watchdog must not fire.
+		// The surviving worker long-polls through the ~300ms reassignment
+		// stall, so the coordinator never falls silent and the watchdog
+		// must not fire.
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -130,19 +132,19 @@ func TestJobDistWorkerKilledMidRect(t *testing.T) {
 }
 
 // TestJobDegradeKeepsCompletedRects: the only worker completes k
-// rectangles, then dies holding its next lease. The watchdog degrades the
-// job, which finishes on the same coordinator: progress never drops (so
-// never below k), exactly total−k rectangles run locally (one serve.rect
-// span each), and the body is the exact crncheck -json bytes.
+// rectangles, then dies holding its next lease. Once no worker has reached
+// the coordinator for LeaseTTL the watchdog degrades the job, which
+// finishes on the same coordinator: progress never drops (so never below
+// k), exactly total−k rectangles run locally (one serve.rect span each),
+// and the body is the exact crncheck -json bytes.
 func TestJobDegradeKeepsCompletedRects(t *testing.T) {
 	const shards, k = dist.DefaultShards, 2 // hi 3: 16 points, one rectangle each
 	tr := trace.New(trace.Options{Proc: "serve-test"})
 	addr := freeAddr(t)
 	_, ts := newTestServer(t, Config{
-		DistCoordinator:  addr,
-		LeaseTTL:         time.Minute, // the dead worker's lease outlives the watchdog
-		CoordinatorGrace: time.Second,
-		Tracer:           tr,
+		DistCoordinator: addr,
+		LeaseTTL:        time.Second,
+		Tracer:          tr,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -213,6 +215,48 @@ func TestJobDegradeKeepsCompletedRects(t *testing.T) {
 	_, result := get(t, ts.URL+"/v1/jobs/"+js.ID+"/result")
 	if want := wantCheckBody(t, minCRNText, minEval, hi); !bytes.Equal(result, want) {
 		t.Fatalf("degraded result differs from crncheck -json:\n%s\nwant:\n%s", result, want)
+	}
+}
+
+// TestJobDistSlowWorkerNotDegraded: the only worker takes 1.5 s per input,
+// half the 3 s lease TTL, and renews its lease every second while it
+// computes. A job's workers are lost when they fall silent, not when a
+// rectangle runs long, so the job ends done through the coordinator, not
+// degraded, with the exact crncheck -json bytes.
+func TestJobDistSlowWorkerNotDegraded(t *testing.T) {
+	addr := freeAddr(t)
+	_, ts := newTestServer(t, Config{
+		DistCoordinator: addr,
+		LeaseTTL:        3 * time.Second,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	slow := func(name string) (reach.Func, error) {
+		f, err := core.Resolve(name)
+		if err != nil {
+			return nil, err
+		}
+		return func(x []int64) int64 {
+			time.Sleep(1500 * time.Millisecond)
+			return f(x)
+		}, nil
+	}
+	w := &dist.Worker{Coordinator: addr, Name: "slow", Workers: 1, Resolve: slow, Grace: 30 * time.Second, Logf: t.Logf}
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- w.Run(ctx) }()
+
+	hi := int64(1) // 4 points, one rectangle each
+	js := submitJob(t, ts.URL, hi)
+	final := awaitJob(t, ts.URL, js.ID)
+	if final.State != jobDone || final.Degraded || final.RectsDone != final.Rects {
+		t.Fatalf("slow-worker job: %+v", final)
+	}
+	_, result := get(t, ts.URL+"/v1/jobs/"+js.ID+"/result")
+	if want := wantCheckBody(t, minCRNText, minEval, hi); !bytes.Equal(result, want) {
+		t.Fatalf("slow-worker result differs from crncheck -json:\n%s\nwant:\n%s", result, want)
+	}
+	if err := <-workerErr; err != nil {
+		t.Fatalf("worker: %v", err)
 	}
 }
 

@@ -332,14 +332,13 @@ func (s *Server) execute(jb *asyncJob) ([]byte, error) {
 // DELETE cancels the wait, and runJob then closes the coordinator, letting
 // workers see the job disappear and exit.
 //
-// Two failures degrade instead of failing the job (unless CoordinatorGrace
-// is negative): the coordinator cannot start on the address, or no
-// rectangle completes for CoordinatorGrace — its workers are dead, wedged,
-// or never joined. Degrading shuts the listener and finishes the run in
-// this process on the same coordinator, keeping every rectangle workers
-// completed and checking each other one under a serve.rect event; the
-// status carries a degraded marker and the body is the bytes a healthy
-// handoff would have produced.
+// Two failures degrade instead of failing the job: the coordinator cannot
+// start on the address, or no worker reaches it for one lease TTL, the
+// silence after which it reassigns a worker's rectangle. Degrading shuts
+// the listener and finishes the run in this process on the same
+// coordinator, keeping every rectangle workers completed and checking each
+// other one under a serve.rect event; the status carries a degraded marker
+// and the body is the bytes a healthy handoff would have produced.
 func (s *Server) runDist(jb *asyncJob) (reach.GridResult, error) {
 	cc := jb.check.cc
 	co, err := dist.NewCoordinator(dist.CoordinatorConfig{
@@ -361,7 +360,7 @@ func (s *Server) runDist(jb *asyncJob) (reach.GridResult, error) {
 	s.jobs.mu.Lock()
 	jb.co = co
 	s.jobs.mu.Unlock()
-	addr, grace := s.cfg.DistCoordinator, s.cfg.CoordinatorGrace
+	addr, ttl := s.cfg.DistCoordinator, s.cfg.LeaseTTL
 	degrade := func(reason string) (reach.GridResult, error) {
 		jb.ev.Logf("job %.12s…: degraded, finishing locally: %s", jb.id, reason)
 		s.met.degraded()
@@ -382,15 +381,11 @@ func (s *Server) runDist(jb *asyncJob) (reach.GridResult, error) {
 		return res, err
 	}
 	if err := co.Start(addr); err != nil {
-		if grace < 0 {
-			return reach.GridResult{}, fmt.Errorf("starting coordinator on %s: %w", addr, err)
-		}
 		return degrade(fmt.Sprintf("coordinator could not start on %s: %v", addr, err))
 	}
-	// Each Wait is bounded by one tick of the stall watchdog.
+	// Each Wait is bounded by one tick of the silence watchdog.
 	const tick = 200 * time.Millisecond
-	lastDone, lastChange := 0, time.Now()
-	for {
+	for co.Silence() < ttl {
 		wctx, cancel := context.WithTimeout(jb.ctx, tick)
 		res, err := co.Wait(wctx)
 		ticked := wctx.Err() != nil
@@ -398,15 +393,10 @@ func (s *Server) runDist(jb *asyncJob) (reach.GridResult, error) {
 		if err == nil || !ticked || jb.ctx.Err() != nil {
 			return res, err
 		}
-		done, total := co.Progress()
-		if done != lastDone {
-			lastDone, lastChange = done, time.Now()
-		}
-		if grace > 0 && time.Since(lastChange) >= grace {
-			co.Close()
-			return degrade(fmt.Sprintf("no rectangle completed for %s (%d/%d done); workers presumed lost", grace, done, total))
-		}
 	}
+	co.Close()
+	done, total := co.Progress()
+	return degrade(fmt.Sprintf("no worker reached the coordinator for %s (%d/%d rects done); workers presumed lost", ttl, done, total))
 }
 
 // handleJobSubmit serves POST /v1/jobs: the body is a CheckRequest; the

@@ -255,9 +255,8 @@ func freeAddr(t *testing.T) string {
 func TestJobDistDoneBeforeLinger(t *testing.T) {
 	addr := freeAddr(t)
 	s, ts := newTestServer(t, Config{
-		DistCoordinator:  addr,
-		LeaseTTL:         5 * time.Second,
-		CoordinatorGrace: time.Minute,
+		DistCoordinator: addr,
+		LeaseTTL:        5 * time.Second,
 	})
 	js := submitJob(t, ts.URL, 3)
 	var conn net.Conn
@@ -273,7 +272,7 @@ func TestJobDistDoneBeforeLinger(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "GET /status HTTP/1.1\r\nHost: %s\r\n\r\n", addr)
+	fmt.Fprintf(conn, "GET /job HTTP/1.1\r\nHost: %s\r\n\r\n", addr)
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -48,11 +48,11 @@
 // Config.DistCoordinator set each job gets an internal/dist coordinator
 // that listens there and splits the grid into rectangles, which external
 // `crncheck -join` workers compute, one job at a time. A
-// dist handoff that cannot start, or stalls past Config.CoordinatorGrace
-// with workers dead or absent, degrades instead of failing: the job
-// finishes locally on the same coordinator, keeping the rectangles workers
-// completed, with a byte-identical body and a "degraded" marker in its
-// status. DELETE /v1/jobs/{id} cancels a job; on SIGTERM the
+// dist handoff that cannot start, or that no worker reaches for one lease
+// TTL, degrades instead of failing: the job finishes locally on the same
+// coordinator, keeping the rectangles workers completed, with a
+// byte-identical body and a "degraded" marker in its status.
+// DELETE /v1/jobs/{id} cancels a job; on SIGTERM the
 // server drains (Drain): admission closes, in-flight jobs finish (or are
 // canceled at the drain deadline), and the process exits cleanly.
 //
@@ -79,6 +79,7 @@ import (
 	"crncompose/internal/classify"
 	"crncompose/internal/core"
 	"crncompose/internal/crn"
+	"crncompose/internal/dist"
 	"crncompose/internal/metrics"
 	"crncompose/internal/parse"
 	"crncompose/internal/sim"
@@ -87,11 +88,10 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultCacheMax         = 1024
-	DefaultSyncGridLimit    = 512
-	DefaultMaxJobs          = 2
-	DefaultJobTTL           = 15 * time.Minute
-	DefaultCoordinatorGrace = 10 * time.Second
+	DefaultCacheMax      = 1024
+	DefaultSyncGridLimit = 512
+	DefaultMaxJobs       = 2
+	DefaultJobTTL        = 15 * time.Minute
 )
 
 const contentTypeJSON = "application/json"
@@ -126,20 +126,12 @@ type Config struct {
 	// DistCoordinator, when nonempty, is the host:port each async job's
 	// coordinator listens on for external workers (`crncheck -join`),
 	// which compute its dist.DefaultShards rectangles. Empty checks each
-	// job's grid on the local engine.
+	// job's grid on the local engine. A coordinator that cannot bind there,
+	// or that no worker reaches for LeaseTTL, degrades its job (runDist).
 	DistCoordinator string
-	// LeaseTTL is the dist coordinator's lease TTL (dist mode only).
+	// LeaseTTL is the dist lease TTL (0 = dist.DefaultLeaseTTL); after it a
+	// silent worker loses its rectangle and a job no worker reached degrades.
 	LeaseTTL time.Duration
-	// CoordinatorGrace governs graceful degradation of the dist handoff: if
-	// the coordinator cannot start on DistCoordinator, or no rectangle
-	// completes for this long mid-job (workers dead or never joined), the
-	// listener shuts and the job finishes locally on the same coordinator —
-	// keeping the rectangles workers completed, byte-identical body — and
-	// its status carries a degraded marker instead of failing. Must exceed
-	// the worst-case time a single one of those rectangles takes. 0 means
-	// DefaultCoordinatorGrace; negative disables degradation (a failed
-	// handoff fails the job).
-	CoordinatorGrace time.Duration
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 	// Metrics is the registry GET /metrics renders and every server
@@ -209,8 +201,8 @@ func New(cfg Config) *Server {
 	if cfg.JobTTL == 0 {
 		cfg.JobTTL = DefaultJobTTL
 	}
-	if cfg.CoordinatorGrace == 0 {
-		cfg.CoordinatorGrace = DefaultCoordinatorGrace
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = dist.DefaultLeaseTTL
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
