@@ -3,12 +3,16 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"crncompose/internal/core"
 	"crncompose/internal/crn"
+	"crncompose/internal/httpx"
 	"crncompose/internal/reach"
 )
 
@@ -34,7 +38,8 @@ func runDistributed(t *testing.T, c *crn.CRN, lo, hi []int64, shards, workers in
 	if err := co.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer co.Shutdown(context.Background())
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	defer shutdownChaos(co, tr)
 	addr := co.Addr().String()
 
 	var wg sync.WaitGroup
@@ -45,6 +50,7 @@ func runDistributed(t *testing.T, c *crn.CRN, lo, hi []int64, shards, workers in
 			Name:        string(rune('A' + i)),
 			Workers:     2,
 			Resolve:     core.Resolve,
+			Client:      &http.Client{Transport: tr, Timeout: 30 * time.Second},
 			Logf:        t.Logf,
 		}
 		if i == 0 && killFirstLease {
@@ -113,8 +119,10 @@ func TestWorkerRejectsWrongProtocol(t *testing.T) {
 	if err := co.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer co.Shutdown(context.Background())
-	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, Grace: 2 * time.Second}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	defer shutdownChaos(co, tr)
+	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, Grace: 2 * time.Second,
+		Client: &http.Client{Transport: tr, Timeout: 30 * time.Second}}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := w.Run(ctx); err == nil {
@@ -135,8 +143,10 @@ func TestWorkerUnknownFunction(t *testing.T) {
 	if err := co.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer co.Shutdown(context.Background())
-	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, Grace: 2 * time.Second}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	defer shutdownChaos(co, tr)
+	w := &Worker{Coordinator: co.Addr().String(), Resolve: core.Resolve, Grace: 2 * time.Second,
+		Client: &http.Client{Transport: tr, Timeout: 30 * time.Second}}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := w.Run(ctx); err == nil {
@@ -165,8 +175,10 @@ func TestLeftoverWorkerCannotJoinNextJob(t *testing.T) {
 		}
 		return co
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
 	worker := func(name, addr string) *Worker {
-		return &Worker{Coordinator: addr, Name: name, Workers: 1, Resolve: core.Resolve, Grace: 5 * time.Second, Logf: t.Logf}
+		return &Worker{Coordinator: addr, Name: name, Workers: 1, Resolve: core.Resolve, Grace: 5 * time.Second,
+			Client: &http.Client{Transport: tr, Timeout: 30 * time.Second}, Logf: t.Logf}
 	}
 
 	coA := newCo(3) // 16 one-point rectangles
@@ -205,7 +217,7 @@ func TestLeftoverWorkerCannotJoinNextJob(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	defer coB.Shutdown(context.Background())
+	defer shutdownChaos(coB, tr)
 	close(release)
 	if err := <-w1Err; err == nil {
 		t.Fatal("a worker of job A ran on job B's coordinator to a clean finish")
@@ -215,4 +227,98 @@ func TestLeftoverWorkerCannotJoinNextJob(t *testing.T) {
 	}
 	merged, err := coB.Wait(ctx)
 	assertSameAsLocal(t, merged, err, minCRN(), minFunc, []int64{0, 0}, []int64{4, 4})
+}
+
+// TestRenewConflictEndsWorker: W1 leases job A's one rectangle and is held
+// until job B listens on the same address. The rectangle outlasts several
+// heartbeats, so W1 renews its lease at B, which answers 409: W1 abandons
+// the rectangle at once, posts no result, and its Run returns the renew's
+// 409.
+func TestRenewConflictEndsWorker(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	f, err := core.Lookup("min")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Lemma 6.2 construction for min: every input of [0,4]^2 explores
+	// its whole budget of 65536 configurations, about half a second of
+	// engine time for the rectangle on one worker, against heartbeats every
+	// 100ms.
+	sys, err := core.Synthesize(ctx, f, 0, 0, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coA, err := NewCoordinator(CoordinatorConfig{
+		CRN: sys.Net, Func: "min",
+		Lo: []int64{0, 0}, Hi: []int64{4, 4},
+		MaxConfigs: 1 << 16,
+		Shards:     1,
+		LeaseTTL:   300 * time.Millisecond,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coA.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := coA.Addr().String()
+
+	var mu sync.Mutex
+	var w1Log []string
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	held, release := make(chan struct{}), make(chan struct{})
+	w1 := &Worker{
+		Coordinator: addr, Name: "W1", Workers: 1, Resolve: core.Resolve, Grace: 5 * time.Second,
+		Client: &http.Client{Transport: tr, Timeout: 10 * time.Second},
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			mu.Lock()
+			w1Log = append(w1Log, line)
+			mu.Unlock()
+			t.Log(line)
+		},
+		LeaseHook: func(Rect) error {
+			close(held)
+			<-release
+			return nil
+		},
+	}
+	w1Err := make(chan error, 1)
+	go func() { w1Err <- w1.Run(ctx) }()
+	<-held
+	coA.Close()
+
+	coB, err := NewCoordinator(CoordinatorConfig{
+		CRN: minCRN(), Func: "min",
+		Lo: []int64{0, 0}, Hi: []int64{1, 1},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; ; attempt++ {
+		err := coB.Start(addr)
+		if err == nil {
+			break
+		}
+		if attempt > 100 {
+			t.Fatalf("starting job B on %s: %v", addr, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	defer shutdownChaos(coB, tr)
+	close(release)
+	err = <-w1Err
+	if httpx.StatusCode(err) != http.StatusConflict || !strings.Contains(err.Error(), "renewing rect") {
+		t.Fatalf("W1's Run = %v, want the renew's 409", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range w1Log {
+		if strings.Contains(line, "dropping result") {
+			t.Fatalf("W1 posted its rectangle's result: %q", line)
+		}
+	}
 }

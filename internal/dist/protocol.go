@@ -68,8 +68,9 @@
 //     fenced-out worker logs the loss, finishes the rectangle and posts its
 //     result, which the coordinator accepts as a harmless duplicate;
 //   - a 409 means the coordinator on the address now runs another job: a
-//     lease answered 409 ends Worker.Run with an error, and a result
-//     answered 409 is dropped like any other rejected result.
+//     lease answered 409 ends Worker.Run with an error, a renew answered
+//     409 ends it at once, abandoning the rectangle without posting it,
+//     and a result answered 409 is dropped like any other rejected result.
 //
 // # Instrumentation
 //
@@ -91,8 +92,9 @@ import (
 	"crncompose/internal/trace"
 )
 
-// ProtocolVersion is bumped on any incompatible change to the wire types or
-// the checkpoint format. Workers reject jobs with a different version.
+// ProtocolVersion is bumped on any change to the wire types or the
+// checkpoint format. Workers reject jobs with a different version, so a
+// coordinator and a worker of different versions never talk.
 const ProtocolVersion = 2
 
 // JobSpec describes the grid-checking job to a joining worker. MaxConfigs
@@ -133,9 +135,7 @@ type Rect struct {
 // answering Wait immediately (long-poll): the coordinator responds as soon
 // as a rectangle frees up or the job finishes, and only answers Wait when
 // the window closes empty. The coordinator clamps the window to its lease
-// TTL. Zero keeps the immediate answer, so a worker that prefers plain
-// polling interoperates unchanged — the field is additive, not a protocol
-// break.
+// TTL. Zero asks for the immediate answer.
 type LeaseRequest struct {
 	Worker     string `json:"worker"`
 	Job        string `json:"job"` // jobSum of the JobSpec the worker joined
@@ -150,8 +150,8 @@ type LeaseRequest struct {
 // under it, which is how one trace id spans submitter, coordinator, and
 // worker. It rides the lease response — NOT JobSpec, whose JSON is hashed
 // into the checkpoint compatibility key, so adding a per-run trace id there
-// would orphan every existing checkpoint. Additive and omitempty: old
-// workers ignore it, old coordinators never send it.
+// would orphan every existing checkpoint. It is empty when the
+// coordinator does not trace.
 type LeaseResponse struct {
 	Done        bool   `json:"done,omitempty"`
 	Wait        bool   `json:"wait,omitempty"`
@@ -184,8 +184,8 @@ type RenewResponse struct {
 // partial counts; don't send one.
 // Spans carries the worker's finished spans for the rectangle's trace
 // (the rectangle-compute span and its children), so the coordinator's
-// /debug/traces shows the whole cross-process trace. Additive and bounded:
-// the coordinator records at most maxShippedSpans per report.
+// /debug/traces shows the whole cross-process trace. Bounded: the
+// coordinator records at most maxShippedSpans per report.
 type ResultRequest struct {
 	Worker string           `json:"worker"`
 	Job    string           `json:"job"`

@@ -191,13 +191,15 @@ func (w *Worker) Run(ctx context.Context) error {
 // then reports the result through coord, Run's coordinator client; every
 // request names job. A result that cannot be delivered within Grace, or
 // that the coordinator rejects, is dropped: the lease expires and the
-// rectangle is recomputed elsewhere.
+// rectangle is recomputed elsewhere. A renew the coordinator rejects with a
+// 4xx (409: the address now serves another job) abandons the rectangle at
+// once, posts nothing, and returns the rejection, which ends Run.
 func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.Client, base, name, job string, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
 	ttl := time.Duration(lr.TTLMillis) * time.Millisecond
 	// The lease response's traceparent stitches this rectangle into the
 	// trace that submitted the job: the rectangle-compute span is a child of
-	// the coordinator's lease span. An absent/garbled traceparent (old
-	// coordinator, tracing off there) just starts a local trace.
+	// the coordinator's lease span. An absent (tracing off at the
+	// coordinator) or malformed traceparent just starts a local trace.
 	var leaseSC trace.SpanContext
 	if lr.Traceparent != "" {
 		leaseSC, _ = trace.ParseTraceparent(lr.Traceparent)
@@ -210,8 +212,12 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.C
 	// /debug/traces on the coordinator.
 	logf := rectEv.Logf
 	// rctx carries the rectangle span, so the heartbeat's renew attempts
-	// and the result post trace as its children.
-	rctx := trace.ContextWith(ctx, rectEv.Context())
+	// and the result post trace as its children. The heartbeat cancels it,
+	// with the rejection as its cause, when the coordinator answers a renew
+	// with a 4xx: the address no longer serves this job, so the rectangle's
+	// result has nowhere to go.
+	rctx, reject := context.WithCancelCause(trace.ContextWith(ctx, rectEv.Context()))
+	defer reject(nil)
 	stop := make(chan struct{})
 	var hb sync.WaitGroup
 	if ttl > 0 {
@@ -226,10 +232,11 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.C
 				MaxDelay:    max(ttl/3, time.Millisecond),
 				Seam:        seam,
 			}
-			// Renew failures are expected during a coordinator restart, so
-			// they must not kill the worker — but they must not be silent
-			// either. Log the 1st, 2nd, 4th, 8th... consecutive failure so a
-			// flapping coordinator produces a bounded, visible trail.
+			// Transient renew failures are expected during a coordinator
+			// restart, so they must not kill the worker — but they must not
+			// be silent either. Log the 1st, 2nd, 4th, 8th... consecutive
+			// failure so a flapping coordinator produces a bounded, visible
+			// trail.
 			failures, nextLog := 0, 1
 			t := time.NewTicker(max(ttl/3, time.Millisecond))
 			defer t.Stop()
@@ -243,6 +250,9 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.C
 					var rr RenewResponse
 					err := renewC.PostJSON(rctx, base+"/renew", RenewRequest{Worker: name, Job: job, RectID: rect.ID}, &rr)
 					switch {
+					case err != nil && !httpx.Retryable(err): // a 4xx, such as 409: the address now serves another job
+						reject(fmt.Errorf("dist: renewing rect %d at %s: %w", rect.ID, base, err))
+						return
 					case err != nil:
 						failures++
 						if failures == nextLog {
@@ -273,6 +283,12 @@ func (w *Worker) checkRect(ctx context.Context, seam *trace.Seam, coord *httpx.C
 	if ctx.Err() != nil {
 		rectEv.End(time.Now(), "canceled")
 		return ctx.Err()
+	}
+	// A rejected renew abandons the rectangle the same way, and ends the run
+	// as a rejected lease does.
+	if err := context.Cause(rctx); err != nil {
+		rectEv.End(time.Now(), "canceled")
+		return err
 	}
 	rectEv.End(time.Now(), reach.Outcome(res, rerr), trace.Int("checked", int64(res.Checked)))
 

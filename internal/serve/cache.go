@@ -28,13 +28,6 @@ func requestKey(v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// cached is one stored response: the exact bytes (and status) to replay.
-type cached struct {
-	status      int
-	contentType string
-	body        []byte
-}
-
 // Cache sources, surfaced as the X-Cache response header.
 const (
 	cacheMiss  = "miss"  // this request ran the computation
@@ -45,9 +38,10 @@ const (
 // resultCache is a bounded content-addressed response cache with in-flight
 // deduplication: concurrent do calls for the same key share one computation
 // (singleflight — N identical concurrent requests cost one engine run), and
-// completed values are kept under LRU eviction bounded by max entries.
-// Errors are never stored; every waiter of a failed flight receives the
-// error and the next request retries.
+// completed bodies are kept under LRU eviction bounded by max entries.
+// Every stored value is the body of a 200 JSON response, so the body is all
+// the cache keeps. Errors are never stored; every waiter of a failed flight
+// receives the error and the next request retries.
 type resultCache struct {
 	mu       sync.Mutex
 	max      int        // ≤ 0 disables storage (dedup still applies)
@@ -55,120 +49,106 @@ type resultCache struct {
 	items    map[string]*list.Element
 	inflight map[string]*flight
 
-	// The counters are metrics values so the cache's accounting and the
-	// /metrics scrape are the same numbers. newResultCache starts them
-	// standalone (unregistered — fine for table-level tests that build
-	// caches directly); register re-homes them onto a shared registry
-	// before the cache sees traffic.
+	// The counters live on the server's registry, so the cache's accounting
+	// and the /metrics scrape are the same numbers.
 	hits, misses, dedups, evictions *metrics.Counter
 	entries                         *metrics.Gauge
 }
 
 type cacheItem struct {
-	key string
-	val cached
+	key  string
+	body []byte
 }
 
 type flight struct {
 	done    chan struct{}
 	waiters int // requests parked on this flight (observability + tests)
-	val     cached
+	body    []byte
 	err     error
 }
 
-func newResultCache(max int) *resultCache {
+// newResultCache builds a cache bounded by max entries whose counters
+// register on reg.
+func newResultCache(max int, reg *metrics.Registry) *resultCache {
 	return &resultCache{
-		max:       max,
-		ll:        list.New(),
-		items:     make(map[string]*list.Element),
-		inflight:  make(map[string]*flight),
-		hits:      &metrics.Counter{},
-		misses:    &metrics.Counter{},
-		dedups:    &metrics.Counter{},
-		evictions: &metrics.Counter{},
-		entries:   &metrics.Gauge{},
+		max:      max,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element),
+		inflight: make(map[string]*flight),
+		hits: reg.Counter("crn_cache_hits_total",
+			"Result-cache hits: responses replayed from the store."),
+		misses: reg.Counter("crn_cache_misses_total",
+			"Result-cache misses: requests that ran the computation."),
+		dedups: reg.Counter("crn_cache_dedups_total",
+			"Requests that joined an identical in-flight computation (singleflight)."),
+		evictions: reg.Counter("crn_cache_evictions_total",
+			"Entries evicted by the LRU bound."),
+		entries: reg.Gauge("crn_cache_entries",
+			"Entries currently stored in the result cache."),
 	}
 }
 
-// register re-homes the cache counters onto reg, making them visible
-// on /metrics. Must run before the cache serves requests (Server.New
-// calls it right after construction); counts recorded before the swap
-// would be lost with it.
-func (rc *resultCache) register(reg *metrics.Registry) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.hits = reg.Counter("crn_cache_hits_total",
-		"Result-cache hits: responses replayed from the store.")
-	rc.misses = reg.Counter("crn_cache_misses_total",
-		"Result-cache misses: requests that ran the computation.")
-	rc.dedups = reg.Counter("crn_cache_dedups_total",
-		"Requests that joined an identical in-flight computation (singleflight).")
-	rc.evictions = reg.Counter("crn_cache_evictions_total",
-		"Entries evicted by the LRU bound.")
-	rc.entries = reg.Gauge("crn_cache_entries",
-		"Entries currently stored in the result cache.")
-}
-
-// get returns the stored value for key, marking it most recently used.
-func (rc *resultCache) get(key string) (cached, bool) {
+// get returns the stored body for key, marking it most recently used.
+func (rc *resultCache) get(key string) ([]byte, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if el, ok := rc.items[key]; ok {
 		rc.ll.MoveToFront(el)
 		rc.hits.Inc()
-		return el.Value.(*cacheItem).val, true
+		return el.Value.(*cacheItem).body, true
 	}
-	return cached{}, false
+	return nil, false
 }
 
-// do returns the value for key, computing it at most once across concurrent
-// callers: a stored value is replayed, an in-flight computation is joined,
+// do returns the body for key, computing it at most once across concurrent
+// callers: a stored body is replayed, an in-flight computation is joined,
 // and otherwise this caller computes (without holding the lock) and stores
 // the result. The source return is one of cacheHit, cacheDedup, cacheMiss.
-func (rc *resultCache) do(key string, compute func() (cached, error)) (cached, string, error) {
+// Server.answer is its one caller.
+func (rc *resultCache) do(key string, compute func() ([]byte, error)) ([]byte, string, error) {
 	rc.mu.Lock()
 	if el, ok := rc.items[key]; ok {
 		rc.ll.MoveToFront(el)
 		rc.hits.Inc()
 		rc.mu.Unlock()
-		return el.Value.(*cacheItem).val, cacheHit, nil
+		return el.Value.(*cacheItem).body, cacheHit, nil
 	}
 	if fl, ok := rc.inflight[key]; ok {
 		fl.waiters++
 		rc.dedups.Inc()
 		rc.mu.Unlock()
 		<-fl.done
-		return fl.val, cacheDedup, fl.err
+		return fl.body, cacheDedup, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
 	rc.inflight[key] = fl
 	rc.misses.Inc()
 	rc.mu.Unlock()
 
-	fl.val, fl.err = compute()
+	fl.body, fl.err = compute()
 
 	rc.mu.Lock()
 	delete(rc.inflight, key)
 	if fl.err == nil {
-		rc.storeLocked(key, fl.val)
+		rc.storeLocked(key, fl.body)
 	}
 	rc.mu.Unlock()
 	close(fl.done)
-	return fl.val, cacheMiss, fl.err
+	return fl.body, cacheMiss, fl.err
 }
 
 // storeLocked inserts (or refreshes) key at the front of the LRU and evicts
 // past max. Caller holds rc.mu. No-op when storage is disabled.
-func (rc *resultCache) storeLocked(key string, val cached) {
+func (rc *resultCache) storeLocked(key string, body []byte) {
 	if rc.max <= 0 {
 		return
 	}
 	if el, ok := rc.items[key]; ok {
-		el.Value.(*cacheItem).val = val
+		el.Value.(*cacheItem).body = body
 		rc.ll.MoveToFront(el)
 		return
 	}
-	rc.items[key] = rc.ll.PushFront(&cacheItem{key: key, val: val})
+	rc.items[key] = rc.ll.PushFront(&cacheItem{key: key, body: body})
 	for rc.ll.Len() > rc.max {
 		last := rc.ll.Back()
 		rc.ll.Remove(last)
@@ -178,12 +158,12 @@ func (rc *resultCache) storeLocked(key string, val cached) {
 	rc.entries.Set(int64(rc.ll.Len()))
 }
 
-// put stores a computed value directly (used by the async job runner so a
+// put stores a computed body directly (used by the async job runner so a
 // finished job's body serves later /v1/check requests as plain cache hits).
-func (rc *resultCache) put(key string, val cached) {
+func (rc *resultCache) put(key string, body []byte) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.storeLocked(key, val)
+	rc.storeLocked(key, body)
 }
 
 // cacheStats is the /v1/stats snapshot of the cache. Field names are

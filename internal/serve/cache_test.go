@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"crncompose/internal/core"
+	"crncompose/internal/metrics"
+	"crncompose/internal/trace"
 )
 
 // TestSingleflightDedup pins the satellite contract: N concurrent identical
@@ -122,23 +125,23 @@ func TestCacheEvictionRespectsMax(t *testing.T) {
 // and are delivered to every concurrent waiter; put/get behave; LRU touch
 // order decides eviction.
 func TestResultCacheUnit(t *testing.T) {
-	rc := newResultCache(2)
+	rc := newResultCache(2, metrics.NewRegistry())
 	boom := errors.New("boom")
-	if _, _, err := rc.do("k", func() (cached, error) { return cached{}, boom }); err != boom {
+	if _, _, err := rc.do("k", func() ([]byte, error) { return nil, boom }); err != boom {
 		t.Fatalf("err = %v", err)
 	}
 	if _, ok := rc.get("k"); ok {
 		t.Fatal("error was cached")
 	}
-	val := cached{status: 200, contentType: contentTypeJSON, body: []byte("v")}
-	if got, source, err := rc.do("k", func() (cached, error) { return val, nil }); err != nil || source != cacheMiss || !bytes.Equal(got.body, val.body) {
+	val := []byte("v")
+	if got, source, err := rc.do("k", func() ([]byte, error) { return val, nil }); err != nil || source != cacheMiss || !bytes.Equal(got, val) {
 		t.Fatalf("%+v %q %v", got, source, err)
 	}
-	if _, source, _ := rc.do("k", func() (cached, error) { t.Fatal("recomputed"); return cached{}, nil }); source != cacheHit {
+	if _, source, _ := rc.do("k", func() ([]byte, error) { t.Fatal("recomputed"); return nil, nil }); source != cacheHit {
 		t.Fatalf("source %q", source)
 	}
 	// Touch order on a fresh cache: a, b, touch a, insert c → b evicted.
-	rc = newResultCache(2)
+	rc = newResultCache(2, metrics.NewRegistry())
 	rc.put("a", val)
 	rc.put("b", val)
 	rc.get("a")
@@ -150,14 +153,14 @@ func TestResultCacheUnit(t *testing.T) {
 		t.Fatal("recently used a evicted")
 	}
 	// Disabled storage still deduplicates but never stores.
-	rc0 := newResultCache(0)
+	rc0 := newResultCache(0, metrics.NewRegistry())
 	rc0.put("x", val)
 	if _, ok := rc0.get("x"); ok {
 		t.Fatal("disabled cache stored an entry")
 	}
 	var n int
 	for i := 0; i < 2; i++ {
-		if _, _, err := rc0.do("x", func() (cached, error) { n++; return val, nil }); err != nil {
+		if _, _, err := rc0.do("x", func() ([]byte, error) { n++; return val, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,4 +253,93 @@ func (rc *resultCache) waitersOn(key string) int {
 		return fl.waiters
 	}
 	return 0
+}
+
+// TestAnswerPath pins the one answer path of the cached endpoints: a first
+// request computes (X-Cache miss, one testComputed call, a serve.compute
+// event), and its repeat replays the byte-identical body (X-Cache hit, no
+// computation). A /v1/check repeat is answered by handleCheck's lookup
+// probe, so its hit is a serve.cache.lookup event with outcome hit. A
+// failing computation is answered 422 and never stored, so its repeat
+// computes again. The check row is refuted past its grid's first chunk of
+// 64 inputs (one worker), so its reach.grid stage event exists and ends
+// "failure".
+func TestAnswerPath(t *testing.T) {
+	// min until x1 reaches 7, where 7X1 -> 7Y overshoots: refuted at (7,0),
+	// the 71st input of [0,9]^2.
+	const lateRefuted = minCRNText + "7X1 -> 7Y\n"
+	hi := int64(9)
+	for _, tc := range []struct {
+		op, path string
+		req      any
+		events   []string // cache-layer events, "name/outcome", in order
+		fail     any      // a request whose computation fails (nil: none)
+	}{
+		{"classify", "/v1/classify", ClassifyRequest{Func: "min"},
+			[]string{"serve.compute/ok", "serve.cache.hit/ok"}, nil},
+		{"synthesize", "/v1/synthesize", SynthesizeRequest{Func: "min"},
+			[]string{"serve.compute/ok", "serve.cache.hit/ok"}, SynthesizeRequest{Func: "max"}},
+		{"simulate", "/v1/simulate", SimulateRequest{CRN: minCRNText, X: []int64{5, 3}, Method: "fair", Trials: 2},
+			[]string{"serve.compute/ok", "serve.cache.hit/ok"}, nil},
+		{"check", "/v1/check", CheckRequest{CRN: lateRefuted, Func: "min", Hi: &hi},
+			[]string{"serve.cache.lookup/miss", "serve.compute/ok", "serve.cache.lookup/hit"}, nil},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			tr := trace.New(trace.Options{Proc: "serve-test"})
+			s, ts := newTestServer(t, Config{Tracer: tr, Workers: 1})
+			var runs atomic.Int32
+			s.testComputed = func(op string) {
+				if op != tc.op {
+					t.Errorf("computed %q, want %q", op, tc.op)
+				}
+				runs.Add(1)
+			}
+			status, source, first := post(t, ts.URL+tc.path, tc.req)
+			if status != http.StatusOK || source != cacheMiss {
+				t.Fatalf("first request: %d %q %s", status, source, first)
+			}
+			status, source, second := post(t, ts.URL+tc.path, tc.req)
+			if status != http.StatusOK || source != cacheHit || !bytes.Equal(first, second) {
+				t.Fatalf("repeat: %d %q, bodies equal %v", status, source, bytes.Equal(first, second))
+			}
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("%d computations, want 1", n)
+			}
+			var events []string
+			grids := 0
+			for _, d := range tr.Snapshot() {
+				switch d.Name {
+				case "serve.cache.lookup", "serve.compute", "serve.cache.hit", "serve.singleflight.park":
+					events = append(events, d.Name+"/"+d.Attrs["outcome"])
+				case "reach.grid":
+					grids++
+					if d.Attrs["outcome"] != "failure" {
+						t.Errorf("reach.grid outcome %q, want failure", d.Attrs["outcome"])
+					}
+				}
+			}
+			if !slices.Equal(events, tc.events) {
+				t.Fatalf("events %v, want %v", events, tc.events)
+			}
+			wantGrids := 0
+			if tc.op == "check" {
+				wantGrids = 1
+			}
+			if grids != wantGrids {
+				t.Fatalf("%d reach.grid events, want %d", grids, wantGrids)
+			}
+			if tc.fail == nil {
+				return
+			}
+			for i := 1; i <= 2; i++ {
+				status, source, body := post(t, ts.URL+tc.path, tc.fail)
+				if status != http.StatusUnprocessableEntity || source != "" {
+					t.Fatalf("failing request %d: %d %q %s", i, status, source, body)
+				}
+				if n := runs.Load(); n != 1+int32(i) {
+					t.Fatalf("failing request %d: %d computations, want %d", i, n, 1+i)
+				}
+			}
+		})
+	}
 }

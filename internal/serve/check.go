@@ -166,39 +166,27 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lookup := s.seam.Start(time.Now(), "serve.cache.lookup", sc)
-	val, ok := s.cache.get(j.key)
+	body, ok := s.cache.get(j.key)
 	outcome := "miss"
 	if ok {
 		outcome = "hit"
 	}
 	lookup.End(time.Now(), outcome)
 	if ok {
-		writeCached(w, val, cacheHit)
+		writeCached(w, body, cacheHit)
 		return
 	}
 	if j.points > s.cfg.SyncGridLimit {
 		s.acceptJob(w, j, sc)
 		return
 	}
-	val, source, err := s.cacheDo(r.Context(), "check", j.key, func() (cached, error) {
-		s.computed("check")
-		// No request context: the flight is shared by parked identical
-		// requests, so one client hanging up must not cancel it.
-		res, err := s.checkGrid(context.Background(), j, j.cc.Lo, j.cc.Hi, sc)
+	s.answer(w, r, "check", j.key, func(ctx context.Context) ([]byte, error) {
+		res, err := s.checkGrid(ctx, j, j.cc.Lo, j.cc.Hi, sc)
 		if err != nil {
 			// A deterministic enumeration error (the CLI exits without
 			// JSON): reported, never cached.
-			return cached{}, err
+			return nil, err
 		}
-		body, err := reach.MarshalGridResultIndent(res)
-		if err != nil {
-			return cached{}, err
-		}
-		return cached{status: http.StatusOK, contentType: contentTypeJSON, body: body}, nil
+		return reach.MarshalGridResultIndent(res)
 	})
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeCached(w, val, source)
 }

@@ -153,15 +153,11 @@ func (jt *jobTable) getOrCreate(j *checkJob, s *Server, parent trace.SpanContext
 		jt.dropLocked(old)
 	}
 	jb := &asyncJob{id: j.key, check: j, parent: parent, submittedAt: time.Now()}
-	base := s.baseCtx
-	if base == nil { // bare Server in table-level tests
-		base = context.Background()
-	}
-	jb.ctx, jb.cancel = context.WithCancel(base)
+	jb.ctx, jb.cancel = context.WithCancel(s.baseCtx)
 	jt.jobs[j.key] = jb
 	s.met.submitted()
-	if val, ok := s.cache.get(j.key); ok {
-		jb.body = val.body
+	if body, ok := s.cache.get(j.key); ok {
+		jb.body = body
 		s.finishLocked(jb, jobDone, "")
 		return jb
 	}
@@ -288,7 +284,7 @@ func (s *Server) runJob(jb *asyncJob) {
 		s.finishLocked(jb, jobFailed, err.Error())
 	default:
 		jb.body = body
-		s.cache.put(jb.id, cached{status: http.StatusOK, contentType: contentTypeJSON, body: body})
+		s.cache.put(jb.id, body)
 		s.finishLocked(jb, jobDone, "")
 	}
 	terminal := jb.state
@@ -481,7 +477,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		s.jobs.mu.Lock()
 		body := jb.body
 		s.jobs.mu.Unlock()
-		writeCached(w, cached{status: http.StatusOK, contentType: contentTypeJSON, body: body}, cacheHit)
+		writeCached(w, body, cacheHit)
 	case jobFailed, jobCanceled:
 		writeError(w, http.StatusUnprocessableEntity, errors.New(st.Error))
 	default:

@@ -165,11 +165,18 @@ func TestJobDistBackend(t *testing.T) {
 
 // TestFailedJobRetried: a failed job must not poison its content address —
 // the next identical submission gets a fresh job, while done jobs are
-// reused. Exercised at the table level so states can be forced: a bare
-// Server has no admission slots, so each job's goroutine stays queued and
-// never races the forced states.
+// reused. Exercised at the table level so states can be forced: every
+// admission slot is taken, so each job's goroutine stays queued and never
+// races the forced states.
 func TestFailedJobRetried(t *testing.T) {
-	s := &Server{cfg: Config{CacheMax: 4}, cache: newResultCache(4), jobs: newJobTable()}
+	s := New(Config{CacheMax: 4})
+	for range cap(s.slots) {
+		s.slots <- struct{}{}
+	}
+	t.Cleanup(func() {
+		_ = s.Shutdown(context.Background())
+		s.jobWG.Wait()
+	})
 	j, err := resolveCheck(CheckRequest{CRN: minCRNText, Func: "min"})
 	if err != nil {
 		t.Fatal(err)

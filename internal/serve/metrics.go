@@ -11,9 +11,8 @@ import (
 )
 
 // serveMetrics bundles every family the server registers on its
-// registry (Config.Metrics, or a private one). All methods are
-// nil-receiver safe so table-level tests can build bare Servers
-// without a registry. Families:
+// registry (Config.Metrics, or a private one). New, the only way to
+// build a Server, always builds it. Families:
 //
 //	crn_http_request_duration_seconds{endpoint}  histogram — per-route latency
 //	crn_http_requests_total{endpoint,code}       counter
@@ -70,9 +69,6 @@ func newServeMetrics(reg *metrics.Registry) *serveMetrics {
 // created. Gauges track the non-terminal states, counters the
 // terminal ones. Callers hold jobs.mu, matching the state writes.
 func (m *serveMetrics) jobTransition(from, to string) {
-	if m == nil {
-		return
-	}
 	switch from {
 	case jobQueued:
 		m.jobsQueued.Dec()
@@ -94,25 +90,16 @@ func (m *serveMetrics) jobTransition(from, to string) {
 }
 
 func (m *serveMetrics) submitted() {
-	if m == nil {
-		return
-	}
 	m.jobsSubmitted.Inc()
 }
 
 func (m *serveMetrics) degraded() {
-	if m == nil {
-		return
-	}
 	m.jobsDegraded.Inc()
 }
 
 // jobTotals snapshots the cumulative terminal-transition counters for
-// /v1/stats (nil when the server has no metrics).
+// /v1/stats.
 func (m *serveMetrics) jobTotals() map[string]uint64 {
-	if m == nil {
-		return nil
-	}
 	return map[string]uint64{
 		"submitted": m.jobsSubmitted.Value(),
 		jobDone:     m.jobsDone.Value(),
@@ -167,10 +154,8 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		h(rec, r)
 		end := time.Now()
 		ev.End(end, requestOutcome(rec.code), trace.Int("code", int64(rec.code)))
-		if s.met != nil {
-			s.met.reqDur.With(endpoint).ObserveSince(start, end)
-			s.met.reqTotal.With(endpoint, strconv.Itoa(rec.code)).Inc()
-		}
+		s.met.reqDur.With(endpoint).ObserveSince(start, end)
+		s.met.reqTotal.With(endpoint, strconv.Itoa(rec.code)).Inc()
 	}
 }
 

@@ -22,10 +22,15 @@
 // Every computation is content-addressed: the canonical request — CRN text
 // normalized through parse→String, function name, grid bounds, budgets,
 // seeds, with all defaults filled in — is hashed (SHA-256, the JobSpec-hash
-// discipline of internal/dist/checkpoint.go) and the response bytes are
-// cached under that key with LRU eviction (Config.CacheMax). Concurrent
-// identical requests are deduplicated in flight: N simultaneous submissions
-// of the same check cost exactly one engine run. Because every engine in
+// discipline of internal/dist/checkpoint.go) and the response body is
+// cached under that key with LRU eviction (Config.CacheMax). Every stored
+// value is a 200 JSON body, so the body is all an entry holds; an error is
+// answered 422 and never stored. Concurrent identical requests are
+// deduplicated in flight: N simultaneous submissions of the same check cost
+// exactly one engine run. /v1/classify, /v1/synthesize, /v1/simulate and a
+// synchronous /v1/check all answer through one method, Server.answer, and
+// a Server comes only from New, which registers the cache's counters on its
+// registry. Because every engine in
 // this module is deterministic — byte-identical GridResults at any worker
 // count, claim schedule, or process count, seeded simulation —
 // replaying cached bytes is indistinguishable from recomputing them; the
@@ -151,8 +156,9 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// Server is the verification service. Create with New; serve via Handler
-// (any http mux/server) or Start/Addr/Shutdown.
+// Server is the verification service. Create it with New, the only
+// constructor; serve via Handler (any http mux/server) or
+// Start/Addr/Shutdown.
 type Server struct {
 	cfg   Config
 	cache *resultCache
@@ -209,12 +215,11 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:   cfg,
-		cache: newResultCache(cfg.CacheMax),
+		cache: newResultCache(cfg.CacheMax, cfg.Metrics),
 		jobs:  newJobTable(),
 		met:   newServeMetrics(cfg.Metrics),
 		seam:  trace.NewSeam(cfg.Tracer, cfg.Metrics, cfg.Logf),
 	}
-	s.cache.register(cfg.Metrics)
 	cfg.Tracer.CountSpans(cfg.Metrics)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	slots := cfg.MaxJobs
@@ -260,21 +265,28 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/jobs/{id}", "/v1/jobs/{id}", s.handleJobStatus)
 	handle("DELETE /v1/jobs/{id}", "/v1/jobs/{id}", s.handleJobDelete)
 	handle("GET /v1/jobs/{id}/result", "/v1/jobs/{id}/result", s.handleJobResult)
-	if s.met != nil {
-		mux.Handle("GET /metrics", s.met.reg.Handler())
-	}
+	mux.Handle("GET /metrics", s.met.reg.Handler())
 	return mux
 }
 
-// cacheDo wraps resultCache.do with an event naming how the response was
-// produced — serve.cache.hit (replayed), serve.singleflight.park (joined an
-// identical in-flight computation), serve.compute (this request ran the
-// engine). The event is started retroactively, after do returns, because
-// which of the three happened is only known then; its start is the instant
+// answer serves one content-addressed computation: it replays key's stored
+// body, joins an identical in-flight computation, or runs compute once. The
+// computation runs under context.Background(), not the request's context:
+// parked identical requests share the flight, so one client hanging up must
+// not cancel it. An error is answered 422 and never stored; a body is
+// written 200 with its X-Cache source.
+//
+// Its event names how the body was produced — serve.cache.hit (replayed),
+// serve.singleflight.park (joined), serve.compute (this request ran the
+// engine). The event is started retroactively, because which of the three
+// happened is only known once the cache returns; its start is the instant
 // the request entered the cache layer, so durations are still honest.
-func (s *Server) cacheDo(ctx context.Context, op, key string, compute func() (cached, error)) (cached, string, error) {
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, op, key string, compute func(context.Context) ([]byte, error)) {
 	start := time.Now()
-	val, source, err := s.cache.do(key, compute)
+	body, source, err := s.cache.do(key, func() ([]byte, error) {
+		s.computed(op)
+		return compute(context.Background())
+	})
 	name := "serve.compute"
 	switch source {
 	case cacheHit:
@@ -286,9 +298,13 @@ func (s *Server) cacheDo(ctx context.Context, op, key string, compute func() (ca
 	if err != nil {
 		errAttr = []trace.Attr{trace.String("error", err.Error())}
 	}
-	s.seam.Start(start, name, trace.FromContext(ctx), trace.String("op", op)).
+	s.seam.Start(start, name, trace.FromContext(r.Context()), trace.String("op", op)).
 		End(time.Now(), trace.Outcome(err), errAttr...)
-	return val, source, err
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	writeCached(w, body, source)
 }
 
 // Stats is the GET /v1/stats document. Cache and JobsTotal read from
@@ -351,13 +367,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		Func  string `json:"func"`
 		Bound int64  `json:"bound"`
 	}{1, "classify", req.Func, req.Bound})
-	val, source, err := s.cacheDo(r.Context(), "classify", key, func() (cached, error) {
-		s.computed("classify")
+	s.answer(w, r, "classify", key, func(context.Context) ([]byte, error) {
 		prog := s.seam.Progress(time.Now, trace.FromContext(r.Context()), 0)
 		res, err := classify.Analyze(f, classify.Options{Bound: req.Bound, WitnessSearch: true, Progress: prog})
 		prog.Finish(time.Now(), trace.Outcome(err))
 		if err != nil {
-			return cached{}, err
+			return nil, err
 		}
 		resp := ClassifyResponse{Func: req.Func, Computable: res.Computable, Period: res.Period}
 		if res.Computable {
@@ -371,11 +386,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		return encodeJSON(resp)
 	})
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeCached(w, val, source)
 }
 
 // SynthesizeRequest is the JSON body of POST /v1/synthesize: build an
@@ -419,13 +429,12 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		N          int64  `json:"n"`
 		Leaderless bool   `json:"leaderless"`
 	}{1, "synthesize", req.Func, req.Bound, req.N, req.Leaderless})
-	val, source, err := s.cacheDo(r.Context(), "synthesize", key, func() (cached, error) {
-		s.computed("synthesize")
+	s.answer(w, r, "synthesize", key, func(ctx context.Context) ([]byte, error) {
 		prog := s.seam.Progress(time.Now, trace.FromContext(r.Context()), 0)
-		sys, err := core.Synthesize(context.Background(), f, req.Bound, req.N, req.Leaderless, prog)
+		sys, err := core.Synthesize(ctx, f, req.Bound, req.N, req.Leaderless, prog)
 		prog.Finish(time.Now(), trace.Outcome(err))
 		if err != nil {
-			return cached{}, err
+			return nil, err
 		}
 		return encodeJSON(SynthesizeResponse{
 			Func: f.Name, CRN: sys.Net.String(),
@@ -433,11 +442,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			OutputOblivious: sys.Net.IsOutputOblivious(), Leaderless: req.Leaderless,
 		})
 	})
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeCached(w, val, source)
 }
 
 // Admission bounds on /v1/simulate: simulation runs on the request path, so
@@ -613,19 +617,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := j.req
-	val, source, err := s.cacheDo(r.Context(), "simulate", j.key, func() (cached, error) {
-		s.computed("simulate")
+	s.answer(w, r, "simulate", j.key, func(ctx context.Context) ([]byte, error) {
 		prog := s.seam.Progress(time.Now, trace.FromContext(r.Context()), 0)
 		opts := []sim.Option{sim.WithMaxSteps(req.MaxSteps), sim.WithProgress(prog)}
 		if req.SilentSteps > 0 {
 			opts = append(opts, sim.WithSilentSteps(req.SilentSteps))
 		}
-		// No request context, as for checks: parked identical requests
-		// share the flight.
-		results, err := sim.EnsembleCtx(context.Background(), j.runner, j.start, req.Trials, req.Seed, opts...)
+		results, err := sim.EnsembleCtx(ctx, j.runner, j.start, req.Trials, req.Seed, opts...)
 		prog.Finish(time.Now(), trace.Outcome(err))
 		if err != nil {
-			return cached{}, err
+			return nil, err
 		}
 		resp := SimulateResponse{Trials: make([]SimTrial, len(results))}
 		for i, res := range results {
@@ -648,11 +649,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		return encodeJSON(resp)
 	})
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeCached(w, val, source)
 }
 
 // Start listens on addr (host:port; port 0 picks a free one — see Addr) and
@@ -729,42 +725,42 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // encodeJSON renders a response document in the server's JSON presentation
 // form (indented, trailing newline — stable bytes for the cache).
-func encodeJSON(v any) (cached, error) {
+func encodeJSON(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return cached{}, err
+		return nil, err
 	}
-	return cached{status: http.StatusOK, contentType: contentTypeJSON, body: append(b, '\n')}, nil
+	return append(b, '\n'), nil
 }
 
-// writeJSON writes v as an uncached JSON response.
+// writeJSON writes v as an uncached JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	val, err := encodeJSON(v)
+	body, err := encodeJSON(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	val.status = status
-	writeCached(w, val, "")
+	writeBody(w, status, body)
 }
 
-// writeCached replays a cached (or just-computed) response, tagging its
-// source in the X-Cache header.
-func writeCached(w http.ResponseWriter, val cached, source string) {
-	w.Header().Set("Content-Type", val.contentType)
-	if source != "" {
-		w.Header().Set("X-Cache", source)
-	}
-	w.WriteHeader(val.status)
-	_, _ = w.Write(val.body)
+// writeCached writes a stored or just-computed body, a 200 JSON document,
+// tagging its source in the X-Cache header.
+func writeCached(w http.ResponseWriter, body []byte, source string) {
+	w.Header().Set("X-Cache", source)
+	writeBody(w, http.StatusOK, body)
+}
+
+// writeBody writes a JSON response body with the given status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", contentTypeJSON)
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // writeError reports an error as {"error": "..."} with the given status.
 func writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", contentTypeJSON)
-	w.WriteHeader(status)
 	b, _ := json.Marshal(map[string]string{"error": err.Error()})
-	_, _ = w.Write(append(b, '\n'))
+	writeBody(w, status, append(b, '\n'))
 }
 
 // readJSON decodes the request body, at most MaxRequestBytes of it, into v,
